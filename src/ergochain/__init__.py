@@ -23,7 +23,13 @@ from .chain import (
     interpolated_bonds,
     pst_couplings,
 )
-from .disorder import EnsembleStats, ensemble_erg, gamma_metric
+from .disorder import (
+    EnsembleStats,
+    ensemble_erg,
+    ensemble_fidelity,
+    ensemble_stats,
+    gamma_metric,
+)
 from .dynamics import (
     InitialSiteState,
     QubitState,
@@ -44,6 +50,7 @@ from .ergotropy import (
     erg_mixed,
     match_mixed_to_pure,
     qubit_ergotropy,
+    reflection_fidelity,
     reflection_time,
     rescaled_efficiency,
 )
@@ -123,11 +130,14 @@ __all__ = [
     "erg_coherent",
     "erg_mixed",
     "reflection_time",
+    "reflection_fidelity",
     "erg_at_reflection",
     "erg_max_window",
     "rescaled_efficiency",
     # disorder
     "EnsembleStats",
+    "ensemble_fidelity",
+    "ensemble_stats",
     "ensemble_erg",
     "gamma_metric",
     # work statistics

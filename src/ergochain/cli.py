@@ -46,11 +46,12 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainConfig, build_hamiltonian, interpolated_bonds, pst_couplings
-from .disorder import ensemble_erg, gamma_metric
+from .disorder import ensemble_fidelity, ensemble_stats, gamma_metric
 from .dynamics import InitialSiteState, amplitude_bessel_limit, amplitude_spectral
 from .ergotropy import (
-    erg_at_reflection,
+    _record,
     match_mixed_to_pure,
+    reflection_fidelity,
     reflection_time,
 )
 from .errors import (
@@ -430,12 +431,14 @@ def _run_cells(
     return [row for chunk in chunks for row in chunk]
 
 
-def _encoding_rows(config: ChainConfig, theta: float) -> list[Row]:
-    """Coherent row plus the input-matched mixed row at the reflection time."""
+def _encoding_rows(
+    config: ChainConfig, theta: float, time: float, fidelity: float
+) -> list[Row]:
+    """Coherent row plus the input-matched mixed row from one reflection fidelity."""
     rows: list[Row] = []
     q = match_mixed_to_pure(theta)
     for encoding, parameter in (("coherent", theta), ("mixed", q)):
-        record = erg_at_reflection(config, encoding, parameter)
+        record = _record(config, encoding, parameter, time, fidelity)
         rows.append(
             {
                 "n_sites": record.n_sites,
@@ -464,7 +467,7 @@ def run_transport_sweep(resolved: dict[str, Any], threads: int = 1) -> list[Row]
         config = ChainConfig(
             n_sites=n, coupling=chain["coupling"], field=chain["field"], alpha=alpha
         )
-        return _encoding_rows(config, theta)
+        return _encoding_rows(config, theta, *reflection_fidelity(config))
 
     return _run_cells(cells, worker, threads)
 
@@ -481,9 +484,10 @@ def run_theta_sweep(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
             field=chain["field"],
             alpha=params["alpha"],
         )
+        time, fidelity = reflection_fidelity(config)
         grid: list[Row] = []
         for theta in thetas:
-            for row in _encoding_rows(config, float(theta)):
+            for row in _encoding_rows(config, float(theta), time, fidelity):
                 grid.append({**row, "kind": "grid"})
         summaries: list[Row] = []
         for encoding in ("coherent", "mixed"):
@@ -519,8 +523,9 @@ def run_disorder(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
             alpha=alpha,
             delta=delta,
         )
-        stats_c = ensemble_erg(config, "coherent", theta, params["realizations"], seed)
-        stats_m = ensemble_erg(config, "mixed", q, params["realizations"], seed)
+        fidelities = ensemble_fidelity(config, params["realizations"], seed)
+        stats_c = ensemble_stats(config, "coherent", theta, fidelities)
+        stats_m = ensemble_stats(config, "mixed", q, fidelities)
         try:
             gamma = gamma_metric(stats_c, stats_m)
         except UndefinedMetricError:

@@ -42,6 +42,7 @@ __all__ = [
     "erg_coherent",
     "erg_mixed",
     "reflection_time",
+    "reflection_fidelity",
     "erg_at_reflection",
     "erg_max_window",
     "rescaled_efficiency",
@@ -182,6 +183,21 @@ def _record(
     )
 
 
+def reflection_fidelity(config: ChainConfig) -> tuple[float, float]:
+    """(T, F): first reflection time of the clean chain and F = |f_N(T)|^2.
+
+    Diagonalizes the chain once. Every encoding's receiver ergotropy at T is
+    a function of F alone, so callers that need several encodings or
+    parameters map this one F instead of solving the chain again. F is not
+    clipped to 1: at perfect transfer it can exceed 1 by a few ulps.
+    Disorder is ignored here (config.delta plays no role).
+    """
+    t = reflection_time(config.n_sites, config.alpha, config.coupling)
+    decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), config.field))
+    f = amplitude_spectral(decomposition, config.n_sites, t)
+    return t, abs(f.value) ** 2
+
+
 def erg_at_reflection(config: ChainConfig, encoding: str, parameter: float) -> ErgotropyRecord:
     """Receiver ergotropy at the first reflection time of the clean chain.
 
@@ -190,10 +206,7 @@ def erg_at_reflection(config: ChainConfig, encoding: str, parameter: float) -> E
     the ensemble API instead.
     """
     _check_encoding(encoding)
-    t = reflection_time(config.n_sites, config.alpha, config.coupling)
-    decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), config.field))
-    f = amplitude_spectral(decomposition, config.n_sites, t)
-    return _record(config, encoding, parameter, t, abs(f.value) ** 2)
+    return _record(config, encoding, parameter, *reflection_fidelity(config))
 
 
 def erg_max_window(

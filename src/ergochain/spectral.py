@@ -75,17 +75,17 @@ class SpectralDecomposition:
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's first non-negligible component is positive."""
-    fixed = vectors.copy()
-    for k in range(fixed.shape[1]):
-        col = fixed[:, k]
-        threshold = 1e-12 * np.max(np.abs(col))
-        for component in col:
-            if abs(component) > threshold:
-                if component < 0:
-                    fixed[:, k] = -col
-                break
-    return fixed
+    """Flip columns so each one's first non-negligible component is positive.
+
+    A component is non-negligible when its magnitude exceeds 1e-12 times the
+    column's largest magnitude; an all-zero column is left as it is. Sign
+    flips are exact, so the result does not depend on how it is computed.
+    """
+    magnitudes = np.abs(vectors)
+    significant = magnitudes > 1e-12 * magnitudes.max(axis=0)
+    del magnitudes  # freed before the flipped copy, so the peak stays at two (N, N) arrays
+    leading = vectors[np.argmax(significant, axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(leading < 0, -1.0, 1.0)
 
 
 def _tridiagonal_matvec(

@@ -4,11 +4,22 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 
 import jsonschema
 import pytest
 
-from ergochain.cli import OUTPUT_SCHEMA, SCENARIOS, config_hash, main, resolve_config
+from ergochain import spectral
+from ergochain.cli import (
+    OUTPUT_SCHEMA,
+    SCENARIOS,
+    config_hash,
+    main,
+    resolve_config,
+    run_disorder,
+    run_theta_sweep,
+    run_transport_sweep,
+)
 
 TRANSPORT_INI = """\
 [chain]
@@ -231,6 +242,45 @@ class TestDeterminism:
         assert manifest["configHash"] == config_hash(resolved)
         # a different seed resolves to a different hash
         assert config_hash(resolve_config(config, "disorder", 6, "csv")) != manifest["configHash"]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Record every diagonalize call made through any ergochain namespace."""
+    calls = []
+    original = spectral.diagonalize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ergochain" and getattr(module, "diagonalize", None) is original:
+            monkeypatch.setattr(module, "diagonalize", counted)
+    return calls
+
+
+class TestOneSolvePerChain:
+    def _resolved(self, tmp_path, scenario, text):
+        return resolve_config(_write(tmp_path, "run.ini", text), scenario, 0, "csv")
+
+    def test_theta_sweep_solves_each_size_once(self, tmp_path, solve_calls):
+        resolved = self._resolved(
+            tmp_path, "theta-sweep", "[theta-sweep]\nsites = 4, 9, 16\ntheta_count = 11\n"
+        )
+        rows = run_theta_sweep(resolved)
+        assert len(rows) == 3 * (11 * 2 + 2)
+        assert len(solve_calls) == 3
+
+    def test_transport_sweep_solves_each_cell_once(self, tmp_path, solve_calls):
+        rows = run_transport_sweep(self._resolved(tmp_path, "transport-sweep", TRANSPORT_INI))
+        assert len(rows) == 2 * 2 * 2
+        assert len(solve_calls) == 2 * 2
+
+    def test_disorder_solves_each_realization_once(self, tmp_path, solve_calls):
+        rows = run_disorder(self._resolved(tmp_path, "disorder", DISORDER_INI))
+        assert len(rows) == 2 * 2
+        assert len(solve_calls) == 2 * 25
 
 
 class TestFailurePaths:

@@ -8,11 +8,17 @@ import pytest
 from ergochain import (
     ChainConfig,
     EnsembleStats,
+    InvalidInputError,
     MisuseError,
     UndefinedMetricError,
     ensemble_erg,
+    ensemble_fidelity,
+    ensemble_stats,
     erg_at_reflection,
+    erg_coherent,
+    erg_mixed,
     gamma_metric,
+    reflection_fidelity,
 )
 
 
@@ -42,6 +48,49 @@ class TestEnsembleDeterminism:
         short = ensemble_erg(_config(), "coherent", 1.0, n_realizations=8, seed=5)
         long = ensemble_erg(_config(), "coherent", 1.0, n_realizations=20, seed=5)
         assert np.array_equal(long.values[:8], short.values)
+
+
+class TestFidelitySample:
+    """Both encodings are maps of one fidelity sample, realization by realization."""
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_ensemble_erg_maps_one_fidelity_sample(self, threads):
+        cfg = _config(n=10, delta=0.2, alpha=0.5)
+        theta, q = 2.0, 0.5 * (1.0 + math.sin(1.0) ** 2)
+        fidelities = ensemble_fidelity(cfg, 30, seed=4, threads=threads)
+        coh = ensemble_erg(cfg, "coherent", theta, 30, seed=4, threads=threads)
+        mix = ensemble_erg(cfg, "mixed", q, 30, seed=4, threads=threads)
+        expected_coh = [erg_coherent(f, theta, cfg.field) for f in fidelities]
+        expected_mix = [erg_mixed(f, q, cfg.field) for f in fidelities]
+        assert coh.values.tolist() == expected_coh
+        assert mix.values.tolist() == expected_mix
+        for stats, encoding, parameter in ((coh, "coherent", theta), (mix, "mixed", q)):
+            mapped = ensemble_stats(cfg, encoding, parameter, fidelities)
+            assert mapped.values.tobytes() == stats.values.tobytes()
+            assert (mapped.mean, mapped.stddev) == (stats.mean, stats.stddev)
+
+    def test_reflection_fidelity_is_the_record_fidelity(self):
+        for n, alpha in [(2, 0.0), (7, 0.3), (16, 1.0), (31, 0.9)]:
+            cfg = _config(n=n, delta=0.0, alpha=alpha)
+            time, fidelity = reflection_fidelity(cfg)
+            for encoding, parameter in (("coherent", 1.2), ("mixed", 0.8)):
+                record = erg_at_reflection(cfg, encoding, parameter)
+                assert (record.time, record.fidelity) == (time, fidelity)
+
+    def test_each_path_keeps_its_clip(self):
+        # the engineered N = 16 chain overshoots F = 1 by a few ulps at T: the
+        # ensemble clips it, the single-chain readout reports it unclipped
+        cfg = _config(n=16, delta=0.0, alpha=1.0)
+        assert 1.0 < reflection_fidelity(cfg)[1] < 1.0 + 1e-14
+        assert ensemble_fidelity(cfg, 3, seed=0).tolist() == [1.0, 1.0, 1.0]
+
+    def test_ensemble_stats_rejects_bad_input(self):
+        with pytest.raises(InvalidInputError):
+            ensemble_stats(_config(), "coherent", 1.0, np.array([]))
+        with pytest.raises(InvalidInputError):
+            ensemble_stats(_config(), "both", 1.0, np.array([0.5]))
+        with pytest.raises(InvalidInputError):
+            ensemble_stats(_config(), "mixed", 0.8, np.array([1.5]))
 
 
 class TestEnsembleStats:

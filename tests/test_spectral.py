@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from conftest import dense_hamiltonian
 from ergochain import (
@@ -15,11 +16,13 @@ from ergochain import (
     analytic_uniform_spectrum,
     build_hamiltonian,
     diagonalize,
+    disordered_bonds,
     gn_factor,
     interpolated_bonds,
     krawtchouk,
     krawtchouk_table,
 )
+from ergochain.spectral import _fix_column_signs
 
 
 def _hamiltonian(n, alpha, coupling=1.0, field=1.0):
@@ -56,6 +59,54 @@ class TestDiagonalize:
     def test_rejects_non_hamiltonian(self):
         with pytest.raises(InvalidInputError):
             diagonalize(np.eye(3))
+
+
+def _fix_column_signs_loop(vectors):
+    """Column-by-column gauge fix: the reference the vectorized pass must equal."""
+    fixed = vectors.copy()
+    for k in range(fixed.shape[1]):
+        col = fixed[:, k]
+        threshold = 1e-12 * np.max(np.abs(col))
+        for component in col:
+            if abs(component) > threshold:
+                if component < 0:
+                    fixed[:, k] = -col
+                break
+    return fixed
+
+
+class TestFixColumnSigns:
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 128, 500])
+    @pytest.mark.parametrize("alpha,delta", [(0.0, 0.0), (1.0, 0.0), (0.5, 0.2), (1.0, 0.1)])
+    def test_matches_loop_on_solver_output(self, n, alpha, delta):
+        config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=alpha, delta=delta)
+        bonds = disordered_bonds(config, seed=3, realization_index=n)
+        h = build_hamiltonian(bonds, config.field)
+        _, vectors = eigh_tridiagonal(h.diagonal, h.offdiagonal)
+        assert _fix_column_signs(vectors).tobytes() == _fix_column_signs_loop(vectors).tobytes()
+
+    def test_matches_loop_on_leading_zeros_and_subthreshold_components(self):
+        vectors = np.array(
+            [
+                [0.0, 0.0, 3e-13, -3e-13, 0.0, -0.0, 1e-13],
+                [0.0, -0.0, -1e-13, 2e-13, 0.0, 0.0, -1e-13],
+                [-0.5, 0.7, -0.9, 0.4, 0.0, -2.0, 0.0],
+                [0.5, -0.7, 0.1, -0.4, 0.0, 1.0, 0.0],
+            ]
+        )
+        fixed = _fix_column_signs(vectors)
+        assert fixed.tobytes() == _fix_column_signs_loop(vectors).tobytes()
+        assert list(np.signbit(fixed[2, :4])) == [False] * 4
+
+    @given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_loop_on_random_matrices(self, data, rows, cols):
+        # scaled entries put components on both sides of the 1e-12 threshold
+        scale = st.sampled_from([0.0, 1e-14, 1e-12, 1e-11, 1.0])
+        values = data.draw(st.lists(st.floats(-1, 1), min_size=rows * cols, max_size=rows * cols))
+        scales = data.draw(st.lists(scale, min_size=rows * cols, max_size=rows * cols))
+        vectors = (np.array(values) * np.array(scales)).reshape(rows, cols)
+        assert _fix_column_signs(vectors).tobytes() == _fix_column_signs_loop(vectors).tobytes()
 
 
 class TestAnalyticUniform:
