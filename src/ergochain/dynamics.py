@@ -16,6 +16,7 @@ spectral route by a global factor while the moduli agree.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.special import jv
 
 from .chain import gn_factor
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .spectral import SpectralDecomposition, krawtchouk
 
 __all__ = [
@@ -131,6 +132,25 @@ def amplitude_profile(
     return np.exp(-1j * np.outer(times, decomposition.energies)) @ weights
 
 
+def _amplitude_grid(
+    decomposition: SpectralDecomposition, site: int, step: float, count: int
+) -> np.ndarray:
+    """f_site(t_i) on the arithmetic grid t_i = (i+1) step, i = 0..count-1.
+
+    With B = ceil(sqrt(count)) and i = b B + j, each phase factors as
+    exp(-i E (j+1) step) exp(-i E b B step). So (B + G) N exponentials and one
+    (G, N) @ (N, B) product replace the (count, N) phase matrix of
+    ``amplitude_profile``, and memory is O(N sqrt(count)).
+    """
+    energies = decomposition.energies
+    weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
+    block = math.isqrt(count - 1) + 1
+    blocks = -(-count // block)
+    near = np.exp(-1j * np.outer(np.arange(1, block + 1) * step, energies)) * weights
+    far = np.exp(-1j * np.outer(np.arange(blocks) * (block * step), energies))
+    return (far @ near.T).ravel()[:count]
+
+
 def amplitude_uniform_closed(
     n_sites: int, coupling: float, site: int, time: float
 ) -> TransitionAmplitude:
@@ -159,6 +179,10 @@ def amplitude_pst_closed(
 
     with the linear ladder E_k = -(2J/N)(N - (2k-1)) G_N. At the refocusing
     time t = pi N/(4 J G_N) this gives |f_N| = 1 exactly.
+
+    Past N ~ 1030 the integers K and C overflow a float and 2^(1-N)
+    underflows, so such chains raise NumericalFailureError instead of
+    returning inf, NaN or a spurious zero.
     """
     _check_n_coupling(n_sites, coupling)
     _check_site_time(site, time, n_sites)
@@ -166,10 +190,17 @@ def amplitude_pst_closed(
     gn = gn_factor(n)
     k = np.arange(1, n + 1)
     energies = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn
-    kraw = np.array([float(krawtchouk(kk, site - 1, n - 1)) for kk in range(n)])
-    total = np.sum(kraw * np.exp(-1j * energies * float(time)))
-    prefactor = (-1.0) ** (site - 1) * 0.5 ** (n - 1) * math.sqrt(math.comb(n - 1, site - 1))
-    return TransitionAmplitude(value=complex(prefactor * total), site=int(site), time=float(time))
+    try:
+        kraw = np.array([float(krawtchouk(kk, site - 1, n - 1)) for kk in range(n)])
+        prefactor = (-1.0) ** (site - 1) * 0.5 ** (n - 1) * math.sqrt(math.comb(n - 1, site - 1))
+    except OverflowError as exc:
+        raise NumericalFailureError(f"closed-form PST amplitude overflows at N={n}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(kraw * np.exp(-1j * energies * float(time)))
+        value = complex(prefactor * total)
+    if prefactor == 0.0 or not cmath.isfinite(value):
+        raise NumericalFailureError(f"closed-form PST amplitude leaves the float range at N={n}")
+    return TransitionAmplitude(value=value, site=int(site), time=float(time))
 
 
 def amplitude_bessel_limit(site: int, coupling: float, time: float) -> TransitionAmplitude:

@@ -186,14 +186,24 @@ class KrawtchoukTable:
 
 
 def krawtchouk_table(m: int) -> KrawtchoukTable:
-    """All K_k(x) for 0 <= k, x <= m as exact Python integers."""
+    """All K_k(x) for 0 <= k, x <= m as exact Python integers.
+
+    Rows come from the three-term recurrence
+    (k+1) K_{k+1}(x) = (m - 2x) K_k(x) - (m - k + 1) K_{k-1}(x), applied to
+    all x at once; the division is exact, so the table equals ``krawtchouk``
+    entry by entry at O(m^2) big-integer operations.
+    """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
         raise InvalidInputError(f"m must be an integer >= 0, got {m!r}")
+    m = int(m)
     values = np.empty((m + 1, m + 1), dtype=object)
-    for k in range(m + 1):
-        for x in range(m + 1):
-            values[k, x] = krawtchouk(k, x, m)
-    return KrawtchoukTable(m=int(m), values=values)
+    values[0] = 1
+    slope = np.array([m - 2 * x for x in range(m + 1)], dtype=object)
+    previous = 0  # K_{-1}
+    for k in range(m):
+        values[k + 1] = (slope * values[k] - (m - k + 1) * previous) // (k + 1)
+        previous = values[k]
+    return KrawtchoukTable(m=m, values=values)
 
 
 def analytic_pst_spectrum(

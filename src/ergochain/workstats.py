@@ -156,8 +156,13 @@ def pst_closed_distribution(
     k = np.arange(1, n + 1)
     work = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn
     p_excited = initial.excited_population
-    weights = np.array([math.comb(n - 1, kk - 1) for kk in k], dtype=float)
-    weights *= p_excited * 0.5 ** (n - 1)
+    binomials = [1]  # C(N-1, j) by Pascal's multiplicative rule, exact in integers
+    for j in range(n - 1):
+        binomials.append(binomials[-1] * (n - 1 - j) // (j + 1))
+    # int / int is correctly rounded and cannot overflow; float(C) overflows past N ~ 1030
+    scale = 2 ** (n - 1)
+    weights = np.array([c / scale for c in binomials])
+    weights *= p_excited
     values = np.concatenate([[0.0], work])
     probabilities = np.concatenate([[1.0 - p_excited], weights])
     return _merge_atoms(values, probabilities, coupling)

@@ -12,6 +12,7 @@ from ergochain import (
     ChainConfig,
     InitialSiteState,
     InvalidInputError,
+    NumericalFailureError,
     QubitState,
     amplitude_bessel_limit,
     amplitude_profile,
@@ -24,6 +25,8 @@ from ergochain import (
     reduced_state,
     reflection_time,
 )
+from ergochain.dynamics import _amplitude_grid
+from ergochain.spectral import krawtchouk
 
 
 def _decomposition(n, alpha, coupling=1.0, field=1.0):
@@ -85,6 +88,36 @@ class TestAmplitudeSpectral:
             assert abs(got - expected) < 1e-7
 
 
+class TestAmplitudeGrid:
+    """The factorized window against amplitude_profile on the same grid."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 128, 256])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("count", [1, 2, 1024, 1021])
+    def test_matches_profile(self, n, alpha, count):
+        decomposition = _decomposition(n, alpha)
+        horizon = 0.7 * n
+        step = horizon / count
+        times = np.arange(step, horizon + 0.5 * step, step)
+        assert times.size == count
+        direct = np.abs(amplitude_profile(decomposition, n, times)) ** 2
+        factorized = np.abs(_amplitude_grid(decomposition, n, step, count)) ** 2
+        assert factorized.shape == (count,)
+        assert np.max(np.abs(factorized - direct)) <= 1e-12
+        assert np.argmax(factorized) == np.argmax(direct)
+
+    def test_every_site(self):
+        decomposition = _decomposition(9, 0.3, coupling=1.7, field=0.6)
+        times = np.arange(1, 51) * 0.37
+        for site in range(1, 10):
+            np.testing.assert_allclose(
+                _amplitude_grid(decomposition, site, 0.37, 50),
+                amplitude_profile(decomposition, site, times),
+                rtol=0.0,
+                atol=1e-13,
+            )
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("n", [2, 3, 7, 12, 21])
     def test_uniform_modulus_matches_spectral(self, n):
@@ -125,6 +158,41 @@ class TestClosedForms:
     def test_moduli_bounded_by_one(self, t, n):
         assert abs(amplitude_uniform_closed(n, 1.0, n, t).value) <= 1.0 + 1e-10
         assert abs(amplitude_pst_closed(n, 1.0, n, t).value) <= 1.0 + 1e-10
+
+    @staticmethod
+    def _pst_closed_oracle(n, coupling, site, time):
+        # the closed form without the float-range guard, operation for operation
+        gn = 1.0 if n % 2 == 0 else 1.0 / math.sqrt(1.0 - 1.0 / n**2)
+        k = np.arange(1, n + 1)
+        energies = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn
+        kraw = np.array([float(krawtchouk(kk, site - 1, n - 1)) for kk in range(n)])
+        total = np.sum(kraw * np.exp(-1j * energies * float(time)))
+        prefactor = (-1.0) ** (site - 1) * 0.5 ** (n - 1) * math.sqrt(math.comb(n - 1, site - 1))
+        return complex(prefactor * total)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 200, 1000])
+    def test_pst_closed_unchanged_below_overflow(self, n):
+        for site in sorted({1, 2, n}):
+            for t in (0.0, 1.7, math.pi * n / 4.0):
+                got = amplitude_pst_closed(n, 1.3, site, t).value
+                assert got == self._pst_closed_oracle(n, 1.3, site, t)
+
+    @pytest.mark.parametrize(
+        "n, site",
+        [
+            (1030, 1),  # sum overflows: NaN
+            (1030, 1030),
+            (1031, 1),  # K overflows a float
+            (1031, 1031),
+            (1080, 61),  # K finite but 2^(1-N) underflows to 0
+            (2000, 1),
+            (2000, 2000),
+        ],
+    )
+    def test_pst_closed_raises_past_float_range(self, n, site):
+        t = reflection_time(n, 1.0, 1.0)
+        with pytest.raises(NumericalFailureError):
+            amplitude_pst_closed(n, 1.0, site, t)
 
 
 class TestBesselLimit:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,16 @@ from ergochain import (
     InvalidInputError,
     QubitState,
     UndefinedEfficiencyError,
+    amplitude_profile,
+    build_hamiltonian,
+    diagonalize,
     erg_at_reflection,
     erg_coherent,
     erg_input,
     erg_max_window,
     erg_mixed,
     gn_factor,
+    interpolated_bonds,
     match_mixed_to_pure,
     qubit_ergotropy,
     reflection_time,
@@ -229,6 +234,40 @@ class TestErgMaxWindow:
         cfg = ChainConfig(n_sites=8, coupling=1.0, field=1.0, alpha=1.0)
         record = erg_max_window(cfg, "mixed", 1.0, 5.0)
         assert 0 < record.time <= 5.0 + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 8, 33, 128, 256])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_matches_full_phase_matrix(self, n, alpha):
+        # oracle: the (T, N) phase matrix of amplitude_profile on the same grid,
+        # mapped through the scalar closed forms
+        cfg = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=alpha)
+        decomposition = diagonalize(build_hamiltonian(interpolated_bonds(cfg), cfg.field))
+        horizon, step = 0.7 * n, 0.01
+        times = np.arange(step, horizon + 0.5 * step, step)
+        fidelities = np.abs(amplitude_profile(decomposition, n, times)) ** 2
+        theta = math.pi / 2
+        q = match_mixed_to_pure(theta)
+        for encoding, parameter, erg in (
+            ("coherent", theta, erg_coherent),
+            ("mixed", q, erg_mixed),
+        ):
+            ergs = [erg(min(f, 1.0), parameter, cfg.field) for f in fidelities]
+            best = int(np.argmax(ergs))
+            record = erg_max_window(cfg, encoding, parameter, horizon, step)
+            assert record.time == times[best]
+            assert record.fidelity == pytest.approx(fidelities[best], abs=1e-12)
+            assert record.erg_out == pytest.approx(ergs[best], abs=1e-12)
+
+    def test_window_memory_is_sublinear_in_samples(self):
+        # T = 35,840 samples at N = 512: the full phase matrix alone would be 294 MB
+        cfg = ChainConfig(n_sites=512, coupling=1.0, field=1.0, alpha=0.0)
+        tracemalloc.start()
+        try:
+            erg_max_window(cfg, "coherent", math.pi / 2, 0.7 * 512, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_rejects_bad_window(self):
         cfg = ChainConfig(n_sites=8, coupling=1.0, field=1.0)

@@ -190,6 +190,26 @@ class TestKrawtchouk:
                 expected = (2**m * math.comb(m, k)) if k == l else 0
                 assert total == expected
 
+    @pytest.mark.parametrize("m", [*range(41), 127])
+    def test_table_matches_pointwise(self, m):
+        table = krawtchouk_table(m)
+        assert table.m == m and table.values.shape == (m + 1, m + 1)
+        for k in range(m + 1):
+            for x in range(m + 1):
+                value = table.values[k, x]
+                assert type(value) is int and value == krawtchouk(k, x, m)
+
+    def test_table_accepts_numpy_integer(self):
+        table = krawtchouk_table(np.int64(127))
+        assert table.m == 127 and type(table.m) is int
+        assert np.array_equal(table.values, krawtchouk_table(127).values)
+        assert all(type(value) is int for value in table.values.ravel())
+
+    def test_table_rejects_bad_size(self):
+        for m in (-1, 2.0, True):
+            with pytest.raises(InvalidInputError):
+                krawtchouk_table(m)
+
     def test_rejects_out_of_domain(self):
         for k, x, m in [(-1, 0, 3), (4, 0, 3), (0, -1, 3), (0, 4, 3), (0, 0, -1)]:
             with pytest.raises(InvalidInputError):

@@ -17,11 +17,13 @@ from ergochain import (
     gaussian_density,
     interpolated_bonds,
     moments,
+    pst_couplings,
     pst_closed_distribution,
     semicircle_density,
     tpm_distribution,
     uniform_closed_distribution,
 )
+from ergochain.workstats import _merge_atoms
 
 FULL = InitialSiteState(theta=math.pi)
 
@@ -153,6 +155,39 @@ class TestClosedDistributions:
         assert closed.n_atoms == numeric.n_atoms
         assert np.max(np.abs(closed.values - numeric.values)) < 1e-12
         assert np.max(np.abs(closed.probabilities - numeric.probabilities)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 101, 999, 1000])
+    @pytest.mark.parametrize("theta", [math.pi, 1.0, 0.3])
+    def test_pst_matches_float_binomial_formula(self, n, theta):
+        # the weights as float(C) * p * 2^(1-N), which overflows past N ~ 1030
+        initial = InitialSiteState(theta=theta)
+        k = np.arange(1, n + 1)
+        gn = 1.0 if n % 2 == 0 else 1.0 / math.sqrt(1.0 - 1.0 / n**2)
+        work = -(2.0 * 1.3 / n) * (n - (2 * k - 1)) * gn
+        p = initial.excited_population
+        weights = np.array([math.comb(n - 1, kk - 1) for kk in k], dtype=float)
+        weights *= p * 0.5 ** (n - 1)
+        expected = _merge_atoms(
+            np.concatenate([[0.0], work]), np.concatenate([[1.0 - p], weights]), 1.3
+        )
+        got = pst_closed_distribution(n, 1.3, initial)
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.probabilities.tobytes() == expected.probabilities.tobytes()
+
+    @pytest.mark.parametrize("n", [1100, 2000])
+    @pytest.mark.parametrize("theta", [math.pi, 1.0])
+    def test_pst_beyond_float_binomials(self, n, theta):
+        initial = InitialSiteState(theta=theta)
+        distribution = pst_closed_distribution(n, 1.0, initial)
+        assert np.all(np.isfinite(distribution.values))
+        assert np.all(np.isfinite(distribution.probabilities))
+        assert float(np.sum(distribution.probabilities)) == pytest.approx(1.0, abs=1e-12)
+        result = moments(distribution)
+        first_bond = float(pst_couplings(n, 1.0)[0])
+        assert result.mean == pytest.approx(0.0, abs=1e-12)
+        assert result.variance == pytest.approx(
+            initial.excited_population * first_bond**2, rel=1e-9
+        )
 
     def test_pst_weights_are_binomial(self):
         n = 12
