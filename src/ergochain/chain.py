@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
+from . import _validate
 from .errors import InvalidConfigError, InvalidInputError
 
 __all__ = [
@@ -38,16 +39,6 @@ __all__ = [
     "disordered_bonds",
     "build_hamiltonian",
 ]
-
-
-def _require_finite(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"{name} must be a real number, got {value!r}") from exc
-    if not math.isfinite(value):
-        raise InvalidConfigError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -69,23 +60,15 @@ class ChainConfig:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_sites, bool) or not isinstance(self.n_sites, (int, np.integer)):
-            raise InvalidConfigError(f"n_sites must be an integer, got {self.n_sites!r}")
-        if self.n_sites < 2:
-            raise InvalidConfigError(f"n_sites must be >= 2, got {self.n_sites}")
-        object.__setattr__(self, "n_sites", int(self.n_sites))
-        object.__setattr__(self, "coupling", _require_finite("coupling", self.coupling))
-        object.__setattr__(self, "field", _require_finite("field", self.field))
-        object.__setattr__(self, "alpha", _require_finite("alpha", self.alpha))
-        object.__setattr__(self, "delta", _require_finite("delta", self.delta))
-        if self.coupling <= 0:
-            raise InvalidConfigError(f"coupling must be > 0, got {self.coupling}")
-        if self.field <= 0:
-            raise InvalidConfigError(f"field must be > 0, got {self.field}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.delta < 0:
-            raise InvalidConfigError(f"delta must be >= 0, got {self.delta}")
+        error = InvalidConfigError
+        for name, value in (
+            ("n_sites", _validate.integer("n_sites", self.n_sites, 2, error=error)),
+            ("coupling", _validate.positive("coupling", self.coupling, error=error)),
+            ("field", _validate.positive("field", self.field, error=error)),
+            ("alpha", _validate.real("alpha", self.alpha, 0.0, 1.0, error=error)),
+            ("delta", _validate.real("delta", self.delta, 0.0, error=error)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -161,10 +144,7 @@ def gn_factor(n_sites: int) -> float:
     It rescales the engineered-coupling profile so that the single-excitation
     spectrum is exactly linear for both parities.
     """
-    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
-        raise InvalidInputError(f"n_sites must be an integer, got {n_sites!r}")
-    if n_sites < 2:
-        raise InvalidInputError(f"n_sites must be >= 2, got {n_sites}")
+    n_sites = _validate.integer("n_sites", n_sites, 2)
     if n_sites % 2 == 0:
         return 1.0
     return 1.0 / math.sqrt(1.0 - 1.0 / n_sites**2)
@@ -177,9 +157,7 @@ def pst_couplings(n_sites: int, coupling: float) -> np.ndarray:
     unit fidelity at time t = pi*N / (4*J*G_N).
     """
     gn = gn_factor(n_sites)  # validates n_sites
-    coupling = _require_finite("coupling", coupling)
-    if coupling <= 0:
-        raise InvalidInputError(f"coupling must be > 0, got {coupling}")
+    coupling = _validate.positive("coupling", coupling)
     j = np.arange(1, n_sites, dtype=float)
     return (2.0 * coupling / n_sites) * np.sqrt(j * (n_sites - j)) * gn
 
@@ -204,13 +182,9 @@ def disordered_bonds(config: ChainConfig, seed: int, realization_index: int) -> 
     realization_index), so realization k is the same no matter how many other
     realizations were drawn before it or on which thread.
     """
-    if not isinstance(config, ChainConfig):
-        raise InvalidInputError("config must be a ChainConfig")
-    for name, value in (("seed", seed), ("realization_index", realization_index)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if realization_index < 0:
-        raise InvalidInputError(f"realization_index must be >= 0, got {realization_index}")
+    # the range Philox can take as a key word
+    seed = _validate.integer("seed", seed, -(2**63), 2**64 - 1)
+    realization_index = _validate.integer("realization_index", realization_index, 0, 2**64 - 1)
     clean = interpolated_bonds(config)
     rng = Generator(Philox(key=[seed, realization_index]))
     noise = rng.uniform(-config.delta, config.delta, config.n_sites - 1)
@@ -226,9 +200,7 @@ def build_hamiltonian(bonds: BondSet, field: float) -> SingleExcitationHamiltoni
     """
     if not isinstance(bonds, BondSet):
         raise InvalidInputError("bonds must be a BondSet")
-    field = _require_finite("field", field)
-    if field <= 0:
-        raise InvalidInputError(f"field must be > 0, got {field}")
+    field = _validate.positive("field", field)
     n = bonds.n_sites
     diag = np.full(n, -(n - 2) * field)
     return SingleExcitationHamiltonian(

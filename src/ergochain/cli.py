@@ -38,13 +38,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, get_args, get_origin
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _validate
 from .chain import ChainConfig, build_hamiltonian, interpolated_bonds, pst_couplings
 from .disorder import ensemble_fidelity, ensemble_stats, gamma_metric
 from .dynamics import InitialSiteState, amplitude_bessel_limit, amplitude_spectral
@@ -70,222 +71,144 @@ from .workstats import (
     tpm_distribution,
 )
 
-SCENARIOS = (
-    "transport-sweep",
-    "theta-sweep",
-    "disorder",
-    "workdist",
-    "bessel-compare",
-)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_NUM = {"type": "number"}
-_NUM_OR_NULL = {"type": ["number", "null"]}
-_INT = {"type": "integer"}
-_ERG_ROW_PROPERTIES = {
-    "n_sites": _INT,
-    "alpha": _NUM,
-    "encoding": {"type": "string", "enum": ["coherent", "mixed"]},
-    "theta": _NUM,
-    "parameter": _NUM,
-    "time": _NUM,
-    "fidelity": _NUM,
-    "erg_in": _NUM,
-    "erg_out": _NUM,
-    "efficiency": _NUM_OR_NULL,
+_REQUIRED = None  # the default of a key that every config must set
+
+
+def _domain(rule: Callable, *bounds: float) -> Callable[[str, Any], Any]:
+    """A ``_validate`` rule that raises InvalidConfigError, as a table domain."""
+    return lambda name, value: rule(name, value, *bounds, error=InvalidConfigError)
+
+
+_SITES = _domain(_validate.integer, 2)
+_UNIT = _domain(_validate.real, 0.0, 1.0)
+_ANGLE = _domain(_validate.angle)
+_POSITIVE = _domain(_validate.positive)
+_COUNT = _domain(_validate.integer, 1)
+
+# Each config key is key -> (parser, default, domain). INI text is parsed by
+# ``int`` or ``float`` (``list[...]``: a comma-separated list); JSON values
+# are used as they are. The domain then checks the value, or each item of a
+# list. Defaults are applied before hashing, so the configuration hash always
+# covers the fully resolved parameter set.
+_CHAIN_SECTION = {
+    "coupling": (float, 1.0, _POSITIVE),
+    "field": (float, 1.0, _POSITIVE),
 }
 
-# JSON Schema for one output row of each scenario. The CSV columns follow the
-# property order given here.
+
+@dataclass(frozen=True)
+class _Scenario:
+    keys: dict[str, tuple[Callable, Any, Callable[[str, Any], Any]]]
+    # output column -> JSON type; a tuple lists the allowed strings. The CSV
+    # and JSON columns follow this order.
+    columns: dict[str, Any]
+
+
+# the cell of a reflection record, then its values (ErgotropyRecord plus theta)
+_CELL_COLUMNS = {"n_sites": "integer", "alpha": "number", "encoding": _validate.ENCODINGS}
+_RECORD_COLUMNS = {
+    "theta": "number",
+    "parameter": "number",
+    "time": "number",
+    "fidelity": "number",
+    "erg_in": "number",
+    "erg_out": "number",
+    "efficiency": ["number", "null"],
+}
+_SCENARIOS: dict[str, _Scenario] = {
+    "transport-sweep": _Scenario(
+        keys={
+            "sites": (list[int], _REQUIRED, _SITES),
+            "alphas": (list[float], _REQUIRED, _UNIT),
+            "theta": (float, math.pi / 2, _ANGLE),
+        },
+        columns={**_CELL_COLUMNS, **_RECORD_COLUMNS},
+    ),
+    # grid rows sample the angles; one argmax row per (N, encoding) repeats
+    # the best grid sample
+    "theta-sweep": _Scenario(
+        keys={
+            "sites": (list[int], _REQUIRED, _SITES),
+            "alpha": (float, 1.0, _UNIT),
+            "theta_count": (int, 25, _domain(_validate.integer, 2)),
+        },
+        columns={**_CELL_COLUMNS, "kind": ("grid", "argmax"), **_RECORD_COLUMNS},
+    ),
+    "disorder": _Scenario(
+        keys={
+            "sites": (list[int], _REQUIRED, _SITES),
+            "alphas": (list[float], [1.0], _UNIT),
+            "deltas": (list[float], _REQUIRED, _domain(_validate.real, 0.0)),
+            "theta": (float, math.pi / 2, _ANGLE),
+            "realizations": (int, 200, _COUNT),
+        },
+        columns={
+            "n_sites": "integer",
+            "alpha": "number",
+            "delta": "number",
+            "encoding": _validate.ENCODINGS,
+            "parameter": "number",
+            "mean": "number",
+            "stddev": "number",
+            "count": "integer",
+            "gamma": ["number", "null"],
+        },
+    ),
+    "workdist": _Scenario(
+        keys={
+            "n": (int, _REQUIRED, _SITES),
+            "alphas": (list[float], [0.0, 0.5, 1.0], _UNIT),
+            "theta": (float, math.pi, _ANGLE),
+            "bins": (int, 101, _COUNT),
+        },
+        columns={
+            "n_sites": "integer",
+            "alpha": "number",
+            "theta": "number",
+            "kind": ("atom", "density", "gaussian", "semicircle", "hist"),
+            "work": "number",
+            "value": "number",
+        },
+    ),
+    "bessel-compare": _Scenario(
+        keys={"sites": (list[int], _REQUIRED, _SITES)},
+        columns={
+            "n_sites": "integer",
+            "time": "number",
+            "f_discrete": "number",
+            "f_bessel": "number",
+            "diff": "number",
+        },
+    ),
+}
+
+SCENARIOS = tuple(_SCENARIOS)
+
+# JSON Schema for one output row of each scenario, derived from the table.
 OUTPUT_SCHEMA: dict[str, dict[str, Any]] = {
-    "transport-sweep": {
-        "type": "object",
-        "properties": dict(_ERG_ROW_PROPERTIES),
-        "required": list(_ERG_ROW_PROPERTIES),
-        "additionalProperties": False,
-    },
-    "theta-sweep": {
-        "type": "object",
-        # grid rows sample the angles; one argmax row per (N, encoding)
-        # repeats the best grid sample
-        "properties": {
-            "n_sites": _INT,
-            "alpha": _NUM,
-            "encoding": {"type": "string", "enum": ["coherent", "mixed"]},
-            "kind": {"type": "string", "enum": ["grid", "argmax"]},
-            "theta": _NUM,
-            "parameter": _NUM,
-            "time": _NUM,
-            "fidelity": _NUM,
-            "erg_in": _NUM,
-            "erg_out": _NUM,
-            "efficiency": _NUM_OR_NULL,
-        },
-        "required": [
-            "n_sites",
-            "alpha",
-            "encoding",
-            "kind",
-            "theta",
-            "parameter",
-            "time",
-            "fidelity",
-            "erg_in",
-            "erg_out",
-            "efficiency",
-        ],
-        "additionalProperties": False,
-    },
-    "disorder": {
+    scenario: {
         "type": "object",
         "properties": {
-            "n_sites": _INT,
-            "alpha": _NUM,
-            "delta": _NUM,
-            "encoding": {"type": "string", "enum": ["coherent", "mixed"]},
-            "parameter": _NUM,
-            "mean": _NUM,
-            "stddev": _NUM,
-            "count": _INT,
-            "gamma": _NUM_OR_NULL,
+            column: (
+                {"type": "string", "enum": list(kind)}
+                if isinstance(kind, tuple)
+                else {"type": kind}
+            )
+            for column, kind in spec.columns.items()
         },
-        "required": [
-            "n_sites",
-            "alpha",
-            "delta",
-            "encoding",
-            "parameter",
-            "mean",
-            "stddev",
-            "count",
-            "gamma",
-        ],
+        "required": list(spec.columns),
         "additionalProperties": False,
-    },
-    "workdist": {
-        "type": "object",
-        "properties": {
-            "n_sites": _INT,
-            "alpha": _NUM,
-            "theta": _NUM,
-            "kind": {
-                "type": "string",
-                "enum": ["atom", "density", "gaussian", "semicircle", "hist"],
-            },
-            "work": _NUM,
-            "value": _NUM,
-        },
-        "required": ["n_sites", "alpha", "theta", "kind", "work", "value"],
-        "additionalProperties": False,
-    },
-    "bessel-compare": {
-        "type": "object",
-        "properties": {
-            "n_sites": _INT,
-            "time": _NUM,
-            "f_discrete": _NUM,
-            "f_bessel": _NUM,
-            "diff": _NUM,
-        },
-        "required": ["n_sites", "time", "f_discrete", "f_bessel", "diff"],
-        "additionalProperties": False,
-    },
+    }
+    for scenario, spec in _SCENARIOS.items()
 }
 
 
 # ---------------------------------------------------------------------------
 # configuration loading
-
-
-def _parse_int(name: str, raw: Any) -> int:
-    if isinstance(raw, bool):
-        raise InvalidConfigError(f"{name}: expected an integer, got a boolean")
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, str):
-        try:
-            return int(raw.strip())
-        except ValueError:
-            raise InvalidConfigError(f"{name}: expected an integer, got {raw!r}") from None
-    raise InvalidConfigError(f"{name}: expected an integer, got {raw!r}")
-
-
-def _parse_float(name: str, raw: Any) -> float:
-    if isinstance(raw, bool):
-        raise InvalidConfigError(f"{name}: expected a number, got a boolean")
-    if isinstance(raw, (int, float)):
-        value = float(raw)
-    elif isinstance(raw, str):
-        try:
-            value = float(raw.strip())
-        except ValueError:
-            raise InvalidConfigError(f"{name}: expected a number, got {raw!r}") from None
-    else:
-        raise InvalidConfigError(f"{name}: expected a number, got {raw!r}")
-    if not math.isfinite(value):
-        raise InvalidConfigError(f"{name}: must be finite, got {value!r}")
-    return value
-
-
-def _parse_list(name: str, raw: Any, item: Callable[[str, Any], Any]) -> list:
-    if isinstance(raw, str):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if not parts:
-            raise InvalidConfigError(f"{name}: expected a nonempty comma-separated list")
-        return [item(name, p) for p in parts]
-    if isinstance(raw, (list, tuple)):
-        if not raw:
-            raise InvalidConfigError(f"{name}: expected a nonempty list")
-        return [item(name, v) for v in raw]
-    raise InvalidConfigError(f"{name}: expected a list, got {raw!r}")
-
-
-def _int_list(name: str, raw: Any) -> list[int]:
-    return _parse_list(name, raw, _parse_int)
-
-
-def _float_list(name: str, raw: Any) -> list[float]:
-    return _parse_list(name, raw, _parse_float)
-
-
-# (parser, required, default) per key; defaults are applied before hashing so
-# the configuration hash always covers the fully resolved parameter set.
-_CHAIN_KEYS: dict[str, tuple[Callable, bool, Any]] = {
-    "coupling": (_parse_float, False, 1.0),
-    "field": (_parse_float, False, 1.0),
-}
-
-_SCENARIO_KEYS: dict[str, dict[str, tuple[Callable, bool, Any]]] = {
-    "transport-sweep": {
-        "sites": (_int_list, True, None),
-        "alphas": (_float_list, True, None),
-        "theta": (_parse_float, False, math.pi / 2),
-    },
-    "theta-sweep": {
-        "sites": (_int_list, True, None),
-        "alpha": (_parse_float, False, 1.0),
-        "theta_count": (_parse_int, False, 25),
-    },
-    "disorder": {
-        "sites": (_int_list, True, None),
-        "alphas": (_float_list, False, [1.0]),
-        "deltas": (_float_list, True, None),
-        "theta": (_parse_float, False, math.pi / 2),
-        "realizations": (_parse_int, False, 200),
-    },
-    "workdist": {
-        "n": (_parse_int, True, None),
-        "alphas": (_float_list, False, [0.0, 0.5, 1.0]),
-        "theta": (_parse_float, False, math.pi),
-        "bins": (_parse_int, False, 101),
-    },
-    "bessel-compare": {
-        "sites": (_int_list, True, None),
-    },
-}
 
 
 def _read_raw_config(path: Path) -> dict[str, dict[str, Any]]:
@@ -313,20 +236,40 @@ def _read_raw_config(path: Path) -> dict[str, dict[str, Any]]:
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
-def _resolve_section(
-    section: str, raw: dict[str, Any], keyspec: dict[str, tuple[Callable, bool, Any]]
-) -> dict[str, Any]:
-    resolved: dict[str, Any] = {}
+def _parse(parser: Callable, name: str, raw: Any) -> Any:
+    if not isinstance(raw, str):
+        return raw
+    try:
+        return parser(raw.strip())
+    except ValueError:
+        raise InvalidConfigError(f"{name}: expected {parser.__name__}, got {raw!r}") from None
+
+
+def _resolve_value(name: str, raw: Any, parser: Callable, domain: Callable) -> Any:
+    if get_origin(parser) is not list:
+        return domain(name, _parse(parser, name, raw))
+    (item,) = get_args(parser)
+    if isinstance(raw, str):
+        raw = [part for part in raw.split(",") if part.strip()]
+    elif not isinstance(raw, (list, tuple)):
+        raise InvalidConfigError(f"{name}: expected a list, got {raw!r}")
+    if not raw:
+        raise InvalidConfigError(f"{name}: expected a nonempty list")
+    return [domain(name, _parse(item, name, value)) for value in raw]
+
+
+def _resolve_section(section: str, raw: dict[str, Any], keys: dict[str, tuple]) -> dict[str, Any]:
     for key in raw:
-        if key not in keyspec:
-            known = ", ".join(sorted(keyspec))
+        if key not in keys:
+            known = ", ".join(sorted(keys))
             raise InvalidConfigError(
                 f"unknown key {key!r} in section [{section}] (known keys: {known})"
             )
-    for key, (parse, required, default) in keyspec.items():
+    resolved: dict[str, Any] = {}
+    for key, (parser, default, domain) in keys.items():
         if key in raw:
-            resolved[key] = parse(f"[{section}] {key}", raw[key])
-        elif required:
+            resolved[key] = _resolve_value(f"[{section}] {key}", raw[key], parser, domain)
+        elif default is _REQUIRED:
             raise InvalidConfigError(f"missing required key {key!r} in section [{section}]")
         else:
             resolved[key] = default
@@ -349,58 +292,14 @@ def resolve_config(path: Path, scenario: str, seed: int, fmt: str) -> dict[str, 
                 f"unknown section [{section}] for scenario {scenario!r} "
                 f"(expected [chain] and [{scenario}])"
             )
-    chain = _resolve_section("chain", raw.get("chain", {}), _CHAIN_KEYS)
-    params = _resolve_section(scenario, raw.get(scenario, {}), _SCENARIO_KEYS[scenario])
-    _validate_domains(scenario, chain, params)
     return {
         "scenario": scenario,
-        "chain": chain,
-        "params": params,
+        "chain": _resolve_section("chain", raw.get("chain", {}), _CHAIN_SECTION),
+        "params": _resolve_section(scenario, raw.get(scenario, {}), _SCENARIOS[scenario].keys),
         "seed": seed,
         "format": fmt,
         "toolVersion": __version__,
     }
-
-
-def _validate_domains(scenario: str, chain: dict[str, Any], params: dict[str, Any]) -> None:
-    if chain["coupling"] <= 0:
-        raise InvalidConfigError(f"[chain] coupling must be > 0, got {chain['coupling']}")
-    if chain["field"] <= 0:
-        raise InvalidConfigError(f"[chain] field must be > 0, got {chain['field']}")
-    for key in ("sites",):
-        if key in params:
-            for n in params[key]:
-                if n < 2:
-                    raise InvalidConfigError(f"[{scenario}] sites entries must be >= 2, got {n}")
-    for key in ("alphas",):
-        if key in params:
-            for a in params[key]:
-                if not 0.0 <= a <= 1.0:
-                    raise InvalidConfigError(
-                        f"[{scenario}] alphas entries must lie in [0, 1], got {a}"
-                    )
-    if "alpha" in params and not 0.0 <= params["alpha"] <= 1.0:
-        raise InvalidConfigError(f"[{scenario}] alpha must lie in [0, 1], got {params['alpha']}")
-    if "theta" in params and not 0.0 <= params["theta"] <= math.pi:
-        raise InvalidConfigError(
-            f"[{scenario}] theta must lie in [0, pi], got {params['theta']}"
-        )
-    if "theta_count" in params and params["theta_count"] < 2:
-        raise InvalidConfigError(
-            f"[{scenario}] theta_count must be >= 2, got {params['theta_count']}"
-        )
-    if "deltas" in params:
-        for d in params["deltas"]:
-            if d < 0:
-                raise InvalidConfigError(f"[{scenario}] deltas entries must be >= 0, got {d}")
-    if "realizations" in params and params["realizations"] < 1:
-        raise InvalidConfigError(
-            f"[{scenario}] realizations must be >= 1, got {params['realizations']}"
-        )
-    if "n" in params and params["n"] < 2:
-        raise InvalidConfigError(f"[{scenario}] n must be >= 2, got {params['n']}")
-    if "bins" in params and params["bins"] < 1:
-        raise InvalidConfigError(f"[{scenario}] bins must be >= 1, got {params['bins']}")
 
 
 def config_hash(resolved: dict[str, Any]) -> str:
@@ -439,20 +338,7 @@ def _encoding_rows(
     q = match_mixed_to_pure(theta)
     for encoding, parameter in (("coherent", theta), ("mixed", q)):
         record = _record(config, encoding, parameter, time, fidelity)
-        rows.append(
-            {
-                "n_sites": record.n_sites,
-                "alpha": record.alpha,
-                "encoding": encoding,
-                "theta": theta,
-                "parameter": record.parameter,
-                "time": record.time,
-                "fidelity": record.fidelity,
-                "erg_in": record.erg_in,
-                "erg_out": record.erg_out,
-                "efficiency": record.efficiency,
-            }
-        )
+        rows.append({**vars(record), "theta": theta})
     return rows
 
 
@@ -464,9 +350,7 @@ def run_transport_sweep(resolved: dict[str, Any], threads: int = 1) -> list[Row]
 
     def worker(cell: tuple[int, float]) -> list[Row]:
         n, alpha = cell
-        config = ChainConfig(
-            n_sites=n, coupling=chain["coupling"], field=chain["field"], alpha=alpha
-        )
+        config = ChainConfig(n, **chain, alpha=alpha)
         return _encoding_rows(config, theta, *reflection_fidelity(config))
 
     return _run_cells(cells, worker, threads)
@@ -478,12 +362,7 @@ def run_theta_sweep(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
     thetas = np.linspace(0.0, math.pi, params["theta_count"])
 
     def worker(n: int) -> list[Row]:
-        config = ChainConfig(
-            n_sites=n,
-            coupling=chain["coupling"],
-            field=chain["field"],
-            alpha=params["alpha"],
-        )
+        config = ChainConfig(n, **chain, alpha=params["alpha"])
         time, fidelity = reflection_fidelity(config)
         grid: list[Row] = []
         for theta in thetas:
@@ -516,13 +395,7 @@ def run_disorder(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
 
     def worker(cell: tuple[int, float, float]) -> list[Row]:
         n, alpha, delta = cell
-        config = ChainConfig(
-            n_sites=n,
-            coupling=chain["coupling"],
-            field=chain["field"],
-            alpha=alpha,
-            delta=delta,
-        )
+        config = ChainConfig(n, **chain, alpha=alpha, delta=delta)
         fidelities = ensemble_fidelity(config, params["realizations"], seed)
         stats_c = ensemble_stats(config, "coherent", theta, fidelities)
         stats_m = ensemble_stats(config, "mixed", q, fidelities)
@@ -530,22 +403,10 @@ def run_disorder(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
             gamma = gamma_metric(stats_c, stats_m)
         except UndefinedMetricError:
             gamma = math.nan
-        rows: list[Row] = []
-        for stats, gamma_value in ((stats_c, gamma), (stats_m, math.nan)):
-            rows.append(
-                {
-                    "n_sites": n,
-                    "alpha": alpha,
-                    "delta": delta,
-                    "encoding": stats.encoding,
-                    "parameter": stats.parameter,
-                    "mean": stats.mean,
-                    "stddev": stats.stddev,
-                    "count": stats.count,
-                    "gamma": gamma_value,
-                }
-            )
-        return rows
+        return [
+            {**vars(stats), "n_sites": n, "alpha": alpha, "count": stats.count, "gamma": g}
+            for stats, g in ((stats_c, gamma), (stats_m, math.nan))
+        ]
 
     return _run_cells(cells, worker, threads)
 
@@ -558,9 +419,7 @@ def run_workdist(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
     initial = InitialSiteState(theta=theta)
 
     def worker(alpha: float) -> list[Row]:
-        config = ChainConfig(
-            n_sites=n, coupling=chain["coupling"], field=chain["field"], alpha=alpha
-        )
+        config = ChainConfig(n, **chain, alpha=alpha)
         distribution = tpm_distribution(config, initial)
 
         def row(kind: str, work: float, value: float) -> Row:
@@ -602,9 +461,7 @@ def run_bessel_compare(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
     params = resolved["params"]
 
     def worker(n: int) -> list[Row]:
-        config = ChainConfig(
-            n_sites=n, coupling=chain["coupling"], field=chain["field"], alpha=0.0
-        )
+        config = ChainConfig(n, **chain, alpha=0.0)
         t = reflection_time(n, 0.0, chain["coupling"])
         decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), chain["field"]))
         f_discrete = abs(amplitude_spectral(decomposition, n, t).value)
@@ -642,7 +499,7 @@ def _format_cell(value: Any) -> str:
 
 
 def write_rows_csv(path: Path, scenario: str, rows: list[Row]) -> None:
-    columns = list(OUTPUT_SCHEMA[scenario]["properties"])
+    columns = _SCENARIOS[scenario].columns
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
@@ -651,7 +508,7 @@ def write_rows_csv(path: Path, scenario: str, rows: list[Row]) -> None:
 
 
 def write_rows_json(path: Path, scenario: str, rows: list[Row]) -> None:
-    columns = list(OUTPUT_SCHEMA[scenario]["properties"])
+    columns = _SCENARIOS[scenario].columns
     sanitized = [
         {
             c: (None if isinstance(row[c], float) and math.isnan(row[c]) else row[c])
@@ -677,19 +534,11 @@ def write_manifest(path: Path, resolved: dict[str, Any], row_count: int) -> None
 # entry point
 
 
-def _default_threads() -> int:
+def _threads(flag: int | None) -> int:
+    """--threads if given, else ERGOCHAIN_THREADS, else 1."""
     env = os.environ.get("ERGOCHAIN_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise InvalidConfigError(
-            f"ERGOCHAIN_THREADS must be an integer, got {env!r}"
-        ) from None
-    if value < 1:
-        raise InvalidConfigError(f"ERGOCHAIN_THREADS must be >= 1, got {value}")
-    return value
+    name, raw = ("--threads", flag) if flag is not None else ("ERGOCHAIN_THREADS", env or "1")
+    return _resolve_value(name, raw, int, _COUNT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -720,9 +569,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = args.threads if args.threads is not None else _default_threads()
-        if threads < 1:
-            raise InvalidConfigError(f"--threads must be >= 1, got {threads}")
+        threads = _threads(args.threads)
         resolved = resolve_config(Path(args.config), args.scenario, args.seed, args.format)
         rows = _RUNNERS[args.scenario](resolved, threads)
         out_dir = Path(args.out)

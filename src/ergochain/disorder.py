@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _validate
 from .chain import ChainConfig, build_hamiltonian, disordered_bonds
 from .dynamics import amplitude_spectral
 from .ergotropy import (
@@ -82,13 +83,8 @@ def ensemble_fidelity(
     realization is diagonalized once; ``threads`` > 1 spreads the
     realizations over a thread pool without changing any value.
     """
-    if isinstance(n_realizations, bool) or not isinstance(n_realizations, (int, np.integer)):
-        raise InvalidInputError(f"n_realizations must be an integer, got {n_realizations!r}")
-    if n_realizations < 1:
-        raise InvalidInputError(f"n_realizations must be >= 1, got {n_realizations}")
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise InvalidInputError(f"threads must be an integer >= 1, got {threads!r}")
-
+    n_realizations = _validate.integer("n_realizations", n_realizations, 1)
+    threads = _validate.integer("threads", threads, 1)
     t = reflection_time(config.n_sites, config.alpha, config.coupling)
 
     def one(realization: int) -> float:
@@ -108,16 +104,17 @@ def ensemble_stats(
 ) -> EnsembleStats:
     """Ergotropy statistics of one encoding over a fidelity sample.
 
-    Maps each F through ``erg_coherent`` or ``erg_mixed``. Calling it for
-    both encodings on one ``ensemble_fidelity`` sample pairs them
-    realization by realization, which is what ``gamma_metric`` compares.
+    Maps the whole sample through ``erg_coherent`` or ``erg_mixed`` in one
+    call. Calling it for both encodings on one ``ensemble_fidelity`` sample
+    pairs them realization by realization, which is what ``gamma_metric``
+    compares.
     """
     erg_input(encoding, parameter, config.field)  # validates encoding and parameter
-    fidelities = np.asarray(fidelities, dtype=float)
+    fidelities = np.asarray(fidelities)
     if fidelities.ndim != 1 or fidelities.size < 1:
         raise InvalidInputError("fidelities must be a 1-D array of length >= 1")
     erg = erg_coherent if encoding == "coherent" else erg_mixed
-    values = np.array([erg(f, parameter, config.field) for f in fidelities])
+    values = erg(fidelities, parameter, config.field)
     mean = float(np.mean(values))
     stddev = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return EnsembleStats(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
+from . import _validate
 from .chain import gn_factor
 from .errors import InvalidInputError, NumericalFailureError
 from .spectral import SpectralDecomposition, krawtchouk
@@ -48,15 +49,8 @@ class InitialSiteState:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("theta", "phi"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float, np.floating, np.integer)) or not math.isfinite(
-                float(value)
-            ):
-                raise InvalidInputError(f"{name} must be a finite real, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if not 0.0 <= self.theta <= math.pi:
-            raise InvalidInputError(f"theta must lie in [0, pi], got {self.theta}")
+        object.__setattr__(self, "theta", _validate.angle("theta", self.theta))
+        object.__setattr__(self, "phi", _validate.real("phi", self.phi))
 
     @property
     def excited_population(self) -> float:
@@ -90,27 +84,17 @@ class TransitionAmplitude:
         return abs(self.value)
 
 
-def _check_site_time(site: int, time: float, n_sites: int | None = None) -> None:
-    if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
-        raise InvalidInputError(f"site must be an integer, got {site!r}")
-    if site < 1 or (n_sites is not None and site > n_sites):
-        raise InvalidInputError(f"site {site} outside 1..{n_sites}")
-    if not isinstance(time, (int, float, np.floating, np.integer)) or not math.isfinite(
-        float(time)
-    ):
-        raise InvalidInputError(f"time must be a finite real, got {time!r}")
-
-
 def amplitude_spectral(
     decomposition: SpectralDecomposition, site: int, time: float
 ) -> TransitionAmplitude:
     """f_site(time) summed over the eigendecomposition. Works for any bonds."""
     if not isinstance(decomposition, SpectralDecomposition):
         raise InvalidInputError("decomposition must be a SpectralDecomposition")
-    _check_site_time(site, time, decomposition.n_sites)
+    site = _validate.integer("site", site, 1, decomposition.n_sites)
+    time = _validate.real("time", time)
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
-    value = complex(np.sum(weights * np.exp(-1j * decomposition.energies * float(time))))
-    return TransitionAmplitude(value=value, site=int(site), time=float(time))
+    value = complex(np.sum(weights * np.exp(-1j * decomposition.energies * time)))
+    return TransitionAmplitude(value=value, site=site, time=time)
 
 
 def amplitude_profile(
@@ -119,15 +103,10 @@ def amplitude_profile(
     """Vectorized f_site(t) over an array of times (same sum as amplitude_spectral)."""
     if not isinstance(decomposition, SpectralDecomposition):
         raise InvalidInputError("decomposition must be a SpectralDecomposition")
-    times = np.asarray(times, dtype=float)
+    site = _validate.integer("site", site, 1, decomposition.n_sites)
+    times = _validate.reals("times", times)
     if times.ndim != 1:
         raise InvalidInputError("times must be a 1-D array")
-    if times.size:
-        _check_site_time(site, float(times[0]), decomposition.n_sites)
-        if not np.all(np.isfinite(times)):
-            raise InvalidInputError("times must all be finite")
-    else:
-        _check_site_time(site, 0.0, decomposition.n_sites)
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
     return np.exp(-1j * np.outer(times, decomposition.energies)) @ weights
 
@@ -159,14 +138,16 @@ def amplitude_uniform_closed(
     f_n(t) = (-1)^(n-1) (2/(N+1)) sum_k sin(theta_k) sin(n theta_k)
              exp(2 i J t cos theta_k),  theta_k = k pi/(N+1).
     """
-    _check_n_coupling(n_sites, coupling)
-    _check_site_time(site, time, n_sites)
+    n_sites = _validate.integer("n_sites", n_sites, 2)
+    coupling = _validate.positive("coupling", coupling)
+    site = _validate.integer("site", site, 1, n_sites)
+    time = _validate.real("time", time)
     k = np.arange(1, n_sites + 1)
     theta = k * math.pi / (n_sites + 1)
-    phases = np.exp(2j * coupling * float(time) * np.cos(theta))
+    phases = np.exp(2j * coupling * time * np.cos(theta))
     total = np.sum(np.sin(theta) * np.sin(site * theta) * phases)
     value = complex((-1.0) ** (site - 1) * 2.0 / (n_sites + 1) * total)
-    return TransitionAmplitude(value=value, site=int(site), time=float(time))
+    return TransitionAmplitude(value=value, site=site, time=time)
 
 
 def amplitude_pst_closed(
@@ -182,25 +163,30 @@ def amplitude_pst_closed(
 
     Past N ~ 1030 the integers K and C overflow a float and 2^(1-N)
     underflows, so such chains raise NumericalFailureError instead of
-    returning inf, NaN or a spurious zero.
+    returning inf, NaN or a spurious zero. The prefactor is checked first,
+    so most such chains raise before the O(N^3) integer sum is spent.
     """
-    _check_n_coupling(n_sites, coupling)
-    _check_site_time(site, time, n_sites)
-    n = n_sites
+    n = _validate.integer("n_sites", n_sites, 2)
+    coupling = _validate.positive("coupling", coupling)
+    site = _validate.integer("site", site, 1, n)
+    time = _validate.real("time", time)
     gn = gn_factor(n)
     k = np.arange(1, n + 1)
     energies = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn
+    overflow = NumericalFailureError(f"closed-form PST amplitude leaves the float range at N={n}")
     try:
-        kraw = np.array([float(krawtchouk(kk, site - 1, n - 1)) for kk in range(n)])
         prefactor = (-1.0) ** (site - 1) * 0.5 ** (n - 1) * math.sqrt(math.comb(n - 1, site - 1))
+        if prefactor == 0.0:
+            raise overflow
+        kraw = np.array([float(krawtchouk(kk, site - 1, n - 1)) for kk in range(n)])
     except OverflowError as exc:
-        raise NumericalFailureError(f"closed-form PST amplitude overflows at N={n}") from exc
+        raise overflow from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(kraw * np.exp(-1j * energies * float(time)))
+        total = np.sum(kraw * np.exp(-1j * energies * time))
         value = complex(prefactor * total)
-    if prefactor == 0.0 or not cmath.isfinite(value):
-        raise NumericalFailureError(f"closed-form PST amplitude leaves the float range at N={n}")
-    return TransitionAmplitude(value=value, site=int(site), time=float(time))
+    if not cmath.isfinite(value):
+        raise overflow
+    return TransitionAmplitude(value=value, site=site, time=time)
 
 
 def amplitude_bessel_limit(site: int, coupling: float, time: float) -> TransitionAmplitude:
@@ -212,14 +198,14 @@ def amplitude_bessel_limit(site: int, coupling: float, time: float) -> Transitio
     formula is intended for propagation away from the injection site and is
     reproduced verbatim, anomaly included.
     """
-    if not (isinstance(coupling, (int, float, np.floating, np.integer)) and coupling > 0):
-        raise InvalidInputError(f"coupling must be > 0, got {coupling!r}")
-    _check_site_time(site, time, None)
-    x = 2.0 * float(coupling) * float(time)
+    site = _validate.integer("site", site, 1)
+    coupling = _validate.positive("coupling", coupling)
+    time = _validate.real("time", time)
+    x = 2.0 * coupling * time
     value = complex(1j) ** (site - 1) * jv(site - 1, x)
     if site == 1:
         value = value + jv(0, x)
-    return TransitionAmplitude(value=complex(value), site=int(site), time=float(time))
+    return TransitionAmplitude(value=complex(value), site=site, time=time)
 
 
 @dataclass(frozen=True)
@@ -235,16 +221,8 @@ class QubitState:
     _POSITIVITY_SLACK = 1e-10
 
     def __post_init__(self) -> None:
-        p1 = self.excited_population
-        if not isinstance(p1, (int, float, np.floating, np.integer)) or not math.isfinite(
-            float(p1)
-        ):
-            raise InvalidInputError(f"excited_population must be finite, got {p1!r}")
-        p1 = float(p1)
-        if not -1e-12 <= p1 <= 1.0 + 1e-12:
-            raise InvalidInputError(f"excited_population must lie in [0, 1], got {p1}")
-        p1 = min(max(p1, 0.0), 1.0)
-        c = complex(self.coherence)
+        p1 = _validate.unit_interval("excited_population", self.excited_population)
+        c = _validate.complex_number("coherence", self.coherence)
         if abs(c) ** 2 > p1 * (1.0 - p1) + self._POSITIVITY_SLACK:
             raise InvalidInputError(
                 f"coherence {abs(c):.6g} violates positivity for p1={p1:.6g}"
@@ -275,14 +253,3 @@ def reduced_state(initial: InitialSiteState, amplitude: TransitionAmplitude) -> 
     p1 = initial.excited_population * abs(f) ** 2
     c = initial.initial_coherence * f
     return QubitState(excited_population=p1, coherence=c)
-
-
-def _check_n_coupling(n_sites: int, coupling: float) -> None:
-    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
-        raise InvalidInputError(f"n_sites must be an integer, got {n_sites!r}")
-    if n_sites < 2:
-        raise InvalidInputError(f"n_sites must be >= 2, got {n_sites}")
-    if not isinstance(coupling, (int, float, np.floating, np.integer)) or not (
-        math.isfinite(float(coupling)) and coupling > 0
-    ):
-        raise InvalidInputError(f"coupling must be a positive finite real, got {coupling!r}")

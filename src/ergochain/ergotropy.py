@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _validate
+from ._validate import ENCODINGS
 from .chain import ChainConfig, build_hamiltonian, gn_factor, interpolated_bonds
 from .dynamics import QubitState, _amplitude_grid, amplitude_spectral
 from .errors import InvalidInputError, UndefinedEfficiencyError
@@ -48,33 +50,11 @@ __all__ = [
     "rescaled_efficiency",
 ]
 
-ENCODINGS = ("coherent", "mixed")
-
-
-def _check_positive(name: str, value: float) -> float:
-    if not isinstance(value, (int, float, np.floating, np.integer)) or not (
-        math.isfinite(float(value)) and value > 0
-    ):
-        raise InvalidInputError(f"{name} must be a positive finite real, got {value!r}")
-    return float(value)
-
-
-def _check_unit_interval(name: str, value: float) -> float:
-    if not isinstance(value, (int, float, np.floating, np.integer)) or not math.isfinite(
-        float(value)
-    ):
-        raise InvalidInputError(f"{name} must be a finite real, got {value!r}")
-    value = float(value)
-    if not -1e-12 <= value <= 1.0 + 1e-12:
-        raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
-    return min(max(value, 0.0), 1.0)
-
-
 def qubit_ergotropy(state: QubitState, field: float) -> float:
     """Ergotropy of a qubit state against the gap-2B local Hamiltonian."""
     if not isinstance(state, QubitState):
         raise InvalidInputError("state must be a QubitState")
-    field = _check_positive("field", field)
+    field = _validate.positive("field", field)
     p1 = state.excited_population
     r = math.sqrt(0.25 * (1.0 - 2.0 * p1) ** 2 + abs(state.coherence) ** 2)
     return field * (2.0 * p1 - 1.0) + 2.0 * field * r
@@ -82,45 +62,59 @@ def qubit_ergotropy(state: QubitState, field: float) -> float:
 
 def erg_input(encoding: str, parameter: float, field: float) -> float:
     """Sender-side ergotropy: 2B sin^2(theta/2) or max(0, 2B(2q-1))."""
-    field = _check_positive("field", field)
-    if encoding == "coherent":
-        theta = _check_theta(parameter)
-        return 2.0 * field * math.sin(0.5 * theta) ** 2
-    if encoding == "mixed":
-        q = _check_unit_interval("q", parameter)
-        return max(0.0, 2.0 * field * (2.0 * q - 1.0))
-    raise InvalidInputError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
+    field = _validate.positive("field", field)
+    if _validate.encoding(encoding) == "coherent":
+        return 2.0 * field * math.sin(0.5 * _validate.angle("theta", parameter)) ** 2
+    q = _validate.unit_interval("q", parameter)
+    return max(0.0, 2.0 * field * (2.0 * q - 1.0))
 
 
 def match_mixed_to_pure(theta: float) -> float:
     """Excited weight q = (1 + sin^2(theta/2))/2 equalizing the two inputs."""
-    theta = _check_theta(theta)
+    theta = _validate.angle("theta", theta)
     return 0.5 * (1.0 + math.sin(0.5 * theta) ** 2)
 
 
-def erg_coherent(fidelity: float, theta: float, field: float) -> float:
+def _positive_part(value):
+    """max(0.0, value), elementwise for an array; -0.0 and NaN give 0.0 both ways."""
+    if isinstance(value, np.ndarray):
+        return np.where(value > 0.0, value, 0.0)
+    return max(0.0, float(value))
+
+
+def erg_coherent(
+    fidelity: float | np.ndarray, theta: float, field: float
+) -> float | np.ndarray:
     """Receiver ergotropy for the coherent encoding after fidelity-F transport.
 
     erg = B [2 F s^2 - 1 + sqrt(1 + 4 s^4 F (F - 1))], s^2 = sin^2(theta/2).
     Nonnegative and nondecreasing in F on [0, 1]; the sqrt term is the
     transported coherence doing work the populations alone could not.
+    A scalar F gives a float; an array of F gives an array.
     """
-    fidelity = _check_unit_interval("fidelity", fidelity)
-    theta = _check_theta(theta)
-    field = _check_positive("field", field)
+    fidelity = _validate.unit_intervals("fidelity", fidelity)
+    theta = _validate.angle("theta", theta)
+    field = _validate.positive("field", field)
     s2 = math.sin(0.5 * theta) ** 2
     inner = 1.0 + 4.0 * s2 * s2 * fidelity * (fidelity - 1.0)
-    # inner >= (1 - 2 s^2 F)^2 >= 0 analytically; clip roundoff only
-    value = field * (2.0 * fidelity * s2 - 1.0 + math.sqrt(max(inner, 0.0)))
-    return max(0.0, value)
+    # inner >= (1 - 2 s^2 F)^2 >= 0 analytically; clip roundoff only. math.sqrt
+    # keeps the scalar path free of numpy scalar overhead; both round correctly.
+    if isinstance(inner, np.ndarray):
+        root = np.sqrt(np.maximum(inner, 0.0))
+    else:
+        root = math.sqrt(max(inner, 0.0))
+    return _positive_part(field * (2.0 * fidelity * s2 - 1.0 + root))
 
 
-def erg_mixed(fidelity: float, q: float, field: float) -> float:
-    """Receiver ergotropy for the mixed encoding: max(0, 2B(2qF - 1))."""
-    fidelity = _check_unit_interval("fidelity", fidelity)
-    q = _check_unit_interval("q", q)
-    field = _check_positive("field", field)
-    return max(0.0, 2.0 * field * (2.0 * q * fidelity - 1.0))
+def erg_mixed(fidelity: float | np.ndarray, q: float, field: float) -> float | np.ndarray:
+    """Receiver ergotropy for the mixed encoding: max(0, 2B(2qF - 1)).
+
+    A scalar F gives a float; an array of F gives an array.
+    """
+    fidelity = _validate.unit_intervals("fidelity", fidelity)
+    q = _validate.unit_interval("q", q)
+    field = _validate.positive("field", field)
+    return _positive_part(2.0 * field * (2.0 * q * fidelity - 1.0))
 
 
 def reflection_time(n_sites: int, alpha: float, coupling: float) -> float:
@@ -131,12 +125,9 @@ def reflection_time(n_sites: int, alpha: float, coupling: float) -> float:
     velocity 2J, sharpened by dispersion) peaks near pi N/(6 J), and the
     blend interpolates in alpha^2.
     """
-    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
-        raise InvalidInputError(f"n_sites must be an integer, got {n_sites!r}")
-    if n_sites < 2:
-        raise InvalidInputError(f"n_sites must be >= 2, got {n_sites}")
-    alpha = _check_unit_interval("alpha", alpha)
-    coupling = _check_positive("coupling", coupling)
+    n_sites = _validate.integer("n_sites", n_sites, 2)
+    alpha = _validate.real("alpha", alpha, 0.0, 1.0)
+    coupling = _validate.positive("coupling", coupling)
     gn = gn_factor(n_sites)
     a2 = alpha * alpha
     return (n_sites / coupling) * (a2 * math.pi / (4.0 * gn) + (1.0 - a2) * math.pi / 6.0)
@@ -205,7 +196,7 @@ def erg_at_reflection(config: ChainConfig, encoding: str, parameter: float) -> E
     is the clean-transport figure of merit. Disordered ensembles go through
     the ensemble API instead.
     """
-    _check_encoding(encoding)
+    erg_input(encoding, parameter, config.field)  # validates before the solve
     return _record(config, encoding, parameter, *reflection_fidelity(config))
 
 
@@ -232,27 +223,18 @@ def erg_max_window(
     decomposition both stay within about 1e-13 of F at N = 256 and 6e-13 at
     N = 1000 (uniform chain, J = B = 1, horizon 0.7 N/J).
     """
-    _check_encoding(encoding)
-    horizon = _check_positive("horizon", horizon)
+    erg_input(encoding, parameter, config.field)  # validates before the solve
+    horizon = _validate.positive("horizon", horizon)
     if step is None:
         step = 0.01 / config.coupling
-    step = _check_positive("step", step)
+    step = _validate.positive("step", step)
     if step > horizon:
         raise InvalidInputError(f"step {step} exceeds horizon {horizon}")
     decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), config.field))
     times = np.arange(step, horizon + 0.5 * step, step)
     fidelities = np.abs(_amplitude_grid(decomposition, config.n_sites, step, times.size)) ** 2
-    if encoding == "coherent":
-        s2 = math.sin(0.5 * _check_theta(parameter)) ** 2
-        inner = 1.0 + 4.0 * s2 * s2 * fidelities * (fidelities - 1.0)
-        ergs = config.field * (
-            2.0 * fidelities * s2 - 1.0 + np.sqrt(np.clip(inner, 0.0, None))
-        )
-        ergs = np.clip(ergs, 0.0, None)
-    else:
-        q = _check_unit_interval("q", parameter)
-        ergs = np.clip(2.0 * config.field * (2.0 * q * fidelities - 1.0), 0.0, None)
-    best = int(np.argmax(ergs))
+    erg = erg_coherent if encoding == "coherent" else erg_mixed
+    best = int(np.argmax(erg(fidelities, parameter, config.field)))
     return _record(config, encoding, parameter, times[best], float(fidelities[best]))
 
 
@@ -263,31 +245,9 @@ def rescaled_efficiency(erg_out: float, erg_in: float, n_sites: int) -> float:
     rescaling makes chains of different lengths comparable. Raises
     UndefinedEfficiencyError when erg_in = 0.
     """
-    for name, value in (("erg_out", erg_out), ("erg_in", erg_in)):
-        if not isinstance(value, (int, float, np.floating, np.integer)) or not math.isfinite(
-            float(value)
-        ):
-            raise InvalidInputError(f"{name} must be a finite real, got {value!r}")
-        if value < 0:
-            raise InvalidInputError(f"{name} must be >= 0, got {value}")
-    if not isinstance(n_sites, (int, np.integer)) or isinstance(n_sites, bool) or n_sites < 2:
-        raise InvalidInputError(f"n_sites must be an integer >= 2, got {n_sites!r}")
+    erg_out = _validate.real("erg_out", erg_out, 0.0)
+    erg_in = _validate.real("erg_in", erg_in, 0.0)
+    n_sites = _validate.integer("n_sites", n_sites, 2)
     if erg_in == 0:
         raise UndefinedEfficiencyError("efficiency undefined: input ergotropy is zero")
-    return float(erg_out) / float(erg_in) * float(n_sites) ** (2.0 / 3.0)
-
-
-def _check_theta(theta: float) -> float:
-    if not isinstance(theta, (int, float, np.floating, np.integer)) or not math.isfinite(
-        float(theta)
-    ):
-        raise InvalidInputError(f"theta must be a finite real, got {theta!r}")
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi:
-        raise InvalidInputError(f"theta must lie in [0, pi], got {theta}")
-    return theta
-
-
-def _check_encoding(encoding: str) -> None:
-    if encoding not in ENCODINGS:
-        raise InvalidInputError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
+    return erg_out / erg_in * float(n_sites) ** (2.0 / 3.0)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from . import _validate
 from .chain import SingleExcitationHamiltonian, gn_factor
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -108,6 +109,7 @@ def diagonalize(
     """
     if not isinstance(hamiltonian, SingleExcitationHamiltonian):
         raise InvalidInputError("hamiltonian must be a SingleExcitationHamiltonian")
+    rtol = _validate.positive("rtol", rtol)
     diag = hamiltonian.diagonal
     off = hamiltonian.offdiagonal
     energies, vectors = eigh_tridiagonal(diag, off)
@@ -144,8 +146,9 @@ def analytic_uniform_spectrum(
     E_k = -2J cos(k pi/(N+1)) - (N-2) B for k = 1..N, with eigenvectors
     v_k[n] = (-1)^(n-1) sqrt(2/(N+1)) sin(k pi n/(N+1)).
     """
-    _check_chain_args(n_sites, coupling, field)
-    n = n_sites
+    n = _validate.integer("n_sites", n_sites, 2)
+    coupling = _validate.positive("coupling", coupling)
+    field = _validate.positive("field", field)
     k = np.arange(1, n + 1)
     theta = k * math.pi / (n + 1)
     energies = -2.0 * coupling * np.cos(theta) - (n - 2) * field
@@ -161,11 +164,9 @@ def krawtchouk(k: int, x: int, m: int) -> int:
     K_k(x) = sum_i (-1)^i C(x, i) C(m-x, k-i). Evaluated with exact integer
     arithmetic; no rounding at any size.
     """
-    for name, value in (("k", k), ("x", x), ("m", m)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if m < 0 or not (0 <= k <= m and 0 <= x <= m):
-        raise InvalidInputError(f"need 0 <= k, x <= m, got k={k}, x={x}, m={m}")
+    m = _validate.integer("m", m, 0)
+    k = _validate.integer("k", k, 0, m)
+    x = _validate.integer("x", x, 0, m)
     total = 0
     for i in range(max(0, k - (m - x)), min(k, x) + 1):
         total += (-1) ** i * math.comb(x, i) * math.comb(m - x, k - i)
@@ -193,9 +194,7 @@ def krawtchouk_table(m: int) -> KrawtchoukTable:
     all x at once; the division is exact, so the table equals ``krawtchouk``
     entry by entry at O(m^2) big-integer operations.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
-        raise InvalidInputError(f"m must be an integer >= 0, got {m!r}")
-    m = int(m)
+    m = _validate.integer("m", m, 0)
     values = np.empty((m + 1, m + 1), dtype=object)
     values[0] = 1
     slope = np.array([m - 2 * x for x in range(m + 1)], dtype=object)
@@ -216,31 +215,27 @@ def analytic_pst_spectrum(
     (4J/N) G_N. Eigenvector k is (-1)^(n-1) sqrt(w(n)) K_{k-1}(n-1)
     normalized to unit length, where w(n) = C(N-1, n-1) 2^(1-N) is the
     symmetric binomial weight.
+
+    Past N ~ 1030 the binomials overflow a float; such chains raise
+    NumericalFailureError, checked on the weights before the exact integer
+    table is built.
     """
-    _check_chain_args(n_sites, coupling, field)
-    n = n_sites
+    n = _validate.integer("n_sites", n_sites, 2)
+    coupling = _validate.positive("coupling", coupling)
+    field = _validate.positive("field", field)
     gn = gn_factor(n)
     k = np.arange(1, n + 1)
     energies = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn - (n - 2) * field
 
-    table = krawtchouk_table(n - 1).values.astype(float)
-    weights = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
-    weights *= 0.5 ** (n - 1)
+    try:
+        weights = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
+        weights *= 0.5 ** (n - 1)
+        table = krawtchouk_table(n - 1).values.astype(float)
+    except OverflowError as exc:
+        raise NumericalFailureError(f"closed-form PST spectrum overflows at N={n}") from exc
     # column k-1 of the decomposition is sqrt(w(n)) K_{k-1}(n-1) over sites n
     vectors = np.sqrt(weights)[:, None] * table.T
     vectors /= np.linalg.norm(vectors, axis=0)[None, :]
     sites = np.arange(1, n + 1)
     vectors *= np.where(sites % 2 == 1, 1.0, -1.0)[:, None]  # alternating gauge
     return SpectralDecomposition(energies=energies, vectors=vectors)
-
-
-def _check_chain_args(n_sites: int, coupling: float, field: float) -> None:
-    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
-        raise InvalidInputError(f"n_sites must be an integer, got {n_sites!r}")
-    if n_sites < 2:
-        raise InvalidInputError(f"n_sites must be >= 2, got {n_sites}")
-    for name, value in (("coupling", coupling), ("field", field)):
-        if not math.isfinite(value):
-            raise InvalidInputError(f"{name} must be finite, got {value!r}")
-        if value <= 0:
-            raise InvalidInputError(f"{name} must be > 0, got {value}")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _validate
 from .chain import ChainConfig, build_hamiltonian, gn_factor, interpolated_bonds
 from .dynamics import InitialSiteState
 from .errors import InvalidInputError
@@ -148,10 +149,10 @@ def pst_closed_distribution(
     W_k = -(2J/N)(N - (2k-1)) G_N with binomial weights
     sin^2(theta/2) C(N-1, k-1) 2^(1-N), plus the vacuum atom at 0.
     """
-    _check_n_coupling(n_sites, coupling)
+    n = _validate.integer("n_sites", n_sites, 2)
+    coupling = _validate.positive("coupling", coupling)
     if not isinstance(initial, InitialSiteState):
         raise InvalidInputError("initial must be an InitialSiteState")
-    n = n_sites
     gn = gn_factor(n)
     k = np.arange(1, n + 1)
     work = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn
@@ -177,10 +178,10 @@ def uniform_closed_distribution(
     sin^2(theta/2) (2/(N+1)) sin^2(k pi/(N+1)), plus the vacuum atom. For odd
     N the band's zero mode lands exactly on the vacuum atom and fuses with it.
     """
-    _check_n_coupling(n_sites, coupling)
+    n = _validate.integer("n_sites", n_sites, 2)
+    coupling = _validate.positive("coupling", coupling)
     if not isinstance(initial, InitialSiteState):
         raise InvalidInputError("initial must be an InitialSiteState")
-    n = n_sites
     k = np.arange(1, n + 1)
     theta = k * math.pi / (n + 1)
     work = -2.0 * coupling * np.cos(theta)
@@ -199,8 +200,7 @@ def moments(distribution: WorkDistribution, max_order: int = 2) -> WorkMoments:
     """
     if not isinstance(distribution, WorkDistribution):
         raise InvalidInputError("distribution must be a WorkDistribution")
-    if not isinstance(max_order, int) or isinstance(max_order, bool) or not 2 <= max_order <= 6:
-        raise InvalidInputError(f"max_order must be an integer in [2, 6], got {max_order!r}")
+    max_order = _validate.integer("max_order", max_order, 2, 6)
     mean = float(np.sum(distribution.probabilities * distribution.values))
     second = float(np.sum(distribution.probabilities * distribution.values**2))
     higher = (
@@ -245,8 +245,7 @@ def binned_histogram(
     """
     if not isinstance(distribution, WorkDistribution):
         raise InvalidInputError("distribution must be a WorkDistribution")
-    if isinstance(n_bins, bool) or not isinstance(n_bins, (int, np.integer)) or n_bins < 1:
-        raise InvalidInputError(f"n_bins must be an integer >= 1, got {n_bins!r}")
+    n_bins = _validate.integer("n_bins", n_bins, 1)
     v = distribution.values
     lo, hi = float(v[0]), float(v[-1])
     if lo == hi:
@@ -260,33 +259,16 @@ def binned_histogram(
 
 def gaussian_density(work: np.ndarray | float, variance: float) -> np.ndarray | float:
     """Centered Gaussian density with the given variance."""
-    if not isinstance(variance, (int, float, np.floating, np.integer)) or not (
-        math.isfinite(float(variance)) and variance > 0
-    ):
-        raise InvalidInputError(f"variance must be > 0, got {variance!r}")
-    w = np.asarray(work, dtype=float)
+    variance = _validate.positive("variance", variance)
+    w = _validate.reals("work", work)
     out = np.exp(-0.5 * w * w / variance) / math.sqrt(2.0 * math.pi * variance)
     return float(out) if np.isscalar(work) else out
 
 
 def semicircle_density(work: np.ndarray | float, coupling: float) -> np.ndarray | float:
     """Radius-2J semicircle density sqrt(4J^2 - w^2)/(2 pi J^2), 0 outside."""
-    if not isinstance(coupling, (int, float, np.floating, np.integer)) or not (
-        math.isfinite(float(coupling)) and coupling > 0
-    ):
-        raise InvalidInputError(f"coupling must be > 0, got {coupling!r}")
-    w = np.asarray(work, dtype=float)
+    coupling = _validate.positive("coupling", coupling)
+    w = _validate.reals("work", work)
     radicand = np.clip(4.0 * coupling * coupling - w * w, 0.0, None)
     out = np.sqrt(radicand) / (2.0 * math.pi * coupling * coupling)
     return float(out) if np.isscalar(work) else out
-
-
-def _check_n_coupling(n_sites: int, coupling: float) -> None:
-    if isinstance(n_sites, bool) or not isinstance(n_sites, (int, np.integer)):
-        raise InvalidInputError(f"n_sites must be an integer, got {n_sites!r}")
-    if n_sites < 2:
-        raise InvalidInputError(f"n_sites must be >= 2, got {n_sites}")
-    if not isinstance(coupling, (int, float, np.floating, np.integer)) or not (
-        math.isfinite(float(coupling)) and coupling > 0
-    ):
-        raise InvalidInputError(f"coupling must be a positive finite real, got {coupling!r}")

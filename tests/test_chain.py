@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from ergochain import (
     BondSet,
@@ -212,3 +213,29 @@ class TestBondSet:
         bonds = BondSet(values=np.ones(3), alpha=0.0)
         with pytest.raises(ValueError):
             bonds.values[0] = 5.0
+
+
+class TestSeedDomain:
+    """Seeds are the integers Philox can key: [-2^63, 2^64)."""
+
+    @pytest.mark.parametrize("seed", [2**64, -(2**63) - 1, 10**23])
+    def test_rejects_seeds_philox_cannot_key(self, seed):
+        cfg = ChainConfig(n_sites=4, coupling=1.0, field=1.0, delta=0.1)
+        with pytest.raises(InvalidInputError):
+            disordered_bonds(cfg, seed=seed, realization_index=0)
+
+    def test_rejects_realization_index_philox_cannot_key(self):
+        cfg = ChainConfig(n_sites=4, coupling=1.0, field=1.0, delta=0.1)
+        with pytest.raises(InvalidInputError):
+            disordered_bonds(cfg, seed=0, realization_index=2**64)
+
+    # numpy keys seeds >= 2^63 through float64 and warns on the cast near 2^64
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 7, -1, -(2**63), 2**63, 2**64 - 1])
+    def test_accepted_seeds_keep_their_stream(self, seed):
+        cfg = ChainConfig(n_sites=6, coupling=1.0, field=1.0, alpha=0.5, delta=0.2)
+        noise = Generator(Philox(key=[seed, 3])).uniform(-0.2, 0.2, 5)
+        expected = interpolated_bonds(cfg).values * (1.0 + noise)
+        assert disordered_bonds(cfg, seed=seed, realization_index=3).values.tobytes() == (
+            expected.tobytes()
+        )

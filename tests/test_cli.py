@@ -350,3 +350,10 @@ class TestFailurePaths:
         code, _ = _run(tmp_path, "workdist", WORKDIST_INI, "--threads", "0")
         assert code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+def test_seed_beyond_the_generator_key_is_a_configuration_error(tmp_path, capsys, solve_calls):
+    code, _ = _run(tmp_path, "disorder", DISORDER_INI, "--seed", "100000000000000000000000")
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert solve_calls == []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ergochain import disorder
 from ergochain import (
     ChainConfig,
     EnsembleStats,
@@ -185,3 +186,22 @@ class TestGammaMetric:
     def test_hand_value(self):
         # normalized contrast: (1.2 - 0.8) / (1.2 + 0.8)
         assert gamma_metric(_stats("coherent", 1.2), _stats("mixed", 0.8)) == pytest.approx(0.2)
+
+
+class TestStatsMapWholeSample:
+    @pytest.mark.parametrize("encoding, parameter", [("coherent", 1.1), ("mixed", 0.8)])
+    def test_values_equal_scalar_maps_in_one_call(self, monkeypatch, encoding, parameter):
+        config = _config(n=9, delta=0.2)
+        fidelities = ensemble_fidelity(config, 40, seed=5)
+        erg = erg_coherent if encoding == "coherent" else erg_mixed
+        expected = np.array([erg(f, parameter, config.field) for f in fidelities])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return erg(*args)
+
+        monkeypatch.setattr(disorder, f"erg_{encoding}", counted)
+        stats = ensemble_stats(config, encoding, parameter, fidelities)
+        assert stats.values.tobytes() == expected.tobytes()
+        assert len(calls) == 1

@@ -25,6 +25,7 @@ from ergochain import (
     reduced_state,
     reflection_time,
 )
+from ergochain import dynamics
 from ergochain.dynamics import _amplitude_grid
 from ergochain.spectral import krawtchouk
 
@@ -285,3 +286,17 @@ class TestQubitState:
             QubitState(excited_population=0.1, coherence=0.4)
         with pytest.raises(InvalidInputError):
             QubitState(excited_population=1.3, coherence=0.0)
+
+
+@pytest.mark.parametrize("n, site", [(1100, 550), (2000, 1000)])
+def test_pst_closed_raises_before_the_krawtchouk_sum(monkeypatch, n, site):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return krawtchouk(*args)
+
+    monkeypatch.setattr(dynamics, "krawtchouk", counted)
+    with pytest.raises(NumericalFailureError):
+        amplitude_pst_closed(n, 1.0, site, reflection_time(n, 1.0, 1.0))
+    assert calls == []

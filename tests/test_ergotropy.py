@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ergotropy_by_sorting
+from ergochain import ergotropy
 from ergochain import (
     ChainConfig,
     InvalidInputError,
@@ -299,3 +300,53 @@ class TestRescaledEfficiency:
             rescaled_efficiency(0.5, 1.0, 1)
         with pytest.raises(InvalidInputError):
             rescaled_efficiency(0.5, 1.0, 8.0)
+
+
+class TestArrayMaps:
+    """One formula per map: an array of F gives exactly the scalar values."""
+
+    FIDELITIES = np.concatenate(
+        [np.linspace(0.0, 1.0, 257), [1e-300, 5e-324, 1.0 - 1e-16, -1e-13, 1.0 + 1e-13]]
+    )
+
+    @staticmethod
+    def _scalar(erg, parameter, field):
+        return np.array([erg(float(f), parameter, field) for f in TestArrayMaps.FIDELITIES])
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, 2.0, math.pi])
+    def test_coherent(self, theta):
+        values = erg_coherent(self.FIDELITIES, theta, 0.9)
+        assert values.tobytes() == self._scalar(erg_coherent, theta, 0.9).tobytes()
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.75, 1.0])
+    def test_mixed(self, q):
+        values = erg_mixed(self.FIDELITIES, q, 1.7)
+        assert values.tobytes() == self._scalar(erg_mixed, q, 1.7).tobytes()
+
+    def test_scalar_gives_python_float(self):
+        assert type(erg_coherent(np.float64(0.5), 1.0, 1.0)) is float
+        assert type(erg_mixed(np.float64(0.9), 0.8, 1.0)) is float
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([0.5, 1.5]), np.array([0.5, math.nan]), np.array([True]), np.array(["0.5"])]
+    )
+    def test_arrays_validated_elementwise(self, bad):
+        with pytest.raises(InvalidInputError):
+            erg_coherent(bad, 1.0, 1.0)
+        with pytest.raises(InvalidInputError):
+            erg_mixed(bad, 0.8, 1.0)
+
+    def test_positive_part_matches_scalar_max_at_signed_zero(self):
+        x = np.array([-0.0, 0.0, -1.0, 2.0, 5e-324])
+        expected = np.array([max(0.0, float(v)) for v in x])
+        assert ergotropy._positive_part(x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("call", [erg_at_reflection, erg_max_window])
+def test_bad_parameter_is_rejected_before_the_solve(monkeypatch, call):
+    calls = []
+    monkeypatch.setattr(ergotropy, "diagonalize", lambda *args: calls.append(args))
+    cfg = ChainConfig(n_sites=8, coupling=1.0, field=1.0, alpha=1.0)
+    with pytest.raises(InvalidInputError):
+        call(cfg, "coherent", 4.0, *([2.0] if call is erg_max_window else []))
+    assert calls == []

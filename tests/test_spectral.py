@@ -12,6 +12,7 @@ from conftest import dense_hamiltonian
 from ergochain import (
     ChainConfig,
     InvalidInputError,
+    NumericalFailureError,
     analytic_pst_spectrum,
     analytic_uniform_spectrum,
     build_hamiltonian,
@@ -22,6 +23,7 @@ from ergochain import (
     krawtchouk,
     krawtchouk_table,
 )
+from ergochain import spectral
 from ergochain.spectral import _fix_column_signs
 
 
@@ -252,3 +254,11 @@ class TestAnalyticPst:
         for k in range(n):
             flipped = analytic.vectors[::-1, k]
             assert np.max(np.abs(flipped - (-1.0) ** k * analytic.vectors[:, k])) < 1e-12
+
+
+def test_pst_spectrum_past_float_range_raises_before_building_the_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "krawtchouk_table", lambda m: calls.append(m))
+    with pytest.raises(NumericalFailureError):
+        analytic_pst_spectrum(1100, 1.0, 1.0)
+    assert calls == []
