@@ -101,17 +101,14 @@ class BondSet:
 
 @dataclass(frozen=True)
 class SingleExcitationHamiltonian:
-    """Symmetric tridiagonal single-excitation block plus the vacuum energy.
+    """Symmetric tridiagonal single-excitation block.
 
-    ``diagonal`` has length N (constant -(N-2)*B), ``offdiagonal`` length N-1
-    (the bond strengths), and ``vacuum_energy`` is the energy -N*B of the
-    zero-excitation state, needed when the excitation sector is compared or
-    combined with the vacuum.
+    ``diagonal`` has length N (constant -(N-2)*B) and ``offdiagonal`` length
+    N-1 (the bond strengths).
     """
 
     diagonal: np.ndarray
     offdiagonal: np.ndarray
-    vacuum_energy: float
 
     def __post_init__(self) -> None:
         diag = np.asarray(self.diagonal, dtype=float)
@@ -128,14 +125,6 @@ class SingleExcitationHamiltonian:
     @property
     def n_sites(self) -> int:
         return self.diagonal.size
-
-    def as_dense(self) -> np.ndarray:
-        """Dense (N, N) matrix of the single-excitation block."""
-        h = np.diag(self.diagonal)
-        idx = np.arange(self.n_sites - 1)
-        h[idx, idx + 1] = self.offdiagonal
-        h[idx + 1, idx] = self.offdiagonal
-        return h
 
 
 def gn_factor(n_sites: int) -> float:
@@ -175,36 +164,43 @@ def interpolated_bonds(config: ChainConfig) -> BondSet:
     return BondSet(values=values, alpha=config.alpha, delta=0.0)
 
 
+def _seed(seed: int) -> int:
+    """A disorder seed, checked against the range Philox can take as a key word."""
+    return _validate.integer("seed", seed, -(2**63), 2**64 - 1)
+
+
+def _noisy_bonds(clean: BondSet, delta: float, seed: int, realization_index: int) -> BondSet:
+    """``clean`` scaled by (1 + d_j), d_j ~ U(-delta, +delta) from the (seed, index) stream.
+
+    Takes a validated seed and index, so an ensemble builds ``clean`` once
+    and validates once.
+    """
+    rng = Generator(Philox(key=[seed, realization_index]))
+    noise = rng.uniform(-delta, delta, clean.n_sites - 1)
+    return BondSet(values=clean.values * (1.0 + noise), alpha=None, delta=delta)
+
+
 def disordered_bonds(config: ChainConfig, seed: int, realization_index: int) -> BondSet:
     """One disorder realization: bonds scaled by (1 + d_j), d_j ~ U(-delta, +delta).
 
     The noise stream is a counter-based generator keyed by (seed,
     realization_index), so realization k is the same no matter how many other
-    realizations were drawn before it or on which thread.
+    realizations were drawn before it.
     """
-    # the range Philox can take as a key word
-    seed = _validate.integer("seed", seed, -(2**63), 2**64 - 1)
+    seed = _seed(seed)
     realization_index = _validate.integer("realization_index", realization_index, 0, 2**64 - 1)
-    clean = interpolated_bonds(config)
-    rng = Generator(Philox(key=[seed, realization_index]))
-    noise = rng.uniform(-config.delta, config.delta, config.n_sites - 1)
-    return BondSet(values=clean.values * (1.0 + noise), alpha=None, delta=config.delta)
+    return _noisy_bonds(interpolated_bonds(config), config.delta, seed, realization_index)
 
 
 def build_hamiltonian(bonds: BondSet, field: float) -> SingleExcitationHamiltonian:
     """Assemble the single-excitation block for the given bonds and field.
 
     The diagonal is the constant -(N-2)*B: flipping one of N down-spins in a
-    field that pays -B per aligned spin leaves N-2 aligned net. The vacuum
-    (no excitation) sits at -N*B.
+    field that pays -B per aligned spin leaves N-2 aligned net.
     """
     if not isinstance(bonds, BondSet):
         raise InvalidInputError("bonds must be a BondSet")
     field = _validate.positive("field", field)
     n = bonds.n_sites
     diag = np.full(n, -(n - 2) * field)
-    return SingleExcitationHamiltonian(
-        diagonal=diag,
-        offdiagonal=bonds.values.copy(),
-        vacuum_energy=-n * field,
-    )
+    return SingleExcitationHamiltonian(diagonal=diag, offdiagonal=bonds.values.copy())

@@ -20,8 +20,10 @@ Scenarios:
 
 Every run writes `<scenario>.csv` (or `.json`) plus `<scenario>.manifest.json`
 into the output directory. Data files are byte-identical across repeated runs
-with the same resolved configuration and seed, independent of --threads; the
-manifest repeats the configuration hash and differs only in its timestamp.
+with the same resolved configuration and seed; the manifest repeats the
+configuration hash and differs only in its timestamp. Every cell runs in the
+calling thread: --threads (or ERGOCHAIN_THREADS) is validated, must be an
+integer >= 1, and selects no code path.
 
 Exit codes: 0 success, 2 configuration error (bad file, unknown key, bad
 value), 3 numerical failure (an internal accuracy contract was missed).
@@ -37,7 +39,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -314,22 +315,6 @@ def config_hash(resolved: dict[str, Any]) -> str:
 Row = dict[str, Any]
 
 
-def _run_cells(
-    cells: Sequence, worker: Callable[[Any], list[Row]], threads: int
-) -> list[Row]:
-    """Evaluate independent cells, serially or threaded, in cell order.
-
-    Assembly is by cell index, so the row stream does not depend on thread
-    scheduling and the output bytes do not depend on --threads.
-    """
-    if threads == 1:
-        chunks = [worker(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(worker, cells))
-    return [row for chunk in chunks for row in chunk]
-
-
 def _encoding_rows(
     config: ChainConfig, theta: float, time: float, fidelity: float
 ) -> list[Row]:
@@ -342,88 +327,75 @@ def _encoding_rows(
     return rows
 
 
-def run_transport_sweep(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
+def run_transport_sweep(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
     params = resolved["params"]
     theta = params["theta"]
-    cells = [(n, a) for n in params["sites"] for a in params["alphas"]]
-
-    def worker(cell: tuple[int, float]) -> list[Row]:
-        n, alpha = cell
-        config = ChainConfig(n, **chain, alpha=alpha)
-        return _encoding_rows(config, theta, *reflection_fidelity(config))
-
-    return _run_cells(cells, worker, threads)
+    rows: list[Row] = []
+    for n in params["sites"]:
+        for alpha in params["alphas"]:
+            config = ChainConfig(n, **chain, alpha=alpha)
+            rows += _encoding_rows(config, theta, *reflection_fidelity(config))
+    return rows
 
 
-def run_theta_sweep(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
+def run_theta_sweep(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
     params = resolved["params"]
     thetas = np.linspace(0.0, math.pi, params["theta_count"])
-
-    def worker(n: int) -> list[Row]:
+    rows: list[Row] = []
+    for n in params["sites"]:
         config = ChainConfig(n, **chain, alpha=params["alpha"])
         time, fidelity = reflection_fidelity(config)
         grid: list[Row] = []
         for theta in thetas:
             for row in _encoding_rows(config, float(theta), time, fidelity):
                 grid.append({**row, "kind": "grid"})
-        summaries: list[Row] = []
+        rows += grid
         for encoding in ("coherent", "mixed"):
             best = max(
                 (row for row in grid if row["encoding"] == encoding),
                 key=lambda row: row["erg_out"],
             )
-            summaries.append({**best, "kind": "argmax"})
-        return grid + summaries
-
-    return _run_cells(list(params["sites"]), worker, threads)
+            rows.append({**best, "kind": "argmax"})
+    return rows
 
 
-def run_disorder(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
+def run_disorder(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
     params = resolved["params"]
     theta = params["theta"]
     q = match_mixed_to_pure(theta)
-    seed = resolved["seed"]
-    cells = [
-        (n, alpha, delta)
-        for n in params["sites"]
-        for alpha in params["alphas"]
-        for delta in params["deltas"]
-    ]
-
-    def worker(cell: tuple[int, float, float]) -> list[Row]:
-        n, alpha, delta = cell
-        config = ChainConfig(n, **chain, alpha=alpha, delta=delta)
-        fidelities = ensemble_fidelity(config, params["realizations"], seed)
-        stats_c = ensemble_stats(config, "coherent", theta, fidelities)
-        stats_m = ensemble_stats(config, "mixed", q, fidelities)
-        try:
-            gamma = gamma_metric(stats_c, stats_m)
-        except UndefinedMetricError:
-            gamma = math.nan
-        return [
-            {**vars(stats), "n_sites": n, "alpha": alpha, "count": stats.count, "gamma": g}
-            for stats, g in ((stats_c, gamma), (stats_m, math.nan))
-        ]
-
-    return _run_cells(cells, worker, threads)
+    rows: list[Row] = []
+    for n in params["sites"]:
+        for alpha in params["alphas"]:
+            for delta in params["deltas"]:
+                config = ChainConfig(n, **chain, alpha=alpha, delta=delta)
+                fidelities = ensemble_fidelity(config, params["realizations"], resolved["seed"])
+                stats_c = ensemble_stats(config, "coherent", theta, fidelities)
+                stats_m = ensemble_stats(config, "mixed", q, fidelities)
+                try:
+                    gamma = gamma_metric(stats_c, stats_m)
+                except UndefinedMetricError:
+                    gamma = math.nan
+                rows += [
+                    {**vars(stats), "n_sites": n, "alpha": alpha, "count": stats.count, "gamma": g}
+                    for stats, g in ((stats_c, gamma), (stats_m, math.nan))
+                ]
+    return rows
 
 
-def run_workdist(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
+def run_workdist(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
     params = resolved["params"]
     n = params["n"]
     theta = params["theta"]
     initial = InitialSiteState(theta=theta)
+    rows: list[Row] = []
 
-    def worker(alpha: float) -> list[Row]:
-        config = ChainConfig(n, **chain, alpha=alpha)
-        distribution = tpm_distribution(config, initial)
-
-        def row(kind: str, work: float, value: float) -> Row:
-            return {
+    def add(alpha: float, kind: str, works: Sequence[float], values: Sequence[float]) -> None:
+        rows.extend(
+            {
                 "n_sites": n,
                 "alpha": alpha,
                 "theta": theta,
@@ -431,42 +403,37 @@ def run_workdist(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
                 "work": float(work),
                 "value": float(value),
             }
+            for work, value in zip(works, values)
+        )
 
-        rows = [
-            row("atom", w, p)
-            for w, p in zip(distribution.values, distribution.probabilities)
-        ]
+    for alpha in params["alphas"]:
+        distribution = tpm_distribution(ChainConfig(n, **chain, alpha=alpha), initial)
+        add(alpha, "atom", distribution.values, distribution.probabilities)
         if alpha == 1.0 or alpha == 0.0:
             points, densities = adaptive_density(distribution)
-            rows.extend(row("density", w, d) for w, d in zip(points, densities))
+            add(alpha, "density", points, densities)
             if alpha == 1.0:
                 # limit of the binomial ladder: centered Gaussian, variance
                 # equal to the squared first engineered bond
                 variance = float(pst_couplings(n, chain["coupling"])[0] ** 2)
-                reference = gaussian_density(points, variance)
-                rows.extend(row("gaussian", w, g) for w, g in zip(points, reference))
+                add(alpha, "gaussian", points, gaussian_density(points, variance))
             else:
-                reference = semicircle_density(points, chain["coupling"])
-                rows.extend(row("semicircle", w, s) for w, s in zip(points, reference))
+                add(alpha, "semicircle", points, semicircle_density(points, chain["coupling"]))
         else:
-            centers, densities = binned_histogram(distribution, params["bins"])
-            rows.extend(row("hist", c, d) for c, d in zip(centers, densities))
-        return rows
-
-    return _run_cells(params["alphas"], worker, threads)
+            add(alpha, "hist", *binned_histogram(distribution, params["bins"]))
+    return rows
 
 
-def run_bessel_compare(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
+def run_bessel_compare(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
-    params = resolved["params"]
-
-    def worker(n: int) -> list[Row]:
+    rows: list[Row] = []
+    for n in resolved["params"]["sites"]:
         config = ChainConfig(n, **chain, alpha=0.0)
         t = reflection_time(n, 0.0, chain["coupling"])
         decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), chain["field"]))
         f_discrete = abs(amplitude_spectral(decomposition, n, t).value)
         f_bessel = abs(amplitude_bessel_limit(n, chain["coupling"], t).value)
-        return [
+        rows.append(
             {
                 "n_sites": n,
                 "time": t,
@@ -474,12 +441,11 @@ def run_bessel_compare(resolved: dict[str, Any], threads: int = 1) -> list[Row]:
                 "f_bessel": f_bessel,
                 "diff": abs(f_discrete - f_bessel),
             }
-        ]
+        )
+    return rows
 
-    return _run_cells(params["sites"], worker, threads)
 
-
-_RUNNERS: dict[str, Callable[[dict[str, Any], int], list[Row]]] = {
+_RUNNERS: dict[str, Callable[[dict[str, Any]], list[Row]]] = {
     "transport-sweep": run_transport_sweep,
     "theta-sweep": run_theta_sweep,
     "disorder": run_disorder,
@@ -535,7 +501,7 @@ def write_manifest(path: Path, resolved: dict[str, Any], row_count: int) -> None
 
 
 def _threads(flag: int | None) -> int:
-    """--threads if given, else ERGOCHAIN_THREADS, else 1."""
+    """--threads if given, else ERGOCHAIN_THREADS, else 1; validated, selects no code path."""
     env = os.environ.get("ERGOCHAIN_THREADS", "").strip()
     name, raw = ("--threads", flag) if flag is not None else ("ERGOCHAIN_THREADS", env or "1")
     return _resolve_value(name, raw, int, _COUNT)
@@ -560,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: ERGOCHAIN_THREADS or 1); never affects output bytes",
+        help="accepted for compatibility: an integer >= 1 (default: ERGOCHAIN_THREADS or 1);"
+        " runs are serial and output bytes never depend on it",
     )
     return parser
 
@@ -569,9 +536,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _threads(args.threads)
+        _threads(args.threads)
         resolved = resolve_config(Path(args.config), args.scenario, args.seed, args.format)
-        rows = _RUNNERS[args.scenario](resolved, threads)
+        rows = _RUNNERS[args.scenario](resolved)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.format == "csv":

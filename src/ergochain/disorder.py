@@ -19,13 +19,12 @@ coherent encoding delivers more extractable work on average.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _validate
-from .chain import ChainConfig, build_hamiltonian, disordered_bonds
+from .chain import ChainConfig, _noisy_bonds, _seed, build_hamiltonian, interpolated_bonds
 from .dynamics import amplitude_spectral
 from .ergotropy import (
     erg_coherent,
@@ -79,24 +78,23 @@ def ensemble_fidelity(
     """Receiver fidelities F_k = min(|f_N(T)|^2, 1) over disorder draws.
 
     Entry k is realization k, drawn from the stream keyed by
-    (seed, k) and read out at the clean chain's reflection time T. Each
-    realization is diagonalized once; ``threads`` > 1 spreads the
-    realizations over a thread pool without changing any value.
+    (seed, k) and read out at the clean chain's reflection time T. The clean
+    bond profile is built once and each realization is diagonalized once, in
+    the calling thread. ``threads`` is validated (an integer >= 1) and kept
+    for callers that pass it; it changes neither the route nor any value.
     """
     n_realizations = _validate.integer("n_realizations", n_realizations, 1)
-    threads = _validate.integer("threads", threads, 1)
+    _validate.integer("threads", threads, 1)
+    seed = _seed(seed)
+    clean = interpolated_bonds(config)
     t = reflection_time(config.n_sites, config.alpha, config.coupling)
-
-    def one(realization: int) -> float:
-        bonds = disordered_bonds(config, seed, realization)
+    fidelities = []
+    for realization in range(n_realizations):
+        bonds = _noisy_bonds(clean, config.delta, seed, realization)
         decomposition = diagonalize(build_hamiltonian(bonds, config.field))
         f = amplitude_spectral(decomposition, config.n_sites, t)
-        return min(abs(f.value) ** 2, 1.0)
-
-    if threads == 1:
-        return np.array([one(r) for r in range(n_realizations)])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(one, range(n_realizations))))
+        fidelities.append(min(abs(f.value) ** 2, 1.0))
+    return np.array(fidelities)
 
 
 def ensemble_stats(
@@ -141,7 +139,8 @@ def ensemble_erg(
     coherent/mixed encodings see identical noise when called with the same
     seed, which makes paired comparisons sharp. To get both encodings from
     one set of eigensolves, call ``ensemble_fidelity`` once and
-    ``ensemble_stats`` per encoding.
+    ``ensemble_stats`` per encoding. ``threads`` is validated and passed on
+    to ``ensemble_fidelity``, which runs serially whatever its value.
     """
     erg_input(encoding, parameter, config.field)  # validates before any solve
     fidelities = ensemble_fidelity(config, n_realizations, seed, threads)

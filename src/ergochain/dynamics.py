@@ -24,9 +24,8 @@ import numpy as np
 from scipy.special import jv
 
 from . import _validate
-from .chain import gn_factor
 from .errors import InvalidInputError, NumericalFailureError
-from .spectral import SpectralDecomposition, krawtchouk
+from .spectral import SpectralDecomposition, _pst_ladder, krawtchouk
 
 __all__ = [
     "InitialSiteState",
@@ -170,9 +169,7 @@ def amplitude_pst_closed(
     coupling = _validate.positive("coupling", coupling)
     site = _validate.integer("site", site, 1, n)
     time = _validate.real("time", time)
-    gn = gn_factor(n)
-    k = np.arange(1, n + 1)
-    energies = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn
+    energies = _pst_ladder(n, coupling)
     overflow = NumericalFailureError(f"closed-form PST amplitude leaves the float range at N={n}")
     try:
         prefactor = (-1.0) ** (site - 1) * 0.5 ** (n - 1) * math.sqrt(math.comb(n - 1, site - 1))

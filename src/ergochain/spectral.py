@@ -205,6 +205,16 @@ def krawtchouk_table(m: int) -> KrawtchoukTable:
     return KrawtchoukTable(m=m, values=values)
 
 
+def _pst_ladder(n: int, coupling: float) -> np.ndarray:
+    """Hopping energies -(2J/N)(N - (2k-1)) G_N, k = 1..N, of the engineered chain.
+
+    The one evaluation order of the ladder: the closed-form spectrum, the
+    closed-form amplitude and the closed-form work atoms share its bits.
+    """
+    k = np.arange(1, n + 1)
+    return -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn_factor(n)
+
+
 def analytic_pst_spectrum(
     n_sites: int, coupling: float, field: float
 ) -> SpectralDecomposition:
@@ -223,9 +233,7 @@ def analytic_pst_spectrum(
     n = _validate.integer("n_sites", n_sites, 2)
     coupling = _validate.positive("coupling", coupling)
     field = _validate.positive("field", field)
-    gn = gn_factor(n)
-    k = np.arange(1, n + 1)
-    energies = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn - (n - 2) * field
+    energies = _pst_ladder(n, coupling) - (n - 2) * field
 
     try:
         weights = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _validate
-from .chain import ChainConfig, build_hamiltonian, gn_factor, interpolated_bonds
+from .chain import ChainConfig, build_hamiltonian, interpolated_bonds
 from .dynamics import InitialSiteState
 from .errors import InvalidInputError
-from .spectral import diagonalize
+from .spectral import _pst_ladder, diagonalize
 
 __all__ = [
     "WorkDistribution",
@@ -153,9 +153,7 @@ def pst_closed_distribution(
     coupling = _validate.positive("coupling", coupling)
     if not isinstance(initial, InitialSiteState):
         raise InvalidInputError("initial must be an InitialSiteState")
-    gn = gn_factor(n)
-    k = np.arange(1, n + 1)
-    work = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn
+    work = _pst_ladder(n, coupling)
     p_excited = initial.excited_population
     binomials = [1]  # C(N-1, j) by Pascal's multiplicative rule, exact in integers
     for j in range(n - 1):

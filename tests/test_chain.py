@@ -184,15 +184,6 @@ class TestBuildHamiltonian:
         assert h.n_sites == 7
         assert np.all(h.diagonal == -(7 - 2) * 2.0)
         assert np.array_equal(h.offdiagonal, bonds.values)
-        assert h.vacuum_energy == -7 * 2.0
-
-    def test_dense_matches(self):
-        cfg = ChainConfig(n_sites=5, coupling=1.0, field=1.0, alpha=0.4)
-        h = build_hamiltonian(interpolated_bonds(cfg), 1.0)
-        dense = h.as_dense()
-        assert np.array_equal(np.diag(dense), h.diagonal)
-        assert np.array_equal(np.diag(dense, 1), h.offdiagonal)
-        assert np.array_equal(dense, dense.T)
 
     def test_rejects_bad_field(self):
         bonds = BondSet(values=np.ones(3), alpha=None)

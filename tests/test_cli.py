@@ -5,11 +5,12 @@ import csv
 import json
 import math
 import sys
+import threading
 
 import jsonschema
 import pytest
 
-from ergochain import spectral
+from ergochain import ChainConfig, ensemble_fidelity, spectral
 from ergochain.cli import (
     OUTPUT_SCHEMA,
     SCENARIOS,
@@ -246,12 +247,12 @@ class TestDeterminism:
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Record every diagonalize call made through any ergochain namespace."""
+    """Record the thread of every diagonalize call made through any ergochain namespace."""
     calls = []
     original = spectral.diagonalize
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(threading.get_ident())
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -281,6 +282,25 @@ class TestOneSolvePerChain:
         rows = run_disorder(self._resolved(tmp_path, "disorder", DISORDER_INI))
         assert len(rows) == 2 * 2
         assert len(solve_calls) == 2 * 25
+
+
+class TestSerialExecution:
+    """Every eigensolve runs on the calling thread, whatever the thread count asks."""
+
+    def test_ensemble_fidelity(self, solve_calls):
+        config = ChainConfig(8, coupling=1.0, field=1.0, alpha=1.0, delta=0.1)
+        ensemble_fidelity(config, 12, seed=1, threads=4)
+        assert solve_calls == [threading.get_ident()] * 12
+
+    @pytest.mark.parametrize(
+        "scenario,config,solves",
+        [("disorder", DISORDER_INI, 2 * 25), ("transport-sweep", TRANSPORT_INI, 2 * 2)],
+        ids=["disorder", "transport-sweep"],
+    )
+    def test_cli(self, tmp_path, solve_calls, scenario, config, solves):
+        code, _ = _run(tmp_path, scenario, config, "--threads", "4")
+        assert code == 0
+        assert solve_calls == [threading.get_ident()] * solves
 
 
 class TestFailurePaths:

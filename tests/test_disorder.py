@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from ergochain import disorder
+from ergochain import chain, disorder
 from ergochain import (
     ChainConfig,
     EnsembleStats,
     InvalidInputError,
     MisuseError,
     UndefinedMetricError,
+    amplitude_spectral,
+    build_hamiltonian,
+    diagonalize,
+    disordered_bonds,
     ensemble_erg,
     ensemble_fidelity,
     ensemble_stats,
@@ -20,6 +24,7 @@ from ergochain import (
     erg_mixed,
     gamma_metric,
     reflection_fidelity,
+    reflection_time,
 )
 
 
@@ -42,6 +47,26 @@ class TestEnsembleDeterminism:
         serial = ensemble_erg(_config(), "mixed", 0.75, n_realizations=24, seed=3, threads=1)
         pooled = ensemble_erg(_config(), "mixed", 0.75, n_realizations=24, seed=3, threads=4)
         assert np.array_equal(serial.values, pooled.values)
+
+    def test_clean_profile_built_once_per_ensemble(self, monkeypatch):
+        # each realization is the single-chain readout of disordered_bonds(config, seed, k)
+        cfg = _config(n=9, delta=0.2, alpha=0.6)
+        t = reflection_time(cfg.n_sites, cfg.alpha, cfg.coupling)
+        expected = []
+        for k in range(10):
+            h = build_hamiltonian(disordered_bonds(cfg, 6, k), cfg.field)
+            f = amplitude_spectral(diagonalize(h), cfg.n_sites, t)
+            expected.append(min(abs(f.value) ** 2, 1.0))
+        calls = []
+        original = chain.pst_couplings
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(chain, "pst_couplings", counted)
+        assert ensemble_fidelity(cfg, 10, seed=6).tolist() == expected
+        assert len(calls) == 1
 
     def test_prefix_stability(self):
         # realization k is keyed by (seed, k), so a longer run extends the
