@@ -103,8 +103,8 @@ class BondSet:
 class SingleExcitationHamiltonian:
     """Symmetric tridiagonal single-excitation block.
 
-    ``diagonal`` has length N (constant -(N-2)*B) and ``offdiagonal`` length
-    N-1 (the bond strengths).
+    ``diagonal`` has length N >= 2 (constant -(N-2)*B) and ``offdiagonal``
+    length N-1 (the bond strengths); every entry is finite.
     """
 
     diagonal: np.ndarray
@@ -113,10 +113,12 @@ class SingleExcitationHamiltonian:
     def __post_init__(self) -> None:
         diag = np.asarray(self.diagonal, dtype=float)
         off = np.asarray(self.offdiagonal, dtype=float)
-        if diag.ndim != 1 or off.ndim != 1 or off.size != diag.size - 1:
+        if diag.ndim != 1 or off.ndim != 1 or diag.size < 2 or off.size != diag.size - 1:
             raise InvalidInputError(
-                "diagonal must be 1-D of length N and offdiagonal of length N-1"
+                "diagonal must be 1-D of length N >= 2 and offdiagonal of length N-1"
             )
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+            raise InvalidInputError("Hamiltonian entries must all be finite")
         diag.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "diagonal", diag)
@@ -169,15 +171,20 @@ def _seed(seed: int) -> int:
     return _validate.integer("seed", seed, -(2**63), 2**64 - 1)
 
 
-def _noisy_bonds(clean: BondSet, delta: float, seed: int, realization_index: int) -> BondSet:
-    """``clean`` scaled by (1 + d_j), d_j ~ U(-delta, +delta) from the (seed, index) stream.
+def _noise_factors(delta: float, seed: int, realization_index: int, size: int) -> np.ndarray:
+    """The factors (1 + d_j), d_j ~ U(-delta, +delta), drawn from the (seed, index) stream.
 
-    Takes a validated seed and index, so an ensemble builds ``clean`` once
-    and validates once.
+    Takes a validated seed and index, so an ensemble builds its clean
+    profile once and validates once.
     """
     rng = Generator(Philox(key=[seed, realization_index]))
-    noise = rng.uniform(-delta, delta, clean.n_sites - 1)
-    return BondSet(values=clean.values * (1.0 + noise), alpha=None, delta=delta)
+    return 1.0 + rng.uniform(-delta, delta, size)
+
+
+def _noisy_bonds(clean: BondSet, delta: float, seed: int, realization_index: int) -> BondSet:
+    """``clean`` scaled by the noise factors of the (seed, index) stream."""
+    factors = _noise_factors(delta, seed, realization_index, clean.n_sites - 1)
+    return BondSet(values=clean.values * factors, alpha=None, delta=delta)
 
 
 def disordered_bonds(config: ChainConfig, seed: int, realization_index: int) -> BondSet:

@@ -41,6 +41,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Sequence, get_args, get_origin
 
@@ -473,16 +474,39 @@ def write_rows_csv(path: Path, scenario: str, rows: list[Row]) -> None:
             writer.writerow(_format_cell(row[c]) for c in columns)
 
 
+def _json_value(value: Any) -> str:
+    """One row value as ``json.dumps`` writes it, except that NaN is null."""
+    if isinstance(value, float):
+        if value != value:
+            return "null"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_rows_json(path: Path, scenario: str, rows: list[Row]) -> None:
+    """The rows as ``json.dumps(rows, indent=2)`` writes them, NaN as null.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the rows
+    are joined here from the encoder's own pieces (``float.__repr__``,
+    ``int.__repr__``, ``encode_basestring_ascii``), each key escaped once.
+    """
     columns = _SCENARIOS[scenario].columns
-    sanitized = [
-        {
-            c: (None if isinstance(row[c], float) and math.isnan(row[c]) else row[c])
-            for c in columns
-        }
+    keys = [(f"    {encode_basestring_ascii(c)}: ", c) for c in columns]
+    items = [
+        "  {\n" + ",\n".join([key + _json_value(row[c]) for key, c in keys]) + "\n  }"
         for row in rows
     ]
-    path.write_text(json.dumps(sanitized, indent=2) + "\n")
+    path.write_text("[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n")
 
 
 def write_manifest(path: Path, resolved: dict[str, Any], row_count: int) -> None:

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _validate
-from .chain import ChainConfig, _noisy_bonds, _seed, build_hamiltonian, interpolated_bonds
-from .dynamics import amplitude_spectral
+from . import _validate, spectral
+from .chain import ChainConfig, _noise_factors, _seed, interpolated_bonds
 from .ergotropy import (
     erg_coherent,
     erg_input,
@@ -33,7 +32,6 @@ from .ergotropy import (
     reflection_time,
 )
 from .errors import InvalidInputError, MisuseError, UndefinedMetricError
-from .spectral import diagonalize
 
 __all__ = [
     "EnsembleStats",
@@ -42,6 +40,10 @@ __all__ = [
     "ensemble_erg",
     "gamma_metric",
 ]
+
+# eigenvectors held at once by ensemble_fidelity: 256 chains at N = 8, 16 at
+# N = 32, 1 at N = 128. Twice this raised the disorder bench's peak RSS by 1%.
+_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -79,22 +81,49 @@ def ensemble_fidelity(
 
     Entry k is realization k, drawn from the stream keyed by
     (seed, k) and read out at the clean chain's reflection time T. The clean
-    bond profile is built once and each realization is diagonalized once, in
-    the calling thread. ``threads`` is validated (an integer >= 1) and kept
-    for callers that pass it; it changes neither the route nor any value.
+    bond profile is built once. Each realization is one keyed draw into a
+    preallocated bond row and one LAPACK ``dstevd`` call, the driver
+    ``diagonalize`` uses. Everything else runs once per chunk of at most
+    ``_CHUNK_BYTES`` of eigenvectors (one chain, if one is larger). The
+    residual contract of ``diagonalize`` is checked on every chunk, so every
+    eigensolve is still guarded (NumericalFailureError).
+
+    The kernel skips the sign gauge: f_N(T) reads each eigenvector only
+    through v_k[1] v_k[N], which is the same bit for bit under a flip of
+    column k. So F_k equals the single-chain readout
+    ``amplitude_spectral(diagonalize(...), N, T)`` bit for bit. The modulus
+    stays a Python scalar, because ``np.abs`` on complex arrays can differ
+    from ``abs(complex)`` by an ulp.
+
+    Everything runs in the calling thread. ``threads`` is validated (an
+    integer >= 1) and kept for callers that pass it; it changes neither the
+    route nor any value.
     """
     n_realizations = _validate.integer("n_realizations", n_realizations, 1)
     _validate.integer("threads", threads, 1)
     seed = _seed(seed)
-    clean = interpolated_bonds(config)
-    t = reflection_time(config.n_sites, config.alpha, config.coupling)
-    fidelities = []
-    for realization in range(n_realizations):
-        bonds = _noisy_bonds(clean, config.delta, seed, realization)
-        decomposition = diagonalize(build_hamiltonian(bonds, config.field))
-        f = amplitude_spectral(decomposition, config.n_sites, t)
-        fidelities.append(min(abs(f.value) ** 2, 1.0))
-    return np.array(fidelities)
+    clean = interpolated_bonds(config).values  # validates config
+    n = config.n_sites
+    t = reflection_time(n, config.alpha, config.coupling)
+    diag = np.full(n, -(n - 2) * config.field)
+    chunk = min(n_realizations, max(1, _CHUNK_BYTES // (8 * n * n)))
+    bonds = np.empty((chunk, n - 1))
+    energies = np.empty((chunk, n))
+    vectors = np.empty((chunk, n, n))  # vectors[r, k] is eigenvector k of chain r
+    fidelities = np.empty(n_realizations)
+    for start in range(0, n_realizations, chunk):
+        rows = min(chunk, n_realizations - start)
+        for r in range(rows):
+            np.multiply(clean, _noise_factors(config.delta, seed, start + r, n - 1), out=bonds[r])
+            energies[r], columns = spectral._solve(diag, bonds[r])
+            vectors[r] = columns.T
+        spectral._check_residual(diag, bonds[:rows], energies[:rows], vectors[:rows])
+        weights = vectors[:rows, :, 0] * vectors[:rows, :, n - 1]
+        phases = np.exp(-1j * energies[:rows] * t)
+        for r in range(rows):
+            f = complex(np.sum(weights[r] * phases[r]))
+            fidelities[start + r] = min(abs(f) ** 2, 1.0)
+    return fidelities
 
 
 def ensemble_stats(

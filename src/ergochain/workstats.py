@@ -32,7 +32,7 @@ from . import _validate
 from .chain import ChainConfig, build_hamiltonian, interpolated_bonds
 from .dynamics import InitialSiteState
 from .errors import InvalidInputError
-from .spectral import _pst_ladder, diagonalize
+from .spectral import _check_residual, _pst_ladder, _solve
 
 __all__ = [
     "WorkDistribution",
@@ -123,19 +123,23 @@ def _merge_atoms(
 def tpm_distribution(config: ChainConfig, initial: InitialSiteState) -> WorkDistribution:
     """Two-point-measurement work distribution of the clean interpolated chain.
 
-    Fully numerical route: diagonalize, take W_k = E_k - E_site1 and weights
-    from the site-1 eigenvector components. The field cancels in every W_k.
+    Fully numerical route: one guarded eigensolve (the LAPACK call and
+    residual contract of ``diagonalize``), W_k = E_k - E_site1 and weights
+    from the site-1 eigenvector components. The weights are squares, so the
+    sign gauge is skipped. The field cancels in every W_k.
     """
     if not isinstance(config, ChainConfig):
         raise InvalidInputError("config must be a ChainConfig")
     if not isinstance(initial, InitialSiteState):
         raise InvalidInputError("initial must be an InitialSiteState")
     hamiltonian = build_hamiltonian(interpolated_bonds(config), config.field)
-    decomposition = diagonalize(hamiltonian)
+    diag, off = hamiltonian.diagonal, hamiltonian.offdiagonal
+    energies, vectors = _solve(diag, off)
+    _check_residual(diag, off, energies, vectors.T)
     p_excited = initial.excited_population
     # E_site1 = <1|H|1> is the constant diagonal
-    work = decomposition.energies - hamiltonian.diagonal[0]
-    weights = p_excited * decomposition.vectors[0, :] ** 2
+    work = energies - diag[0]
+    weights = p_excited * vectors[0, :] ** 2
     values = np.concatenate([[0.0], work])
     probabilities = np.concatenate([[1.0 - p_excited], weights])
     return _merge_atoms(values, probabilities, config.coupling)

@@ -13,6 +13,7 @@ from ergochain import (
     ChainConfig,
     InvalidConfigError,
     InvalidInputError,
+    SingleExcitationHamiltonian,
     build_hamiltonian,
     disordered_bonds,
     gn_factor,
@@ -191,6 +192,20 @@ class TestBuildHamiltonian:
             build_hamiltonian(bonds, 0.0)
         with pytest.raises(InvalidInputError):
             build_hamiltonian(bonds, -1.0)
+
+    @pytest.mark.parametrize(
+        "diagonal,offdiagonal",
+        [
+            ([1.0], []),
+            ([1.0, math.nan], [1.0]),
+            ([1.0, 2.0], [math.inf]),
+            ([1.0, 2.0, 3.0], [1.0]),
+        ],
+        ids=["one-site", "nan-diagonal", "inf-bond", "short-offdiagonal"],
+    )
+    def test_hamiltonian_rejects_what_no_chain_has(self, diagonal, offdiagonal):
+        with pytest.raises(InvalidInputError):
+            SingleExcitationHamiltonian(diagonal=np.array(diagonal), offdiagonal=np.array(offdiagonal))
 
 
 class TestBondSet:

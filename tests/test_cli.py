@@ -8,10 +8,13 @@ import sys
 import threading
 
 import jsonschema
+import numpy as np
 import pytest
 
 from ergochain import ChainConfig, ensemble_fidelity, spectral
 from ergochain.cli import (
+    _RUNNERS,
+    _SCENARIOS,
     OUTPUT_SCHEMA,
     SCENARIOS,
     config_hash,
@@ -20,6 +23,7 @@ from ergochain.cli import (
     run_disorder,
     run_theta_sweep,
     run_transport_sweep,
+    write_rows_json,
 )
 
 TRANSPORT_INI = """\
@@ -247,17 +251,22 @@ class TestDeterminism:
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Record the thread of every diagonalize call made through any ergochain namespace."""
+    """Record the thread of every LAPACK eigensolve, whichever route makes it.
+
+    ``diagonalize``, ``tpm_distribution`` and the ``ensemble_fidelity`` kernel
+    all solve through the one ``dstevd`` handle, so patching it in every
+    ergochain namespace that binds it counts every eigensolve.
+    """
     calls = []
-    original = spectral.diagonalize
+    original = spectral._stevd
 
     def counted(*args, **kwargs):
         calls.append(threading.get_ident())
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ergochain" and getattr(module, "diagonalize", None) is original:
-            monkeypatch.setattr(module, "diagonalize", counted)
+        if name.split(".")[0] == "ergochain" and getattr(module, "_stevd", None) is original:
+            monkeypatch.setattr(module, "_stevd", counted)
     return calls
 
 
@@ -377,3 +386,65 @@ def test_seed_beyond_the_generator_key_is_a_configuration_error(tmp_path, capsys
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert solve_calls == []
+
+
+def _json_dumps_rows(scenario, rows):
+    """The writer's former body: NaN to None, then ``json.dumps(indent=2)``."""
+    columns = _SCENARIOS[scenario].columns
+    sanitized = [
+        {
+            c: (None if isinstance(row[c], float) and math.isnan(row[c]) else row[c])
+            for c in columns
+        }
+        for row in rows
+    ]
+    return json.dumps(sanitized, indent=2) + "\n"
+
+
+SCENARIO_INIS = {
+    "transport-sweep": TRANSPORT_INI,
+    "theta-sweep": "[theta-sweep]\nsites = 3, 8\nalpha = 0.6\ntheta_count = 5\n",
+    "disorder": DISORDER_INI,
+    "workdist": WORKDIST_INI,
+    "bessel-compare": "[bessel-compare]\nsites = 6, 11\n",
+}
+
+
+class TestJsonRowWriter:
+    """``write_rows_json`` writes exactly the bytes of ``json.dumps(indent=2)``."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_rows_of_every_scenario(self, tmp_path, scenario):
+        config = _write(tmp_path, "run.ini", SCENARIO_INIS[scenario])
+        rows = _RUNNERS[scenario](resolve_config(config, scenario, 0, "json"))
+        assert rows
+        write_rows_json(tmp_path / "rows.json", scenario, rows)
+        assert (tmp_path / "rows.json").read_text() == _json_dumps_rows(scenario, rows)
+
+    def test_no_rows(self, tmp_path):
+        write_rows_json(tmp_path / "rows.json", "disorder", [])
+        assert (tmp_path / "rows.json").read_text() == _json_dumps_rows("disorder", []) == "[]\n"
+
+    def test_special_values(self, tmp_path):
+        values = [
+            math.nan, math.inf, -math.inf, -0.0, 1e-320, 0.1, np.float64(2.5), 2**70, -3,
+            True, False, None,
+            "plain", "caf\u00e9 \u2192 \U0001f600", 'say "hi"\\n\t\x01', "",
+        ]
+        columns = list(_SCENARIOS["disorder"].columns)
+        rows = [
+            {c: values[(i + j) % len(values)] for j, c in enumerate(columns)}
+            for i in range(len(values))
+        ]
+        write_rows_json(tmp_path / "rows.json", "disorder", rows)
+        text = (tmp_path / "rows.json").read_text()
+        assert text == _json_dumps_rows("disorder", rows)
+        assert "Infinity" in text and "-Infinity" in text and "NaN" not in text
+
+
+@pytest.mark.parametrize("scenario", ["disorder", "transport-sweep", "workdist"])
+def test_lapack_failure_exits_numerical(tmp_path, capsys, monkeypatch, scenario):
+    monkeypatch.setattr(spectral, "_stevd", lambda d, e: (d.copy(), np.eye(d.size), 1))
+    code, _ = _run(tmp_path, scenario, SCENARIO_INIS[scenario])
+    assert code == 3
+    assert "info = 1" in capsys.readouterr().err

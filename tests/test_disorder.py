@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ergochain import chain, disorder
+from ergochain import chain, disorder, spectral
 from ergochain import (
     ChainConfig,
     EnsembleStats,
     InvalidInputError,
     MisuseError,
+    NumericalFailureError,
     UndefinedMetricError,
     amplitude_spectral,
     build_hamiltonian,
@@ -23,6 +24,7 @@ from ergochain import (
     erg_coherent,
     erg_mixed,
     gamma_metric,
+    interpolated_bonds,
     reflection_fidelity,
     reflection_time,
 )
@@ -230,3 +232,113 @@ class TestStatsMapWholeSample:
         stats = ensemble_stats(config, encoding, parameter, fidelities)
         assert stats.values.tobytes() == expected.tobytes()
         assert len(calls) == 1
+
+
+def _parent_loop(config, n_realizations, seed):
+    """The per-realization loop the kernel replaced: the bit-for-bit oracle."""
+    clean = interpolated_bonds(config)
+    t = reflection_time(config.n_sites, config.alpha, config.coupling)
+    fidelities = []
+    for realization in range(n_realizations):
+        bonds = chain._noisy_bonds(clean, config.delta, seed, realization)
+        decomposition = diagonalize(build_hamiltonian(bonds, config.field))
+        f = amplitude_spectral(decomposition, config.n_sites, t)
+        fidelities.append(min(abs(f.value) ** 2, 1.0))
+    return np.array(fidelities)
+
+
+def _chunk(n):
+    return disorder._CHUNK_BYTES // (8 * n * n)
+
+
+class TestEnsembleKernel:
+    """The chunked kernel equals the per-realization loop bit for bit."""
+
+    SITES = [2, 3, 5, 8, 25, 32, 50, 128]
+
+    def test_chunk_sizes(self):
+        # 128 KB of eigenvectors per chunk; past N = 128 a chunk is one chain
+        assert [_chunk(n) for n in (8, 32, 128, 129)] == [256, 16, 1, 0]
+
+    @pytest.mark.parametrize("n", SITES)
+    def test_matches_parent_loop_on_the_grid(self, n):
+        # 10 realizations span several chunks from N = 50 on
+        for alpha in (0.0, 0.5, 1.0):
+            for delta in (0.0, 0.05, 0.2):
+                for seed in (0, 7, -1):
+                    cfg = _config(n=n, delta=delta, alpha=alpha)
+                    kernel = ensemble_fidelity(cfg, 10, seed)
+                    assert np.array_equal(kernel, _parent_loop(cfg, 10, seed)), (alpha, delta, seed)
+
+    @pytest.mark.parametrize("n", SITES)
+    def test_matches_parent_loop_across_chunk_boundaries(self, n):
+        # realization k depends only on (seed, k), so each count is a prefix of one oracle run
+        cfg = _config(n=n, delta=0.2, alpha=0.5)
+        chunk = _chunk(n)
+        counts = [1, chunk, chunk + 1, 150]
+        expected = _parent_loop(cfg, max(counts), 7)
+        for count in counts:
+            assert np.array_equal(ensemble_fidelity(cfg, count, 7), expected[:count]), count
+
+
+def _perturbed_stevd(monkeypatch):
+    """Scale every eigenvector's components on even sites by 1 + 1e-6.
+
+    Scaling whole eigenvectors would keep them eigenvectors. Scaling every
+    second site breaks H v = E v by about 1e-6 times a bond, 15 times the
+    residual bound at N = 128 and 900 times at N = 2.
+    """
+    original = spectral._stevd
+
+    def perturbed(*args, **kwargs):
+        energies, vectors, info = original(*args, **kwargs)
+        vectors[1::2, :] *= 1.0 + 1e-6
+        return energies, vectors, info
+
+    monkeypatch.setattr(spectral, "_stevd", perturbed)
+
+
+def _failing_stevd(monkeypatch):
+    """LAPACK reports failure (info = 1) with otherwise valid output."""
+    original = spectral._stevd
+
+    def failing(*args, **kwargs):
+        energies, vectors, _ = original(*args, **kwargs)
+        return energies, vectors, 1
+
+    monkeypatch.setattr(spectral, "_stevd", failing)
+
+
+class TestGuardedSolve:
+    """Every eigensolve is guarded, in the kernel and in ``diagonalize``."""
+
+    @pytest.mark.parametrize("break_solver", [_perturbed_stevd, _failing_stevd])
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    def test_ensemble_fidelity_raises(self, monkeypatch, break_solver, n):
+        break_solver(monkeypatch)
+        with pytest.raises(NumericalFailureError):
+            ensemble_fidelity(_config(n=n, delta=0.1), 5, seed=0)
+
+    @pytest.mark.parametrize("break_solver", [_perturbed_stevd, _failing_stevd])
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    def test_diagonalize_raises(self, monkeypatch, break_solver, n):
+        h = build_hamiltonian(disordered_bonds(_config(n=n, delta=0.1), 0, 0), 1.0)
+        break_solver(monkeypatch)
+        with pytest.raises(NumericalFailureError):
+            diagonalize(h)
+
+    def test_one_bad_realization_fails_its_chunk(self, monkeypatch):
+        # realization 3 of 40 is perturbed; it lies inside the first chunk at N = 8
+        original = spectral._stevd
+        calls = []
+
+        def perturbed(*args, **kwargs):
+            energies, vectors, info = original(*args, **kwargs)
+            if len(calls) == 3:
+                vectors[1::2, :] *= 1.0 + 1e-6
+            calls.append(None)
+            return energies, vectors, info
+
+        monkeypatch.setattr(spectral, "_stevd", perturbed)
+        with pytest.raises(NumericalFailureError):
+            ensemble_fidelity(_config(n=8, delta=0.1), 40, seed=0)

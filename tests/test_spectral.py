@@ -62,6 +62,63 @@ class TestDiagonalize:
         with pytest.raises(InvalidInputError):
             diagonalize(np.eye(3))
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 128, 500])
+    @pytest.mark.parametrize("alpha,delta", [(0.0, 0.0), (1.0, 0.0), (0.5, 0.2)])
+    def test_named_driver_matches_eigh_tridiagonal(self, n, alpha, delta):
+        # dstevd is what eigh_tridiagonal's "auto" picks, so the bits are the same
+        config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=alpha, delta=delta)
+        h = build_hamiltonian(disordered_bonds(config, seed=5, realization_index=n), 1.0)
+        energies, vectors = eigh_tridiagonal(h.diagonal, h.offdiagonal)
+        decomposition = diagonalize(h)
+        assert decomposition.energies.tobytes() == energies.tobytes()
+        assert decomposition.vectors.tobytes() == _fix_column_signs(vectors).tobytes()
+
+    def test_residual_bound_is_enforced(self):
+        h = _hamiltonian(16, 0.5)
+        diagonalize(h, rtol=1e-12)
+        with pytest.raises(NumericalFailureError) as info:
+            diagonalize(h, rtol=1e-20)
+        assert 0.0 < info.value.residual < 1e-12
+
+
+class TestCheckResidual:
+    """One residual contract, for one chain or a stack of chains."""
+
+    def _stack(self, n, count):
+        config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=0.5, delta=0.2)
+        diag = np.full(n, -(n - 2.0))
+        off = np.array([disordered_bonds(config, 1, k).values for k in range(count)])
+        solved = [spectral._solve(diag, row) for row in off]
+        energies = np.array([e for e, _ in solved])
+        vectors = np.array([v.T for _, v in solved])
+        return diag, off, energies, vectors
+
+    @pytest.mark.parametrize("n", [2, 9, 40])
+    def test_stack_passes_and_names_the_bad_chain(self, n):
+        diag, off, energies, vectors = self._stack(n, 4)
+        spectral._check_residual(diag, off, energies, vectors)
+        for k in range(4):
+            spectral._check_residual(diag, off[k], energies[k], vectors[k])
+        vectors[2, :, 1::2] *= 1.0 + 1e-6
+        with pytest.raises(NumericalFailureError) as stacked:
+            spectral._check_residual(diag, off, energies, vectors)
+        with pytest.raises(NumericalFailureError) as alone:
+            spectral._check_residual(diag, off[2], energies[2], vectors[2])
+        assert stacked.value.residual == pytest.approx(alone.value.residual, rel=1e-12)
+        keep = [0, 1, 3]
+        spectral._check_residual(diag, off[keep], energies[keep], vectors[keep])
+
+    def test_nan_fails(self):
+        diag, off, energies, vectors = self._stack(5, 2)
+        vectors[1, 0, 0] = np.nan
+        with pytest.raises(NumericalFailureError):
+            spectral._check_residual(diag, off, energies, vectors)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_stevd", lambda d, e: (d.copy(), np.eye(d.size), 2))
+        with pytest.raises(NumericalFailureError, match="info = 2"):
+            diagonalize(_hamiltonian(6, 0.5))
+
 
 def _fix_column_signs_loop(vectors):
     """Column-by-column gauge fix: the reference the vectorized pass must equal."""

@@ -11,9 +11,12 @@ from ergochain import (
     ChainConfig,
     InitialSiteState,
     InvalidInputError,
+    NumericalFailureError,
     WorkDistribution,
     adaptive_density,
     binned_histogram,
+    build_hamiltonian,
+    diagonalize,
     gaussian_density,
     interpolated_bonds,
     moments,
@@ -23,6 +26,7 @@ from ergochain import (
     tpm_distribution,
     uniform_closed_distribution,
 )
+from ergochain import spectral
 from ergochain.workstats import _merge_atoms
 
 FULL = InitialSiteState(theta=math.pi)
@@ -33,6 +37,36 @@ def _config(n, alpha, coupling=1.0, field=1.0):
 
 
 class TestTpmDistribution:
+    @pytest.mark.parametrize("n", [2, 3, 14, 64, 257])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_equals_the_gauge_fixed_route(self, n, alpha):
+        # the weights are squares, so skipping the sign gauge changes no bit
+        config = _config(n, alpha, coupling=1.3, field=0.7)
+        initial = InitialSiteState(theta=2.1)
+        h = build_hamiltonian(interpolated_bonds(config), config.field)
+        decomposition = diagonalize(h)
+        p = initial.excited_population
+        expected = _merge_atoms(
+            np.concatenate([[0.0], decomposition.energies - h.diagonal[0]]),
+            np.concatenate([[1.0 - p], p * decomposition.vectors[0, :] ** 2]),
+            config.coupling,
+        )
+        dist = tpm_distribution(config, initial)
+        assert dist.values.tobytes() == expected.values.tobytes()
+        assert dist.probabilities.tobytes() == expected.probabilities.tobytes()
+
+    def test_solve_is_guarded(self, monkeypatch):
+        original = spectral._stevd
+
+        def perturbed(*args):
+            energies, vectors, info = original(*args)
+            vectors[1::2, :] *= 1.0 + 1e-6
+            return energies, vectors, info
+
+        monkeypatch.setattr(spectral, "_stevd", perturbed)
+        with pytest.raises(NumericalFailureError):
+            tpm_distribution(_config(20, 0.5), FULL)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_normalized_and_sorted(self, alpha):
         dist = tpm_distribution(_config(14, alpha), InitialSiteState(theta=1.1))
