@@ -64,13 +64,11 @@ from .errors import (
     UndefinedMetricError,
 )
 from .spectral import (
-    KrawtchoukTable,
     SpectralDecomposition,
     analytic_pst_spectrum,
     analytic_uniform_spectrum,
     diagonalize,
     krawtchouk,
-    krawtchouk_table,
 )
 from .workstats import (
     WorkDistribution,
@@ -106,11 +104,9 @@ __all__ = [
     "build_hamiltonian",
     # spectral
     "SpectralDecomposition",
-    "KrawtchoukTable",
     "diagonalize",
     "analytic_uniform_spectrum",
     "krawtchouk",
-    "krawtchouk_table",
     "analytic_pst_spectrum",
     # dynamics
     "InitialSiteState",

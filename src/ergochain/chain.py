@@ -175,9 +175,10 @@ def _noise_factors(delta: float, seed: int, realization_index: int, size: int) -
     """The factors (1 + d_j), d_j ~ U(-delta, +delta), drawn from the (seed, index) stream.
 
     Takes a validated seed and index, so an ensemble builds its clean
-    profile once and validates once.
+    profile once and validates once. The key words are uint64, so seeds in
+    [2^63, 2^64) keep every bit and a negative seed is its two's complement.
     """
-    rng = Generator(Philox(key=[seed, realization_index]))
+    rng = Generator(Philox(key=np.array([seed % 2**64, realization_index], dtype=np.uint64)))
     return 1.0 + rng.uniform(-delta, delta, size)
 
 

@@ -16,7 +16,6 @@ spectral route by a global factor while the moduli agree.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,8 @@ from scipy.special import jv
 
 from . import _validate
 from .errors import InvalidInputError, NumericalFailureError
-from .spectral import SpectralDecomposition, _pst_ladder, krawtchouk
+from .chain import gn_factor
+from .spectral import SpectralDecomposition
 
 __all__ = [
     "InitialSiteState",
@@ -149,41 +149,55 @@ def amplitude_uniform_closed(
     return TransitionAmplitude(value=value, site=site, time=time)
 
 
+def _stirling_error(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n >= 1, to a few ulp (the series from 16 on)."""
+    if n < 16:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+    nn = 1.0 / (n * n)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
+
+
 def amplitude_pst_closed(
     n_sites: int, coupling: float, site: int, time: float
 ) -> TransitionAmplitude:
     """Closed-form f_site(time) for the engineered chain (hopping part only).
 
-    f_n(t) = (-1)^(n-1) 2^(1-N) sqrt(C(N-1, n-1))
-             sum_k K_{k-1}(n-1) exp(-i E_k t)
+    The chain is a spin-(N-1)/2 rotation, so with l = 2J G_N / N (half the
+    spacing of the ladder E_k = -(2J/N)(N - (2k-1)) G_N)
 
-    with the linear ladder E_k = -(2J/N)(N - (2k-1)) G_N. At the refocusing
-    time t = pi N/(4 J G_N) this gives |f_N| = 1 exactly.
+        f_n(t) = (-i)^(n-1) sqrt(C(N-1, n-1)) cos(lt)^(N-n) sin(lt)^(n-1),
 
-    Past N ~ 1030 the integers K and C overflow a float and 2^(1-N)
-    underflows, so such chains raise NumericalFailureError instead of
-    returning inf, NaN or a spurious zero. The prefactor is checked first,
-    so most such chains raise before the O(N^3) integer sum is spent.
+    and |f_N| = 1 at the refocusing time t = pi N/(4 J G_N). The modulus is
+    taken in log space, finite at any N: the binomial through Stirling's
+    formula and its error term (no N log N terms to cancel), the larger of
+    |cos|, |sin| through log1p of the smaller one's square. Against 50-digit
+    arithmetic it is within 7e-14 at N <= 5000 and 2e-13 at N = 20000
+    (edge, middle and end sites, at their peaks and at random times).
     """
     n = _validate.integer("n_sites", n_sites, 2)
     coupling = _validate.positive("coupling", coupling)
     site = _validate.integer("site", site, 1, n)
     time = _validate.real("time", time)
-    energies = _pst_ladder(n, coupling)
-    overflow = NumericalFailureError(f"closed-form PST amplitude leaves the float range at N={n}")
-    try:
-        prefactor = (-1.0) ** (site - 1) * 0.5 ** (n - 1) * math.sqrt(math.comb(n - 1, site - 1))
-        if prefactor == 0.0:
-            raise overflow
-        kraw = np.array([float(krawtchouk(kk, site - 1, n - 1)) for kk in range(n)])
-    except OverflowError as exc:
-        raise overflow from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(kraw * np.exp(-1j * energies * time))
-        value = complex(prefactor * total)
-    if not cmath.isfinite(value):
-        raise overflow
-    return TransitionAmplitude(value=value, site=site, time=time)
+    angle = (2.0 * coupling / n) * gn_factor(n) * time
+    if not math.isfinite(angle):
+        raise NumericalFailureError(f"closed-form PST amplitude: phase {angle} at t={time}")
+    cos, sin = math.cos(angle), math.sin(angle)
+    small = min(abs(cos), abs(sin))
+    log_small = math.log(small) if small else -math.inf
+    log_large = 0.5 * math.log1p(-small * small)
+    log_cos, log_sin = (log_small, log_large) if abs(cos) <= abs(sin) else (log_large, log_small)
+    m, x = n - 1, site - 1  # |f|^2 is the binomial(m, sin^2) probability of x
+    if x in (0, m):
+        log_modulus = m * (log_cos if x == 0 else log_sin)
+    else:
+        log_modulus = (
+            x * (log_sin - 0.5 * math.log(x / m))
+            + (m - x) * (log_cos - 0.5 * math.log((m - x) / m))
+            + 0.5 * (_stirling_error(m) - _stirling_error(x) - _stirling_error(m - x))
+            - 0.25 * math.log(2.0 * math.pi * x * (m - x) / m)
+        )
+    phase = (-1j) ** (x % 4) * math.copysign(1.0, cos) ** (m - x) * math.copysign(1.0, sin) ** x
+    return TransitionAmplitude(value=complex(phase * math.exp(log_modulus)), site=site, time=time)
 
 
 def amplitude_bessel_limit(site: int, coupling: float, time: float) -> TransitionAmplitude:

@@ -235,9 +235,7 @@ class TestSeedDomain:
         with pytest.raises(InvalidInputError):
             disordered_bonds(cfg, seed=0, realization_index=2**64)
 
-    # numpy keys seeds >= 2^63 through float64 and warns on the cast near 2^64
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
-    @pytest.mark.parametrize("seed", [0, 7, -1, -(2**63), 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 7, -1, -(2**63)])
     def test_accepted_seeds_keep_their_stream(self, seed):
         cfg = ChainConfig(n_sites=6, coupling=1.0, field=1.0, alpha=0.5, delta=0.2)
         noise = Generator(Philox(key=[seed, 3])).uniform(-0.2, 0.2, 5)
@@ -245,3 +243,16 @@ class TestSeedDomain:
         assert disordered_bonds(cfg, seed=seed, realization_index=3).values.tobytes() == (
             expected.tobytes()
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_seeds_past_int64_keep_all_their_bits(self):
+        cfg = ChainConfig(n_sites=6, coupling=1.0, field=1.0, alpha=0.5, delta=0.2)
+        clean = interpolated_bonds(cfg).values
+        streams = {}
+        for seed in (2**63, 2**63 + 1, 2**64 - 1, 0):
+            key = np.array([seed, 3], dtype=np.uint64)
+            expected = clean * (1.0 + Generator(Philox(key=key)).uniform(-0.2, 0.2, 5))
+            got = disordered_bonds(cfg, seed=seed, realization_index=3).values.tobytes()
+            assert got == expected.tobytes()
+            streams[seed] = got
+        assert len(set(streams.values())) == 4

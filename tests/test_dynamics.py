@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -21,11 +22,11 @@ from ergochain import (
     amplitude_uniform_closed,
     build_hamiltonian,
     diagonalize,
+    gn_factor,
     interpolated_bonds,
     reduced_state,
     reflection_time,
 )
-from ergochain import dynamics
 from ergochain.dynamics import _amplitude_grid
 from ergochain.spectral import krawtchouk
 
@@ -162,7 +163,7 @@ class TestClosedForms:
 
     @staticmethod
     def _pst_closed_oracle(n, coupling, site, time):
-        # the closed form without the float-range guard, operation for operation
+        # the Krawtchouk-sum closed form, exact integers rounded once, operation for operation
         gn = 1.0 if n % 2 == 0 else 1.0 / math.sqrt(1.0 - 1.0 / n**2)
         k = np.arange(1, n + 1)
         energies = -(2.0 * coupling / n) * (n - (2 * k - 1)) * gn
@@ -173,27 +174,70 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [2, 3, 9, 200, 1000])
     def test_pst_closed_unchanged_below_overflow(self, n):
+        # the float formula against the Krawtchouk sum it replaced: largest
+        # difference measured 6.7e-15 over this grid (N <= 1000)
         for site in sorted({1, 2, n}):
-            for t in (0.0, 1.7, math.pi * n / 4.0):
+            peak = math.asin(math.sqrt((site - 1) / (n - 1))) * n / (2.0 * 1.3 * gn_factor(n))
+            for t in (0.0, 1.7, math.pi * n / 4.0, peak):
                 got = amplitude_pst_closed(n, 1.3, site, t).value
-                assert got == self._pst_closed_oracle(n, 1.3, site, t)
+                assert abs(got - self._pst_closed_oracle(n, 1.3, site, t)) < 2e-13
 
     @pytest.mark.parametrize(
         "n, site",
         [
-            (1030, 1),  # sum overflows: NaN
+            (1030, 1),  # where the Krawtchouk sum overflowed: NaN
             (1030, 1030),
-            (1031, 1),  # K overflows a float
+            (1031, 1),  # where K overflowed a float
             (1031, 1031),
-            (1080, 61),  # K finite but 2^(1-N) underflows to 0
+            (1080, 61),  # where 2^(1-N) underflowed to 0
             (2000, 1),
             (2000, 2000),
         ],
     )
-    def test_pst_closed_raises_past_float_range(self, n, site):
-        t = reflection_time(n, 1.0, 1.0)
+    def test_pst_closed_finite_past_old_float_range(self, n, site):
+        value = amplitude_pst_closed(n, 1.0, site, reflection_time(n, 1.0, 1.0)).value
+        assert cmath.isfinite(value)
+        assert abs(value) == pytest.approx(1.0 if site == n else 0.0, abs=1e-12)
+
+    def test_pst_closed_raises_when_the_phase_overflows(self):
         with pytest.raises(NumericalFailureError):
-            amplitude_pst_closed(n, 1.0, site, t)
+            amplitude_pst_closed(4, 1e308, 2, 1e10)
+
+    @given(n=st.integers(2, 100_000), data=st.data(), t=st.floats(-1e4, 1e4))
+    @settings(max_examples=200, deadline=None)
+    def test_pst_closed_finite_and_bounded(self, n, data, t):
+        site = data.draw(st.integers(1, n))
+        value = amplitude_pst_closed(n, 1.0, site, t).value
+        assert cmath.isfinite(value) and abs(value) <= 1.0 + 1e-12
+
+    @given(n=st.integers(2, 2000), t=st.floats(0.0, 1e4))
+    @settings(max_examples=25, deadline=None)
+    def test_pst_closed_conserves_probability(self, n, t):
+        moduli = [abs(amplitude_pst_closed(n, 1.0, site, t).value) for site in range(1, n + 1)]
+        total = sum(m * m for m in moduli)
+        assert total == pytest.approx(1.0, abs=1e-11)
+
+    @staticmethod
+    def _mpmath_amplitude(mpmath, n, coupling, site, time):
+        # (-i)^(n-1) sqrt(C(N-1, n-1)) cos(lt)^(N-n) sin(lt)^(n-1), l = 2J G_N/N, 50 digits
+        with mpmath.workdps(50):
+            gn = 1 if n % 2 == 0 else 1 / mpmath.sqrt(1 - mpmath.mpf(1) / n**2)
+            angle = 2 * mpmath.mpf(coupling) * gn / n * mpmath.mpf(time)
+            modulus = mpmath.sqrt(mpmath.binomial(n - 1, site - 1))
+            modulus *= mpmath.cos(angle) ** (n - site) * mpmath.sin(angle) ** (site - 1)
+            return complex((-1j) ** ((site - 1) % 4) * complex(modulus))
+
+    @pytest.mark.parametrize("n", [9, 64, 1000, 2000, 5000])
+    def test_pst_closed_matches_50_digits(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        rate = 2.0 * gn_factor(n) / n
+        for site in sorted({1, 2, n // 4, (n + 1) // 2, n - 1, n}):
+            peak = math.asin(math.sqrt((site - 1) / (n - 1))) / rate
+            times = (reflection_time(n, 1.0, 1.0), peak, 1.01 * peak, *rng.uniform(0.0, 2.0 * n, 3))
+            for t in times:
+                got = amplitude_pst_closed(n, 1.0, site, float(t)).value
+                assert abs(got - self._mpmath_amplitude(mpmath, n, 1.0, site, float(t))) < 1e-13
 
 
 class TestBesselLimit:
@@ -286,17 +330,3 @@ class TestQubitState:
             QubitState(excited_population=0.1, coherence=0.4)
         with pytest.raises(InvalidInputError):
             QubitState(excited_population=1.3, coherence=0.0)
-
-
-@pytest.mark.parametrize("n, site", [(1100, 550), (2000, 1000)])
-def test_pst_closed_raises_before_the_krawtchouk_sum(monkeypatch, n, site):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return krawtchouk(*args)
-
-    monkeypatch.setattr(dynamics, "krawtchouk", counted)
-    with pytest.raises(NumericalFailureError):
-        amplitude_pst_closed(n, 1.0, site, reflection_time(n, 1.0, 1.0))
-    assert calls == []

@@ -21,7 +21,6 @@ from ergochain import (
     gn_factor,
     interpolated_bonds,
     krawtchouk,
-    krawtchouk_table,
 )
 from ergochain import spectral
 from ergochain.spectral import _fix_column_signs
@@ -192,6 +191,38 @@ class TestAnalyticUniform:
         assert np.max(np.abs(residual)) < 1e-13
 
 
+def _krawtchouk_table(m):
+    """All K_k(x), 0 <= k, x <= m, as exact integers (rows k) by the three-term recurrence.
+
+    The table the library used before its PST eigenvectors moved to floating
+    point; kept here as the exact oracle for them.
+    """
+    values = np.empty((m + 1, m + 1), dtype=object)
+    values[0] = 1
+    slope = np.array([m - 2 * x for x in range(m + 1)], dtype=object)
+    previous = 0  # K_{-1}
+    for k in range(m):
+        values[k + 1] = (slope * values[k] - (m - k + 1) * previous) // (k + 1)
+        previous = values[k]
+    return values
+
+
+def _integer_route_vectors(n):
+    """PST eigenvectors from exact integers: (-1)^(n-1) sqrt(w(n)) K_{k-1}(n-1), normalized.
+
+    The library's route before the float recurrence, operation for operation;
+    finite up to N ~ 1030.
+    """
+    weights = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
+    weights *= 0.5 ** (n - 1)
+    table = _krawtchouk_table(n - 1).astype(float)
+    vectors = np.sqrt(weights)[:, None] * table.T
+    vectors /= np.linalg.norm(vectors, axis=0)[None, :]
+    sites = np.arange(1, n + 1)
+    vectors *= np.where(sites % 2 == 1, 1.0, -1.0)[:, None]
+    return vectors
+
+
 class TestKrawtchouk:
     def test_edge_rows(self):
         m = 9
@@ -239,11 +270,11 @@ class TestKrawtchouk:
 
     def test_orthogonality_with_binomial_weight(self):
         m = 12
-        table = krawtchouk_table(m)
+        table = [[krawtchouk(k, x, m) for x in range(m + 1)] for k in range(m + 1)]
         for k in range(m + 1):
             for l in range(k, m + 1):
                 total = sum(
-                    math.comb(m, x) * table.values[k, x] * table.values[l, x]
+                    math.comb(m, x) * table[k][x] * table[l][x]
                     for x in range(m + 1)
                 )
                 expected = (2**m * math.comb(m, k)) if k == l else 0
@@ -251,23 +282,13 @@ class TestKrawtchouk:
 
     @pytest.mark.parametrize("m", [*range(41), 127])
     def test_table_matches_pointwise(self, m):
-        table = krawtchouk_table(m)
-        assert table.m == m and table.values.shape == (m + 1, m + 1)
+        # the oracle table behind the PST eigenvector tests
+        table = _krawtchouk_table(m)
+        assert table.shape == (m + 1, m + 1)
         for k in range(m + 1):
             for x in range(m + 1):
-                value = table.values[k, x]
+                value = table[k, x]
                 assert type(value) is int and value == krawtchouk(k, x, m)
-
-    def test_table_accepts_numpy_integer(self):
-        table = krawtchouk_table(np.int64(127))
-        assert table.m == 127 and type(table.m) is int
-        assert np.array_equal(table.values, krawtchouk_table(127).values)
-        assert all(type(value) is int for value in table.values.ravel())
-
-    def test_table_rejects_bad_size(self):
-        for m in (-1, 2.0, True):
-            with pytest.raises(InvalidInputError):
-                krawtchouk_table(m)
 
     def test_rejects_out_of_domain(self):
         for k, x, m in [(-1, 0, 3), (4, 0, 3), (0, -1, 3), (0, 4, 3), (0, 0, -1)]:
@@ -276,7 +297,8 @@ class TestKrawtchouk:
 
 
 class TestAnalyticPst:
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 15, 32, 64])
+    # 84 is the largest N at which both gauges pick the same sign for every column
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 15, 32, 64, 84])
     def test_matches_numerical(self, n):
         analytic = analytic_pst_spectrum(n, 1.0, 1.0)
         numerical = diagonalize(_hamiltonian(n, 1.0))
@@ -303,6 +325,23 @@ class TestAnalyticPst:
         gram = analytic.vectors.T @ analytic.vectors
         assert np.max(np.abs(gram - np.eye(20))) < 1e-13
 
+    @pytest.mark.parametrize("n", [*range(2, 41), 127, 128, 1000])
+    def test_matches_integer_route(self, n):
+        vectors = analytic_pst_spectrum(n, 1.0, 1.0).vectors
+        assert np.max(np.abs(vectors - _integer_route_vectors(n))) < 2e-14
+        assert np.all(vectors[0] > 0.0)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_gauges_differ_only_below_the_solver_threshold(self, n):
+        # diagonalize fixes the sign on the first component above 1e-12 of the
+        # column's largest; the closed form keeps row 1 positive
+        analytic = analytic_pst_spectrum(n, 1.0, 1.0).vectors
+        numerical = diagonalize(_hamiltonian(n, 1.0)).vectors
+        assert np.max(np.abs(np.abs(analytic) - np.abs(numerical))) < 1e-11
+        flipped = np.einsum("ij,ij->j", analytic, numerical) < 0.0
+        small = np.abs(analytic[0]) < 1e-12 * np.max(np.abs(analytic), axis=0)
+        assert flipped.any() and np.all(small[flipped])
+
     def test_mirror_alternation(self):
         # eigenvector k picks up (-1)^(k-1) under site reversal: the refocusing
         # mechanism behind perfect transfer
@@ -313,9 +352,20 @@ class TestAnalyticPst:
             assert np.max(np.abs(flipped - (-1.0) ** k * analytic.vectors[:, k])) < 1e-12
 
 
-def test_pst_spectrum_past_float_range_raises_before_building_the_table(monkeypatch):
-    calls = []
-    monkeypatch.setattr(spectral, "krawtchouk_table", lambda m: calls.append(m))
-    with pytest.raises(NumericalFailureError):
-        analytic_pst_spectrum(1100, 1.0, 1.0)
-    assert calls == []
+@pytest.mark.parametrize("n", [1100, 2000])
+def test_pst_spectrum_finite_past_the_old_float_range(n):
+    # the integer route overflowed a float past N ~ 1030
+    vectors = analytic_pst_spectrum(n, 1.0, 1.0).vectors
+    assert np.all(np.isfinite(vectors)) and np.all(vectors[0] >= 0.0)
+    assert np.max(np.abs(np.linalg.norm(vectors, axis=0) - 1.0)) < 1e-13
+    numerical = diagonalize(_hamiltonian(n, 1.0)).vectors
+    # the eigensolver's own error is about 2e-11 at N = 2000
+    assert np.max(np.abs(np.abs(vectors) - np.abs(numerical))) < 1e-10
+
+
+@given(n=st.integers(2, 2000))
+@settings(max_examples=12, deadline=None)
+def test_pst_spectrum_is_finite(n):
+    decomposition = analytic_pst_spectrum(n, 1.0, 1.0)
+    assert np.all(np.isfinite(decomposition.vectors))
+    assert np.all(np.isfinite(decomposition.energies))
