@@ -235,10 +235,13 @@ class TestSeedDomain:
         with pytest.raises(InvalidInputError):
             disordered_bonds(cfg, seed=0, realization_index=2**64)
 
-    @pytest.mark.parametrize("seed", [0, 7, -1, -(2**63)])
+    @pytest.mark.parametrize("seed", [0, 7, -1, -(2**63), 2**63, 2**64 - 1])
     def test_accepted_seeds_keep_their_stream(self, seed):
         cfg = ChainConfig(n_sites=6, coupling=1.0, field=1.0, alpha=0.5, delta=0.2)
-        noise = Generator(Philox(key=[seed, 3])).uniform(-0.2, 0.2, 5)
+        # Below 2^63 the stream is Philox(key=[seed, 3]) byte for byte; from
+        # 2^63 on that list key loses bits, so the expectation is the uint64 key.
+        key = [seed, 3] if seed < 2**63 else np.array([seed, 3], dtype=np.uint64)
+        noise = Generator(Philox(key=key)).uniform(-0.2, 0.2, 5)
         expected = interpolated_bonds(cfg).values * (1.0 + noise)
         assert disordered_bonds(cfg, seed=seed, realization_index=3).values.tobytes() == (
             expected.tobytes()
