@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _validate, spectral
-from .chain import ChainConfig, _noise_factors, _seed, interpolated_bonds
+from .chain import ChainConfig, _noise_factors, _noise_generator, _seed, interpolated_bonds
 from .ergotropy import (
     erg_coherent,
     erg_input,
@@ -81,19 +81,22 @@ def ensemble_fidelity(
 
     Entry k is realization k, drawn from the stream keyed by
     (seed, k) and read out at the clean chain's reflection time T. The clean
-    bond profile is built once. Each realization is one keyed draw into a
-    preallocated bond row and one LAPACK ``dstevd`` call, the driver
-    ``diagonalize`` uses. Everything else runs once per chunk of at most
-    ``_CHUNK_BYTES`` of eigenvectors (one chain, if one is larger). The
-    residual contract of ``diagonalize`` is checked on every chunk, so every
-    eigensolve is still guarded (NumericalFailureError).
+    bond profile and one Philox generator are built once. Each realization
+    re-keys that generator, draws into a preallocated bond row and makes one
+    LAPACK ``dstevd`` call, the driver ``diagonalize`` uses. Everything else
+    runs once per chunk of at most ``_CHUNK_BYTES`` of eigenvectors (one
+    chain, if one is larger). The residual contract of ``diagonalize`` is
+    checked on every chunk, so every eigensolve is still guarded
+    (NumericalFailureError).
 
     The kernel skips the sign gauge: f_N(T) reads each eigenvector only
     through v_k[1] v_k[N], which is the same bit for bit under a flip of
     column k. So F_k equals the single-chain readout
     ``amplitude_spectral(diagonalize(...), N, T)`` bit for bit. The modulus
     stays a Python scalar, because ``np.abs`` on complex arrays can differ
-    from ``abs(complex)`` by an ulp.
+    from ``abs(complex)`` by an ulp. The phase keeps the constant diagonal
+    -(N-2)B, so |f| carries the rounding bound stated in
+    ``amplitude_spectral`` (at most 1.4e-11 at N = 2000).
 
     Everything runs in the calling thread. ``threads`` is validated (an
     integer >= 1) and kept for callers that pass it; it changes neither the
@@ -111,10 +114,12 @@ def ensemble_fidelity(
     energies = np.empty((chunk, n))
     vectors = np.empty((chunk, n, n))  # vectors[r, k] is eigenvector k of chain r
     fidelities = np.empty(n_realizations)
+    rng = _noise_generator()
     for start in range(0, n_realizations, chunk):
         rows = min(chunk, n_realizations - start)
         for r in range(rows):
-            np.multiply(clean, _noise_factors(config.delta, seed, start + r, n - 1), out=bonds[r])
+            factors = _noise_factors(rng, config.delta, seed, start + r, n - 1)
+            np.multiply(clean, factors, out=bonds[r])
             energies[r], columns = spectral._solve(diag, bonds[r])
             vectors[r] = columns.T
         spectral._check_residual(diag, bonds[:rows], energies[:rows], vectors[:rows])

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from . import _validate
 from .errors import InvalidInputError, NumericalFailureError
@@ -86,7 +85,15 @@ class TransitionAmplitude:
 def amplitude_spectral(
     decomposition: SpectralDecomposition, site: int, time: float
 ) -> TransitionAmplitude:
-    """f_site(time) summed over the eigendecomposition. Works for any bonds."""
+    """f_site(time) summed over the eigendecomposition. Works for any bonds.
+
+    The constant diagonal -(N-2)B of the chain stays in the energies. It is
+    a global phase, but its rounding in E_k t moves |f|: against the same
+    sum with the diagonal removed, by at most 2.1e-12, 7.4e-12 and 1.4e-11
+    at N = 500, 1000 and 2000 (J = B = 1; clean and disordered chains at
+    alpha 0, 0.5 and 1; 61 times up to 1.2 reflection times). That is well
+    below N^2 eps (8.8e-10 at N = 2000).
+    """
     if not isinstance(decomposition, SpectralDecomposition):
         raise InvalidInputError("decomposition must be a SpectralDecomposition")
     site = _validate.integer("site", site, 1, decomposition.n_sites)
@@ -208,10 +215,15 @@ def amplitude_bessel_limit(site: int, coupling: float, time: float) -> Transitio
     Note the n=1 anomaly: at t=0 the two terms add to 2 instead of 1. The
     formula is intended for propagation away from the injection site and is
     reproduced verbatim, anomaly included.
+
+    ``scipy.special`` (for ``jv``) is imported on the first call, which costs
+    about 0.3 s once per process; importing ergochain does not load it.
     """
     site = _validate.integer("site", site, 1)
     coupling = _validate.positive("coupling", coupling)
     time = _validate.real("time", time)
+    from scipy.special import jv
+
     x = 2.0 * coupling * time
     value = complex(1j) ** (site - 1) * jv(site - 1, x)
     if site == 1:

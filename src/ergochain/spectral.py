@@ -3,8 +3,14 @@
 ``diagonalize`` calls LAPACK ``dstevd`` (the symmetric tridiagonal
 divide-and-conquer driver) and enforces a residual contract; the disorder
 kernel calls the same driver and checks the same contract on a stack of
-chains. For the two special bond families the spectrum is known in
-closed form:
+chains. The handle, ``_stevd``, comes from scipy's ``_flapack`` extension,
+which ``_load_stevd`` loads by itself: ``import scipy.linalg`` would run the
+package init, whose array-API layer imports ``numpy.testing`` and
+``numpy.f2py``, about 0.33 s of a 0.47 s ``import ergochain.cli``. Without
+it the import takes about 0.18 s (medians of 8 fresh interpreters, 2-core
+x86-64 host). The object is the one ``scipy.linalg.lapack.dstevd`` exports,
+so every output bit is scipy's. For the two special bond families the
+spectrum is known in closed form:
 
 * uniform bonds: E_k = -2J cos(k pi/(N+1)) - (N-2)B with sine-wave
   eigenvectors;
@@ -25,11 +31,15 @@ touching the spectrum.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstevd as _stevd
+import scipy
 
 from . import _validate
 from .chain import SingleExcitationHamiltonian, gn_factor
@@ -47,6 +57,38 @@ __all__ = [
 # an infinity-norm bound on H. Dense LAPACK solvers land around 1e-14 here, so
 # tripping this indicates genuine numerical trouble, not slack.
 RESIDUAL_RTOL = 1e-9
+
+
+def _load_stevd():
+    """LAPACK ``dstevd`` from scipy's ``_flapack`` extension, loaded on its own.
+
+    The extension is loaded from scipy's package directory under its real
+    name, ``scipy.linalg._flapack``, and registered in ``sys.modules``, so a
+    later ``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dstevd``
+    is this very object (``from scipy.linalg import _flapack`` finds it, but
+    the package gets no ``_flapack`` attribute, because the module was loaded
+    before it). A process that has loaded it already reuses it. A
+    missing extension raises ImportError naming the path; there is no other
+    route to the solver. ``import scipy`` (about 15 ms) stays: it locates the
+    package and runs scipy's distributor init, which on Windows wheels adds
+    the DLL directories the extension needs.
+    """
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack" + suffix)
+        if not os.path.isfile(path):
+            raise ImportError(f"LAPACK extension not found: {path}", name=name, path=path)
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+        flapack = importlib.util.module_from_spec(spec)
+        sys.modules[name] = flapack
+        loader.exec_module(flapack)
+    return flapack.dstevd
+
+
+_stevd = _load_stevd()
 
 
 @dataclass(frozen=True)
@@ -96,7 +138,10 @@ def _solve(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One call of LAPACK ``dstevd``, the driver scipy's tridiagonal eigensolver
     picks by default in scipy 1.17. It is named here, so a scipy that changes
-    its default cannot change the bits. A nonzero ``info`` raises
+    its default cannot change the bits. ``_stevd`` is scipy's own handle,
+    taken from its ``_flapack`` extension without importing ``scipy.linalg``
+    (see the module docstring), so the bundled LAPACK and BLAS are the ones
+    ``scipy.linalg`` would use. A nonzero ``info`` raises
     NumericalFailureError.
     """
     energies, vectors, info = _stevd(diag, off)
@@ -239,7 +284,8 @@ def _pst_vectors(n: int) -> np.ndarray:
     if n % 2:
         rows[-1, parity < 0] = 0.0  # the centre of an odd column
     np.multiply(rows[: n - half][::-1], parity, out=vectors[half:])
-    vectors /= np.linalg.norm(vectors, axis=0)
+    # the bits of np.linalg.norm(vectors, axis=0) without its (N, N) squares temporary
+    vectors /= np.sqrt(np.einsum("ij,ij->j", vectors, vectors))
     return vectors
 
 

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from ergochain import chain, disorder, spectral
 from ergochain import (
@@ -279,6 +282,57 @@ class TestEnsembleKernel:
         expected = _parent_loop(cfg, max(counts), 7)
         for count in counts:
             assert np.array_equal(ensemble_fidelity(cfg, count, 7), expected[:count]), count
+
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])
+    def test_extreme_seeds_draw_fresh_keyed_streams(self, seed):
+        # realization k is a new Philox keyed (seed mod 2^64, k), whichever generator
+        # drew before it; 300 realizations span two chunks at N = 8
+        cfg = _config(n=8, delta=0.2, alpha=0.5)
+        clean = interpolated_bonds(cfg).values
+        t = reflection_time(8, 0.5, 1.0)
+        expected = []
+        for k in range(300):
+            key = np.array([seed % 2**64, k], dtype=np.uint64)
+            noise = Generator(Philox(key=key)).uniform(-0.2, 0.2, 7)
+            bonds = chain.BondSet(values=clean * (1.0 + noise), alpha=None, delta=0.2)
+            f = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), 8, t).value
+            expected.append(min(abs(f) ** 2, 1.0))
+        assert np.array_equal(ensemble_fidelity(cfg, 300, seed), np.array(expected))
+
+    def test_one_generator_per_call(self, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return chain._noise_generator()
+
+        monkeypatch.setattr(disorder, "_noise_generator", counted)
+        ensemble_fidelity(_config(n=8, delta=0.2), 300, seed=3)
+        assert len(built) == 1
+
+    def test_concurrent_ensembles_match_serial_ones(self):
+        # each call re-keys a generator of its own, so threads cannot interleave draws
+        configs = [_config(n=8, delta=0.2, alpha=a) for a in (0.0, 0.3, 0.6, 1.0)]
+        serial = [ensemble_fidelity(cfg, 300, seed=11 + i) for i, cfg in enumerate(configs)]
+        results = [None] * len(configs)
+
+        def run(i):
+            results[i] = ensemble_fidelity(configs[i], 300, seed=11 + i)
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got, want)
 
 
 def _perturbed_stevd(monkeypatch):

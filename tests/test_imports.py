@@ -1,0 +1,79 @@
+"""Start-up cost: what importing ergochain loads, checked in fresh interpreters.
+
+A CLI study is a short process, so the packages an import pulls in are part
+of every run. These tests pin which heavy scipy subpackages stay unloaded;
+they assert no wall-clock times.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import scipy
+
+import ergochain
+from ergochain import spectral
+
+HEAVY = ("scipy.linalg", "scipy.special")
+
+
+def _fresh(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this ergochain."""
+    root = str(Path(ergochain.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": root if not path else root + os.pathsep + path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["ergochain", "ergochain.cli"])
+def test_import_leaves_linalg_and_special_unloaded(module):
+    code = f"import sys, {module}\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    assert _fresh(code) == "[]"
+
+
+def test_solver_is_scipys_dstevd():
+    import scipy.linalg.lapack
+
+    assert spectral._stevd is scipy.linalg.lapack.dstevd
+
+
+def test_solver_is_scipys_dstevd_when_scipy_linalg_comes_later():
+    code = (
+        "import sys\n"
+        "from ergochain import spectral\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "import scipy.linalg.lapack\n"
+        "print(spectral._stevd is scipy.linalg.lapack.dstevd)"
+    )
+    assert _fresh(code) == "True"
+
+
+def test_missing_extension_raises_naming_the_path(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    with pytest.raises(ImportError, match="_flapack") as raised:
+        spectral._load_stevd()
+    assert raised.value.path.startswith(str(tmp_path / "scipy" / "linalg" / "_flapack"))
+
+
+def test_first_bessel_call_loads_special_and_matches_jv():
+    code = (
+        "import struct, sys\n"
+        "from ergochain import amplitude_bessel_limit\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "value = amplitude_bessel_limit(4, 1.0, 3.0).value\n"
+        "from scipy.special import jv\n"
+        "expected = (1j) ** 3 * jv(3, 6.0)\n"
+        "print(struct.pack('dd', value.real, value.imag) == "
+        "struct.pack('dd', expected.real, expected.imag))"
+    )
+    assert _fresh(code) == "True"
+
