@@ -16,8 +16,11 @@ spectral route by a global factor while the moduli agree.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -103,10 +106,99 @@ def amplitude_spectral(
     return TransitionAmplitude(value=value, site=site, time=time)
 
 
+# Thread-count setter and getter of a bundled OpenBLAS, in the order tried:
+# scipy-openblas wheels (64-bit integers, then 32-bit), then plain OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _numpy_openblas_threads():
+    """(setter, getter) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    The library is the one in the wheel's ``numpy.libs`` directory; numpy has
+    mapped it already, so ``CDLL`` returns that copy and loads nothing new.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: numpy's BLAS products inside it run on one OpenBLAS thread.
+
+    numpy and scipy each bundle an OpenBLAS with its own thread pool, and each
+    pool's worker spins for a while after a threaded call. On a 2-core host a
+    threaded numpy product therefore competes with scipy's worker still
+    spinning from the eigensolve. Right after a solve, the N = 256 window
+    product took a median 4.5 ms on one thread against 6.7-31 ms on two, and
+    at N = 1000 35-37 ms against 47-72 ms (20 calls each, two runs, 2-core
+    x86-64 host). One thread also makes the product's bits independent of
+    ``OPENBLAS_NUM_THREADS``; on two, windows from N = 130 on can differ in
+    the last bits (by up to 6e-16).
+
+    The first caller to enter saves numpy's thread count and sets it to 1;
+    the last to leave restores it, after an exception too. A lock and a depth
+    counter make this hold for nested and concurrent callers, so the count
+    can neither stay at 1 nor be restored under another caller's product.
+    The library is looked up on first entry, not at import. When numpy's
+    BLAS is not a bundled OpenBLAS with these symbols (a source build against
+    another BLAS, a wheel laid out differently), entering does nothing and
+    the products run on that BLAS's own threads. scipy's OpenBLAS, which
+    runs the eigensolves, is never touched.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._resolved = False
+        self._api = None
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._resolved:
+                self._api = _numpy_openblas_threads()
+                self._resolved = True
+            if self._api is not None and self._depth == 0:
+                setter, getter = self._api
+                self._saved = getter()
+                setter(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._api is not None and self._depth == 0:
+                self._api[0](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def amplitude_profile(
     decomposition: SpectralDecomposition, site: int, times: np.ndarray
 ) -> np.ndarray:
-    """Vectorized f_site(t) over an array of times (same sum as amplitude_spectral)."""
+    """Vectorized f_site(t) over an array of times (same sum as amplitude_spectral).
+
+    The (T, N) phase matrix times the weight vector is one BLAS product, run
+    on one thread of numpy's OpenBLAS (``_OneBlasThread``), so its bits do
+    not depend on ``OPENBLAS_NUM_THREADS``.
+    """
     if not isinstance(decomposition, SpectralDecomposition):
         raise InvalidInputError("decomposition must be a SpectralDecomposition")
     site = _validate.integer("site", site, 1, decomposition.n_sites)
@@ -114,7 +206,9 @@ def amplitude_profile(
     if times.ndim != 1:
         raise InvalidInputError("times must be a 1-D array")
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
-    return np.exp(-1j * np.outer(times, decomposition.energies)) @ weights
+    phases = np.exp(-1j * np.outer(times, decomposition.energies))
+    with _one_blas_thread:
+        return phases @ weights
 
 
 def _amplitude_grid(
@@ -125,7 +219,9 @@ def _amplitude_grid(
     With B = ceil(sqrt(count)) and i = b B + j, each phase factors as
     exp(-i E (j+1) step) exp(-i E b B step). So (B + G) N exponentials and one
     (G, N) @ (N, B) product replace the (count, N) phase matrix of
-    ``amplitude_profile``, and memory is O(N sqrt(count)).
+    ``amplitude_profile``, and memory is O(N sqrt(count)). The product runs
+    on one thread of numpy's OpenBLAS (``_OneBlasThread``): it is faster so
+    on a 2-core host, and its bits do not depend on ``OPENBLAS_NUM_THREADS``.
     """
     energies = decomposition.energies
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
@@ -133,7 +229,9 @@ def _amplitude_grid(
     blocks = -(-count // block)
     near = np.exp(-1j * np.outer(np.arange(1, block + 1) * step, energies)) * weights
     far = np.exp(-1j * np.outer(np.arange(blocks) * (block * step), energies))
-    return (far @ near.T).ravel()[:count]
+    with _one_blas_thread:
+        product = far @ near.T
+    return product.ravel()[:count]
 
 
 def amplitude_uniform_closed(

@@ -221,7 +221,10 @@ def erg_max_window(
     ``amplitude_profile`` builds. Both routes round each phase E t at the
     scale eps max|E| horizon; against a 40-digit reference on the same
     decomposition both stay within about 1e-13 of F at N = 256 and 6e-13 at
-    N = 1000 (uniform chain, J = B = 1, horizon 0.7 N/J).
+    N = 1000 (uniform chain, J = B = 1, horizon 0.7 N/J). The product runs on
+    one thread of numpy's OpenBLAS (see ``dynamics._OneBlasThread``), so the
+    window's bits do not depend on ``OPENBLAS_NUM_THREADS``; the eigensolve
+    keeps scipy's default thread count.
     """
     erg_input(encoding, parameter, config.field)  # validates before the solve
     horizon = _validate.positive("horizon", horizon)

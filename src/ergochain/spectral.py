@@ -8,9 +8,9 @@ which ``_load_stevd`` loads by itself: ``import scipy.linalg`` would run the
 package init, whose array-API layer imports ``numpy.testing`` and
 ``numpy.f2py``, about 0.33 s of a 0.47 s ``import ergochain.cli``. Without
 it the import takes about 0.18 s (medians of 8 fresh interpreters, 2-core
-x86-64 host). The object is the one ``scipy.linalg.lapack.dstevd`` exports,
-so every output bit is scipy's. For the two special bond families the
-spectrum is known in closed form:
+x86-64 host). It calls the same Fortran routine as
+``scipy.linalg.lapack.dstevd``, so every output bit is scipy's. For the two
+special bond families the spectrum is known in closed form:
 
 * uniform bonds: E_k = -2J cos(k pi/(N+1)) - (N-2)B with sine-wave
   eigenvectors;
@@ -58,24 +58,31 @@ __all__ = [
 # tripping this indicates genuine numerical trouble, not slack.
 RESIDUAL_RTOL = 1e-9
 
+# Bytes of each of the two temporaries of one ``_check_residual`` block. Not
+# below the disorder kernel's 128 KB chunk of eigenvectors, so the kernel
+# checks each chunk in one pass.
+_RESIDUAL_BLOCK_BYTES = 256 * 1024
+
 
 def _load_stevd():
     """LAPACK ``dstevd`` from scipy's ``_flapack`` extension, loaded on its own.
 
-    The extension is loaded from scipy's package directory under its real
-    name, ``scipy.linalg._flapack``, and registered in ``sys.modules``, so a
-    later ``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dstevd``
-    is this very object (``from scipy.linalg import _flapack`` finds it, but
-    the package gets no ``_flapack`` attribute, because the module was loaded
-    before it). A process that has loaded it already reuses it. A
+    A process that has imported ``scipy.linalg._flapack`` already reuses it.
+    Otherwise the extension file in scipy's package directory is loaded
+    under the private name ``ergochain._flapack``. Under scipy's own name it
+    would sit in ``sys.modules`` before its package existed, and a later
+    ``import scipy.linalg`` would then leave ``scipy.linalg._flapack``
+    unset. Both modules come from the one shared library, so ``dstevd`` is
+    the same Fortran routine that ``scipy.linalg.lapack.dstevd`` calls (the
+    two capsule pointers are equal) and every output bit is scipy's. A
     missing extension raises ImportError naming the path; there is no other
     route to the solver. ``import scipy`` (about 15 ms) stays: it locates the
     package and runs scipy's distributor init, which on Windows wheels adds
     the DLL directories the extension needs.
     """
-    name = "scipy.linalg._flapack"
-    flapack = sys.modules.get(name)
+    flapack = sys.modules.get("scipy.linalg._flapack")
     if flapack is None:
+        name = "ergochain._flapack"
         suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
         path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack" + suffix)
         if not os.path.isfile(path):
@@ -83,7 +90,6 @@ def _load_stevd():
         loader = importlib.machinery.ExtensionFileLoader(name, path)
         spec = importlib.util.spec_from_file_location(name, path, loader=loader)
         flapack = importlib.util.module_from_spec(spec)
-        sys.modules[name] = flapack
         loader.exec_module(flapack)
     return flapack.dstevd
 
@@ -95,9 +101,15 @@ _stevd = _load_stevd()
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors (as columns).
 
-    ``energies[k]`` pairs with column ``vectors[:, k]``. Every column's first
-    nonvanishing component is positive, which fixes the overall sign freedom
-    and makes decompositions from different routes directly comparable.
+    ``energies[k]`` pairs with column ``vectors[:, k]``. The class leaves
+    column signs as given; the routes that build one fix them. The closed
+    forms make each column's first component positive, ``diagonalize`` its
+    first component above 1e-12 of the column's largest. So the routes agree
+    column by column for uniform bonds, and for engineered bonds up to
+    N = 84; past that, columns whose first component is below the threshold
+    can differ in sign (6 of 128 at N = 128, see the module docstring).
+    Sign-free products such as v_k[1] v_k[n] agree on every route up to
+    rounding.
     """
 
     energies: np.ndarray
@@ -138,8 +150,8 @@ def _solve(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One call of LAPACK ``dstevd``, the driver scipy's tridiagonal eigensolver
     picks by default in scipy 1.17. It is named here, so a scipy that changes
-    its default cannot change the bits. ``_stevd`` is scipy's own handle,
-    taken from its ``_flapack`` extension without importing ``scipy.linalg``
+    its default cannot change the bits. ``_stevd`` calls scipy's own routine,
+    from its ``_flapack`` extension loaded without importing ``scipy.linalg``
     (see the module docstring), so the bundled LAPACK and BLAS are the ones
     ``scipy.linalg`` would use. A nonzero ``info`` raises
     NumericalFailureError.
@@ -164,17 +176,26 @@ def _check_residual(
     (..., N-1), and ``diag`` is (N,) or (..., N). Each chain's worst residual
     must not exceed ``rtol`` times max(1, its infinity-norm bound on H); a
     NaN fails too. The error names the first failing chain.
+
+    (H - E_k) v_k is formed for a block of k at a time; each of the block's
+    two temporaries holds at most ``_RESIDUAL_BLOCK_BYTES`` (or one k row of
+    the stack), so the check adds no (N, N) array to the solve's two. Each
+    k's squared norm is the same sum whatever the block, so the residuals
+    do not depend on the block size.
     """
     bonds = off[..., None, :]
-    out = diag[..., None, :] - energies[..., :, None]  # (H - E_k) v_k, one row per k
-    out *= vectors
-    shifted = bonds * vectors[..., 1:]
-    out[..., :-1] += shifted
-    np.multiply(bonds, vectors[..., :-1], out=shifted)
-    out[..., 1:] += shifted
-    del shifted
-    squares = np.einsum("...ki,...ki->...k", out, out)
-    del out
+    squares = np.empty(energies.shape)
+    rows = max(1, _RESIDUAL_BLOCK_BYTES // (8 * vectors[..., 0, :].size))
+    for start in range(0, energies.shape[-1], rows):
+        block = slice(start, start + rows)
+        v = vectors[..., block, :]
+        out = diag[..., None, :] - energies[..., block, None]  # (H - E_k) v_k, one row per k
+        out *= v
+        shifted = bonds * v[..., 1:]
+        out[..., :-1] += shifted
+        np.multiply(bonds, v[..., :-1], out=shifted)
+        out[..., 1:] += shifted
+        np.einsum("...ki,...ki->...k", out, out, out=squares[..., block])
     residual = np.ravel(np.sqrt(np.max(squares, axis=-1)))
     # |d_i| + |e_(i-1)| + |e_i|: the infinity norm of each H
     row_sums = np.abs(np.broadcast_to(diag, energies.shape))

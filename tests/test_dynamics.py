@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from ergochain import (
     reduced_state,
     reflection_time,
 )
+from ergochain import dynamics
 from ergochain.dynamics import _amplitude_grid
 from ergochain.spectral import krawtchouk
 
@@ -118,6 +124,200 @@ class TestAmplitudeGrid:
                 rtol=0.0,
                 atol=1e-13,
             )
+
+
+# erg_max_window's window at N = 131 (horizon 0.7N/J, step 0.01/J): with the
+# product on OpenBLAS's default thread count, its bits differ between one and
+# two threads, while the eigensolve's do not.
+WINDOW_BYTES = """
+import hashlib, math
+import numpy as np
+from ergochain import ChainConfig, erg_max_window, dynamics, diagonalize
+from ergochain import build_hamiltonian, interpolated_bonds
+n = 131
+config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=0.0)
+record = erg_max_window(config, "coherent", math.pi / 2, 0.7 * n, 0.01)
+decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), 1.0))
+count = int(round(0.7 * n / 0.01))
+window = dynamics._amplitude_grid(decomposition, n, 0.01, count)
+profile = dynamics.amplitude_profile(decomposition, n, np.arange(1, count + 1) * 0.01)
+digest = hashlib.sha256(repr(record).encode() + window.tobytes() + profile.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _window_digest(blas_threads: str) -> str:
+    root = str(Path(dynamics.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": root if not path else root + os.pathsep + path,
+        "OPENBLAS_NUM_THREADS": blas_threads,
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", WINDOW_BYTES], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class _FakeThreads:
+    """A thread-count setter and getter that records every value set."""
+
+    def __init__(self, count):
+        self.count = count
+        self.history = []
+
+    def set(self, count):
+        self.count = count
+        self.history.append(count)
+
+    def get(self):
+        return self.count
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS (setter, getter), its count set to 2 for the test."""
+    api = dynamics._numpy_openblas_threads()
+    if api is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    setter, getter = api
+    before = getter()
+    setter(2)
+    try:
+        yield setter, getter
+    finally:
+        setter(before)
+
+
+class TestOneBlasThread:
+    """The window and profile products run on one thread of numpy's OpenBLAS."""
+
+    def test_window_bytes_do_not_depend_on_blas_threads(self):
+        assert _window_digest("1") == _window_digest("2")
+
+    def test_count_restored_after_products(self, monkeypatch, two_blas_threads):
+        setter, getter = two_blas_threads
+        history = []
+
+        def recording_setter(count):
+            history.append(count)
+            setter(count)
+
+        monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: (recording_setter, getter))
+        monkeypatch.setattr(dynamics, "_one_blas_thread", dynamics._OneBlasThread())
+        decomposition = _decomposition(131, 0.0)
+        _amplitude_grid(decomposition, 131, 0.01, 9170)
+        amplitude_profile(decomposition, 131, np.arange(1, 101) * 0.1)
+        assert history == [1, 2, 1, 2]
+        assert getter() == 2
+
+    def test_count_restored_after_an_exception(self, two_blas_threads):
+        _, getter = two_blas_threads
+        with pytest.raises(ZeroDivisionError):
+            with dynamics._one_blas_thread:
+                assert getter() == 1
+                1 / 0
+        assert getter() == 2
+
+    def test_concurrent_callers_restore_once_the_last_leaves(self, two_blas_threads):
+        _, getter = two_blas_threads
+        guard = dynamics._OneBlasThread()
+        first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+        inside = {}
+
+        def first():
+            with guard:
+                first_in.set()
+                second_in.wait(10)
+            first_out.set()
+
+        def second():
+            first_in.wait(10)
+            with guard:
+                second_in.set()
+                first_out.wait(10)
+                inside["after_first_left"] = getter()
+
+        workers = [threading.Thread(target=first), threading.Thread(target=second)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        assert inside == {"after_first_left": 1}
+        assert getter() == 2
+
+    def test_stress_never_leaves_the_pool_at_one(self, monkeypatch):
+        fake = _FakeThreads(7)
+        guard = dynamics._OneBlasThread()
+        monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: (fake.set, fake.get))
+        wrong = []
+
+        def run():
+            for _ in range(300):
+                with guard:
+                    if fake.get() != 1:
+                        wrong.append(fake.get())
+
+        workers = [threading.Thread(target=run) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
+        assert fake.count == 7
+        assert fake.history[::2] == [1] * (len(fake.history) // 2)
+        assert fake.history[1::2] == [7] * (len(fake.history) // 2)
+
+    def test_nested_entries_set_and_restore_once(self, monkeypatch):
+        fake = _FakeThreads(3)
+        guard = dynamics._OneBlasThread()
+        monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: (fake.set, fake.get))
+        with guard:
+            with guard:
+                assert fake.count == 1
+            assert fake.count == 1
+        assert fake.history == [1, 3]
+
+    def test_library_is_resolved_on_first_entry_only(self, monkeypatch):
+        lookups = []
+        monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: lookups.append(1))
+        guard = dynamics._OneBlasThread()
+        assert lookups == []
+        for _ in range(3):
+            with guard:
+                pass
+        assert lookups == [1]
+
+    @pytest.mark.parametrize("n", [33, 131])
+    def test_products_run_when_the_setter_is_missing(self, monkeypatch, n):
+        decomposition = _decomposition(n, 0.0)
+        count = 70 * n
+        times = np.arange(1, count + 1) * 0.01
+        pinned = (
+            _amplitude_grid(decomposition, n, 0.01, count),
+            amplitude_profile(decomposition, n, times),
+        )
+        monkeypatch.setattr(dynamics, "_OPENBLAS_THREAD_SYMBOLS", (("no_set", "no_get"),))
+        monkeypatch.setattr(dynamics, "_one_blas_thread", dynamics._OneBlasThread())
+        fallback = (
+            _amplitude_grid(decomposition, n, 0.01, count),
+            amplitude_profile(decomposition, n, times),
+        )
+        assert dynamics._numpy_openblas_threads() is None
+        for got, want in zip(fallback, pinned):
+            if n == 33:  # at this size both products have the same bits on 1 and 2 threads
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 class TestClosedForms:

@@ -39,19 +39,44 @@ def test_import_leaves_linalg_and_special_unloaded(module):
     assert _fresh(code) == "[]"
 
 
+# The Fortran routine an f2py handle calls: the pointer in its ``_cpointer`` capsule.
+ROUTINE = (
+    "import ctypes\n"
+    "get = ctypes.pythonapi.PyCapsule_GetPointer\n"
+    "get.argtypes, get.restype = [ctypes.py_object, ctypes.c_char_p], ctypes.c_void_p\n"
+    "def routine(handle):\n"
+    "    return get(handle._cpointer, None)\n"
+)
+
+
 def test_solver_is_scipys_dstevd():
     import scipy.linalg.lapack
 
-    assert spectral._stevd is scipy.linalg.lapack.dstevd
+    namespace = {}
+    exec(ROUTINE, namespace)
+    routine = namespace["routine"]
+    assert routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd)
 
 
 def test_solver_is_scipys_dstevd_when_scipy_linalg_comes_later():
-    code = (
+    code = ROUTINE + (
         "import sys\n"
         "from ergochain import spectral\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         "import scipy.linalg.lapack\n"
-        "print(spectral._stevd is scipy.linalg.lapack.dstevd)"
+        "print(routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd))"
+    )
+    assert _fresh(code) == "True"
+
+
+@pytest.mark.parametrize(
+    "first,second", [("ergochain", "scipy.linalg"), ("scipy.linalg", "ergochain")]
+)
+def test_scipy_linalg_keeps_its_flapack_attribute(first, second):
+    code = (
+        f"import {first}, {second}\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg._flapack is scipy.linalg.lapack._flapack)"
     )
     assert _fresh(code) == "True"
 

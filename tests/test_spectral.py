@@ -113,6 +113,56 @@ class TestCheckResidual:
         with pytest.raises(NumericalFailureError):
             spectral._check_residual(diag, off, energies, vectors)
 
+    @pytest.mark.parametrize("n", [2, 9, 40, 300])
+    def test_block_size_changes_no_residual(self, monkeypatch, n):
+        # blocks of one k row, of a few rows, and the whole stack in one pass
+        diag, off, energies, vectors = self._stack(n, 3)
+        vectors[1, :, 1::2] *= 1.0 + 1e-6
+        def outcome(*args):
+            try:
+                spectral._check_residual(*args)
+            except NumericalFailureError as error:
+                return str(error), error.residual
+            return None
+
+        outcomes = []
+        for block_bytes in (1, 8 * 3 * n * 4, 1 << 40):
+            monkeypatch.setattr(spectral, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+            verdicts = [outcome(diag, off[[0, 2]], energies[[0, 2]], vectors[[0, 2]])]
+            for rtol in (spectral.RESIDUAL_RTOL, 1e-30):
+                verdicts.append(outcome(diag, off, energies, vectors, rtol))
+                verdicts += [outcome(diag, off[k], energies[k], vectors[k], rtol) for k in range(3)]
+            outcomes.append(verdicts)
+        assert outcomes[0][:2] == [None, outcomes[0][3]]
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+    def test_nan_in_a_later_block_fails(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_RESIDUAL_BLOCK_BYTES", 1)
+        diag, off, energies, vectors = self._stack(5, 2)
+        vectors[1, 4, 2] = np.nan
+        with pytest.raises(NumericalFailureError):
+            spectral._check_residual(diag, off, energies, vectors)
+
+    def test_disorder_chunk_is_one_block(self):
+        from ergochain import disorder
+
+        assert spectral._RESIDUAL_BLOCK_BYTES >= disorder._CHUNK_BYTES
+
+    def test_diagonalize_holds_two_square_arrays(self):
+        # the solve's eigenvectors and dstevd's workspace; the check adds O(N)
+        import tracemalloc
+
+        n = 1000
+        h = _hamiltonian(n, 0.5)
+        tracemalloc.start()
+        try:
+            diagonalize(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n * n
+
     def test_lapack_failure_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_stevd", lambda d, e: (d.copy(), np.eye(d.size), 2))
         with pytest.raises(NumericalFailureError, match="info = 2"):
