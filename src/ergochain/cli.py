@@ -48,15 +48,10 @@ from typing import Any, Callable, Sequence, get_args, get_origin
 import numpy as np
 
 from . import __version__, _validate
-from .chain import ChainConfig, build_hamiltonian, interpolated_bonds, pst_couplings
+from .chain import ChainConfig, pst_couplings
 from .disorder import ensemble_fidelity, ensemble_stats, gamma_metric
-from .dynamics import InitialSiteState, amplitude_bessel_limit, amplitude_spectral
-from .ergotropy import (
-    _record,
-    match_mixed_to_pure,
-    reflection_fidelity,
-    reflection_time,
-)
+from .dynamics import InitialSiteState, amplitude_bessel_limit
+from .ergotropy import _record, _reflection_amplitude, match_mixed_to_pure, reflection_fidelity
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -64,7 +59,6 @@ from .errors import (
     NumericalFailureError,
     UndefinedMetricError,
 )
-from .spectral import diagonalize
 from .workstats import (
     adaptive_density,
     binned_histogram,
@@ -429,10 +423,8 @@ def run_bessel_compare(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
     rows: list[Row] = []
     for n in resolved["params"]["sites"]:
-        config = ChainConfig(n, **chain, alpha=0.0)
-        t = reflection_time(n, 0.0, chain["coupling"])
-        decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), chain["field"]))
-        f_discrete = abs(amplitude_spectral(decomposition, n, t).value)
+        t, f = _reflection_amplitude(ChainConfig(n, **chain, alpha=0.0))
+        f_discrete = abs(f)
         f_bessel = abs(amplitude_bessel_limit(n, chain["coupling"], t).value)
         rows.append(
             {

@@ -1,15 +1,15 @@
 """Disorder ensembles: receiver ergotropy statistics under bond noise.
 
 Each realization multiplies every bond by an independent factor (1 + d),
-d ~ U(-delta, +delta), diagonalizes the noisy chain, and reads out the
-receiver fidelity at the clean chain's reflection time (the protocol cannot
-adapt its readout time to noise it does not know). Realization k is drawn
+d ~ U(-delta, +delta), solves the noisy chain for its eigenvalues and end
+weights, and reads out the receiver fidelity at the clean chain's reflection
+time (the protocol cannot adapt its readout time to noise it does not know). Realization k is drawn
 from a counter-based stream keyed by (seed, k), so ensembles are reproducible
 element by element regardless of evaluation order or thread count.
 
 ``ensemble_fidelity`` returns that fidelity sample; ``ensemble_stats`` maps
 it through one encoding's closed form, so both encodings can share one set of
-eigensolves. ``ensemble_erg`` does both steps for a single encoding.
+solves. ``ensemble_erg`` does both steps for a single encoding.
 
 ``gamma_metric`` condenses a coherent-vs-mixed comparison into
 Gamma = (mean_coh - mean_mix) / (mean_coh + mean_mix): positive when the
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _validate, spectral
+from . import _validate
 from .chain import ChainConfig, _noise_factors, _noise_generator, _seed, interpolated_bonds
+from .dynamics import _end_amplitudes
 from .ergotropy import (
     erg_coherent,
     erg_input,
@@ -41,8 +42,11 @@ __all__ = [
     "gamma_metric",
 ]
 
-# eigenvectors held at once by ensemble_fidelity: 256 chains at N = 8, 16 at
-# N = 32, 1 at N = 128. Twice this raised the disorder bench's peak RSS by 1%.
+# Chains read out together by ensemble_fidelity, so that their (chunk, N, N)
+# eigenvalue-gap temporaries fit in this: 256 chains at N = 8, 16 at N = 32,
+# 1 at N = 128. ``spectral._BLOCK_BYTES`` is not below it, so each chunk is
+# one block of ``spectral._end_weights``; past N = 128 a chunk is one chain,
+# whose gaps that function forms a block of rows at a time.
 _CHUNK_BYTES = 128 * 1024
 
 
@@ -82,25 +86,29 @@ def ensemble_fidelity(
     Entry k is realization k, drawn from the stream keyed by
     (seed, k) and read out at the clean chain's reflection time T. The clean
     bond profile and one Philox generator are built once. Each realization
-    re-keys that generator, draws into a preallocated bond row and makes one
-    LAPACK ``dstevd`` call, the driver ``diagonalize`` uses. Everything else
-    runs once per chunk of at most ``_CHUNK_BYTES`` of eigenvectors (one
-    chain, if one is larger). The residual contract of ``diagonalize`` is
-    checked on every chunk, so every eigensolve is still guarded
-    (NumericalFailureError).
+    re-keys that generator and draws into a preallocated bond row. A chunk of
+    rows (``_CHUNK_BYTES``) is then read out by ``dynamics._end_amplitudes``:
+    one LAPACK ``dsterf`` call per chain, end weights from the eigenvalues
+    alone (``spectral._end_weights``), no eigenvectors. Each chain carries a
+    first-order certificate ``beta`` on |f_N|; one whose ``beta`` exceeds
+    ``spectral.END_WEIGHT_ATOL`` (1e-6) is solved by ``dstevd`` and checked
+    by the residual contract of ``diagonalize`` instead. On the benchmark's
+    cells (N <= 128, delta <= 0.2) ``beta`` stays below 1e-10, so no chain
+    falls back there. A nonzero ``info`` or a failed residual raises
+    NumericalFailureError.
 
-    The kernel skips the sign gauge: f_N(T) reads each eigenvector only
-    through v_k[1] v_k[N], which is the same bit for bit under a flip of
-    column k. So F_k equals the single-chain readout
-    ``amplitude_spectral(diagonalize(...), N, T)`` bit for bit. The modulus
-    stays a Python scalar, because ``np.abs`` on complex arrays can differ
-    from ``abs(complex)`` by an ulp. The phase keeps the constant diagonal
-    -(N-2)B, so |f| carries the rounding bound stated in
-    ``amplitude_spectral`` (at most 1.4e-11 at N = 2000).
+    Row r of a chunk depends on bond row r alone, so F_k equals the
+    single-chain readout ``_end_amplitudes(bonds[None], field, T)`` of
+    ``disordered_bonds(config, seed, k)`` bit for bit. The modulus stays a
+    Python scalar, because ``np.abs`` on complex arrays can differ from
+    ``abs(complex)`` by an ulp. The constant diagonal -(N-2)B is a global
+    phase; the eigenvalue route leaves it out, so it adds no rounding to |f|.
 
-    Everything runs in the calling thread. ``threads`` is validated (an
-    integer >= 1) and kept for callers that pass it; it changes neither the
-    route nor any value.
+    Everything runs in the calling thread, and ``dsterf`` makes no BLAS call,
+    so the values do not depend on ``OPENBLAS_NUM_THREADS`` unless a chain
+    falls back to ``dstevd``. ``threads`` is validated (an integer >= 1) and
+    kept for callers that pass it; it changes neither the route nor any
+    value.
     """
     n_realizations = _validate.integer("n_realizations", n_realizations, 1)
     _validate.integer("threads", threads, 1)
@@ -108,11 +116,8 @@ def ensemble_fidelity(
     clean = interpolated_bonds(config).values  # validates config
     n = config.n_sites
     t = reflection_time(n, config.alpha, config.coupling)
-    diag = np.full(n, -(n - 2) * config.field)
     chunk = min(n_realizations, max(1, _CHUNK_BYTES // (8 * n * n)))
     bonds = np.empty((chunk, n - 1))
-    energies = np.empty((chunk, n))
-    vectors = np.empty((chunk, n, n))  # vectors[r, k] is eigenvector k of chain r
     fidelities = np.empty(n_realizations)
     rng = _noise_generator()
     for start in range(0, n_realizations, chunk):
@@ -120,13 +125,8 @@ def ensemble_fidelity(
         for r in range(rows):
             factors = _noise_factors(rng, config.delta, seed, start + r, n - 1)
             np.multiply(clean, factors, out=bonds[r])
-            energies[r], columns = spectral._solve(diag, bonds[r])
-            vectors[r] = columns.T
-        spectral._check_residual(diag, bonds[:rows], energies[:rows], vectors[:rows])
-        weights = vectors[:rows, :, 0] * vectors[:rows, :, n - 1]
-        phases = np.exp(-1j * energies[:rows] * t)
-        for r in range(rows):
-            f = complex(np.sum(weights[r] * phases[r]))
+        amplitudes = _end_amplitudes(bonds[:rows], config.field, t)
+        for r, f in enumerate(amplitudes):
             fidelities[start + r] = min(abs(f) ** 2, 1.0)
     return fidelities
 

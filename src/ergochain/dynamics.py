@@ -27,7 +27,7 @@ import numpy as np
 from . import _validate
 from .errors import InvalidInputError, NumericalFailureError
 from .chain import gn_factor
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, _end_spectrum
 
 __all__ = [
     "InitialSiteState",
@@ -104,6 +104,19 @@ def amplitude_spectral(
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
     value = complex(np.sum(weights * np.exp(-1j * decomposition.energies * time)))
     return TransitionAmplitude(value=value, site=site, time=time)
+
+
+def _end_amplitudes(bonds: np.ndarray, field: float, time: float) -> list[complex]:
+    """f_N(time) of each chain in a stack of bond rows (chains, N-1), as Python complex.
+
+    The energies and end weights come from ``spectral._end_spectrum``: from
+    the eigenvalues alone where the certificate holds, from ``dstevd``
+    otherwise. Entry r depends on bond row r alone, bit for bit, so a chain
+    read in a stack and on its own give the same value.
+    """
+    energies, weights = _end_spectrum(bonds, field)
+    phases = np.exp(-1j * energies * time)
+    return [complex(np.sum(w * p)) for w, p in zip(weights, phases)]
 
 
 # Thread-count setter and getter of a bundled OpenBLAS, in the order tried:
@@ -212,9 +225,9 @@ def amplitude_profile(
 
 
 def _amplitude_grid(
-    decomposition: SpectralDecomposition, site: int, step: float, count: int
+    energies: np.ndarray, weights: np.ndarray, step: float, count: int
 ) -> np.ndarray:
-    """f_site(t_i) on the arithmetic grid t_i = (i+1) step, i = 0..count-1.
+    """sum_k weights[k] exp(-i E_k t_i) on the arithmetic grid t_i = (i+1) step, i < count.
 
     With B = ceil(sqrt(count)) and i = b B + j, each phase factors as
     exp(-i E (j+1) step) exp(-i E b B step). So (B + G) N exponentials and one
@@ -223,8 +236,6 @@ def _amplitude_grid(
     on one thread of numpy's OpenBLAS (``_OneBlasThread``): it is faster so
     on a 2-core host, and its bits do not depend on ``OPENBLAS_NUM_THREADS``.
     """
-    energies = decomposition.energies
-    weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
     block = math.isqrt(count - 1) + 1
     blocks = -(-count // block)
     near = np.exp(-1j * np.outer(np.arange(1, block + 1) * step, energies)) * weights

@@ -30,10 +30,10 @@ import numpy as np
 
 from . import _validate
 from ._validate import ENCODINGS
-from .chain import ChainConfig, build_hamiltonian, gn_factor, interpolated_bonds
-from .dynamics import QubitState, _amplitude_grid, amplitude_spectral
+from .chain import ChainConfig, gn_factor, interpolated_bonds
+from .dynamics import QubitState, _amplitude_grid, _end_amplitudes
 from .errors import InvalidInputError, UndefinedEfficiencyError
-from .spectral import diagonalize
+from .spectral import _end_spectrum
 
 __all__ = [
     "ErgotropyRecord",
@@ -174,19 +174,30 @@ def _record(
     )
 
 
+def _reflection_amplitude(config: ChainConfig) -> tuple[float, complex]:
+    """(T, f_N(T)) of the clean chain: one ``dynamics._end_amplitudes`` readout."""
+    t = reflection_time(config.n_sites, config.alpha, config.coupling)
+    return t, _end_amplitudes(interpolated_bonds(config).values[None], config.field, t)[0]
+
+
 def reflection_fidelity(config: ChainConfig) -> tuple[float, float]:
     """(T, F): first reflection time of the clean chain and F = |f_N(T)|^2.
 
-    Diagonalizes the chain once. Every encoding's receiver ergotropy at T is
-    a function of F alone, so callers that need several encodings or
-    parameters map this one F instead of solving the chain again. F is not
-    clipped to 1: at perfect transfer it can exceed 1 by a few ulps.
-    Disorder is ignored here (config.delta plays no role).
+    Solves the chain once, from its eigenvalues alone: LAPACK ``dsterf`` and
+    the end weights v_k[1] v_k[N] = prod_j b_j / prod_(j != k) (E_k - E_j)
+    (``spectral._end_weights``), in O(N) memory. The weights carry a
+    first-order certificate ``beta`` on |f_N|; a chain whose ``beta`` exceeds
+    ``spectral.END_WEIGHT_ATOL`` (1e-6) is read out through ``dstevd`` and
+    the residual contract of ``diagonalize`` instead. The constant diagonal
+    -(N-2)B is a global phase and is left out, so it adds no rounding to F.
+    Every encoding's receiver ergotropy at T is a function of F alone, so
+    callers that need several encodings or parameters map this one F instead
+    of solving the chain again. F is not clipped to 1: at perfect transfer it
+    can exceed 1 by a few ulps. Disorder is ignored here (config.delta plays
+    no role).
     """
-    t = reflection_time(config.n_sites, config.alpha, config.coupling)
-    decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), config.field))
-    f = amplitude_spectral(decomposition, config.n_sites, t)
-    return t, abs(f.value) ** 2
+    t, f = _reflection_amplitude(config)
+    return t, abs(f) ** 2
 
 
 def erg_at_reflection(config: ChainConfig, encoding: str, parameter: float) -> ErgotropyRecord:
@@ -214,6 +225,10 @@ def erg_max_window(
     to maximizing |f| over the same grid, but the maximization is done on the
     ergotropy itself.
 
+    The chain is solved once through ``spectral._end_spectrum``: energies
+    from LAPACK ``dsterf`` and end weights from the eigenvalues alone, with
+    the certificate and the ``dstevd`` fallback of ``reflection_fidelity``
+    (``beta`` bounds the weights' share of the error of |f| at every time).
     The grid is arithmetic, so the T = horizon/step phase factors factorize
     into a block of B = ceil(sqrt(T)) near steps times G = ceil(T/B) far
     block offsets: (B + G) N exponentials and one matrix product, with
@@ -222,9 +237,9 @@ def erg_max_window(
     scale eps max|E| horizon; against a 40-digit reference on the same
     decomposition both stay within about 1e-13 of F at N = 256 and 6e-13 at
     N = 1000 (uniform chain, J = B = 1, horizon 0.7 N/J). The product runs on
-    one thread of numpy's OpenBLAS (see ``dynamics._OneBlasThread``), so the
-    window's bits do not depend on ``OPENBLAS_NUM_THREADS``; the eigensolve
-    keeps scipy's default thread count.
+    one thread of numpy's OpenBLAS (see ``dynamics._OneBlasThread``) and
+    ``dsterf`` makes no BLAS call, so the window's bits do not depend on
+    ``OPENBLAS_NUM_THREADS`` (unless the chain falls back to ``dstevd``).
     """
     erg_input(encoding, parameter, config.field)  # validates before the solve
     horizon = _validate.positive("horizon", horizon)
@@ -233,9 +248,9 @@ def erg_max_window(
     step = _validate.positive("step", step)
     if step > horizon:
         raise InvalidInputError(f"step {step} exceeds horizon {horizon}")
-    decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), config.field))
+    energies, weights = _end_spectrum(interpolated_bonds(config).values[None], config.field)
     times = np.arange(step, horizon + 0.5 * step, step)
-    fidelities = np.abs(_amplitude_grid(decomposition, config.n_sites, step, times.size)) ** 2
+    fidelities = np.abs(_amplitude_grid(energies[0], weights[0], step, times.size)) ** 2
     erg = erg_coherent if encoding == "coherent" else erg_mixed
     best = int(np.argmax(erg(fidelities, parameter, config.field)))
     return _record(config, encoding, parameter, times[best], float(fidelities[best]))

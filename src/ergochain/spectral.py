@@ -1,15 +1,20 @@
 """Spectral decompositions: numerical and closed-form.
 
 ``diagonalize`` calls LAPACK ``dstevd`` (the symmetric tridiagonal
-divide-and-conquer driver) and enforces a residual contract; the disorder
-kernel calls the same driver and checks the same contract on a stack of
-chains. The handle, ``_stevd``, comes from scipy's ``_flapack`` extension,
-which ``_load_stevd`` loads by itself: ``import scipy.linalg`` would run the
-package init, whose array-API layer imports ``numpy.testing`` and
-``numpy.f2py``, about 0.33 s of a 0.47 s ``import ergochain.cli``. Without
-it the import takes about 0.18 s (medians of 8 fresh interpreters, 2-core
-x86-64 host). It calls the same Fortran routine as
-``scipy.linalg.lapack.dstevd``, so every output bit is scipy's. For the two
+divide-and-conquer driver) and enforces a residual contract. Every readout
+of f_N at one time or over a window needs only the end weights
+v_k[1] v_k[N], and ``_end_weights`` gets them from the eigenvalues alone:
+one LAPACK ``dsterf`` call per chain (no eigenvectors, no BLAS call),
+w_k = prod_j b_j / prod_(j != k) (E_k - E_j), and a first-order certificate
+``beta`` on |f_N|. ``_end_spectrum`` reads a chain whose ``beta`` exceeds
+END_WEIGHT_ATOL (1e-6), or whose weights or gaps fail, through ``dstevd``
+and the residual contract instead. The handles, ``_stevd`` and ``_sterf``,
+come from scipy's ``_flapack`` extension, which ``_load_flapack`` loads by
+itself: ``import scipy.linalg`` would run the package init, whose array-API
+layer imports ``numpy.testing`` and ``numpy.f2py``, about 0.33 s of a 0.47 s
+``import ergochain.cli``. Without it the import takes about 0.18 s (medians
+of 8 fresh interpreters, 2-core x86-64 host). They call the same Fortran
+routines as ``scipy.linalg.lapack``, so every output bit is scipy's. For the two
 special bond families the spectrum is known in closed form:
 
 * uniform bonds: E_k = -2J cos(k pi/(N+1)) - (N-2)B with sine-wave
@@ -58,27 +63,36 @@ __all__ = [
 # tripping this indicates genuine numerical trouble, not slack.
 RESIDUAL_RTOL = 1e-9
 
-# Bytes of each of the two temporaries of one ``_check_residual`` block. Not
-# below the disorder kernel's 128 KB chunk of eigenvectors, so the kernel
-# checks each chunk in one pass.
-_RESIDUAL_BLOCK_BYTES = 256 * 1024
+# Bytes of each temporary of one block: the two of a ``_check_residual`` block
+# and the gap arrays of an ``_end_weights`` block. Not below the disorder
+# kernel's 128 KB chunk, so the kernel reads each chunk in one pass.
+_BLOCK_BYTES = 256 * 1024
+
+# Tolerance of the end-weight certificate ``beta`` on |f_N|. The bound is
+# first order; against 40-digit oracles (N = 32-128, delta 0.2-0.99) it was at
+# least 500 times the actual error of the weights and of |f_N|. Clean chains
+# reach beta = 1e-7 at N = 5000, the benchmark's cells stay below 1e-10. A
+# chain past it is read out through ``dstevd`` instead.
+END_WEIGHT_ATOL = 1e-6
+
+_EPS = np.finfo(float).eps
 
 
-def _load_stevd():
-    """LAPACK ``dstevd`` from scipy's ``_flapack`` extension, loaded on its own.
+def _load_flapack():
+    """scipy's ``_flapack`` extension (LAPACK ``dstevd``, ``dsterf``), loaded on its own.
 
     A process that has imported ``scipy.linalg._flapack`` already reuses it.
     Otherwise the extension file in scipy's package directory is loaded
     under the private name ``ergochain._flapack``. Under scipy's own name it
     would sit in ``sys.modules`` before its package existed, and a later
     ``import scipy.linalg`` would then leave ``scipy.linalg._flapack``
-    unset. Both modules come from the one shared library, so ``dstevd`` is
-    the same Fortran routine that ``scipy.linalg.lapack.dstevd`` calls (the
-    two capsule pointers are equal) and every output bit is scipy's. A
-    missing extension raises ImportError naming the path; there is no other
-    route to the solver. ``import scipy`` (about 15 ms) stays: it locates the
-    package and runs scipy's distributor init, which on Windows wheels adds
-    the DLL directories the extension needs.
+    unset. Both modules come from the one shared library, so each routine is
+    the same Fortran routine that ``scipy.linalg.lapack`` calls (the capsule
+    pointers are equal) and every output bit is scipy's. A missing extension
+    raises ImportError naming the path; there is no other route to the
+    solvers. ``import scipy`` (about 15 ms) stays: it locates the package and
+    runs scipy's distributor init, which on Windows wheels adds the DLL
+    directories the extension needs.
     """
     flapack = sys.modules.get("scipy.linalg._flapack")
     if flapack is None:
@@ -91,10 +105,13 @@ def _load_stevd():
         spec = importlib.util.spec_from_file_location(name, path, loader=loader)
         flapack = importlib.util.module_from_spec(spec)
         loader.exec_module(flapack)
-    return flapack.dstevd
+    return flapack
 
 
-_stevd = _load_stevd()
+_flapack = _load_flapack()
+_stevd = _flapack.dstevd
+_sterf = _flapack.dsterf
+del _flapack
 
 
 @dataclass(frozen=True)
@@ -178,14 +195,14 @@ def _check_residual(
     NaN fails too. The error names the first failing chain.
 
     (H - E_k) v_k is formed for a block of k at a time; each of the block's
-    two temporaries holds at most ``_RESIDUAL_BLOCK_BYTES`` (or one k row of
+    two temporaries holds at most ``_BLOCK_BYTES`` (or one k row of
     the stack), so the check adds no (N, N) array to the solve's two. Each
     k's squared norm is the same sum whatever the block, so the residuals
     do not depend on the block size.
     """
     bonds = off[..., None, :]
     squares = np.empty(energies.shape)
-    rows = max(1, _RESIDUAL_BLOCK_BYTES // (8 * vectors[..., 0, :].size))
+    rows = max(1, _BLOCK_BYTES // (8 * vectors[..., 0, :].size))
     for start in range(0, energies.shape[-1], rows):
         block = slice(start, start + rows)
         v = vectors[..., block, :]
@@ -210,6 +227,109 @@ def _check_residual(
             f"{rtol:.1e} * {norm_bound[chain]:.3e}",
             residual=float(residual[chain]),
         )
+
+
+def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, end weights w_k = v_k[1] v_k[N] and their certificate, per chain.
+
+    ``bonds`` is a stack (chains, N-1); row r of each output depends on bond
+    row r alone, bit for bit. The eigenvalues (ascending) come from one LAPACK
+    ``dsterf`` call per chain on a zero diagonal: the constant diagonal
+    -(N-2)B only multiplies f_N by a global phase, so leaving it out also
+    drops its rounding from |f_N|. ``dsterf`` makes no BLAS call, so its bits
+    do not depend on ``OPENBLAS_NUM_THREADS``. The weights are the residues of
+    (z - H)^-1_(1N) = prod_j b_j / det(z - H), the Gauss weights of Golub and
+    Welsch (1969):
+
+        w_k = prod_j b_j / prod_(j != k) (E_k - E_j),
+
+    with sign sign(prod_j b_j) (-1)^(N-k). Their magnitudes are sums of
+    log|b_j| and log|E_k - E_j|, with the gaps formed for a block of k at a
+    time, so memory stays O(N) past one block of ``_BLOCK_BYTES``. A zero
+    bond splits the chain: w = 0 exactly, so f_N = 0.
+
+    The certificate ``beta = sum_k |w_k| rho_k`` is a first-order bound on
+    the error the weights put into |f_N(t)|, at any t. Each eigenvalue is
+    within dE = 2N eps max|b| of the exact one, so each w_k within rho_k =
+    sum_(j != k) 2 dE/|E_k - E_j| + 2N eps of its value, relative. ``beta``
+    is inf where a weight is not finite or a gap lies within 2 dE, where the
+    product formula cannot be trusted, and 0 for a split chain.
+
+    A nonzero ``info`` raises NumericalFailureError. So does a spectrum whose
+    sum of squares misses trace(H^2) = 2 sum_j b_j^2 by more than dE and the
+    rounding of both sums allow, the check that every eigenvalue was solved.
+    """
+    chains, n = bonds.shape[0], bonds.shape[1] + 1
+    energies = np.empty((chains, n))
+    zero = np.zeros(n)
+    for r in range(chains):
+        energies[r], info = _sterf(zero, bonds[r])
+        if info != 0:
+            raise NumericalFailureError(f"LAPACK dsterf failed with info = {info}")
+    magnitudes = np.abs(bonds)
+    top = np.max(magnitudes, axis=-1)
+    delta_e = 2 * n * _EPS * top
+    unit = np.where(top > 0, top, 1.0)[:, None]  # the moments in units of max|b|: no overflow
+    scaled = energies / unit
+    squares = np.sum(scaled * scaled, axis=-1)
+    trace = 2.0 * np.sum((magnitudes / unit) ** 2, axis=-1)
+    slack = 4 * n * _EPS * np.sum(np.abs(scaled), axis=-1) + 2 * n * _EPS * (squares + trace)
+    missed = np.flatnonzero(~(np.abs(squares - trace) <= slack))
+    if missed.size:
+        chain = missed[0]
+        raise NumericalFailureError(
+            f"dsterf eigenvalues: sum of squares {squares[chain]:.17g} misses "
+            f"trace(H^2) = {trace[chain]:.17g}"
+        )
+    log_gaps = np.empty((chains, n))
+    inverse_gaps = np.empty((chains, n))
+    rows = max(1, _BLOCK_BYTES // (8 * chains * n))
+    parity = np.where((n - 1 - np.arange(n)) % 2 == 0, 1.0, -1.0)
+    sign = np.prod(np.sign(bonds), axis=-1)  # 0 for a zero bond
+    # zero bonds and gaps give infinities here; the certificate turns them away
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            k = np.arange(start, min(start + rows, n))
+            gaps = energies[:, k, None] - energies[:, None, :]
+            np.abs(gaps, out=gaps)
+            gaps[:, k - start, k] = 1.0  # j = k adds log 1 = 0
+            log_gaps[:, k] = np.sum(np.log(gaps), axis=-1)
+            np.reciprocal(gaps, out=gaps)
+            gaps[:, k - start, k] = 0.0
+            inverse_gaps[:, k] = np.sum(gaps, axis=-1)
+        log_bonds = np.sum(np.log(magnitudes), axis=-1)
+        weights = sign[:, None] * parity * np.exp(log_bonds[:, None] - log_gaps)
+        rho = 2 * delta_e[:, None] * inverse_gaps + 2 * n * _EPS
+        beta = np.sum(np.abs(weights) * rho, axis=-1)
+    # E is ascending, so the smallest gap is between neighbours
+    beta[~(np.min(np.diff(energies, axis=-1), axis=-1) > 2 * delta_e)] = np.inf
+    split = sign == 0
+    weights[split] = 0.0
+    beta[split] = 0.0
+    return energies, weights, beta
+
+
+def _end_spectrum(bonds: np.ndarray, field: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and end weights v_k[1] v_k[N] of a stack of chains (chains, N-1).
+
+    Each chain is read from ``_end_weights`` when its certificate ``beta`` is
+    at most END_WEIGHT_ATOL. A chain past it (near-degenerate pairs under
+    strong disorder, where the product formula cancels) is solved by
+    ``_solve`` on its full diagonal -(N-2)B and checked by
+    ``_check_residual``: its energies and weights are those of
+    ``diagonalize``, bit for bit, since v_k[1] v_k[N] does not depend on the
+    sign gauge. Row r depends on bond row r alone.
+    """
+    energies, weights, beta = _end_weights(bonds)
+    fallback = np.flatnonzero(~(beta <= END_WEIGHT_ATOL))
+    if fallback.size:
+        n = energies.shape[1]
+        diag = np.full(n, -(n - 2) * field)
+        for r in fallback:
+            energies[r], vectors = _solve(diag, bonds[r])
+            _check_residual(diag, bonds[r], energies[r], vectors.T)
+            weights[r] = vectors[0] * vectors[-1]
+    return energies, weights
 
 
 def diagonalize(

@@ -4,8 +4,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -253,20 +256,23 @@ class TestDeterminism:
 def solve_calls(monkeypatch):
     """Record the thread of every LAPACK eigensolve, whichever route makes it.
 
-    ``diagonalize``, ``tpm_distribution`` and the ``ensemble_fidelity`` kernel
-    all solve through the one ``dstevd`` handle, so patching it in every
-    ergochain namespace that binds it counts every eigensolve.
+    ``reflection_fidelity``, ``erg_max_window`` and the ``ensemble_fidelity``
+    kernel solve each chain through the one ``dsterf`` handle (``dstevd`` only
+    for a chain past the end-weight certificate); ``diagonalize`` and
+    ``tpm_distribution`` through the one ``dstevd`` handle. Patching both in
+    every ergochain namespace that binds them counts every eigensolve.
     """
     calls = []
-    original = spectral._stevd
+    for handle in ("_stevd", "_sterf"):
+        original = getattr(spectral, handle)
 
-    def counted(*args, **kwargs):
-        calls.append(threading.get_ident())
-        return original(*args, **kwargs)
+        def counted(*args, _original=original, **kwargs):
+            calls.append(threading.get_ident())
+            return _original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ergochain" and getattr(module, "_stevd", None) is original:
-            monkeypatch.setattr(module, "_stevd", counted)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ergochain" and getattr(module, handle, None) is original:
+                monkeypatch.setattr(module, handle, counted)
     return calls
 
 
@@ -442,9 +448,67 @@ class TestJsonRowWriter:
         assert "Infinity" in text and "-Infinity" in text and "NaN" not in text
 
 
-@pytest.mark.parametrize("scenario", ["disorder", "transport-sweep", "workdist"])
+@pytest.mark.parametrize(
+    "scenario", ["disorder", "transport-sweep", "workdist", "theta-sweep", "bessel-compare"]
+)
 def test_lapack_failure_exits_numerical(tmp_path, capsys, monkeypatch, scenario):
     monkeypatch.setattr(spectral, "_stevd", lambda d, e: (d.copy(), np.eye(d.size), 1))
+    monkeypatch.setattr(spectral, "_sterf", lambda d, e: (d.copy(), 1))
     code, _ = _run(tmp_path, scenario, SCENARIO_INIS[scenario])
     assert code == 3
     assert "info = 1" in capsys.readouterr().err
+
+
+# Chains past N = 202, where dstevd's bits can depend on the OpenBLAS thread
+# count; the eigenvalue route reads each of them without a BLAS call.
+THREAD_INIS = {
+    "disorder": "[disorder]\nsites = 8, 256\nalphas = 0.0, 1.0\ndeltas = 0.2\nrealizations = 4\n",
+    "theta-sweep": "[theta-sweep]\nsites = 64, 256, 300\nalpha = 1.0\ntheta_count = 5\n",
+    "transport-sweep": "[transport-sweep]\nsites = 202, 256, 300\nalphas = 0.0, 0.5, 1.0\n",
+    "bessel-compare": "[bessel-compare]\nsites = 202, 256, 300\n",
+}
+
+THREAD_DIGESTS = """
+import hashlib, tempfile
+from pathlib import Path
+from ergochain.cli import main
+inis = {inis!r}
+with tempfile.TemporaryDirectory() as tmp:
+    for scenario, text in inis.items():
+        config = Path(tmp) / (scenario + ".ini")
+        config.write_text(text)
+        for threads in ("1", "4"):
+            out = Path(tmp) / scenario / threads
+            args = [scenario, "--config", str(config), "--out", str(out), "--threads", threads]
+            assert main(args) == 0
+            data = (out / (scenario + ".csv")).read_bytes()
+            print("digest", scenario, threads, hashlib.sha256(data).hexdigest())
+"""
+
+
+def _thread_digests(blas_threads):
+    root = str(Path(spectral.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": root if not path else root + os.pathsep + path,
+        "OPENBLAS_NUM_THREADS": blas_threads,
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", THREAD_DIGESTS.format(inis=THREAD_INIS)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("digest ")]
+    return {(scenario, threads): digest for scenario, threads, digest in lines}
+
+
+def test_data_bytes_do_not_depend_on_blas_or_cli_threads():
+    one, two = _thread_digests("1"), _thread_digests("2")
+    assert len(one) == 2 * len(THREAD_INIS)
+    assert two == one
+    for scenario in THREAD_INIS:
+        assert one[scenario, "1"] == one[scenario, "4"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from ergochain import chain, disorder, spectral
+from ergochain import chain, disorder, dynamics, spectral
 from ergochain import (
     ChainConfig,
     EnsembleStats,
@@ -57,11 +57,7 @@ class TestEnsembleDeterminism:
         # each realization is the single-chain readout of disordered_bonds(config, seed, k)
         cfg = _config(n=9, delta=0.2, alpha=0.6)
         t = reflection_time(cfg.n_sites, cfg.alpha, cfg.coupling)
-        expected = []
-        for k in range(10):
-            h = build_hamiltonian(disordered_bonds(cfg, 6, k), cfg.field)
-            f = amplitude_spectral(diagonalize(h), cfg.n_sites, t)
-            expected.append(min(abs(f.value) ** 2, 1.0))
+        expected = [_chain_readout(disordered_bonds(cfg, 6, k), t) for k in range(10)]
         calls = []
         original = chain.pst_couplings
 
@@ -237,17 +233,22 @@ class TestStatsMapWholeSample:
         assert len(calls) == 1
 
 
+def _chain_readout(bonds, t):
+    """F = min(|f_N(t)|^2, 1) of one chain read on its own (a stack of one bond row)."""
+    f = dynamics._end_amplitudes(bonds.values[None], 1.0, t)[0]
+    return min(abs(f) ** 2, 1.0)
+
+
 def _parent_loop(config, n_realizations, seed):
-    """The per-realization loop the kernel replaced: the bit-for-bit oracle."""
+    """Each realization read on its own through the single-chain readout: the bit-for-bit oracle."""
     clean = interpolated_bonds(config)
     t = reflection_time(config.n_sites, config.alpha, config.coupling)
-    fidelities = []
-    for realization in range(n_realizations):
-        bonds = chain._noisy_bonds(clean, config.delta, seed, realization)
-        decomposition = diagonalize(build_hamiltonian(bonds, config.field))
-        f = amplitude_spectral(decomposition, config.n_sites, t)
-        fidelities.append(min(abs(f.value) ** 2, 1.0))
-    return np.array(fidelities)
+    return np.array(
+        [
+            _chain_readout(chain._noisy_bonds(clean, config.delta, seed, k), t)
+            for k in range(n_realizations)
+        ]
+    )
 
 
 def _chunk(n):
@@ -274,6 +275,22 @@ class TestEnsembleKernel:
                     assert np.array_equal(kernel, _parent_loop(cfg, 10, seed)), (alpha, delta, seed)
 
     @pytest.mark.parametrize("n", SITES)
+    def test_matches_dstevd_route_within_the_certificate(self, n):
+        # the eigenvector route (dstevd and the constant diagonal) agrees in |f|
+        # within each chain's beta; the worst ratio on this grid is about 0.2
+        for alpha in (0.0, 0.5, 1.0):
+            for delta in (0.0, 0.05, 0.2):
+                cfg = _config(n=n, delta=delta, alpha=alpha)
+                t = reflection_time(n, alpha, 1.0)
+                for k in range(10):
+                    bonds = disordered_bonds(cfg, 7, k)
+                    energies, weights, beta = spectral._end_weights(bonds.values[None])
+                    assert beta[0] <= 1e-10  # far inside the tolerance: no fallback
+                    f = complex(np.sum(weights[0] * np.exp(-1j * energies[0] * t)))
+                    old = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), n, t)
+                    assert abs(abs(f) - abs(old.value)) <= beta[0], (alpha, delta, k)
+
+    @pytest.mark.parametrize("n", SITES)
     def test_matches_parent_loop_across_chunk_boundaries(self, n):
         # realization k depends only on (seed, k), so each count is a prefix of one oracle run
         cfg = _config(n=n, delta=0.2, alpha=0.5)
@@ -296,8 +313,7 @@ class TestEnsembleKernel:
             key = np.array([seed % 2**64, k], dtype=np.uint64)
             noise = Generator(Philox(key=key)).uniform(-0.2, 0.2, 7)
             bonds = chain.BondSet(values=clean * (1.0 + noise), alpha=None, delta=0.2)
-            f = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), 8, t).value
-            expected.append(min(abs(f) ** 2, 1.0))
+            expected.append(_chain_readout(bonds, t))
         assert np.array_equal(ensemble_fidelity(cfg, 300, seed), np.array(expected))
 
     def test_one_generator_per_call(self, monkeypatch):
@@ -336,31 +352,47 @@ class TestEnsembleKernel:
 
 
 def _perturbed_stevd(monkeypatch):
-    """Scale every eigenvector's components on even sites by 1 + 1e-6.
+    """Scale every eigenvector's components on even sites by 1 + 1e-6, and every
+    second ``dsterf`` eigenvalue by the same factor.
 
     Scaling whole eigenvectors would keep them eigenvectors. Scaling every
     second site breaks H v = E v by about 1e-6 times a bond, 15 times the
-    residual bound at N = 128 and 900 times at N = 2.
+    residual bound at N = 128 and 900 times at N = 2. The scaled eigenvalues
+    miss trace(H^2) by about 1e-6 of it, far past the moment bound of
+    ``spectral._end_weights``.
     """
     original = spectral._stevd
+    original_sterf = spectral._sterf
 
     def perturbed(*args, **kwargs):
         energies, vectors, info = original(*args, **kwargs)
         vectors[1::2, :] *= 1.0 + 1e-6
         return energies, vectors, info
 
+    def perturbed_sterf(*args, **kwargs):
+        energies, info = original_sterf(*args, **kwargs)
+        energies[1::2] *= 1.0 + 1e-6
+        return energies, info
+
     monkeypatch.setattr(spectral, "_stevd", perturbed)
+    monkeypatch.setattr(spectral, "_sterf", perturbed_sterf)
 
 
 def _failing_stevd(monkeypatch):
-    """LAPACK reports failure (info = 1) with otherwise valid output."""
+    """``dstevd`` and ``dsterf`` report failure (info = 1) with otherwise valid output."""
     original = spectral._stevd
+    original_sterf = spectral._sterf
 
     def failing(*args, **kwargs):
         energies, vectors, _ = original(*args, **kwargs)
         return energies, vectors, 1
 
+    def failing_sterf(*args, **kwargs):
+        energies, _ = original_sterf(*args, **kwargs)
+        return energies, 1
+
     monkeypatch.setattr(spectral, "_stevd", failing)
+    monkeypatch.setattr(spectral, "_sterf", failing_sterf)
 
 
 class TestGuardedSolve:
@@ -383,16 +415,16 @@ class TestGuardedSolve:
 
     def test_one_bad_realization_fails_its_chunk(self, monkeypatch):
         # realization 3 of 40 is perturbed; it lies inside the first chunk at N = 8
-        original = spectral._stevd
+        original = spectral._sterf
         calls = []
 
         def perturbed(*args, **kwargs):
-            energies, vectors, info = original(*args, **kwargs)
+            energies, info = original(*args, **kwargs)
             if len(calls) == 3:
-                vectors[1::2, :] *= 1.0 + 1e-6
+                energies[1::2] *= 1.0 + 1e-6
             calls.append(None)
-            return energies, vectors, info
+            return energies, info
 
-        monkeypatch.setattr(spectral, "_stevd", perturbed)
+        monkeypatch.setattr(spectral, "_sterf", perturbed)
         with pytest.raises(NumericalFailureError):
             ensemble_fidelity(_config(n=8, delta=0.1), 40, seed=0)

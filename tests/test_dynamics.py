@@ -42,6 +42,12 @@ def _decomposition(n, alpha, coupling=1.0, field=1.0):
     return diagonalize(build_hamiltonian(interpolated_bonds(cfg), field))
 
 
+def _grid(decomposition, site, step, count):
+    """``_amplitude_grid`` on a decomposition's energies and site weights v_k[1] v_k[site]."""
+    weights = decomposition.vectors[0] * decomposition.vectors[site - 1]
+    return _amplitude_grid(decomposition.energies, weights, step, count)
+
+
 class TestAmplitudeSpectral:
     def test_initial_condition(self):
         decomposition = _decomposition(8, 0.5)
@@ -109,7 +115,7 @@ class TestAmplitudeGrid:
         times = np.arange(step, horizon + 0.5 * step, step)
         assert times.size == count
         direct = np.abs(amplitude_profile(decomposition, n, times)) ** 2
-        factorized = np.abs(_amplitude_grid(decomposition, n, step, count)) ** 2
+        factorized = np.abs(_grid(decomposition, n, step, count)) ** 2
         assert factorized.shape == (count,)
         assert np.max(np.abs(factorized - direct)) <= 1e-12
         assert np.argmax(factorized) == np.argmax(direct)
@@ -119,7 +125,7 @@ class TestAmplitudeGrid:
         times = np.arange(1, 51) * 0.37
         for site in range(1, 10):
             np.testing.assert_allclose(
-                _amplitude_grid(decomposition, site, 0.37, 50),
+                _grid(decomposition, site, 0.37, 50),
                 amplitude_profile(decomposition, site, times),
                 rtol=0.0,
                 atol=1e-13,
@@ -139,7 +145,8 @@ config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=0.0)
 record = erg_max_window(config, "coherent", math.pi / 2, 0.7 * n, 0.01)
 decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), 1.0))
 count = int(round(0.7 * n / 0.01))
-window = dynamics._amplitude_grid(decomposition, n, 0.01, count)
+weights = decomposition.vectors[0] * decomposition.vectors[n - 1]
+window = dynamics._amplitude_grid(decomposition.energies, weights, 0.01, count)
 profile = dynamics.amplitude_profile(decomposition, n, np.arange(1, count + 1) * 0.01)
 digest = hashlib.sha256(repr(record).encode() + window.tobytes() + profile.tobytes())
 print(digest.hexdigest())
@@ -208,7 +215,7 @@ class TestOneBlasThread:
         monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: (recording_setter, getter))
         monkeypatch.setattr(dynamics, "_one_blas_thread", dynamics._OneBlasThread())
         decomposition = _decomposition(131, 0.0)
-        _amplitude_grid(decomposition, 131, 0.01, 9170)
+        _grid(decomposition, 131, 0.01, 9170)
         amplitude_profile(decomposition, 131, np.arange(1, 101) * 0.1)
         assert history == [1, 2, 1, 2]
         assert getter() == 2
@@ -303,13 +310,13 @@ class TestOneBlasThread:
         count = 70 * n
         times = np.arange(1, count + 1) * 0.01
         pinned = (
-            _amplitude_grid(decomposition, n, 0.01, count),
+            _grid(decomposition, n, 0.01, count),
             amplitude_profile(decomposition, n, times),
         )
         monkeypatch.setattr(dynamics, "_OPENBLAS_THREAD_SYMBOLS", (("no_set", "no_get"),))
         monkeypatch.setattr(dynamics, "_one_blas_thread", dynamics._OneBlasThread())
         fallback = (
-            _amplitude_grid(decomposition, n, 0.01, count),
+            _grid(decomposition, n, 0.01, count),
             amplitude_profile(decomposition, n, times),
         )
         assert dynamics._numpy_openblas_threads() is None

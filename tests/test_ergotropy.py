@@ -345,7 +345,8 @@ class TestArrayMaps:
 @pytest.mark.parametrize("call", [erg_at_reflection, erg_max_window])
 def test_bad_parameter_is_rejected_before_the_solve(monkeypatch, call):
     calls = []
-    monkeypatch.setattr(ergotropy, "diagonalize", lambda *args: calls.append(args))
+    for solve in ("_end_amplitudes", "_end_spectrum"):
+        monkeypatch.setattr(ergotropy, solve, lambda *args: calls.append(args))
     cfg = ChainConfig(n_sites=8, coupling=1.0, field=1.0, alpha=1.0)
     with pytest.raises(InvalidInputError):
         call(cfg, "coherent", 4.0, *([2.0] if call is erg_max_window else []))

@@ -56,6 +56,7 @@ def test_solver_is_scipys_dstevd():
     exec(ROUTINE, namespace)
     routine = namespace["routine"]
     assert routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd)
+    assert routine(spectral._sterf) == routine(scipy.linalg.lapack.dsterf)
 
 
 def test_solver_is_scipys_dstevd_when_scipy_linalg_comes_later():
@@ -64,9 +65,10 @@ def test_solver_is_scipys_dstevd_when_scipy_linalg_comes_later():
         "from ergochain import spectral\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         "import scipy.linalg.lapack\n"
-        "print(routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd))"
+        "print(routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd),\n"
+        "      routine(spectral._sterf) == routine(scipy.linalg.lapack.dsterf))"
     )
-    assert _fresh(code) == "True"
+    assert _fresh(code) == "True True"
 
 
 @pytest.mark.parametrize(
@@ -85,7 +87,7 @@ def test_missing_extension_raises_naming_the_path(monkeypatch, tmp_path):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
     with pytest.raises(ImportError, match="_flapack") as raised:
-        spectral._load_stevd()
+        spectral._load_flapack()
     assert raised.value.path.startswith(str(tmp_path / "scipy" / "linalg" / "_flapack"))
 
 

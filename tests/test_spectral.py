@@ -10,19 +10,25 @@ from scipy.linalg import eigh_tridiagonal
 
 from conftest import dense_hamiltonian
 from ergochain import (
+    BondSet,
     ChainConfig,
     InvalidInputError,
     NumericalFailureError,
+    amplitude_spectral,
     analytic_pst_spectrum,
     analytic_uniform_spectrum,
     build_hamiltonian,
     diagonalize,
     disordered_bonds,
+    ensemble_fidelity,
+    erg_max_window,
     gn_factor,
     interpolated_bonds,
     krawtchouk,
+    reflection_fidelity,
+    reflection_time,
 )
-from ergochain import spectral
+from ergochain import dynamics, spectral
 from ergochain.spectral import _fix_column_signs
 
 
@@ -127,7 +133,7 @@ class TestCheckResidual:
 
         outcomes = []
         for block_bytes in (1, 8 * 3 * n * 4, 1 << 40):
-            monkeypatch.setattr(spectral, "_RESIDUAL_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_bytes)
             verdicts = [outcome(diag, off[[0, 2]], energies[[0, 2]], vectors[[0, 2]])]
             for rtol in (spectral.RESIDUAL_RTOL, 1e-30):
                 verdicts.append(outcome(diag, off, energies, vectors, rtol))
@@ -138,7 +144,7 @@ class TestCheckResidual:
         assert outcomes[2] == outcomes[0]
 
     def test_nan_in_a_later_block_fails(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_RESIDUAL_BLOCK_BYTES", 1)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1)
         diag, off, energies, vectors = self._stack(5, 2)
         vectors[1, 4, 2] = np.nan
         with pytest.raises(NumericalFailureError):
@@ -147,7 +153,7 @@ class TestCheckResidual:
     def test_disorder_chunk_is_one_block(self):
         from ergochain import disorder
 
-        assert spectral._RESIDUAL_BLOCK_BYTES >= disorder._CHUNK_BYTES
+        assert spectral._BLOCK_BYTES >= disorder._CHUNK_BYTES
 
     def test_diagonalize_holds_two_square_arrays(self):
         # the solve's eigenvectors and dstevd's workspace; the check adds O(N)
@@ -167,6 +173,190 @@ class TestCheckResidual:
         monkeypatch.setattr(spectral, "_stevd", lambda d, e: (d.copy(), np.eye(d.size), 2))
         with pytest.raises(NumericalFailureError, match="info = 2"):
             diagonalize(_hamiltonian(6, 0.5))
+
+
+def _mp_end_spectrum(mpmath, bonds, start):
+    """40-digit eigenvalues and end weights of the zero-diagonal chain with these bonds.
+
+    Each eigenvalue is Newton's method on det(x - H), by the three-term
+    recurrence, from the float value ``start[k]``; each weight is
+    prod_j b_j / prod_(j != k) (E_k - E_j) at those eigenvalues.
+    """
+    with mpmath.workdps(40):
+        squares = [mpmath.mpf(float(b)) ** 2 for b in bonds]
+        roots = []
+        for guess in start:
+            x = mpmath.mpf(float(guess))
+            for _ in range(6):
+                p0, p1, d0, d1 = mpmath.mpf(1), x, mpmath.mpf(0), mpmath.mpf(1)
+                for b2 in squares:
+                    p0, p1, d0, d1 = p1, x * p1 - b2 * p0, d1, p1 + x * d1 - b2 * d0
+                x -= p1 / d1
+            roots.append(x)
+        product = mpmath.fprod(mpmath.mpf(float(b)) for b in bonds)
+        weights = [
+            product / mpmath.fprod(e - other for j, other in enumerate(roots) if j != k)
+            for k, e in enumerate(roots)
+        ]
+    return roots, weights
+
+
+def _end_amplitude(energies, weights, t):
+    return complex(np.sum(weights * np.exp(-1j * energies * t)))
+
+
+class TestEndWeights:
+    """Eigenvalues from dsterf, end weights from the eigenvalues, and their certificate."""
+
+    def test_weights_are_the_end_products_of_the_eigenvectors(self):
+        # the identity itself, against 40-digit eigenvectors of the dense matrix
+        mpmath = pytest.importorskip("mpmath")
+        for n in (2, 5, 10):
+            bonds = disordered_bonds(ChainConfig(n, 1.0, 1.0, 0.5, 0.9), 3, n).values
+            energies, weights, beta = spectral._end_weights(bonds[None])
+            with mpmath.workdps(40):
+                matrix = mpmath.matrix(n, n)
+                for j, b in enumerate(bonds):
+                    matrix[j, j + 1] = matrix[j + 1, j] = mpmath.mpf(float(b))
+                values, vectors = mpmath.eigsy(matrix)
+                order = sorted(range(n), key=lambda k: values[k])
+                exact = [vectors[0, k] * vectors[n - 1, k] for k in order]
+                assert max(abs(values[k] - e) for k, e in zip(order, energies[0])) < 1e-14
+            assert sum(abs(w - float(x)) for w, x in zip(weights[0], exact)) <= beta[0]
+
+    @pytest.mark.parametrize(
+        "n,alpha,delta",
+        [(8, 0.0, 0.2), (8, 0.5, 0.5), (32, 1.0, 0.05), (32, 0.5, 0.5), (128, 0.0, 0.2)],
+    )
+    def test_fidelity_and_weights_against_a_40_digit_oracle(self, n, alpha, delta):
+        mpmath = pytest.importorskip("mpmath")
+        bonds = disordered_bonds(ChainConfig(n, 1.0, 1.0, alpha, delta), 11, n).values
+        t = reflection_time(n, alpha, 1.0)
+        energies, weights, beta = spectral._end_weights(bonds[None])
+        roots, exact = _mp_end_spectrum(mpmath, bonds, energies[0])
+        with mpmath.workdps(40):
+            f_exact = mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(exact, roots))
+            weight_error = float(mpmath.fsum(abs(w - x) for w, x in zip(weights[0], exact)))
+            f_error = float(abs(abs(_end_amplitude(energies[0], weights[0], t)) - abs(f_exact)))
+        assert 0.0 < beta[0] <= 1e-10
+        assert weight_error <= beta[0]
+        assert f_error <= beta[0]
+
+    def test_a_zero_bond_gives_zero_exactly(self):
+        for n, cut in ((2, 0), (9, 4), (9, 7), (40, 19)):
+            bonds = np.linspace(0.5, 1.5, n - 1)
+            bonds[cut] = 0.0
+            energies, weights, beta = spectral._end_weights(bonds[None])
+            assert np.all(weights == 0.0) and beta[0] == 0.0
+            assert dynamics._end_amplitudes(bonds[None], 1.0, 3.7) == [0j]
+
+    @pytest.mark.parametrize("n", [5, 16, 64])
+    def test_negative_bonds_match_the_dstevd_readout(self, n):
+        # delta >= 1 draws bonds of either sign; the sign of prod b carries over
+        config = ChainConfig(n, 1.0, 1.0, 0.5, 1.5)
+        t = reflection_time(n, 0.5, 1.0)
+        signs = set()
+        for k in range(20):
+            bonds = disordered_bonds(config, 2, k)
+            signs.add(float(np.prod(np.sign(bonds.values))))
+            energies, weights, beta = spectral._end_weights(bonds.values[None])
+            f = dynamics._end_amplitudes(bonds.values[None], 1.0, t)[0]
+            old = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), n, t).value
+            if beta[0] <= spectral.END_WEIGHT_ATOL:
+                assert abs(abs(f) - abs(old)) <= beta[0]
+            else:
+                assert f == old
+        assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("n,weak", [(20, 1e-5), (40, 1e-6), (20, 1e-9)])
+    def test_weak_end_bonds_take_the_dstevd_route(self, n, weak):
+        # two end-localized states split by about weak^2: beta passes the tolerance,
+        # or the gap falls inside 2 dE, and the chain is read out through dstevd
+        bonds = np.ones(n - 1)
+        bonds[0] = bonds[-1] = weak
+        t = 0.7 * n
+        beta = spectral._end_weights(bonds[None])[2][0]
+        assert not beta <= spectral.END_WEIGHT_ATOL
+        h = build_hamiltonian(BondSet(values=bonds, alpha=None), 1.3)
+        old = amplitude_spectral(diagonalize(h), n, t).value
+        assert dynamics._end_amplitudes(bonds[None], 1.3, t) == [old]
+        # in a stack, the fallback row and its neighbours read as they do alone
+        stack = np.array([np.linspace(0.8, 1.2, n - 1), bonds, np.full(n - 1, 0.9)])
+        alone = [dynamics._end_amplitudes(row[None], 1.3, t)[0] for row in stack]
+        assert dynamics._end_amplitudes(stack, 1.3, t) == alone
+
+    def test_rows_of_a_stack_read_as_they_do_alone(self):
+        rng = np.random.default_rng(5)
+        for n, chains in ((2, 7), (8, 256), (33, 16), (129, 3)):
+            stack = rng.uniform(0.3, 1.7, (chains, n - 1))
+            energies, weights, beta = spectral._end_weights(stack)
+            for r in (0, chains // 2, chains - 1):
+                alone = spectral._end_weights(stack[r : r + 1].copy())
+                assert energies[r].tobytes() == alone[0][0].tobytes()
+                assert weights[r].tobytes() == alone[1][0].tobytes()
+                assert beta[r] == alone[2][0]
+
+    def test_block_size_changes_no_weight(self, monkeypatch):
+        stack = np.random.default_rng(2).uniform(0.5, 1.5, (3, 40))
+        pinned = spectral._end_weights(stack)
+        for block_bytes in (1, 8 * 3 * 41 * 5):
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_bytes)
+            for got, want in zip(spectral._end_weights(stack), pinned):
+                assert got.tobytes() == want.tobytes()
+
+    def test_unsolved_eigenvalues_raise(self, monkeypatch):
+        original = spectral._sterf
+
+        def shifted(*args):
+            energies, info = original(*args)
+            energies[0] -= 1e-6  # one eigenvalue off: sum E^2 misses trace(H^2)
+            return energies, info
+
+        monkeypatch.setattr(spectral, "_sterf", shifted)
+        with pytest.raises(NumericalFailureError, match="trace"):
+            spectral._end_weights(np.ones((1, 7)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cfg: ensemble_fidelity(cfg, 3, seed=0),
+            reflection_fidelity,
+            lambda cfg: erg_max_window(cfg, "coherent", 1.0, 5.0),
+        ],
+        ids=["ensemble_fidelity", "reflection_fidelity", "erg_max_window"],
+    )
+    def test_lapack_failure_raises(self, monkeypatch, call):
+        monkeypatch.setattr(spectral, "_sterf", lambda d, e: (d.copy(), 1))
+        with pytest.raises(NumericalFailureError, match="dsterf failed with info = 1"):
+            call(ChainConfig(12, 1.0, 1.0, 0.5, 0.1))
+
+    def test_no_benchmark_cell_falls_back(self, monkeypatch):
+        # the disorder cells (N <= 128, delta <= 0.2) and the clean chains of the
+        # window and theta-sweep cells stay on the eigenvalue route
+        def no_dstevd(*args):
+            raise AssertionError("dstevd fallback")
+
+        monkeypatch.setattr(spectral, "_solve", no_dstevd)
+        for n in (8, 32, 128):
+            for alpha in (0.0, 1.0):
+                for delta in (0.05, 0.2):
+                    ensemble_fidelity(ChainConfig(n, 1.0, 1.0, alpha, delta), 150, seed=0)
+        for n, alpha in ((16, 1.0), (64, 1.0), (256, 1.0), (128, 0.0), (256, 0.0)):
+            bonds = interpolated_bonds(ChainConfig(n, 1.0, 1.0, alpha)).values
+            assert spectral._end_weights(bonds[None])[2][0] <= 1e-9
+
+    def test_reflection_fidelity_at_5000_sites_stays_small(self):
+        import tracemalloc
+
+        n = 5000
+        tracemalloc.start()
+        try:
+            _, fidelity = reflection_fidelity(ChainConfig(n, 1.0, 1.0, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= fidelity <= 1.0
+        assert peak < 0.02 * 8 * n * n  # one (N, N) array is 200 MB; the gap blocks are 256 KB
 
 
 def _fix_column_signs_loop(vectors):
