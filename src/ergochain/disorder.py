@@ -33,6 +33,7 @@ from .ergotropy import (
     reflection_time,
 )
 from .errors import InvalidInputError, MisuseError, UndefinedMetricError
+from .spectral import _BLOCK_BYTES
 
 __all__ = [
     "EnsembleStats",
@@ -41,13 +42,6 @@ __all__ = [
     "ensemble_erg",
     "gamma_metric",
 ]
-
-# Chains read out together by ensemble_fidelity, so that their (chunk, N, N)
-# eigenvalue-gap temporaries fit in this: 256 chains at N = 8, 16 at N = 32,
-# 1 at N = 128. ``spectral._BLOCK_BYTES`` is not below it, so each chunk is
-# one block of ``spectral._end_weights``; past N = 128 a chunk is one chain,
-# whose gaps that function forms a block of rows at a time.
-_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -87,15 +81,15 @@ def ensemble_fidelity(
     (seed, k) and read out at the clean chain's reflection time T. The clean
     bond profile and one Philox generator are built once. Each realization
     re-keys that generator and draws into a preallocated bond row. A chunk of
-    rows (``_CHUNK_BYTES``) is then read out by ``dynamics._end_amplitudes``:
-    one LAPACK ``dsterf`` call per chain, end weights from the eigenvalues
-    alone (``spectral._end_weights``), no eigenvectors. Each chain carries a
-    first-order certificate ``beta`` on |f_N|; one whose ``beta`` exceeds
-    ``spectral.END_WEIGHT_ATOL`` (1e-6) is solved by ``dstevd`` and checked
-    by the residual contract of ``diagonalize`` instead. On the benchmark's
-    cells (N <= 128, delta <= 0.2) ``beta`` stays below 1e-10, so no chain
-    falls back there. A nonzero ``info`` or a failed residual raises
-    NumericalFailureError.
+    rows, sized to one block of ``spectral._BLOCK_BYTES``, is then read out
+    by ``dynamics._end_amplitudes``: one LAPACK ``dsterf`` call per chain,
+    end weights from the eigenvalues alone (``spectral._end_weights``), no
+    eigenvectors. Each chain carries a first-order certificate ``beta`` on
+    |f_N|; one whose ``beta`` exceeds ``spectral.END_WEIGHT_ATOL`` (1e-6) is
+    solved by the guarded ``spectral._solve`` (``dstevd`` and its residual
+    contract) instead. On the benchmark's cells (N <= 128, delta <= 0.2)
+    ``beta`` stays below 1e-10, so no chain falls back there. A nonzero
+    ``info`` or a failed residual raises NumericalFailureError.
 
     Row r of a chunk depends on bond row r alone, so F_k equals the
     single-chain readout ``_end_amplitudes(bonds[None], field, T)`` of
@@ -116,7 +110,9 @@ def ensemble_fidelity(
     clean = interpolated_bonds(config).values  # validates config
     n = config.n_sites
     t = reflection_time(n, config.alpha, config.coupling)
-    chunk = min(n_realizations, max(1, _CHUNK_BYTES // (8 * n * n)))
+    # chains whose (chunk, N, N) eigenvalue-gap temporaries fill one block of
+    # ``spectral._end_weights``: 256 at N = 8, 16 at N = 32, 1 from N = 128 on
+    chunk = min(n_realizations, max(1, _BLOCK_BYTES // (8 * n * n)))
     bonds = np.empty((chunk, n - 1))
     fidelities = np.empty(n_realizations)
     rng = _noise_generator()

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _validate
-from ._validate import ENCODINGS
 from .chain import ChainConfig, gn_factor, interpolated_bonds
 from .dynamics import QubitState, _amplitude_grid, _end_amplitudes
 from .errors import InvalidInputError, UndefinedEfficiencyError
@@ -37,7 +36,6 @@ from .spectral import _end_spectrum
 
 __all__ = [
     "ErgotropyRecord",
-    "ENCODINGS",
     "qubit_ergotropy",
     "erg_input",
     "match_mixed_to_pure",

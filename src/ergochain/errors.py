@@ -7,6 +7,16 @@ failures to exit code 2 and numerical failures to exit code 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "ErgochainError",
+    "InvalidConfigError",
+    "InvalidInputError",
+    "MisuseError",
+    "NumericalFailureError",
+    "UndefinedEfficiencyError",
+    "UndefinedMetricError",
+]
+
 
 class ErgochainError(Exception):
     """Base class for all deliberate ergochain errors."""

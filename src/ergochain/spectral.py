@@ -1,17 +1,19 @@
 """Spectral decompositions: numerical and closed-form.
 
-``diagonalize`` calls LAPACK ``dstevd`` (the symmetric tridiagonal
-divide-and-conquer driver) and enforces a residual contract. Every readout
-of f_N at one time or over a window needs only the end weights
-v_k[1] v_k[N], and ``_end_weights`` gets them from the eigenvalues alone:
-one LAPACK ``dsterf`` call per chain (no eigenvectors, no BLAS call),
+``_solve`` is the one call of LAPACK ``dstevd`` (the symmetric tridiagonal
+divide-and-conquer driver), and it enforces the residual contract on what
+the driver returns. Its three callers are ``diagonalize``, the fallback of
+``_end_spectrum`` and ``workstats.tpm_distribution``. Every readout of f_N
+at one time or over a window needs only the end weights v_k[1] v_k[N], and
+``_end_weights`` gets them from the eigenvalues alone: one LAPACK ``dsterf``
+call per chain (no eigenvectors, no BLAS call),
 w_k = prod_j b_j / prod_(j != k) (E_k - E_j), and a first-order certificate
 ``beta`` on |f_N|. ``_end_spectrum`` reads a chain whose ``beta`` exceeds
-END_WEIGHT_ATOL (1e-6), or whose weights or gaps fail, through ``dstevd``
-and the residual contract instead. The handles, ``_stevd`` and ``_sterf``,
-come from scipy's ``_flapack`` extension, which ``_load_flapack`` loads by
-itself: ``import scipy.linalg`` would run the package init, whose array-API
-layer imports ``numpy.testing`` and ``numpy.f2py``, about 0.33 s of a 0.47 s
+END_WEIGHT_ATOL (1e-6), or whose weights or gaps fail, through ``_solve``
+instead. The handles, ``_stevd`` and ``_sterf``, come from scipy's
+``_flapack`` extension, which ``_load_flapack`` loads by itself:
+``import scipy.linalg`` would run the package init, whose array-API layer
+imports ``numpy.testing`` and ``numpy.f2py``, about 0.33 s of a 0.47 s
 ``import ergochain.cli``. Without it the import takes about 0.18 s (medians
 of 8 fresh interpreters, 2-core x86-64 host). They call the same Fortran
 routines as ``scipy.linalg.lapack``, so every output bit is scipy's. For the two
@@ -54,7 +56,6 @@ __all__ = [
     "SpectralDecomposition",
     "diagonalize",
     "analytic_uniform_spectrum",
-    "krawtchouk",
     "analytic_pst_spectrum",
 ]
 
@@ -64,9 +65,9 @@ __all__ = [
 RESIDUAL_RTOL = 1e-9
 
 # Bytes of each temporary of one block: the two of a ``_check_residual`` block
-# and the gap arrays of an ``_end_weights`` block. Not below the disorder
-# kernel's 128 KB chunk, so the kernel reads each chunk in one pass.
-_BLOCK_BYTES = 256 * 1024
+# and the gap arrays of an ``_end_weights`` block. The disorder kernel reads
+# _BLOCK_BYTES // (8 N^2) chains at a time, so each of its chunks is one block.
+_BLOCK_BYTES = 128 * 1024
 
 # Tolerance of the end-weight certificate ``beta`` on |f_N|. The bound is
 # first order; against 40-digit oracles (N = 32-128, delta 0.2-0.99) it was at
@@ -163,69 +164,66 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _solve(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors (columns) of one tridiagonal matrix.
+    """Eigenvalues (ascending) and eigenvectors (rows) of one tridiagonal matrix, checked.
 
-    One call of LAPACK ``dstevd``, the driver scipy's tridiagonal eigensolver
-    picks by default in scipy 1.17. It is named here, so a scipy that changes
-    its default cannot change the bits. ``_stevd`` calls scipy's own routine,
-    from its ``_flapack`` extension loaded without importing ``scipy.linalg``
-    (see the module docstring), so the bundled LAPACK and BLAS are the ones
-    ``scipy.linalg`` would use. A nonzero ``info`` raises
-    NumericalFailureError.
+    The one call of LAPACK ``dstevd``, the driver scipy's tridiagonal
+    eigensolver picks by default in scipy 1.17. It is named here, so a scipy
+    that changes its default cannot change the bits. ``_stevd`` calls scipy's
+    own routine, from its ``_flapack`` extension loaded without importing
+    ``scipy.linalg`` (see the module docstring), so the bundled LAPACK and
+    BLAS are the ones ``scipy.linalg`` would use. Eigenvector k is row
+    ``vectors[k]``, a transposed view of the driver's columns. A nonzero
+    ``info`` raises NumericalFailureError, and so does a result that fails
+    ``_check_residual``.
     """
     energies, vectors, info = _stevd(diag, off)
     if info != 0:
         raise NumericalFailureError(f"LAPACK dstevd failed with info = {info}")
+    vectors = vectors.T
+    _check_residual(diag, off, energies, vectors)
     return energies, vectors
 
 
 def _check_residual(
-    diag: np.ndarray,
-    off: np.ndarray,
-    energies: np.ndarray,
-    vectors: np.ndarray,
-    rtol: float = RESIDUAL_RTOL,
+    diag: np.ndarray, off: np.ndarray, energies: np.ndarray, vectors: np.ndarray
 ) -> None:
     """Raise NumericalFailureError unless every ||H v_k - E_k v_k|| is in bound.
 
-    Works on a stack of chains: ``energies`` is (..., N), ``vectors``
-    (..., N, N) with eigenvector k in ``vectors[..., k, :]``, ``off``
-    (..., N-1), and ``diag`` is (N,) or (..., N). Each chain's worst residual
-    must not exceed ``rtol`` times max(1, its infinity-norm bound on H); a
-    NaN fails too. The error names the first failing chain.
+    H is the one chain with diagonal ``diag`` and bonds ``off``; eigenvector k
+    is row ``vectors[k]``. The worst residual must not exceed RESIDUAL_RTOL
+    (read at call time) times max(1, an infinity-norm bound on H); a NaN
+    fails too. The error carries the worst residual.
 
     (H - E_k) v_k is formed for a block of k at a time; each of the block's
-    two temporaries holds at most ``_BLOCK_BYTES`` (or one k row of
-    the stack), so the check adds no (N, N) array to the solve's two. Each
-    k's squared norm is the same sum whatever the block, so the residuals
-    do not depend on the block size.
+    two temporaries holds at most ``_BLOCK_BYTES`` (or one row), so the check
+    adds no (N, N) array to the solve's two. Each k's squared norm is the
+    same sum whatever the block, so the residual does not depend on the
+    block size.
     """
-    bonds = off[..., None, :]
-    squares = np.empty(energies.shape)
-    rows = max(1, _BLOCK_BYTES // (8 * vectors[..., 0, :].size))
-    for start in range(0, energies.shape[-1], rows):
+    n = energies.size
+    squares = np.empty(n)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n, rows):
         block = slice(start, start + rows)
-        v = vectors[..., block, :]
-        out = diag[..., None, :] - energies[..., block, None]  # (H - E_k) v_k, one row per k
+        v = vectors[block]
+        out = diag - energies[block, None]  # (H - E_k) v_k, one row per k
         out *= v
-        shifted = bonds * v[..., 1:]
-        out[..., :-1] += shifted
-        np.multiply(bonds, v[..., :-1], out=shifted)
-        out[..., 1:] += shifted
-        np.einsum("...ki,...ki->...k", out, out, out=squares[..., block])
-    residual = np.ravel(np.sqrt(np.max(squares, axis=-1)))
-    # |d_i| + |e_(i-1)| + |e_i|: the infinity norm of each H
-    row_sums = np.abs(np.broadcast_to(diag, energies.shape))
-    row_sums[..., 1:] += np.abs(off)
-    row_sums[..., :-1] += np.abs(off)
-    norm_bound = np.ravel(np.max(row_sums, axis=-1))
-    failed = np.flatnonzero(~(residual <= rtol * np.maximum(norm_bound, 1.0)))
-    if failed.size:
-        chain = failed[0]
+        shifted = off * v[:, 1:]
+        out[:, :-1] += shifted
+        np.multiply(off, v[:, :-1], out=shifted)
+        out[:, 1:] += shifted
+        np.einsum("ki,ki->k", out, out, out=squares[block])
+    residual = float(np.sqrt(np.max(squares)))
+    # |d_i| + |e_(i-1)| + |e_i|: the infinity norm of H
+    row_sums = np.abs(diag)
+    row_sums[1:] += np.abs(off)
+    row_sums[:-1] += np.abs(off)
+    norm_bound = float(np.max(row_sums))
+    if not residual <= RESIDUAL_RTOL * max(norm_bound, 1.0):
         raise NumericalFailureError(
-            f"eigensolver residual {residual[chain]:.3e} exceeds "
-            f"{rtol:.1e} * {norm_bound[chain]:.3e}",
-            residual=float(residual[chain]),
+            f"eigensolver residual {residual:.3e} exceeds "
+            f"{RESIDUAL_RTOL:.1e} * {norm_bound:.3e}",
+            residual=residual,
         )
 
 
@@ -314,11 +312,10 @@ def _end_spectrum(bonds: np.ndarray, field: float) -> tuple[np.ndarray, np.ndarr
 
     Each chain is read from ``_end_weights`` when its certificate ``beta`` is
     at most END_WEIGHT_ATOL. A chain past it (near-degenerate pairs under
-    strong disorder, where the product formula cancels) is solved by
-    ``_solve`` on its full diagonal -(N-2)B and checked by
-    ``_check_residual``: its energies and weights are those of
-    ``diagonalize``, bit for bit, since v_k[1] v_k[N] does not depend on the
-    sign gauge. Row r depends on bond row r alone.
+    strong disorder, where the product formula cancels) is solved by one
+    guarded ``_solve`` on its full diagonal -(N-2)B: its energies and
+    weights are those of ``diagonalize``, bit for bit, since v_k[1] v_k[N]
+    does not depend on the sign gauge. Row r depends on bond row r alone.
     """
     energies, weights, beta = _end_weights(bonds)
     fallback = np.flatnonzero(~(beta <= END_WEIGHT_ATOL))
@@ -327,30 +324,23 @@ def _end_spectrum(bonds: np.ndarray, field: float) -> tuple[np.ndarray, np.ndarr
         diag = np.full(n, -(n - 2) * field)
         for r in fallback:
             energies[r], vectors = _solve(diag, bonds[r])
-            _check_residual(diag, bonds[r], energies[r], vectors.T)
-            weights[r] = vectors[0] * vectors[-1]
+            weights[r] = vectors[:, 0] * vectors[:, -1]
     return energies, weights
 
 
-def diagonalize(
-    hamiltonian: SingleExcitationHamiltonian, rtol: float = RESIDUAL_RTOL
-) -> SpectralDecomposition:
+def diagonalize(hamiltonian: SingleExcitationHamiltonian) -> SpectralDecomposition:
     """Full eigendecomposition of the single-excitation block.
 
-    Validation, one LAPACK ``dstevd`` call (``_solve``), the residual
-    contract (``_check_residual``), then the sign gauge. Raises
-    NumericalFailureError (carrying the worst per-column residual) if LAPACK
-    reports failure or if max_k ||H v_k - E_k v_k|| exceeds ``rtol`` times
-    an infinity-norm bound on H.
+    Validation, one guarded ``_solve`` (LAPACK ``dstevd`` and the residual
+    contract), then the sign gauge. Raises NumericalFailureError (carrying
+    the worst per-column residual) if LAPACK reports failure or if
+    max_k ||H v_k - E_k v_k|| exceeds RESIDUAL_RTOL times an infinity-norm
+    bound on H.
     """
     if not isinstance(hamiltonian, SingleExcitationHamiltonian):
         raise InvalidInputError("hamiltonian must be a SingleExcitationHamiltonian")
-    rtol = _validate.positive("rtol", rtol)
-    diag = hamiltonian.diagonal
-    off = hamiltonian.offdiagonal
-    energies, vectors = _solve(diag, off)
-    _check_residual(diag, off, energies, vectors.T, rtol)
-    return SpectralDecomposition(energies=energies, vectors=_fix_column_signs(vectors))
+    energies, vectors = _solve(hamiltonian.diagonal, hamiltonian.offdiagonal)
+    return SpectralDecomposition(energies=energies, vectors=_fix_column_signs(vectors.T))
 
 
 def analytic_uniform_spectrum(
@@ -371,21 +361,6 @@ def analytic_uniform_spectrum(
     vectors = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(sites, theta))
     vectors *= np.where(sites % 2 == 1, 1.0, -1.0)[:, None]  # alternating gauge
     return SpectralDecomposition(energies=energies, vectors=vectors)
-
-
-def krawtchouk(k: int, x: int, m: int) -> int:
-    """Binary Krawtchouk polynomial K_k(x) on {0..m}, exact integer value.
-
-    K_k(x) = sum_i (-1)^i C(x, i) C(m-x, k-i). Evaluated with exact integer
-    arithmetic; no rounding at any size.
-    """
-    m = _validate.integer("m", m, 0)
-    k = _validate.integer("k", k, 0, m)
-    x = _validate.integer("x", x, 0, m)
-    total = 0
-    for i in range(max(0, k - (m - x)), min(k, x) + 1):
-        total += (-1) ** i * math.comb(x, i) * math.comb(m - x, k - i)
-    return total
 
 
 def _pst_ladder(n: int, coupling: float) -> np.ndarray:

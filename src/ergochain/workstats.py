@@ -32,7 +32,7 @@ from . import _validate
 from .chain import ChainConfig, build_hamiltonian, interpolated_bonds
 from .dynamics import InitialSiteState
 from .errors import InvalidInputError
-from .spectral import _check_residual, _pst_ladder, _solve
+from .spectral import _pst_ladder, _solve
 
 __all__ = [
     "WorkDistribution",
@@ -93,13 +93,17 @@ class WorkMoments:
 
 
 def _merge_atoms(
-    values: np.ndarray, probabilities: np.ndarray, scale: float
+    work: np.ndarray, weights: np.ndarray, vacuum: float, scale: float
 ) -> WorkDistribution:
-    """Sort atoms and fuse any closer than MERGE_RTOL * scale (weight-summed).
+    """Add the vacuum atom, sort the atoms and fuse any closer than MERGE_RTOL * scale.
 
-    The fused position is the probability-weighted mean of the cluster, and
-    zero-weight atoms are dropped afterwards.
+    The vacuum atom sits at W = 0 with weight ``vacuum`` and goes first, ahead
+    of the atoms at ``work`` with ``weights``. A fused atom is weight-summed,
+    at the probability-weighted mean of its cluster, and zero-weight atoms
+    are dropped afterwards.
     """
+    values = np.concatenate([[0.0], work])
+    probabilities = np.concatenate([[vacuum], weights])
     order = np.argsort(values)
     values = values[order]
     probabilities = probabilities[order]
@@ -123,7 +127,7 @@ def _merge_atoms(
 def tpm_distribution(config: ChainConfig, initial: InitialSiteState) -> WorkDistribution:
     """Two-point-measurement work distribution of the clean interpolated chain.
 
-    Fully numerical route: one guarded eigensolve (the LAPACK call and
+    Fully numerical route: one guarded ``_solve`` (the LAPACK call and
     residual contract of ``diagonalize``), W_k = E_k - E_site1 and weights
     from the site-1 eigenvector components. The weights are squares, so the
     sign gauge is skipped. The field cancels in every W_k.
@@ -133,16 +137,12 @@ def tpm_distribution(config: ChainConfig, initial: InitialSiteState) -> WorkDist
     if not isinstance(initial, InitialSiteState):
         raise InvalidInputError("initial must be an InitialSiteState")
     hamiltonian = build_hamiltonian(interpolated_bonds(config), config.field)
-    diag, off = hamiltonian.diagonal, hamiltonian.offdiagonal
-    energies, vectors = _solve(diag, off)
-    _check_residual(diag, off, energies, vectors.T)
+    diag = hamiltonian.diagonal
+    energies, vectors = _solve(diag, hamiltonian.offdiagonal)
     p_excited = initial.excited_population
     # E_site1 = <1|H|1> is the constant diagonal
-    work = energies - diag[0]
-    weights = p_excited * vectors[0, :] ** 2
-    values = np.concatenate([[0.0], work])
-    probabilities = np.concatenate([[1.0 - p_excited], weights])
-    return _merge_atoms(values, probabilities, config.coupling)
+    weights = p_excited * vectors[:, 0] ** 2
+    return _merge_atoms(energies - diag[0], weights, 1.0 - p_excited, config.coupling)
 
 
 def pst_closed_distribution(
@@ -166,9 +166,7 @@ def pst_closed_distribution(
     scale = 2 ** (n - 1)
     weights = np.array([c / scale for c in binomials])
     weights *= p_excited
-    values = np.concatenate([[0.0], work])
-    probabilities = np.concatenate([[1.0 - p_excited], weights])
-    return _merge_atoms(values, probabilities, coupling)
+    return _merge_atoms(work, weights, 1.0 - p_excited, coupling)
 
 
 def uniform_closed_distribution(
@@ -189,9 +187,7 @@ def uniform_closed_distribution(
     work = -2.0 * coupling * np.cos(theta)
     p_excited = initial.excited_population
     weights = p_excited * (2.0 / (n + 1)) * np.sin(theta) ** 2
-    values = np.concatenate([[0.0], work])
-    probabilities = np.concatenate([[1.0 - p_excited], weights])
-    return _merge_atoms(values, probabilities, coupling)
+    return _merge_atoms(work, weights, 1.0 - p_excited, coupling)
 
 
 def moments(distribution: WorkDistribution, max_order: int = 2) -> WorkMoments:

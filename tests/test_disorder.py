@@ -252,7 +252,7 @@ def _parent_loop(config, n_realizations, seed):
 
 
 def _chunk(n):
-    return disorder._CHUNK_BYTES // (8 * n * n)
+    return spectral._BLOCK_BYTES // (8 * n * n)
 
 
 class TestEnsembleKernel:
@@ -261,7 +261,7 @@ class TestEnsembleKernel:
     SITES = [2, 3, 5, 8, 25, 32, 50, 128]
 
     def test_chunk_sizes(self):
-        # 128 KB of eigenvectors per chunk; past N = 128 a chunk is one chain
+        # one 128 KB block of (chunk, N, N) gap temporaries; past N = 128 a chunk is one chain
         assert [_chunk(n) for n in (8, 32, 128, 129)] == [256, 16, 1, 0]
 
     @pytest.mark.parametrize("n", SITES)

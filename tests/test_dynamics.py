@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_hamiltonian, full_hilbert_receiver_state, rk4_propagate
+from oracles import krawtchouk
 from ergochain import (
     ChainConfig,
     InitialSiteState,
@@ -34,7 +35,6 @@ from ergochain import (
 )
 from ergochain import dynamics
 from ergochain.dynamics import _amplitude_grid
-from ergochain.spectral import krawtchouk
 
 
 def _decomposition(n, alpha, coupling=1.0, field=1.0):

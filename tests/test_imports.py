@@ -104,3 +104,44 @@ def test_first_bessel_call_loads_special_and_matches_jv():
     )
     assert _fresh(code) == "True"
 
+
+
+# The package root's public names, written out once here so that a name added
+# to or dropped from a submodule's ``__all__`` shows up as a failure.
+ROOT_API = {
+    "__version__",
+    # errors
+    "ErgochainError", "InvalidConfigError", "InvalidInputError", "MisuseError",
+    "NumericalFailureError", "UndefinedEfficiencyError", "UndefinedMetricError",
+    # chain
+    "ChainConfig", "BondSet", "SingleExcitationHamiltonian", "gn_factor", "pst_couplings",
+    "interpolated_bonds", "disordered_bonds", "build_hamiltonian",
+    # spectral
+    "SpectralDecomposition", "diagonalize", "analytic_uniform_spectrum",
+    "analytic_pst_spectrum",
+    # dynamics
+    "InitialSiteState", "TransitionAmplitude", "QubitState", "amplitude_spectral",
+    "amplitude_profile", "amplitude_uniform_closed", "amplitude_pst_closed",
+    "amplitude_bessel_limit", "reduced_state",
+    # ergotropy
+    "ErgotropyRecord", "qubit_ergotropy", "erg_input", "match_mixed_to_pure", "erg_coherent",
+    "erg_mixed", "reflection_time", "reflection_fidelity", "erg_at_reflection",
+    "erg_max_window", "rescaled_efficiency",
+    # disorder
+    "EnsembleStats", "ensemble_fidelity", "ensemble_stats", "ensemble_erg", "gamma_metric",
+    # work statistics
+    "WorkDistribution", "WorkMoments", "tpm_distribution", "pst_closed_distribution",
+    "uniform_closed_distribution", "moments", "adaptive_density", "binned_histogram",
+    "gaussian_density", "semicircle_density",
+}
+
+
+def test_root_api_is_pinned():
+    assert len(ROOT_API) == 55
+    assert len(ergochain.__all__) == len(set(ergochain.__all__))
+    assert set(ergochain.__all__) == ROOT_API
+    for name in ergochain.__all__:
+        getattr(ergochain, name)
+    namespace = {}
+    exec("from ergochain import *", namespace)
+    assert set(namespace) - {"__builtins__"} == ROOT_API

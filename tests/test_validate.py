@@ -33,10 +33,8 @@ CASES = [
     (ec.disordered_bonds, {"config": _CONFIG, "seed": 3, "realization_index": 2},
      ("seed", "realization_index")),
     (ec.build_hamiltonian, {"bonds": _BONDS, "field": 1.0}, ("field",)),
-    (ec.diagonalize, {"hamiltonian": _HAMILTONIAN, "rtol": 1e-9}, ("rtol",)),
     (ec.analytic_uniform_spectrum, {**_CHAIN, "field": 1.0}, ("n_sites", "coupling", "field")),
     (ec.analytic_pst_spectrum, {**_CHAIN, "field": 1.0}, ("n_sites", "coupling", "field")),
-    (ec.krawtchouk, {"k": 1, "x": 2, "m": 4}, ("k", "x", "m")),
     (ec.InitialSiteState, {"theta": 1.0, "phi": 0.5}, ("theta", "phi")),
     (ec.QubitState, {"excited_population": 0.5, "coherence": 0.1},
      ("excited_population", "coherence")),
@@ -97,7 +95,7 @@ PARAMETERS = [
 
 def _finite(result) -> bool:
     if result is None or isinstance(result, (str, int)):
-        return True  # exact integers (Krawtchouk values) are finite at any size
+        return True  # integer and string fields (n_sites, encoding) have no rounding to check
     if isinstance(result, (float, complex, np.number)):
         return cmath.isfinite(complex(result))
     if isinstance(result, np.ndarray):
