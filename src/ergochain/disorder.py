@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _validate
+from . import _validate, spectral
 from .chain import ChainConfig, _noise_factors, _noise_generator, _seed, interpolated_bonds
 from .dynamics import _end_amplitudes
 from .ergotropy import (
@@ -33,7 +33,6 @@ from .ergotropy import (
     reflection_time,
 )
 from .errors import InvalidInputError, MisuseError, UndefinedMetricError
-from .spectral import _BLOCK_BYTES
 
 __all__ = [
     "EnsembleStats",
@@ -81,15 +80,19 @@ def ensemble_fidelity(
     (seed, k) and read out at the clean chain's reflection time T. The clean
     bond profile and one Philox generator are built once. Each realization
     re-keys that generator and draws into a preallocated bond row. A chunk of
-    rows, sized to one block of ``spectral._BLOCK_BYTES``, is then read out
-    by ``dynamics._end_amplitudes``: one LAPACK ``dsterf`` call per chain,
-    end weights from the eigenvalues alone (``spectral._end_weights``), no
-    eigenvectors. Each chain carries a first-order certificate ``beta`` on
-    |f_N|; one whose ``beta`` exceeds ``spectral.END_WEIGHT_ATOL`` (1e-6) is
-    solved by the guarded ``spectral._solve`` (``dstevd`` and its residual
-    contract) instead. On the benchmark's cells (N <= 128, delta <= 0.2)
-    ``beta`` stays below 1e-10, so no chain falls back there. A nonzero
-    ``info`` or a failed residual raises NumericalFailureError.
+    rows is then read out by ``dynamics._end_amplitudes``. The chunk holds
+    the chains whose (chunk, N) complex phases fill one block of
+    ``spectral._BLOCK_BYTES`` (128 KB): 1024 at N = 8, 64 at N = 128, one
+    from N = 8193 on. ``_end_weights`` cuts its gap temporaries into blocks
+    of its own, so memory stays a few blocks whatever the count. Each chain
+    takes one LAPACK ``dsterf`` call, end weights from the eigenvalues alone
+    (``spectral._end_weights``), no eigenvectors. Each chain carries a
+    first-order certificate ``beta`` on |f_N|; one whose ``beta`` exceeds
+    ``spectral.END_WEIGHT_ATOL`` (1e-6) is solved by the guarded
+    ``spectral._solve`` (``dstevd`` and its residual contract) instead. On
+    the benchmark's cells (N <= 128, delta <= 0.2) ``beta`` stays below
+    1e-10, so no chain falls back there. A nonzero ``info`` or a failed
+    residual raises NumericalFailureError.
 
     Row r of a chunk depends on bond row r alone, so F_k equals the
     single-chain readout ``_end_amplitudes(bonds[None], field, T)`` of
@@ -110,9 +113,9 @@ def ensemble_fidelity(
     clean = interpolated_bonds(config).values  # validates config
     n = config.n_sites
     t = reflection_time(n, config.alpha, config.coupling)
-    # chains whose (chunk, N, N) eigenvalue-gap temporaries fill one block of
-    # ``spectral._end_weights``: 256 at N = 8, 16 at N = 32, 1 from N = 128 on
-    chunk = min(n_realizations, max(1, _BLOCK_BYTES // (8 * n * n)))
+    # chains whose (chunk, N) complex phases fill one block, read at call time:
+    # 1024 at N = 8, 256 at N = 32, 64 at N = 128, 1 from N = 8193 on
+    chunk = min(n_realizations, max(1, spectral._BLOCK_BYTES // (16 * n)))
     bonds = np.empty((chunk, n - 1))
     fidelities = np.empty(n_realizations)
     rng = _noise_generator()

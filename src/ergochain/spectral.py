@@ -66,7 +66,8 @@ RESIDUAL_RTOL = 1e-9
 
 # Bytes of each temporary of one block: the two of a ``_check_residual`` block
 # and the gap arrays of an ``_end_weights`` block. The disorder kernel reads
-# _BLOCK_BYTES // (8 N^2) chains at a time, so each of its chunks is one block.
+# _BLOCK_BYTES // (16 N) chains at a time, so its (chunk, N) complex phases are
+# one block. Every reader looks it up at call time, so one value drives all.
 _BLOCK_BYTES = 128 * 1024
 
 # Tolerance of the end-weight certificate ``beta`` on |f_N|. The bound is
@@ -295,6 +296,7 @@ def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             np.reciprocal(gaps, out=gaps)
             gaps[:, k - start, k] = 0.0
             inverse_gaps[:, k] = np.sum(gaps, axis=-1)
+            del gaps  # freed before the next block is formed: one gap block alive at a time
         log_bonds = np.sum(np.log(magnitudes), axis=-1)
         weights = sign[:, None] * parity * np.exp(log_bonds[:, None] - log_gaps)
         rho = 2 * delta_e[:, None] * inverse_gaps + 2 * n * _EPS

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,8 +252,28 @@ def _parent_loop(config, n_realizations, seed):
     )
 
 
-def _chunk(n):
-    return spectral._BLOCK_BYTES // (8 * n * n)
+def _end_weights_calls(monkeypatch):
+    """Record the stack height of every ``spectral._end_weights`` call."""
+    original = spectral._end_weights
+    heights = []
+
+    def counted(bonds):
+        heights.append(bonds.shape[0])
+        return original(bonds)
+
+    monkeypatch.setattr(spectral, "_end_weights", counted)
+    return heights
+
+
+def _traced_peak(call):
+    """``tracemalloc`` peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 class TestEnsembleKernel:
@@ -260,13 +281,36 @@ class TestEnsembleKernel:
 
     SITES = [2, 3, 5, 8, 25, 32, 50, 128]
 
-    def test_chunk_sizes(self):
-        # one 128 KB block of (chunk, N, N) gap temporaries; past N = 128 a chunk is one chain
-        assert [_chunk(n) for n in (8, 32, 128, 129)] == [256, 16, 1, 0]
+    @pytest.mark.parametrize("n, calls", [(8, 1), (32, 1), (128, 3)])
+    def test_one_end_weights_call_per_block_of_phases(self, monkeypatch, n, calls):
+        # a chunk is the chains whose (chunk, N) complex phases fill one 128 KB
+        # block: 1024 at N = 8, 256 at N = 32, 64 at N = 128
+        heights = _end_weights_calls(monkeypatch)
+        ensemble_fidelity(_config(n=n, delta=0.2), 150, seed=0)
+        assert len(heights) == calls
+        assert sum(heights) == 150
+
+    def test_memory_does_not_grow_with_realizations(self):
+        # the chunk's temporaries stay within a few blocks; only the output
+        # array (8 bytes per realization) grows with the count
+        cfg = _config(n=128, delta=0.2, alpha=0.5)
+        peaks = [_traced_peak(lambda: ensemble_fidelity(cfg, count, 3)) for count in (150, 2000)]
+        assert max(peaks) < 8 * spectral._BLOCK_BYTES
+        assert peaks[1] - peaks[0] <= 8 * (2000 - 150) + 4096, peaks
+
+    def test_thousands_of_sites_stay_in_blocks(self):
+        # one (N, N) float array would be 32 MB; two chains of N = 2000 need a
+        # few blocks of gap temporaries and O(N) rows
+        n = 2000
+        cfg = _config(n=n, delta=0.05, alpha=0.5)
+        fidelities = []
+        peak = _traced_peak(lambda: fidelities.extend(ensemble_fidelity(cfg, 2, 0)))
+        assert np.all(np.isfinite(fidelities)) and len(fidelities) == 2
+        assert peak < 0.02 * 8 * n * n, peak
 
     @pytest.mark.parametrize("n", SITES)
     def test_matches_parent_loop_on_the_grid(self, n):
-        # 10 realizations span several chunks from N = 50 on
+        # 10 realizations are one chunk at every N here; the boundary test crosses chunks
         for alpha in (0.0, 0.5, 1.0):
             for delta in (0.0, 0.05, 0.2):
                 for seed in (0, 7, -1):
@@ -291,20 +335,25 @@ class TestEnsembleKernel:
                     assert abs(abs(f) - abs(old.value)) <= beta[0], (alpha, delta, k)
 
     @pytest.mark.parametrize("n", SITES)
-    def test_matches_parent_loop_across_chunk_boundaries(self, n):
-        # realization k depends only on (seed, k), so each count is a prefix of one oracle run
+    def test_matches_parent_loop_across_chunk_boundaries(self, monkeypatch, n):
+        # a block of 7 chains' phases makes a chunk of 7 at every N, so 150
+        # realizations cross 21 boundaries; realization k depends only on
+        # (seed, k), so each count is a prefix of one oracle run
         cfg = _config(n=n, delta=0.2, alpha=0.5)
-        chunk = _chunk(n)
+        chunk = 7
         counts = [1, chunk, chunk + 1, 150]
         expected = _parent_loop(cfg, max(counts), 7)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * n * chunk)
+        heights = _end_weights_calls(monkeypatch)
         for count in counts:
             assert np.array_equal(ensemble_fidelity(cfg, count, 7), expected[:count]), count
-
+        assert heights == [1, 7, 7, 1] + [7] * 21 + [3]
 
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])
-    def test_extreme_seeds_draw_fresh_keyed_streams(self, seed):
+    def test_extreme_seeds_draw_fresh_keyed_streams(self, monkeypatch, seed):
         # realization k is a new Philox keyed (seed mod 2^64, k), whichever generator
-        # drew before it; 300 realizations span two chunks at N = 8
+        # drew before it; 300 realizations span two chunks of 256 at N = 8
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * 8 * 256)
         cfg = _config(n=8, delta=0.2, alpha=0.5)
         clean = interpolated_bonds(cfg).values
         t = reflection_time(8, 0.5, 1.0)
