@@ -129,6 +129,16 @@ class SingleExcitationHamiltonian:
         return self.diagonal.size
 
 
+def _check_config(config: ChainConfig) -> None:
+    """Raise InvalidInputError unless ``config`` is a ChainConfig.
+
+    The one config check: every function that takes a config calls it before
+    it reads a field, so a wrong type never reaches an attribute lookup.
+    """
+    if not isinstance(config, ChainConfig):
+        raise InvalidInputError("config must be a ChainConfig")
+
+
 def gn_factor(n_sites: int) -> float:
     """Parity factor G_N: 1 for even N, 1/sqrt(1 - 1/N^2) for odd N.
 
@@ -159,8 +169,7 @@ def interpolated_bonds(config: ChainConfig) -> BondSet:
     alpha=0 reproduces the uniform chain, alpha=1 the engineered chain, and the
     blend is affine in alpha bond by bond.
     """
-    if not isinstance(config, ChainConfig):
-        raise InvalidInputError("config must be a ChainConfig")
+    _check_config(config)
     engineered = pst_couplings(config.n_sites, config.coupling)
     values = (1.0 - config.alpha) * config.coupling + config.alpha * engineered
     return BondSet(values=values, alpha=config.alpha, delta=0.0)
@@ -207,12 +216,6 @@ def _noise_factors(
     return 1.0 + rng.uniform(-delta, delta, size)
 
 
-def _noisy_bonds(clean: BondSet, delta: float, seed: int, realization_index: int) -> BondSet:
-    """``clean`` scaled by the noise factors of the (seed, index) stream."""
-    factors = _noise_factors(_noise_generator(), delta, seed, realization_index, clean.n_sites - 1)
-    return BondSet(values=clean.values * factors, alpha=None, delta=delta)
-
-
 def disordered_bonds(config: ChainConfig, seed: int, realization_index: int) -> BondSet:
     """One disorder realization: bonds scaled by (1 + d_j), d_j ~ U(-delta, +delta).
 
@@ -220,9 +223,11 @@ def disordered_bonds(config: ChainConfig, seed: int, realization_index: int) -> 
     realization_index), so realization k is the same no matter how many other
     realizations were drawn before it.
     """
+    clean = interpolated_bonds(config).values  # checks config first
     seed = _seed(seed)
     realization_index = _validate.integer("realization_index", realization_index, 0, 2**64 - 1)
-    return _noisy_bonds(interpolated_bonds(config), config.delta, seed, realization_index)
+    factors = _noise_factors(_noise_generator(), config.delta, seed, realization_index, clean.size)
+    return BondSet(values=clean * factors, alpha=None, delta=config.delta)
 
 
 def build_hamiltonian(bonds: BondSet, field: float) -> SingleExcitationHamiltonian:

@@ -22,8 +22,8 @@ Every run writes `<scenario>.csv` (or `.json`) plus `<scenario>.manifest.json`
 into the output directory. Data files are byte-identical across repeated runs
 with the same resolved configuration and seed; the manifest repeats the
 configuration hash and differs only in its timestamp. Every cell runs in the
-calling thread: --threads (or ERGOCHAIN_THREADS) is validated, must be an
-integer >= 1, and selects no code path.
+calling thread: --threads is validated, must be an integer >= 1, and selects
+no code path.
 
 Exit codes: 0 success, 2 configuration error (bad file, unknown key, bad
 value), 3 numerical failure (an internal accuracy contract was missed).
@@ -37,7 +37,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -211,9 +210,13 @@ def _read_raw_config(path: Path) -> dict[str, dict[str, Any]]:
     """File -> {section: {key: raw value}}. JSON for .json, INI otherwise."""
     if not path.is_file():
         raise InvalidConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"config file {path} cannot be read: {exc}") from exc
     if path.suffix.lower() == ".json":
         try:
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict) or not all(
@@ -225,8 +228,7 @@ def _read_raw_config(path: Path) -> dict[str, dict[str, Any]]:
         return {str(k): dict(v) for k, v in loaded.items()}
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as handle:
-            parser.read_file(handle)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise InvalidConfigError(f"config file {path} is not valid INI: {exc}") from exc
     return {section: dict(parser.items(section)) for section in parser.sections()}
@@ -501,6 +503,10 @@ def write_rows_json(path: Path, scenario: str, rows: list[Row]) -> None:
     path.write_text("[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n")
 
 
+# --format value -> data file writer; the value is also the data file's suffix
+_WRITERS = {"csv": write_rows_csv, "json": write_rows_json}
+
+
 def write_manifest(path: Path, resolved: dict[str, Any], row_count: int) -> None:
     manifest = {
         "configHash": config_hash(resolved),
@@ -516,13 +522,6 @@ def write_manifest(path: Path, resolved: dict[str, Any], row_count: int) -> None
 # entry point
 
 
-def _threads(flag: int | None) -> int:
-    """--threads if given, else ERGOCHAIN_THREADS, else 1; validated, selects no code path."""
-    env = os.environ.get("ERGOCHAIN_THREADS", "").strip()
-    name, raw = ("--threads", flag) if flag is not None else ("ERGOCHAIN_THREADS", env or "1")
-    return _resolve_value(name, raw, int, _COUNT)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergochain",
@@ -536,13 +535,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=".", help="output directory (created if missing; default .)"
     )
     parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="data file format"
+        "--format", choices=tuple(_WRITERS), default="csv", help="data file format"
     )
     parser.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="accepted for compatibility: an integer >= 1 (default: ERGOCHAIN_THREADS or 1);"
+        default=1,
+        help="accepted for compatibility: an integer >= 1 (default 1);"
         " runs are serial and output bytes never depend on it",
     )
     return parser
@@ -552,17 +551,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads(args.threads)
+        _COUNT("--threads", args.threads)
         resolved = resolve_config(Path(args.config), args.scenario, args.seed, args.format)
         rows = _RUNNERS[args.scenario](resolved)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.format == "csv":
-            data_path = out_dir / f"{args.scenario}.csv"
-            write_rows_csv(data_path, args.scenario, rows)
-        else:
-            data_path = out_dir / f"{args.scenario}.json"
-            write_rows_json(data_path, args.scenario, rows)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidConfigError(f"cannot use {out_dir} as output directory: {exc}") from exc
+        data_path = out_dir / f"{args.scenario}.{args.format}"
+        _WRITERS[args.format](data_path, args.scenario, rows)
         write_manifest(out_dir / f"{args.scenario}.manifest.json", resolved, len(rows))
     except (InvalidConfigError, InvalidInputError, MisuseError) as exc:
         print(f"ergochain: configuration error: {exc}", file=sys.stderr)

@@ -27,9 +27,8 @@ from . import _validate, spectral
 from .chain import ChainConfig, _noise_factors, _noise_generator, _seed, interpolated_bonds
 from .dynamics import _end_amplitudes
 from .ergotropy import (
-    erg_coherent,
-    erg_input,
-    erg_mixed,
+    _check_inputs,
+    _erg_out,
     reflection_time,
 )
 from .errors import InvalidInputError, MisuseError, UndefinedMetricError
@@ -71,9 +70,7 @@ class EnsembleStats:
         return self.values.size
 
 
-def ensemble_fidelity(
-    config: ChainConfig, n_realizations: int, seed: int, threads: int = 1
-) -> np.ndarray:
+def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np.ndarray:
     """Receiver fidelities F_k = min(|f_N(T)|^2, 1) over disorder draws.
 
     Entry k is realization k, drawn from the stream keyed by
@@ -103,14 +100,11 @@ def ensemble_fidelity(
 
     Everything runs in the calling thread, and ``dsterf`` makes no BLAS call,
     so the values do not depend on ``OPENBLAS_NUM_THREADS`` unless a chain
-    falls back to ``dstevd``. ``threads`` is validated (an integer >= 1) and
-    kept for callers that pass it; it changes neither the route nor any
-    value.
+    falls back to ``dstevd``.
     """
+    clean = interpolated_bonds(config).values  # checks config first
     n_realizations = _validate.integer("n_realizations", n_realizations, 1)
-    _validate.integer("threads", threads, 1)
     seed = _seed(seed)
-    clean = interpolated_bonds(config).values  # validates config
     n = config.n_sites
     t = reflection_time(n, config.alpha, config.coupling)
     # chains whose (chunk, N) complex phases fill one block, read at call time:
@@ -140,12 +134,11 @@ def ensemble_stats(
     pairs them realization by realization, which is what ``gamma_metric``
     compares.
     """
-    erg_input(encoding, parameter, config.field)  # validates encoding and parameter
+    _check_inputs(config, encoding, parameter)
     fidelities = np.asarray(fidelities)
     if fidelities.ndim != 1 or fidelities.size < 1:
         raise InvalidInputError("fidelities must be a 1-D array of length >= 1")
-    erg = erg_coherent if encoding == "coherent" else erg_mixed
-    values = erg(fidelities, parameter, config.field)
+    values = _erg_out(encoding, fidelities, parameter, config.field)
     mean = float(np.mean(values))
     stddev = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return EnsembleStats(
@@ -172,11 +165,13 @@ def ensemble_erg(
     coherent/mixed encodings see identical noise when called with the same
     seed, which makes paired comparisons sharp. To get both encodings from
     one set of eigensolves, call ``ensemble_fidelity`` once and
-    ``ensemble_stats`` per encoding. ``threads`` is validated and passed on
-    to ``ensemble_fidelity``, which runs serially whatever its value.
+    ``ensemble_stats`` per encoding. ``threads`` is validated (an integer
+    >= 1) and kept for callers that pass it; every solve runs in the calling
+    thread whatever its value.
     """
-    erg_input(encoding, parameter, config.field)  # validates before any solve
-    fidelities = ensemble_fidelity(config, n_realizations, seed, threads)
+    _check_inputs(config, encoding, parameter)  # before any solve
+    _validate.integer("threads", threads, 1)
+    fidelities = ensemble_fidelity(config, n_realizations, seed)
     return ensemble_stats(config, encoding, parameter, fidelities)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _validate
-from .chain import ChainConfig, gn_factor, interpolated_bonds
+from .chain import ChainConfig, _check_config, gn_factor, interpolated_bonds
 from .dynamics import QubitState, _amplitude_grid, _end_amplitudes
 from .errors import InvalidInputError, UndefinedEfficiencyError
 from .spectral import _end_spectrum
@@ -115,6 +115,22 @@ def erg_mixed(fidelity: float | np.ndarray, q: float, field: float) -> float | n
     return _positive_part(2.0 * field * (2.0 * q * fidelity - 1.0))
 
 
+def _check_inputs(config: ChainConfig, encoding: str, parameter: float) -> None:
+    """Check the config, then the encoding and its parameter, before any solve."""
+    _check_config(config)
+    erg_input(encoding, parameter, config.field)
+
+
+def _erg_out(encoding: str, fidelity: float | np.ndarray, parameter: float, field: float):
+    """Receiver ergotropy of ``encoding`` at a scalar or an array of F.
+
+    The one place that picks ``erg_coherent`` or ``erg_mixed``. Both are read
+    from the module globals at call time, so a wrapper put there sees every call.
+    """
+    erg = erg_coherent if encoding == "coherent" else erg_mixed
+    return erg(fidelity, parameter, field)
+
+
 def reflection_time(n_sites: int, alpha: float, coupling: float) -> float:
     """First arrival/reflection time of the excitation at the far end.
 
@@ -154,10 +170,7 @@ def _record(
     config: ChainConfig, encoding: str, parameter: float, time: float, fidelity: float
 ) -> ErgotropyRecord:
     erg_in = erg_input(encoding, parameter, config.field)
-    if encoding == "coherent":
-        erg_out = erg_coherent(fidelity, parameter, config.field)
-    else:
-        erg_out = erg_mixed(fidelity, parameter, config.field)
+    erg_out = _erg_out(encoding, fidelity, parameter, config.field)
     efficiency = erg_out / erg_in if erg_in > 0 else math.nan
     return ErgotropyRecord(
         n_sites=config.n_sites,
@@ -174,6 +187,7 @@ def _record(
 
 def _reflection_amplitude(config: ChainConfig) -> tuple[float, complex]:
     """(T, f_N(T)) of the clean chain: one ``dynamics._end_amplitudes`` readout."""
+    _check_config(config)
     t = reflection_time(config.n_sites, config.alpha, config.coupling)
     return t, _end_amplitudes(interpolated_bonds(config).values[None], config.field, t)[0]
 
@@ -205,7 +219,7 @@ def erg_at_reflection(config: ChainConfig, encoding: str, parameter: float) -> E
     is the clean-transport figure of merit. Disordered ensembles go through
     the ensemble API instead.
     """
-    erg_input(encoding, parameter, config.field)  # validates before the solve
+    _check_inputs(config, encoding, parameter)  # before the solve
     return _record(config, encoding, parameter, *reflection_fidelity(config))
 
 
@@ -239,7 +253,7 @@ def erg_max_window(
     ``dsterf`` makes no BLAS call, so the window's bits do not depend on
     ``OPENBLAS_NUM_THREADS`` (unless the chain falls back to ``dstevd``).
     """
-    erg_input(encoding, parameter, config.field)  # validates before the solve
+    _check_inputs(config, encoding, parameter)  # before the solve
     horizon = _validate.positive("horizon", horizon)
     if step is None:
         step = 0.01 / config.coupling
@@ -249,8 +263,7 @@ def erg_max_window(
     energies, weights = _end_spectrum(interpolated_bonds(config).values[None], config.field)
     times = np.arange(step, horizon + 0.5 * step, step)
     fidelities = np.abs(_amplitude_grid(energies[0], weights[0], step, times.size)) ** 2
-    erg = erg_coherent if encoding == "coherent" else erg_mixed
-    best = int(np.argmax(erg(fidelities, parameter, config.field)))
+    best = int(np.argmax(_erg_out(encoding, fidelities, parameter, config.field)))
     return _record(config, encoding, parameter, times[best], float(fidelities[best]))
 
 

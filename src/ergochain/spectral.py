@@ -24,11 +24,16 @@ special bond families the spectrum is known in closed form:
 * engineered bonds: an exactly linear ladder
   E_k = -(2J/N) (N - (2k-1)) G_N - (N-2)B with Krawtchouk eigenvectors.
 
-Both closed forms make each eigenvector's first component positive. The
-numerical solver makes its first component above 1e-12 of the column's
-largest positive, so the routes agree column by column for uniform bonds,
-and for engineered bonds up to N = 84; past that, columns whose first
-component is below 1e-12 can differ in sign (1 of 85, 6 of 128, 27 of 256).
+The gauge rule, stated here once: ``diagonalize`` flips each eigenvector so
+that its first component whose magnitude exceeds 1e-12 times the vector's
+largest is positive (``_fix_column_signs``; an all-zero vector is left as it
+is). Both closed forms make the first component itself positive. So the
+routes agree vector by vector for uniform bonds, and for engineered bonds up
+to N = 84; past that, vectors whose first component is below the threshold
+can differ in sign (1 of 85, 6 of 128, 27 of 256). Sign-free products such
+as v_k[1] v_k[n], and so every end-weight readout, agree on every route up to
+rounding.
+
 Because the bonds are positive while the uniform closed-form energies are
 written for the sign-flipped chain, those eigenvectors carry a
 site-alternating factor (-1)^(n-1); the diagonal similarity transform that
@@ -65,9 +70,12 @@ __all__ = [
 RESIDUAL_RTOL = 1e-9
 
 # Bytes of each temporary of one block: the two of a ``_check_residual`` block
-# and the gap arrays of an ``_end_weights`` block. The disorder kernel reads
-# _BLOCK_BYTES // (16 N) chains at a time, so its (chunk, N) complex phases are
-# one block. Every reader looks it up at call time, so one value drives all.
+# and the gap arrays of an ``_end_weights`` block. An ``_end_weights`` step
+# holds about three such blocks at its peak: the broadcast subtraction that
+# forms the gaps takes a temporary as large as its result, and ``np.log`` adds
+# one more. The disorder kernel reads _BLOCK_BYTES // (16 N) chains at a time,
+# so its (chunk, N) complex phases are one block. Every reader looks it up at
+# call time, so one value drives all.
 _BLOCK_BYTES = 128 * 1024
 
 # Tolerance of the end-weight certificate ``beta`` on |f_N|. The bound is
@@ -121,14 +129,8 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors (as columns).
 
     ``energies[k]`` pairs with column ``vectors[:, k]``. The class leaves
-    column signs as given; the routes that build one fix them. The closed
-    forms make each column's first component positive, ``diagonalize`` its
-    first component above 1e-12 of the column's largest. So the routes agree
-    column by column for uniform bonds, and for engineered bonds up to
-    N = 84; past that, columns whose first component is below the threshold
-    can differ in sign (6 of 128 at N = 128, see the module docstring).
-    Sign-free products such as v_k[1] v_k[n] agree on every route up to
-    rounding.
+    column signs as given; the route that builds one sets them by the gauge
+    rule of the module docstring.
     """
 
     energies: np.ndarray
@@ -151,11 +153,9 @@ class SpectralDecomposition:
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's first non-negligible component is positive.
+    """Flip the columns into the gauge of ``diagonalize`` (the rule is in the module docstring).
 
-    A component is non-negligible when its magnitude exceeds 1e-12 times the
-    column's largest magnitude; an all-zero column is left as it is. Sign
-    flips are exact, so the result does not depend on how it is computed.
+    Sign flips are exact, so the result does not depend on how it is computed.
     """
     magnitudes = np.abs(vectors)
     significant = magnitudes > 1e-12 * magnitudes.max(axis=0)
@@ -296,7 +296,7 @@ def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             np.reciprocal(gaps, out=gaps)
             gaps[:, k - start, k] = 0.0
             inverse_gaps[:, k] = np.sum(gaps, axis=-1)
-            del gaps  # freed before the next block is formed: one gap block alive at a time
+            del gaps  # freed before the next block is formed, so steps do not stack
         log_bonds = np.sum(np.log(magnitudes), axis=-1)
         weights = sign[:, None] * parity * np.exp(log_bonds[:, None] - log_gaps)
         rho = 2 * delta_e[:, None] * inverse_gaps + 2 * n * _EPS

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _validate
-from .chain import ChainConfig, build_hamiltonian, interpolated_bonds
+from .chain import ChainConfig, _check_config, build_hamiltonian, interpolated_bonds
 from .dynamics import InitialSiteState
 from .errors import InvalidInputError
 from .spectral import _pst_ladder, _solve
@@ -92,18 +92,26 @@ class WorkMoments:
     higher: tuple[float, ...] | None = None
 
 
-def _merge_atoms(
-    work: np.ndarray, weights: np.ndarray, vacuum: float, scale: float
-) -> WorkDistribution:
-    """Add the vacuum atom, sort the atoms and fuse any closer than MERGE_RTOL * scale.
+def _sender(initial: InitialSiteState) -> float:
+    """The excited weight p = sin^2(theta/2) of a checked sender state."""
+    if not isinstance(initial, InitialSiteState):
+        raise InvalidInputError("initial must be an InitialSiteState")
+    return initial.excited_population
 
-    The vacuum atom sits at W = 0 with weight ``vacuum`` and goes first, ahead
-    of the atoms at ``work`` with ``weights``. A fused atom is weight-summed,
-    at the probability-weighted mean of its cluster, and zero-weight atoms
-    are dropped afterwards.
+
+def _merge_atoms(
+    work: np.ndarray, band: np.ndarray, p_excited: float, scale: float
+) -> WorkDistribution:
+    """Weight the atoms by the sender, sort them and fuse any closer than MERGE_RTOL * scale.
+
+    The vacuum atom sits at W = 0 with weight 1 - p and goes first, ahead of
+    the atoms at ``work`` with weights p * ``band``, where p = ``p_excited``
+    (``_sender``) and ``band`` are the excited branch's weights. A fused atom
+    is weight-summed, at the probability-weighted mean of its cluster, and
+    zero-weight atoms are dropped afterwards.
     """
     values = np.concatenate([[0.0], work])
-    probabilities = np.concatenate([[vacuum], weights])
+    probabilities = np.concatenate([[1.0 - p_excited], p_excited * band])
     order = np.argsort(values)
     values = values[order]
     probabilities = probabilities[order]
@@ -132,17 +140,13 @@ def tpm_distribution(config: ChainConfig, initial: InitialSiteState) -> WorkDist
     from the site-1 eigenvector components. The weights are squares, so the
     sign gauge is skipped. The field cancels in every W_k.
     """
-    if not isinstance(config, ChainConfig):
-        raise InvalidInputError("config must be a ChainConfig")
-    if not isinstance(initial, InitialSiteState):
-        raise InvalidInputError("initial must be an InitialSiteState")
+    p_excited = _sender(initial)
+    _check_config(config)
     hamiltonian = build_hamiltonian(interpolated_bonds(config), config.field)
     diag = hamiltonian.diagonal
     energies, vectors = _solve(diag, hamiltonian.offdiagonal)
-    p_excited = initial.excited_population
     # E_site1 = <1|H|1> is the constant diagonal
-    weights = p_excited * vectors[:, 0] ** 2
-    return _merge_atoms(energies - diag[0], weights, 1.0 - p_excited, config.coupling)
+    return _merge_atoms(energies - diag[0], vectors[:, 0] ** 2, p_excited, config.coupling)
 
 
 def pst_closed_distribution(
@@ -153,20 +157,17 @@ def pst_closed_distribution(
     W_k = -(2J/N)(N - (2k-1)) G_N with binomial weights
     sin^2(theta/2) C(N-1, k-1) 2^(1-N), plus the vacuum atom at 0.
     """
+    p_excited = _sender(initial)
     n = _validate.integer("n_sites", n_sites, 2)
     coupling = _validate.positive("coupling", coupling)
-    if not isinstance(initial, InitialSiteState):
-        raise InvalidInputError("initial must be an InitialSiteState")
     work = _pst_ladder(n, coupling)
-    p_excited = initial.excited_population
     binomials = [1]  # C(N-1, j) by Pascal's multiplicative rule, exact in integers
     for j in range(n - 1):
         binomials.append(binomials[-1] * (n - 1 - j) // (j + 1))
     # int / int is correctly rounded and cannot overflow; float(C) overflows past N ~ 1030
     scale = 2 ** (n - 1)
-    weights = np.array([c / scale for c in binomials])
-    weights *= p_excited
-    return _merge_atoms(work, weights, 1.0 - p_excited, coupling)
+    band = np.array([c / scale for c in binomials])
+    return _merge_atoms(work, band, p_excited, coupling)
 
 
 def uniform_closed_distribution(
@@ -178,16 +179,14 @@ def uniform_closed_distribution(
     sin^2(theta/2) (2/(N+1)) sin^2(k pi/(N+1)), plus the vacuum atom. For odd
     N the band's zero mode lands exactly on the vacuum atom and fuses with it.
     """
+    p_excited = _sender(initial)
     n = _validate.integer("n_sites", n_sites, 2)
     coupling = _validate.positive("coupling", coupling)
-    if not isinstance(initial, InitialSiteState):
-        raise InvalidInputError("initial must be an InitialSiteState")
     k = np.arange(1, n + 1)
     theta = k * math.pi / (n + 1)
     work = -2.0 * coupling * np.cos(theta)
-    p_excited = initial.excited_population
-    weights = p_excited * (2.0 / (n + 1)) * np.sin(theta) ** 2
-    return _merge_atoms(work, weights, 1.0 - p_excited, coupling)
+    band = (2.0 / (n + 1)) * np.sin(theta) ** 2
+    return _merge_atoms(work, band, p_excited, coupling)
 
 
 def moments(distribution: WorkDistribution, max_order: int = 2) -> WorkMoments:

@@ -1,7 +1,9 @@
 """End-to-end checks of the command line driver, run in process."""
 from __future__ import annotations
 
+import builtins
 import csv
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ergochain import ChainConfig, ensemble_fidelity, spectral
+from ergochain import ChainConfig, ensemble_erg, spectral
 from ergochain.cli import (
     _RUNNERS,
     _SCENARIOS,
@@ -222,15 +224,6 @@ class TestDeterminism:
             outputs.append((out / "disorder.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_env_threads_matches_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ERGOCHAIN_THREADS", "4")
-        code, out_env = _run(tmp_path / "env", "disorder", DISORDER_INI)
-        assert code == 0
-        monkeypatch.delenv("ERGOCHAIN_THREADS")
-        code, out_one = _run(tmp_path / "one", "disorder", DISORDER_INI)
-        assert code == 0
-        assert (out_env / "disorder.csv").read_bytes() == (out_one / "disorder.csv").read_bytes()
-
     def test_manifest_shape_and_stability(self, tmp_path):
         _, out_a = _run(tmp_path / "a", "disorder", DISORDER_INI, "--seed", "5")
         _, out_b = _run(tmp_path / "b", "disorder", DISORDER_INI, "--seed", "5")
@@ -304,7 +297,7 @@ class TestSerialExecution:
 
     def test_ensemble_fidelity(self, solve_calls):
         config = ChainConfig(8, coupling=1.0, field=1.0, alpha=1.0, delta=0.1)
-        ensemble_fidelity(config, 12, seed=1, threads=4)
+        ensemble_erg(config, "coherent", 1.0, 12, seed=1, threads=4)
         assert solve_calls == [threading.get_ident()] * 12
 
     @pytest.mark.parametrize(
@@ -375,16 +368,48 @@ class TestFailurePaths:
         config = "[transport-sweep]\nsites = four\nalphas = 0.5\n"
         self._expect_config_error(tmp_path, capsys, "transport-sweep", config, "sites")
 
-    def test_bad_env_threads(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ERGOCHAIN_THREADS", "zero")
-        code, _ = _run(tmp_path, "workdist", WORKDIST_INI)
-        assert code == 2
-        assert "ERGOCHAIN_THREADS" in capsys.readouterr().err
-
     def test_bad_threads_flag(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "workdist", WORKDIST_INI, "--threads", "0")
         assert code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["run.ini", "run.json"])
+    def test_undecodable_config_file(self, tmp_path, capsys, name):
+        config = tmp_path / name
+        config.write_bytes(b"[workdist]\nn = 12\xff\n")
+        code = main(["workdist", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and str(config) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["run.ini", "run.json"])
+    def test_config_file_that_cannot_be_opened(self, tmp_path, capsys, monkeypatch, name):
+        # the file exists, so ``is_file()`` passes, but opening it fails
+        config = _write(tmp_path, name, WORKDIST_INI)
+        real_open = io.open
+
+        def refuse(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == config:
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", refuse)
+        monkeypatch.setattr(io, "open", refuse)
+        code = main(["workdist", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "Permission denied" in err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_blocked_by_an_existing_file(self, tmp_path, capsys, out):
+        config = _write(tmp_path, "run.ini", WORKDIST_INI)
+        (tmp_path / "taken").write_text("keep\n")
+        code = main(["workdist", "--config", str(config), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and str(tmp_path / out) in err
+        assert (tmp_path / "taken").read_text() == "keep\n"
 
 
 def test_seed_beyond_the_generator_key_is_a_configuration_error(tmp_path, capsys, solve_calls):

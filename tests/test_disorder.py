@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from ergochain import chain, disorder, dynamics, spectral
+from ergochain import chain, disorder, dynamics, ergotropy, spectral
 from ergochain import (
     ChainConfig,
     EnsembleStats,
@@ -85,7 +85,7 @@ class TestFidelitySample:
     def test_ensemble_erg_maps_one_fidelity_sample(self, threads):
         cfg = _config(n=10, delta=0.2, alpha=0.5)
         theta, q = 2.0, 0.5 * (1.0 + math.sin(1.0) ** 2)
-        fidelities = ensemble_fidelity(cfg, 30, seed=4, threads=threads)
+        fidelities = ensemble_fidelity(cfg, 30, seed=4)
         coh = ensemble_erg(cfg, "coherent", theta, 30, seed=4, threads=threads)
         mix = ensemble_erg(cfg, "mixed", q, 30, seed=4, threads=threads)
         expected_coh = [erg_coherent(f, theta, cfg.field) for f in fidelities]
@@ -228,7 +228,7 @@ class TestStatsMapWholeSample:
             calls.append(args)
             return erg(*args)
 
-        monkeypatch.setattr(disorder, f"erg_{encoding}", counted)
+        monkeypatch.setattr(ergotropy, f"erg_{encoding}", counted)
         stats = ensemble_stats(config, encoding, parameter, fidelities)
         assert stats.values.tobytes() == expected.tobytes()
         assert len(calls) == 1
@@ -242,13 +242,9 @@ def _chain_readout(bonds, t):
 
 def _parent_loop(config, n_realizations, seed):
     """Each realization read on its own through the single-chain readout: the bit-for-bit oracle."""
-    clean = interpolated_bonds(config)
     t = reflection_time(config.n_sites, config.alpha, config.coupling)
     return np.array(
-        [
-            _chain_readout(chain._noisy_bonds(clean, config.delta, seed, k), t)
-            for k in range(n_realizations)
-        ]
+        [_chain_readout(disordered_bonds(config, seed, k), t) for k in range(n_realizations)]
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -66,8 +67,8 @@ CASES = [
      ("parameter", "horizon", "step")),
     (ec.rescaled_efficiency, {"erg_out": 0.5, "erg_in": 1.0, "n_sites": 4},
      ("erg_out", "erg_in", "n_sites")),
-    (ec.ensemble_fidelity, {"config": _CONFIG, "n_realizations": 3, "seed": 1, "threads": 1},
-     ("n_realizations", "seed", "threads")),
+    (ec.ensemble_fidelity, {"config": _CONFIG, "n_realizations": 3, "seed": 1},
+     ("n_realizations", "seed")),
     (ec.ensemble_stats,
      {"config": _CONFIG, "encoding": "coherent", "parameter": 1.0,
       "fidelities": np.array([0.5, 0.9])},
@@ -155,3 +156,59 @@ def test_integers_past_the_float_range_are_not_finite_reals(value):
         ec.erg_mixed(0.5, 1.0, value)
     with pytest.raises(ec.InvalidConfigError):
         ec.ChainConfig(n_sites=4, coupling=value, field=1.0)
+
+
+# every package-root function with a ``config`` parameter, with valid other arguments
+CONFIG_CALLS = {
+    "interpolated_bonds": {},
+    "disordered_bonds": {"seed": 3, "realization_index": 2},
+    "reflection_fidelity": {},
+    "erg_at_reflection": {"encoding": "coherent", "parameter": 1.0},
+    "erg_max_window": {"encoding": "mixed", "parameter": 1.0, "horizon": 2.0, "step": 0.1},
+    "ensemble_fidelity": {"n_realizations": 3, "seed": 1},
+    "ensemble_stats": {"encoding": "coherent", "parameter": 1.0,
+                       "fidelities": np.array([0.5, 0.9])},
+    "ensemble_erg": {"encoding": "mixed", "parameter": 1.0, "n_realizations": 3, "seed": 1},
+    "tpm_distribution": {"initial": _STATE},
+}
+
+
+def test_config_table_covers_the_package_root():
+    takes_config = {
+        name
+        for name in ec.__all__
+        if inspect.isfunction(getattr(ec, name))
+        and "config" in inspect.signature(getattr(ec, name)).parameters
+    }
+    assert takes_config == set(CONFIG_CALLS)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Count the calls of both LAPACK handles, ``dstevd`` and ``dsterf``."""
+    calls = []
+    for handle in ("_stevd", "_sterf"):
+        original = getattr(ec.spectral, handle)
+
+        def counted(*args, _original=original, _handle=handle):
+            calls.append(_handle)
+            return _original(*args)
+
+        monkeypatch.setattr(ec.spectral, handle, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_CALLS))
+@pytest.mark.parametrize("config", ["x", None, _BONDS], ids=["str", "None", "BondSet"])
+def test_config_of_another_type_raises_before_any_solve(eigensolves, name, config):
+    with pytest.raises(ec.InvalidInputError, match="config must be a ChainConfig"):
+        getattr(ec, name)(config=config, **CONFIG_CALLS[name])
+    assert eigensolves == []
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_CALLS))
+def test_valid_config_reaches_the_solver(eigensolves, name):
+    # the counter sees the solves, so the zero above is not vacuous
+    getattr(ec, name)(config=_CONFIG, **CONFIG_CALLS[name])
+    solves = name not in ("interpolated_bonds", "disordered_bonds", "ensemble_stats")
+    assert bool(eigensolves) == solves

@@ -48,8 +48,8 @@ class TestTpmDistribution:
         p = initial.excited_population
         expected = _merge_atoms(
             decomposition.energies - h.diagonal[0],
-            p * decomposition.vectors[0, :] ** 2,
-            1.0 - p,
+            decomposition.vectors[0, :] ** 2,
+            p,
             config.coupling,
         )
         dist = tpm_distribution(config, initial)
@@ -203,9 +203,9 @@ class TestClosedDistributions:
         gn = 1.0 if n % 2 == 0 else 1.0 / math.sqrt(1.0 - 1.0 / n**2)
         work = -(2.0 * 1.3 / n) * (n - (2 * k - 1)) * gn
         p = initial.excited_population
-        weights = np.array([math.comb(n - 1, kk - 1) for kk in k], dtype=float)
-        weights *= p * 0.5 ** (n - 1)
-        expected = _merge_atoms(work, weights, 1.0 - p, 1.3)
+        band = np.array([math.comb(n - 1, kk - 1) for kk in k], dtype=float)
+        band *= 0.5 ** (n - 1)
+        expected = _merge_atoms(work, band, p, 1.3)
         got = pst_closed_distribution(n, 1.3, initial)
         assert got.values.tobytes() == expected.values.tobytes()
         assert got.probabilities.tobytes() == expected.probabilities.tobytes()
