@@ -26,7 +26,11 @@ calling thread: --threads is validated, must be an integer >= 1, and selects
 no code path.
 
 Exit codes: 0 success, 2 configuration error (bad file, unknown key, bad
-value), 3 numerical failure (an internal accuracy contract was missed).
+value, an --out that cannot be a directory), 3 numerical failure (an
+internal accuracy contract was missed). The output directory is created
+right after the configuration is read, before any cell runs, so a bad --out
+exits 2 at once; a run that then fails numerically leaves that directory
+created and empty.
 """
 
 from __future__ import annotations
@@ -553,12 +557,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _COUNT("--threads", args.threads)
         resolved = resolve_config(Path(args.config), args.scenario, args.seed, args.format)
-        rows = _RUNNERS[args.scenario](resolved)
         out_dir = Path(args.out)
         try:
-            out_dir.mkdir(parents=True, exist_ok=True)
+            out_dir.mkdir(parents=True, exist_ok=True)  # before the run, so a bad --out fails fast
         except OSError as exc:
             raise InvalidConfigError(f"cannot use {out_dir} as output directory: {exc}") from exc
+        rows = _RUNNERS[args.scenario](resolved)
         data_path = out_dir / f"{args.scenario}.{args.format}"
         _WRITERS[args.format](data_path, args.scenario, rows)
         write_manifest(out_dir / f"{args.scenario}.manifest.json", resolved, len(rows))

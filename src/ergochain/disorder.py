@@ -48,7 +48,9 @@ class EnsembleStats:
 
     ``values[k]`` is realization k (the keyed stream makes the order
     canonical). ``stddev`` is the sample standard deviation (ddof=1), 0.0 for
-    a single realization.
+    a single realization. It is taken about the first value, which leaves it
+    unchanged but spares the rounding of the mean, so a sample of equal
+    values (zero disorder) reads 0.0 exactly.
     """
 
     encoding: str
@@ -80,16 +82,18 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     rows is then read out by ``dynamics._end_amplitudes``. The chunk holds
     the chains whose (chunk, N) complex phases fill one block of
     ``spectral._BLOCK_BYTES`` (128 KB): 1024 at N = 8, 64 at N = 128, one
-    from N = 8193 on. ``_end_weights`` cuts its gap temporaries into blocks
-    of its own, so memory stays a few blocks whatever the count. Each chain
-    takes one LAPACK ``dsterf`` call, end weights from the eigenvalues alone
+    from N = 8193 on. ``_end_weights`` forms its pair arrays in blocks of
+    its own, so memory stays a few blocks whatever the count. Each chain
+    takes one LAPACK ``dsterf`` call on an N//2 + 1 row block of H^2, one
+    Newton step per eigenvalue and end weights from the eigenvalues alone
     (``spectral._end_weights``), no eigenvectors. Each chain carries a
     first-order certificate ``beta`` on |f_N|; one whose ``beta`` exceeds
     ``spectral.END_WEIGHT_ATOL`` (1e-6) is solved by the guarded
     ``spectral._solve`` (``dstevd`` and its residual contract) instead. On
     the benchmark's cells (N <= 128, delta <= 0.2) ``beta`` stays below
-    1e-10, so no chain falls back there. A nonzero ``info`` or a failed
-    residual raises NumericalFailureError.
+    1e-10, so no chain falls back there. A nonzero ``info``, a ``dsterf``
+    spectrum that misses its trace or moves past its bound under the Newton
+    step, or a failed residual raises NumericalFailureError.
 
     Row r of a chunk depends on bond row r alone, so F_k equals the
     single-chain readout ``_end_amplitudes(bonds[None], field, T)`` of
@@ -140,7 +144,7 @@ def ensemble_stats(
         raise InvalidInputError("fidelities must be a 1-D array of length >= 1")
     values = _erg_out(encoding, fidelities, parameter, config.field)
     mean = float(np.mean(values))
-    stddev = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+    stddev = float(np.std(values - values[0], ddof=1)) if values.size > 1 else 0.0
     return EnsembleStats(
         encoding=encoding,
         parameter=float(parameter),

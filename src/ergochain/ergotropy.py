@@ -195,8 +195,9 @@ def _reflection_amplitude(config: ChainConfig) -> tuple[float, complex]:
 def reflection_fidelity(config: ChainConfig) -> tuple[float, float]:
     """(T, F): first reflection time of the clean chain and F = |f_N(T)|^2.
 
-    Solves the chain once, from its eigenvalues alone: LAPACK ``dsterf`` and
-    the end weights v_k[1] v_k[N] = prod_j b_j / prod_(j != k) (E_k - E_j)
+    Solves the chain once, from its eigenvalues alone: LAPACK ``dsterf`` on
+    an N//2 + 1 row block of H^2, one Newton step per eigenvalue, and the end
+    weights v_k[1] v_k[N] = prod_j b_j / prod_(j != k) (E_k - E_j)
     (``spectral._end_weights``), in O(N) memory. The weights carry a
     first-order certificate ``beta`` on |f_N|; a chain whose ``beta`` exceeds
     ``spectral.END_WEIGHT_ATOL`` (1e-6) is read out through ``dstevd`` and
@@ -238,7 +239,8 @@ def erg_max_window(
     ergotropy itself.
 
     The chain is solved once through ``spectral._end_spectrum``: energies
-    from LAPACK ``dsterf`` and end weights from the eigenvalues alone, with
+    from LAPACK ``dsterf`` on half the spectrum, refined by one Newton step,
+    and end weights from the eigenvalues alone, with
     the certificate and the ``dstevd`` fallback of ``reflection_fidelity``
     (``beta`` bounds the weights' share of the error of |f| at every time).
     The grid is arithmetic, so the T = horizon/step phase factors factorize

@@ -19,3 +19,33 @@ def krawtchouk(k: int, x: int, m: int) -> int:
     for i in range(max(0, k - (m - x)), min(k, x) + 1):
         total += (-1) ** i * math.comb(x, i) * math.comb(m - x, k - i)
     return total
+
+
+def mp_end_spectrum(mpmath, bonds, start):
+    """40-digit eigenvalues and end weights of the zero-diagonal chain with these bonds.
+
+    Each eigenvalue is Newton's method on det(x - H), by the three-term
+    recurrence, from the float value ``start[k]``, until a step is below
+    1e-36 of the root (at most six steps); each weight is
+    prod_j b_j / prod_(j != k) (E_k - E_j) at those eigenvalues.
+    """
+    with mpmath.workdps(40):
+        squares = [mpmath.mpf(float(b)) ** 2 for b in bonds]
+        roots = []
+        for guess in start:
+            x = mpmath.mpf(float(guess))
+            for _ in range(6):
+                p0, p1, d0, d1 = mpmath.mpf(1), x, mpmath.mpf(0), mpmath.mpf(1)
+                for b2 in squares:
+                    p0, p1, d0, d1 = p1, x * p1 - b2 * p0, d1, p1 + x * d1 - b2 * d0
+                step = p1 / d1
+                x -= step
+                if abs(step) <= mpmath.mpf(10) ** -36 * abs(x):
+                    break
+            roots.append(x)
+        product = mpmath.fprod(mpmath.mpf(float(b)) for b in bonds)
+        weights = [
+            product / mpmath.fprod(e - other for j, other in enumerate(roots) if j != k)
+            for k, e in enumerate(roots)
+        ]
+    return roots, weights

@@ -411,6 +411,26 @@ class TestFailurePaths:
         assert "configuration error" in err and str(tmp_path / out) in err
         assert (tmp_path / "taken").read_text() == "keep\n"
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_blocked_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch, out):
+        # the directory is made right after the configuration is read, so a bad
+        # --out exits 2 without computing a single cell
+        ran = []
+        monkeypatch.setitem(_RUNNERS, "disorder", lambda resolved: ran.append(resolved) or [])
+        config = _write(tmp_path, "run.ini", DISORDER_INI)
+        (tmp_path / "taken").write_text("keep\n")
+        code = main(["disorder", "--config", str(config), "--out", str(tmp_path / out)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert ran == []
+
+    def test_numerical_failure_leaves_the_out_directory_empty(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "_sterf", lambda d, e: (d.copy(), 1))
+        code, out = _run(tmp_path, "theta-sweep", SCENARIO_INIS["theta-sweep"])
+        assert code == 3
+        assert "info = 1" in capsys.readouterr().err
+        assert out.is_dir() and list(out.iterdir()) == []
+
 
 def test_seed_beyond_the_generator_key_is_a_configuration_error(tmp_path, capsys, solve_calls):
     code, _ = _run(tmp_path, "disorder", DISORDER_INI, "--seed", "100000000000000000000000")

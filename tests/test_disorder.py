@@ -304,6 +304,18 @@ class TestEnsembleKernel:
         assert np.all(np.isfinite(fidelities)) and len(fidelities) == 2
         assert peak < 0.02 * 8 * n * n, peak
 
+    def test_strong_disorder_rarely_falls_back(self, monkeypatch):
+        # 360 chains (N = 32 and 128, alpha 0.5, delta 0.5/0.9/0.99, 60 each,
+        # seed 3): 1 takes the dstevd fallback, 6 did with the full-chain
+        # eigenvalues; only fallback chains' bits depend on OPENBLAS_NUM_THREADS
+        solved, original = [], spectral._solve
+        counted = lambda d, e: solved.append(d.size) or original(d, e)  # noqa: E731
+        monkeypatch.setattr(spectral, "_solve", counted)
+        for n in (32, 128):
+            for delta in (0.5, 0.9, 0.99):
+                ensemble_fidelity(_config(n=n, delta=delta, alpha=0.5), 60, seed=3)
+        assert len(solved) <= 6
+
     @pytest.mark.parametrize("n", SITES)
     def test_matches_parent_loop_on_the_grid(self, n):
         # 10 realizations are one chunk at every N here; the boundary test crosses chunks

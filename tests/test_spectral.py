@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import dense_hamiltonian
-from oracles import krawtchouk
+from oracles import krawtchouk, mp_end_spectrum
 from ergochain import (
     BondSet,
     ChainConfig,
@@ -171,34 +171,30 @@ class TestCheckResidual:
             diagonalize(_hamiltonian(6, 0.5))
 
 
-def _mp_end_spectrum(mpmath, bonds, start):
-    """40-digit eigenvalues and end weights of the zero-diagonal chain with these bonds.
-
-    Each eigenvalue is Newton's method on det(x - H), by the three-term
-    recurrence, from the float value ``start[k]``; each weight is
-    prod_j b_j / prod_(j != k) (E_k - E_j) at those eigenvalues.
-    """
-    with mpmath.workdps(40):
-        squares = [mpmath.mpf(float(b)) ** 2 for b in bonds]
-        roots = []
-        for guess in start:
-            x = mpmath.mpf(float(guess))
-            for _ in range(6):
-                p0, p1, d0, d1 = mpmath.mpf(1), x, mpmath.mpf(0), mpmath.mpf(1)
-                for b2 in squares:
-                    p0, p1, d0, d1 = p1, x * p1 - b2 * p0, d1, p1 + x * d1 - b2 * d0
-                x -= p1 / d1
-            roots.append(x)
-        product = mpmath.fprod(mpmath.mpf(float(b)) for b in bonds)
-        weights = [
-            product / mpmath.fprod(e - other for j, other in enumerate(roots) if j != k)
-            for k, e in enumerate(roots)
-        ]
-    return roots, weights
-
-
 def _end_amplitude(energies, weights, t):
     return complex(np.sum(weights * np.exp(-1j * energies * t)))
+
+
+def _oracle_modulus(mpmath, bonds, start, t):
+    """|f_N(t)| of the zero-diagonal chain with these bonds, from the 40-digit oracle."""
+    roots, exact = mp_end_spectrum(mpmath, bonds, start)
+    with mpmath.workdps(40):
+        return float(abs(mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(exact, roots))))
+
+
+def _assert_read_through_dstevd(bonds):
+    """beta past the tolerance, the readout that of dstevd, and stack rows as alone."""
+    n = bonds.size + 1
+    t = 0.7 * n
+    beta = spectral._end_weights(bonds[None])[2][0]
+    assert not beta <= spectral.END_WEIGHT_ATOL
+    h = build_hamiltonian(BondSet(values=bonds, alpha=None), 1.3)
+    old = amplitude_spectral(diagonalize(h), n, t).value
+    assert dynamics._end_amplitudes(bonds[None], 1.3, t) == [old]
+    # in a stack, the fallback row and its neighbours read as they do alone
+    stack = np.array([np.linspace(0.8, 1.2, n - 1), bonds, np.full(n - 1, 0.9)])
+    alone = [dynamics._end_amplitudes(row[None], 1.3, t)[0] for row in stack]
+    assert dynamics._end_amplitudes(stack, 1.3, t) == alone
 
 
 class TestEndWeights:
@@ -229,7 +225,7 @@ class TestEndWeights:
         bonds = disordered_bonds(ChainConfig(n, 1.0, 1.0, alpha, delta), 11, n).values
         t = reflection_time(n, alpha, 1.0)
         energies, weights, beta = spectral._end_weights(bonds[None])
-        roots, exact = _mp_end_spectrum(mpmath, bonds, energies[0])
+        roots, exact = mp_end_spectrum(mpmath, bonds, energies[0])
         with mpmath.workdps(40):
             f_exact = mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(exact, roots))
             weight_error = float(mpmath.fsum(abs(w - x) for w, x in zip(weights[0], exact)))
@@ -248,38 +244,70 @@ class TestEndWeights:
 
     @pytest.mark.parametrize("n", [5, 16, 64])
     def test_negative_bonds_match_the_dstevd_readout(self, n):
-        # delta >= 1 draws bonds of either sign; the sign of prod b carries over
+        # delta >= 1 draws bonds of either sign; the sign of prod b carries over.
+        # A certified chain is within beta of the 40-digit oracle, and so within
+        # beta plus dstevd's own oracle error of the dstevd readout (dstevd is off
+        # by more than beta on some of these chains); the oracle runs on the first
+        # eight certified chains, and a chain past the tolerance reads as dstevd
+        mpmath = pytest.importorskip("mpmath")
         config = ChainConfig(n, 1.0, 1.0, 0.5, 1.5)
         t = reflection_time(n, 0.5, 1.0)
-        signs = set()
+        signs, checked = set(), set()
         for k in range(20):
             bonds = disordered_bonds(config, 2, k)
-            signs.add(float(np.prod(np.sign(bonds.values))))
+            sign = float(np.prod(np.sign(bonds.values)))
+            signs.add(sign)
             energies, weights, beta = spectral._end_weights(bonds.values[None])
             f = dynamics._end_amplitudes(bonds.values[None], 1.0, t)[0]
             old = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), n, t).value
-            if beta[0] <= spectral.END_WEIGHT_ATOL:
-                assert abs(abs(f) - abs(old)) <= beta[0]
-            else:
+            if not beta[0] <= spectral.END_WEIGHT_ATOL:
                 assert f == old
+            elif len(checked) < 8:
+                exact = _oracle_modulus(mpmath, bonds.values, energies[0], t)
+                assert abs(abs(f) - exact) <= beta[0]
+                assert abs(abs(f) - abs(old)) <= beta[0] + abs(abs(old) - exact)
+                checked.add((k, sign))
         assert signs == {-1.0, 1.0}
+        assert {sign for _, sign in checked} == {-1.0, 1.0}
 
     @pytest.mark.parametrize("n,weak", [(20, 1e-5), (40, 1e-6), (20, 1e-9)])
-    def test_weak_end_bonds_take_the_dstevd_route(self, n, weak):
-        # two end-localized states split by about weak^2: beta passes the tolerance,
-        # or the gap falls inside 2 dE, and the chain is read out through dstevd
+    def test_weak_end_bonds_resolve_against_the_oracle(self, n, weak):
+        # two end-localized states split by about weak^2: sigma_1 reaches 1e-18 at
+        # weak = 1e-9, far below dsterf's absolute error on H^2, and the Newton
+        # step on the bonds' continuant still resolves it to full relative accuracy
+        mpmath = pytest.importorskip("mpmath")
         bonds = np.ones(n - 1)
         bonds[0] = bonds[-1] = weak
         t = 0.7 * n
-        beta = spectral._end_weights(bonds[None])[2][0]
-        assert not beta <= spectral.END_WEIGHT_ATOL
-        h = build_hamiltonian(BondSet(values=bonds, alpha=None), 1.3)
-        old = amplitude_spectral(diagonalize(h), n, t).value
-        assert dynamics._end_amplitudes(bonds[None], 1.3, t) == [old]
-        # in a stack, the fallback row and its neighbours read as they do alone
-        stack = np.array([np.linspace(0.8, 1.2, n - 1), bonds, np.full(n - 1, 0.9)])
-        alone = [dynamics._end_amplitudes(row[None], 1.3, t)[0] for row in stack]
-        assert dynamics._end_amplitudes(stack, 1.3, t) == alone
+        energies, weights, beta = spectral._end_weights(bonds[None])
+        roots, exact = mp_end_spectrum(mpmath, bonds, energies[0])
+        with mpmath.workdps(40):
+            smallest = min(abs(r) for r in roots)
+            assert abs(energies[0, n // 2] - smallest) <= 1e-13 * float(smallest)
+            weight_error = float(mpmath.fsum(abs(w - x) for w, x in zip(weights[0], exact)))
+        assert 0.0 < beta[0] <= 1e-10
+        assert weight_error <= beta[0]
+        assert abs(abs(_end_amplitude(energies[0], weights[0], t))
+                   - _oracle_modulus(mpmath, bonds, energies[0], t)) <= beta[0]
+
+    @pytest.mark.parametrize("n,middle", [(20, 1e-8), (40, 1e-10), (20, 1e-12)])
+    def test_near_degenerate_halves_take_the_dstevd_route(self, n, middle):
+        # two equal halves joined by a weak middle bond: every level pairs with
+        # its mirror image at a splitting of about the middle bond, within the
+        # eigenvalue bounds' reach, so beta passes the tolerance and the chain
+        # is read out through dstevd
+        bonds = np.ones(n - 1)
+        bonds[n // 2 - 1] = middle
+        _assert_read_through_dstevd(bonds)
+
+    @pytest.mark.parametrize("weak", [1e-13, 1e-15])
+    def test_end_pair_below_the_newton_reach_takes_the_dstevd_route(self, weak):
+        # sigma_1 ~ weak^2 lies below the quadratic error of one Newton step from
+        # dsterf's value (about 1e-33 in sigma^2): the step's bound dy says so,
+        # and the chain is read out through dstevd
+        bonds = np.ones(19)
+        bonds[0] = bonds[-1] = weak
+        _assert_read_through_dstevd(bonds)
 
     def test_rows_of_a_stack_read_as_they_do_alone(self):
         rng = np.random.default_rng(5)
@@ -305,12 +333,30 @@ class TestEndWeights:
 
         def shifted(*args):
             energies, info = original(*args)
-            energies[0] -= 1e-6  # one eigenvalue off: sum E^2 misses trace(H^2)
+            energies[0] -= 1e-6  # one eigenvalue off: the sum misses the block's trace
             return energies, info
 
         monkeypatch.setattr(spectral, "_sterf", shifted)
         with pytest.raises(NumericalFailureError, match="trace"):
             spectral._end_weights(np.ones((1, 7)))
+
+    @pytest.mark.parametrize("n", [3, 8, 65])
+    def test_moved_eigenvalues_raise_under_refinement(self, monkeypatch, n):
+        # the top two dsterf values moved apart by 1e-9 with their sum kept: the
+        # trace check passes, and the Newton step finds the move, past dsterf's
+        # bound, and raises instead of repairing it (at N = 3 the second value is
+        # the dropped zero mode)
+        original = spectral._sterf
+
+        def moved(*args):
+            values, info = original(*args)
+            values[-1] += 1e-9
+            values[-2] -= 1e-9
+            return values, info
+
+        monkeypatch.setattr(spectral, "_sterf", moved)
+        with pytest.raises(NumericalFailureError, match="under refinement"):
+            spectral._end_weights(np.linspace(0.5, 1.5, n - 1)[None])
 
     @pytest.mark.parametrize(
         "call",
@@ -352,7 +398,56 @@ class TestEndWeights:
         finally:
             tracemalloc.stop()
         assert 0.0 <= fidelity <= 1.0
-        assert peak < 0.02 * 8 * n * n  # one (N, N) array is 200 MB; the gap blocks are 256 KB
+        assert peak < 0.02 * 8 * n * n  # one (N, N) array is 200 MB; the pair blocks are 64 KB
+
+
+@given(
+    n=st.integers(2, 64),
+    kind=st.sampled_from(["disorder", "signed", "zero bond"]),
+    alpha=st.floats(0.0, 1.0),
+    delta=st.floats(0.0, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+    cut=st.integers(0, 62),
+)
+@settings(max_examples=25, deadline=None)
+def test_certificate_covers_the_oracle(n, kind, alpha, delta, seed, cut):
+    # the bounds dy on sigma_k^2 and beta on the weights and on |f_N| hold against
+    # the 40-digit oracle: disorder up to delta 0.99, signed bonds (delta >= 1)
+    # and a zero bond; every N, 2 and 3 included, takes one guarded dsterf call
+    # on an N//2 + 1 row block
+    mpmath = pytest.importorskip("mpmath")
+    if kind == "signed":
+        delta += 1.0
+    bonds = disordered_bonds(ChainConfig(n, 1.0, 1.0, alpha, delta), seed, 0).values.copy()
+    if kind == "zero bond":
+        bonds[cut % (n - 1)] = 0.0
+    rows, original = [], spectral._sterf
+    spectral._sterf = lambda d, e: rows.append(d.size) or original(d, e)
+    try:
+        energies, weights, beta = spectral._end_weights(bonds[None])
+    finally:
+        spectral._sterf = original
+    assert rows == [n // 2 + 1]
+    if kind == "zero bond":
+        assert np.all(weights == 0.0) and beta[0] == 0.0
+        return
+    if not beta[0] <= spectral.END_WEIGHT_ATOL:
+        return  # read out through dstevd instead
+    roots, exact = mp_end_spectrum(mpmath, bonds, energies[0])
+    # sigma_k^2 and their bounds, in the power-of-two units _end_weights works in
+    m, scale = n // 2, int(np.frexp(np.max(np.abs(bonds)))[1])
+    padded = np.zeros((1, 2 * m + 2))
+    padded[0, 1:n] = np.ldexp(bonds, -scale)
+    y, dy, in_range = spectral._squared_spectrum(padded, np.array([False]))
+    assert np.all(in_range)
+    t = reflection_time(n, alpha, 1.0)
+    with mpmath.workdps(40):
+        for k, root in enumerate(roots[n - m :]):
+            assert abs(mpmath.ldexp(root**2, -2 * scale) - y[0, k]) <= dy[0, k]
+        weight_error = float(mpmath.fsum(abs(w - x) for w, x in zip(weights[0], exact)))
+        f_exact = abs(mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(exact, roots)))
+    assert weight_error <= beta[0]
+    assert abs(abs(_end_amplitude(energies[0], weights[0], t)) - float(f_exact)) <= beta[0]
 
 
 def _fix_column_signs_loop(vectors):
