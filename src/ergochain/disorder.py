@@ -84,16 +84,17 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     ``spectral._BLOCK_BYTES`` (128 KB): 1024 at N = 8, 64 at N = 128, one
     from N = 8193 on. ``_end_weights`` forms its pair arrays in blocks of
     its own, so memory stays a few blocks whatever the count. Each chain
-    takes one LAPACK ``dsterf`` call on an N//2 + 1 row block of H^2, one
-    Newton step per eigenvalue and end weights from the eigenvalues alone
-    (``spectral._end_weights``), no eigenvectors. Each chain carries a
+    takes one LAPACK ``dlasq1`` (dqds) call for its half spectrum, the
+    singular values of a bidiagonal matrix of its bonds, and end weights
+    from the eigenvalues alone (``spectral._end_weights``), no
+    eigenvectors. Each chain carries a
     first-order certificate ``beta`` on |f_N|; one whose ``beta`` exceeds
     ``spectral.END_WEIGHT_ATOL`` (1e-6) is solved by the guarded
     ``spectral._solve`` (``dstevd`` and its residual contract) instead. On
     the benchmark's cells (N <= 128, delta <= 0.2) ``beta`` stays below
-    1e-10, so no chain falls back there. A nonzero ``info``, a ``dsterf``
-    spectrum that misses its trace or moves past its bound under the Newton
-    step, or a failed residual raises NumericalFailureError.
+    1e-10, so no chain falls back there. A nonzero ``info``, singular
+    values that miss the trace or the fourth moment of the chain, or a
+    failed residual raises NumericalFailureError.
 
     Row r of a chunk depends on bond row r alone, so F_k equals the
     single-chain readout ``_end_amplitudes(bonds[None], field, T)`` of
@@ -102,8 +103,8 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     ``abs(complex)`` by an ulp. The constant diagonal -(N-2)B is a global
     phase; the eigenvalue route leaves it out, so it adds no rounding to |f|.
 
-    Everything runs in the calling thread, and ``dsterf`` makes no BLAS call,
-    so the values do not depend on ``OPENBLAS_NUM_THREADS`` unless a chain
+    Everything runs in the calling thread, and ``dlasq1`` makes no threaded
+    BLAS call, so the values do not depend on ``OPENBLAS_NUM_THREADS`` unless a chain
     falls back to ``dstevd``.
     """
     clean = interpolated_bonds(config).values  # checks config first

@@ -7,21 +7,22 @@ the driver returns. Its three callers are ``diagonalize``, the fallback of
 at one time or over a window needs only the eigenvalues and the end weights
 v_k[1] v_k[N], and ``_end_weights`` gets both from half the spectrum: the
 chain without its constant diagonal is bipartite, its eigenvalues are
-+-sigma_k, and one LAPACK ``dsterf`` call per chain (no eigenvectors, no
-BLAS call) on an N//2 + 1 row block of H^2 gives the sigma_k^2. One Newton
-step on the bonds' continuant refines each to high relative accuracy, the
-weights follow from w_k = prod_j b_j / prod_(j != k) (E_k - E_j) over pairs
-of the half spectrum, and a first-order certificate ``beta`` bounds their
-error in |f_N|. ``_end_spectrum`` reads a chain whose ``beta`` exceeds
-END_WEIGHT_ATOL (1e-6) through ``_solve`` instead. The handles, ``_stevd``
-and ``_sterf``, come from scipy's ``_flapack`` extension, which
++-sigma_k, the singular values of a bidiagonal matrix of the bonds, and one
+LAPACK ``dlasq1`` (dqds) call per chain computes them to high relative
+accuracy (no eigenvectors, no threaded BLAS call). The weights follow from
+w_k = prod_j b_j / prod_(j != k) (E_k - E_j) over pairs of the half
+spectrum, and a first-order certificate ``beta`` bounds their error in
+|f_N|. ``_end_spectrum`` reads a chain whose ``beta`` exceeds
+END_WEIGHT_ATOL (1e-6) through ``_solve`` instead. Both routines are
+scipy's. ``_stevd`` comes from its ``_flapack`` extension, which
 ``_load_flapack`` loads by itself: ``import scipy.linalg`` would run the
 package init, whose array-API layer imports ``numpy.testing`` and
 ``numpy.f2py``, about 0.33 s of a 0.47 s ``import ergochain.cli``. Without
 it the import takes about 0.18 s (medians of 8 fresh interpreters, 2-core
-x86-64 host). They call the same Fortran routines as ``scipy.linalg.lapack``,
-so every output bit is scipy's. For the two special bond families the
-spectrum is known in closed form:
+x86-64 host). scipy does not wrap ``dlasq1``; ``_load_lasq1`` finds it
+through the same extension's shared library, by ``ctypes``. So both are
+routines of scipy's bundled LAPACK, and every output bit is its. For the two
+special bond families the spectrum is known in closed form:
 
 * uniform bonds: E_k = -2J cos(k pi/(N+1)) - (N-2)B with sine-wave
   eigenvectors;
@@ -47,6 +48,7 @@ touching the spectrum.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
@@ -74,10 +76,12 @@ __all__ = [
 RESIDUAL_RTOL = 1e-9
 
 # Bytes of each temporary of one block: the two of a ``_check_residual`` block.
-# A ``_pair_sums`` step forms its gap array in half a block; the broadcast
-# subtraction takes a temporary as large, and the product and reciprocal
-# passes add less, so the step holds about 1.5 blocks at its peak (tracemalloc,
-# numpy 2.4.6: 183 KB at N = 5000). The disorder kernel reads
+# ``_end_weights`` makes one ``_pair_sums`` pass per stack. Each step forms its
+# gap array in half a block; the broadcast subtraction takes a temporary as
+# large, and the product and reciprocal passes add less, so the step holds
+# about 1.5 blocks at its peak (tracemalloc, numpy 2.4.6, N = 5000: 182 KB
+# above the pass's three (chains, m) outputs; ``reflection_fidelity`` peaks at
+# 363 KB in all). The disorder kernel reads
 # _BLOCK_BYTES // (16 N) chains at a time, so its (chunk, N) complex phases are
 # one block. Every reader looks it up at call time, so one value drives all.
 _BLOCK_BYTES = 128 * 1024
@@ -94,7 +98,7 @@ _EPS = np.finfo(float).eps
 
 
 def _load_flapack():
-    """scipy's ``_flapack`` extension (LAPACK ``dstevd``, ``dsterf``), loaded on its own.
+    """scipy's ``_flapack`` extension (LAPACK ``dstevd``), loaded on its own.
 
     A process that has imported ``scipy.linalg._flapack`` already reuses it.
     Otherwise the extension file in scipy's package directory is loaded
@@ -123,9 +127,30 @@ def _load_flapack():
     return flapack
 
 
+def _load_lasq1(path: str):
+    """LAPACK ``dlasq1`` from the shared library of scipy's extension at ``path``, by ``ctypes``.
+
+    scipy's wrappers leave ``dlasq1`` out, but the extension links scipy's
+    bundled LAPACK, whose symbols it resolves on Linux: ``scipy_dlasq1_``
+    for the prefixed builds of the wheels, or ``dlasq1_``. A library without
+    either raises ImportError naming the path. Nothing is added to
+    ``sys.modules``. The routine takes (N, D, E, WORK, INFO): N and INFO as
+    ``ctypes.c_int``, the arrays as addresses, WORK of 4N doubles.
+    """
+    library = ctypes.CDLL(path)
+    for symbol in ("scipy_dlasq1_", "dlasq1_"):
+        routine = getattr(library, symbol, None)
+        if routine is not None:
+            pointer = ctypes.POINTER(ctypes.c_int)
+            routine.argtypes = (pointer,) + (ctypes.c_void_p,) * 3 + (pointer,)
+            routine.restype = None
+            return routine
+    raise ImportError(f"LAPACK dlasq1 not found in {path}", path=path)
+
+
 _flapack = _load_flapack()
 _stevd = _flapack.dstevd
-_sterf = _flapack.dsterf
+_lasq1 = _load_lasq1(_flapack.__file__)
 del _flapack
 
 
@@ -233,59 +258,6 @@ def _check_residual(
         )
 
 
-def _continuant(squares: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det(x - H) / x^(N mod 2) at y = x^2, as (mantissa, power of two), per chain and y.
-
-    ``squares`` (chains, 2m + 2) holds b_j^2 at index j and zeros at 0 and
-    past N - 1; ``y`` is (chains, m). Two sites at a time the characteristic
-    polynomials p_n(x) = x p_(n-1) - b_(n-1)^2 p_(n-2) of the zero-diagonal
-    chain are polynomials in y: with P_k = p_2k, Q_k = p_(2k+1)/x and
-    c_j = b_j^2,
-
-        Q_k = P_k - c_2k Q_(k-1),    P_(k+1) = y Q_k - c_(2k+1) P_k,
-
-    division-free. After m + 1 steps from (P_0, Q_-1) = (1, 0), Q_m is P_m
-    (N even, c_N = 0) or Q_m (N odd): the monic R(y) whose roots are the
-    sigma_k^2. Each step rounds like a relative change of its bonds and of
-    y, so the root of the computed R is within a few N eps of sigma_k^2,
-    relative, whatever the gaps. A pairwise product of the step matrices
-    would take O(log m) numpy calls instead of m + 1, but it rounds the
-    products, not the bonds: near-degenerate pairs then read R up to 100
-    times off (N = 20, two halves joined by a 1e-3 bond). All chains and y
-    go through each step at once (O(m) numpy calls per stack), and (P, Q) is
-    rescaled by a power of two every eight steps, so nothing overflows, nor
-    underflows unless 16 consecutive bonds multiply to less than
-    2^-500 max|b|^16.
-    """
-    chains, m = y.shape
-    # rows along the longer axis, where numpy loops fastest; one chain reads Python floats
-    if chains == 1:
-        rows, couplings = y[0], squares[0].tolist()
-    elif chains > m:
-        rows, couplings = y.T, squares.T[:, None, :]
-    else:
-        rows, couplings = y, squares.T[:, :, None]
-    p = np.ones(rows.shape)
-    q = np.zeros(rows.shape)
-    scratch = np.empty(rows.shape)
-    exponent = np.zeros(rows.shape, dtype=np.int64)
-    for k in range(m + 1):
-        q *= couplings[2 * k]
-        np.subtract(p, q, out=q)
-        p *= couplings[2 * k + 1]
-        np.multiply(rows, q, out=scratch)
-        np.subtract(scratch, p, out=p)
-        if k % 8 == 7:
-            shift = np.frexp(np.maximum(np.abs(p), np.abs(q)))[1]
-            scale = np.ldexp(1.0, -shift)
-            p *= scale
-            q *= scale
-            exponent += shift
-    if chains == 1:
-        return q[None], exponent[None]
-    return (q.T, exponent.T) if chains > m else (q, exponent)
-
-
 def _product(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """prod(values) along the last axis as (mantissa, power of two).
 
@@ -335,81 +307,62 @@ def _pair_sums(
     return mantissa, exponent, sums
 
 
-def _squared_spectrum(
-    padded: np.ndarray, split: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sigma_k^2 of each chain, ascending, refined, with error bounds and their range flag.
+def _squared_spectrum(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sigma_k^2 of each chain, ascending, with their error bounds.
 
-    ``padded`` (chains, 2m + 2) holds the bonds, scaled so that max|b| < 1,
-    at indices 1..N-1 and zeros elsewhere; ``split`` flags chains with a
-    zero bond. One LAPACK ``dsterf`` call per chain solves the odd-site block
-    of H^2, with site N + 1 added when N is even: m + 1 rows, diagonal
-    b_2i^2 + b_(2i+1)^2, off-diagonal b_(2i+1) b_(2i+2). Its eigenvalues are
-    the zero mode and the sigma_k^2; the smallest is dropped. (The even-site
-    block has the sigma_k^2 alone, but it is a single number at N = 2 and 3,
-    where no check could catch a wrong ``dsterf`` value.) Then one Newton
-    step y_k - d_k, d_k = R(y_k)/R'(y_k), with R from ``_continuant`` and
-    R'(y_k) = prod_(j != k) (y_k - y_j) from ``_pair_sums``.
+    ``scaled`` (chains, N-1) holds the bonds, scaled so that max|b| < 1; N
+    and its parity come from its shape. The zero-diagonal chain is the
+    Golub-Kahan form of the bidiagonal matrix with diagonal b_1, b_3, ... and
+    superdiagonal b_2, b_4, ..., with a zero diagonal entry appended for odd N
+    (order m + 1, one zero singular value): its eigenvalues are +-sigma_k, the
+    singular values of that matrix. One LAPACK ``dlasq1`` (dqds) call per
+    chain computes them, in place on a row of one (chains, order) array, to
+    high relative accuracy (Demmel and Kahan 1990; Fernando and Parlett
+    1994): each within a few (m + 1) eps, relative, whatever the gaps. The
+    bound dy_k = 4 (m + 1) eps y_k + 2^-1074 on y_k = sigma_k^2 is a-priori;
+    its last term is the absolute rounding of a subnormal square.
 
-    The step d_k is the a-posteriori error of the ``dsterf`` value. With
-    R' formed from the other values, the refined value is off by about
-    d_k sum_(j != k) d_j/(y_k - y_j); the bound
-    dy_k = 2 |d_k| max_j |d_j| sum_(j != k) 1/|y_k - y_j| + 8 (m + 1) eps y_k
-    adds the continuant's rounding, whose backward error is relative in the
-    bonds, so it moves sigma_k by a few N eps sigma_k at most (Demmel and
-    Kahan 1990). ``in_range`` is False where max_j |d_j| sum_j 1/|y_k - y_j|
-    exceeds 1/4, outside Newton's quadratic range.
-
-    NumericalFailureError is raised for a nonzero ``info``; for eigenvalues
-    whose sum misses the block's trace sum_j b_j^2 by more than rounding
-    allows (the check that every one was solved); and for a step in range,
-    on a chain without a zero bond, past ``dsterf``'s bound
-    8 (m + 1) eps (max|b| < 1), so a wrong eigenvalue is never repaired
-    silently.
+    NumericalFailureError is raised for a nonzero ``info`` and for values
+    that miss either moment identity by more than rounding allows:
+    sum sigma^2 = sum_i b_i^2 (the check that every value was solved), and
+    sum sigma^4 = (1/2) trace(H^4) = (1/2) sum_i (H^2)_ii^2 + sum_i b_i^2 b_(i+1)^2,
+    with (H^2)_ii = b_(i-1)^2 + b_i^2, which sees a pair moved with its sum kept.
+    Both sums run over every value of the call, the zero of odd N included.
     """
-    chains, m = padded.shape[0], padded.shape[1] // 2 - 1
-    squares = padded * padded
-    diag = squares[:, 0::2] + squares[:, 1::2]
-    off = padded[:, 1 : 2 * m : 2] * padded[:, 2 : 2 * m + 1 : 2]
-    block = np.empty((chains, m + 1))
+    chains, n = scaled.shape[0], scaled.shape[1] + 1
+    m, odd = divmod(n, 2)
+    order = m + odd
+    d = np.zeros((chains, order))
+    e = np.zeros((chains, order))
+    d[:, :m] = scaled[:, 0::2]
+    e[:, : n - 1 - m] = scaled[:, 1::2]
+    work = np.empty(4 * order)
+    size, info = ctypes.c_int(order), ctypes.c_int()
+    d_at, e_at, work_at, row = d.ctypes.data, e.ctypes.data, work.ctypes.data, d.strides[0]
     for r in range(chains):
-        block[r], info = _sterf(diag[r], off[r])
-        if info != 0:
-            raise NumericalFailureError(f"LAPACK dsterf failed with info = {info}")
-    del diag, off
-    total, trace = block.sum(axis=-1), squares.sum(axis=-1)
-    slack = 4 * (m + 1) * _EPS * (np.abs(block).sum(axis=-1) + trace)
-    missed = np.flatnonzero(~(np.abs(total - trace) <= slack))
-    if missed.size:
-        chain = missed[0]
-        raise NumericalFailureError(
-            f"dsterf eigenvalues: sum {total[chain]:.17g} misses the trace "
-            f"sum_j b_j^2 = {trace[chain]:.17g}"
-        )
-    guess = block[:, 1:]
-    value, value_exponent = _continuant(squares, guess)
-    del squares
-    slope, slope_exponent, reach = _pair_sums(guess)
-    slope[:, m % 2 :: 2] *= -1.0  # R'(y_k) < 0 below an odd number of y_j
-    value /= slope
-    value_exponent -= slope_exponent
-    steps = np.ldexp(value, value_exponent)
-    del value, value_exponent, slope, slope_exponent
-    y = guess - steps
-    reach *= np.abs(steps).max(axis=-1, keepdims=True)
-    in_range = reach <= 0.25
-    wrong = in_range & (np.abs(steps) > 8 * (m + 1) * _EPS)
-    wrong[split] = False
-    if wrong.any():
-        chain, k = np.argwhere(wrong)[0]
-        raise NumericalFailureError(
-            f"dsterf eigenvalue {guess[chain, k]:.17g} moved by {steps[chain, k]:.3e} "
-            f"under refinement, past its bound"
-        )
-    dy = np.abs(steps, out=steps)
-    dy *= 2 * reach
-    dy += 8 * (m + 1) * _EPS * np.abs(y)
-    return y, dy, in_range
+        _lasq1(size, d_at + r * row, e_at + r * row, work_at, info)
+        if info.value != 0:
+            raise NumericalFailureError(f"LAPACK dlasq1 failed with info = {info.value}")
+    values = d * d  # descending, the zero of odd N last
+    squares = scaled * scaled
+    diagonal = np.zeros((chains, n))  # (H^2)_ii
+    diagonal[:, 1:] = squares
+    diagonal[:, :-1] += squares
+    fourth = 0.5 * (diagonal * diagonal).sum(axis=-1)
+    fourth += (squares[:, 1:] * squares[:, :-1]).sum(axis=-1)
+    moments = (("the trace sum_j b_j^2", squares.sum(axis=-1)), ("trace(H^4)/2", fourth))
+    for power, (name, exact) in enumerate(moments, 1):
+        total = (values**power).sum(axis=-1)
+        slack = 4 * power * (m + 1) * _EPS * (total + exact)
+        missed = np.flatnonzero(~(np.abs(total - exact) <= slack))
+        if missed.size:
+            chain = missed[0]
+            raise NumericalFailureError(
+                f"dlasq1 singular values: sum sigma^{2 * power} = {total[chain]:.17g} "
+                f"misses {name} = {exact[chain]:.17g}"
+            )
+    y = values[:, m - 1 :: -1].copy()
+    return y, 4 * (m + 1) * _EPS * y + 2.0**-1074
 
 
 def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -419,45 +372,42 @@ def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     row r alone, bit for bit. The constant diagonal -(N-2)B only multiplies
     f_N by a global phase, so it is left out, and with it its rounding in
     |f_N|. The chain H then has a zero diagonal: it is bipartite, its
-    spectrum is +-sigma_k, k = 1..m = N//2 (and 0 for odd N), and the
-    sigma_k^2 are the eigenvalues of one sublattice block of H^2 (Golub and
-    Kahan 1965). ``_squared_spectrum`` solves that block with ``dsterf``, on
-    bonds scaled by a power of two (no square overflows, no bit changes), and
-    refines each sigma_k^2 with one Newton step on det(x - H); ``dsterf``
-    makes no BLAS call, so no bit depends on ``OPENBLAS_NUM_THREADS``. The
-    weights are the residues of (z - H)^-1_(1N) = prod_j b_j / det(z - H)
-    (Golub and Welsch 1969):
+    spectrum is +-sigma_k, k = 1..m = N//2 (and 0 for odd N), and the sigma_k
+    are the singular values of a bidiagonal matrix of the bonds (Golub and
+    Kahan 1965). ``_squared_spectrum`` computes them with ``dlasq1``, on
+    bonds scaled by a power of two (no square overflows, no bit changes);
+    ``dlasq1`` makes no threaded BLAS call, so no bit depends on
+    ``OPENBLAS_NUM_THREADS``. The weights are the residues of
+    (z - H)^-1_(1N) = prod_j b_j / det(z - H) (Golub and Welsch 1969):
 
         |w(+-sigma_k)| = prod|b| / (2 sigma_k [sigma_k if N odd]
                                     prod_(j != k) |sigma_k^2 - sigma_j^2|),
 
     the zero mode of odd N has prod|b| / prod_j sigma_j^2, and the sign is
     sign(prod_j b_j) (-1)^(N-k) for ascending E. The products run over the
-    m^2 pairs of the half spectrum (``_pair_sums``), not over N^2 gaps. A
-    zero bond splits the chain: w = 0 exactly, so f_N = 0.
+    m^2 pairs of the half spectrum (one ``_pair_sums`` pass), not over N^2
+    gaps. A zero bond splits the chain: w = 0 exactly, so f_N = 0.
 
     The certificate ``beta = sum_k |w_k| rho_k`` is a first-order bound on
     the error the weights put into |f_N(t)|, at any t. With each sigma_k^2
     within dy_k of the exact one (``_squared_spectrum``), each weight is
     within rho_k = sum_(j != k) (dy_k + dy_j)/|sigma_k^2 - sigma_j^2| +
     dy_k/(2 sigma_k^2) [twice for odd N] + 2N eps of its value, relative.
-    ``beta`` is inf where a refinement left Newton's quadratic range, where
-    neighbours, or sigma_1^2 and 0, lie within twice their dy, or where a
-    weight is not finite; and 0 for a split chain. The errors raised are
-    those of ``_squared_spectrum``.
+    ``beta`` is inf where neighbours, or sigma_1^2 and 0, lie within twice
+    their dy, or where a weight is not finite; and 0 for a split chain. The
+    errors raised are those of ``_squared_spectrum``.
     """
     chains, n = bonds.shape[0], bonds.shape[1] + 1
     m, odd = divmod(n, 2)
     scale = np.frexp(np.abs(bonds).max(axis=-1))[1]  # max|b| in [1/2, 1) once scaled
-    padded = np.zeros((chains, 2 * m + 2))
-    padded[:, 1:n] = np.ldexp(bonds, -scale[:, None])
-    bond_product, bond_exponent = _product(np.abs(padded[:, 1:n]))
+    scaled = np.ldexp(bonds, -scale[:, None])
+    bond_product, bond_exponent = _product(np.abs(scaled))
     sign = np.sign(bonds).prod(axis=-1)  # 0 for a zero bond
     split = sign == 0
     # zero bonds and gaps give infinities here; the certificate turns them away
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        y, dy, in_range = _squared_spectrum(padded, split)
-        del padded
+        y, dy = _squared_spectrum(scaled)
+        del scaled
         gaps, gaps_exponent, rho = _pair_sums(y, dy)
         sigma = np.sqrt(y)
         gaps *= y if odd else sigma
@@ -466,7 +416,7 @@ def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         np.subtract(bond_exponent[:, None], gaps_exponent, out=gaps_exponent)
         magnitudes = np.ldexp(gaps, gaps_exponent)
         del gaps, gaps_exponent
-        rho += (0.5 + 0.5 * odd) * dy / y + 2 * n * _EPS
+        rho += dy / y * (0.5 + 0.5 * odd) + 2 * n * _EPS  # dy / y first: 0.5 dy may underflow
         beta = 2 * (magnitudes * rho).sum(axis=-1)
         weights = np.empty((chains, n))
         weights[:, :m] = magnitudes[:, ::-1]
@@ -476,8 +426,7 @@ def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             weights[:, m] = np.ldexp(bond_product / y_product, bond_exponent - y_exponent)
             beta += weights[:, m] * ((dy / y).sum(axis=-1) + 2 * n * _EPS)
         resolved = (
-            in_range.all(axis=-1)
-            & (y[:, 0] > 2 * dy[:, 0])
+            (y[:, 0] > 2 * dy[:, 0])
             & (y[:, 1:] - y[:, :-1] > 2 * (dy[:, 1:] + dy[:, :-1])).all(axis=-1)
             & (beta <= np.inf)
         )
@@ -498,8 +447,9 @@ def _end_spectrum(bonds: np.ndarray, field: float) -> tuple[np.ndarray, np.ndarr
 
     Each chain is read from ``_end_weights`` when its certificate ``beta`` is
     at most END_WEIGHT_ATOL. A chain past it (near-degenerate pairs, as in
-    two nearly equal halves, where the eigenvalue bounds reach the gaps) is
-    solved by one guarded ``_solve`` on its full diagonal -(N-2)B: its
+    two nearly equal halves, where the eigenvalue bounds reach the gaps, or a
+    sigma_k^2 below the normal range, as with end bonds under about 1e-78 of
+    the largest) is solved by one guarded ``_solve`` on its full diagonal -(N-2)B: its
     energies and weights are those of ``diagonalize``, bit for bit, since
     v_k[1] v_k[N] does not depend on the sign gauge. Row r depends on bond
     row r alone.

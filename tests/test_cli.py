@@ -16,6 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from lapack_hooks import hooked_lasq1, report_failure
 from ergochain import ChainConfig, ensemble_erg, spectral
 from ergochain.cli import (
     _RUNNERS,
@@ -250,13 +251,13 @@ def solve_calls(monkeypatch):
     """Record the thread of every LAPACK eigensolve, whichever route makes it.
 
     ``reflection_fidelity``, ``erg_max_window`` and the ``ensemble_fidelity``
-    kernel solve each chain through the one ``dsterf`` handle (``dstevd`` only
+    kernel solve each chain through the one ``dlasq1`` handle (``dstevd`` only
     for a chain past the end-weight certificate); ``diagonalize`` and
     ``tpm_distribution`` through the one ``dstevd`` handle. Patching both in
     every ergochain namespace that binds them counts every eigensolve.
     """
     calls = []
-    for handle in ("_stevd", "_sterf"):
+    for handle in ("_stevd", "_lasq1"):
         original = getattr(spectral, handle)
 
         def counted(*args, _original=original, **kwargs):
@@ -425,7 +426,7 @@ class TestFailurePaths:
         assert ran == []
 
     def test_numerical_failure_leaves_the_out_directory_empty(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(spectral, "_sterf", lambda d, e: (d.copy(), 1))
+        monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(report_failure))
         code, out = _run(tmp_path, "theta-sweep", SCENARIO_INIS["theta-sweep"])
         assert code == 3
         assert "info = 1" in capsys.readouterr().err
@@ -498,7 +499,7 @@ class TestJsonRowWriter:
 )
 def test_lapack_failure_exits_numerical(tmp_path, capsys, monkeypatch, scenario):
     monkeypatch.setattr(spectral, "_stevd", lambda d, e: (d.copy(), np.eye(d.size), 1))
-    monkeypatch.setattr(spectral, "_sterf", lambda d, e: (d.copy(), 1))
+    monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(report_failure))
     code, _ = _run(tmp_path, scenario, SCENARIO_INIS[scenario])
     assert code == 3
     assert "info = 1" in capsys.readouterr().err

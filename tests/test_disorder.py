@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from lapack_hooks import hooked_lasq1, report_failure
 from ergochain import chain, disorder, dynamics, ergotropy, spectral
 from ergochain import (
     ChainConfig,
@@ -106,9 +107,9 @@ class TestFidelitySample:
                 assert (record.time, record.fidelity) == (time, fidelity)
 
     def test_each_path_keeps_its_clip(self):
-        # the engineered N = 16 chain overshoots F = 1 by a few ulps at T: the
+        # the engineered N = 18 chain overshoots F = 1 by a few ulps at T: the
         # ensemble clips it, the single-chain readout reports it unclipped
-        cfg = _config(n=16, delta=0.0, alpha=1.0)
+        cfg = _config(n=18, delta=0.0, alpha=1.0)
         assert 1.0 < reflection_fidelity(cfg)[1] < 1.0 + 1e-14
         assert ensemble_fidelity(cfg, 3, seed=0).tolist() == [1.0, 1.0, 1.0]
 
@@ -306,15 +307,15 @@ class TestEnsembleKernel:
 
     def test_strong_disorder_rarely_falls_back(self, monkeypatch):
         # 360 chains (N = 32 and 128, alpha 0.5, delta 0.5/0.9/0.99, 60 each,
-        # seed 3): 1 takes the dstevd fallback, 6 did with the full-chain
-        # eigenvalues; only fallback chains' bits depend on OPENBLAS_NUM_THREADS
+        # seed 3): none takes the dstevd fallback; only fallback chains' bits
+        # depend on OPENBLAS_NUM_THREADS
         solved, original = [], spectral._solve
         counted = lambda d, e: solved.append(d.size) or original(d, e)  # noqa: E731
         monkeypatch.setattr(spectral, "_solve", counted)
         for n in (32, 128):
             for delta in (0.5, 0.9, 0.99):
                 ensemble_fidelity(_config(n=n, delta=delta, alpha=0.5), 60, seed=3)
-        assert len(solved) <= 6
+        assert len(solved) == 0
 
     @pytest.mark.parametrize("n", SITES)
     def test_matches_parent_loop_on_the_grid(self, n):
@@ -410,46 +411,38 @@ class TestEnsembleKernel:
 
 def _perturbed_stevd(monkeypatch):
     """Scale every eigenvector's components on even sites by 1 + 1e-6, and every
-    second ``dsterf`` eigenvalue by the same factor.
+    second ``dlasq1`` singular value, the largest first, by the same factor.
 
     Scaling whole eigenvectors would keep them eigenvectors. Scaling every
     second site breaks H v = E v by about 1e-6 times a bond, 15 times the
-    residual bound at N = 128 and 900 times at N = 2. The scaled eigenvalues
-    miss trace(H^2) by about 1e-6 of it, far past the moment bound of
+    residual bound at N = 128 and 900 times at N = 2. The scaled singular
+    values miss trace(H^2)/2 by about 1e-6 of it, far past the moment bound of
     ``spectral._end_weights``.
     """
     original = spectral._stevd
-    original_sterf = spectral._sterf
 
     def perturbed(*args, **kwargs):
         energies, vectors, info = original(*args, **kwargs)
         vectors[1::2, :] *= 1.0 + 1e-6
         return energies, vectors, info
 
-    def perturbed_sterf(*args, **kwargs):
-        energies, info = original_sterf(*args, **kwargs)
-        energies[1::2] *= 1.0 + 1e-6
-        return energies, info
+    def perturbed_lasq1(values, info):
+        values[::2] *= 1.0 + 1e-6
 
     monkeypatch.setattr(spectral, "_stevd", perturbed)
-    monkeypatch.setattr(spectral, "_sterf", perturbed_sterf)
+    monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(perturbed_lasq1))
 
 
 def _failing_stevd(monkeypatch):
-    """``dstevd`` and ``dsterf`` report failure (info = 1) with otherwise valid output."""
+    """``dstevd`` and ``dlasq1`` report failure (info = 1) with otherwise valid output."""
     original = spectral._stevd
-    original_sterf = spectral._sterf
 
     def failing(*args, **kwargs):
         energies, vectors, _ = original(*args, **kwargs)
         return energies, vectors, 1
 
-    def failing_sterf(*args, **kwargs):
-        energies, _ = original_sterf(*args, **kwargs)
-        return energies, 1
-
     monkeypatch.setattr(spectral, "_stevd", failing)
-    monkeypatch.setattr(spectral, "_sterf", failing_sterf)
+    monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(report_failure))
 
 
 class TestGuardedSolve:
@@ -472,16 +465,13 @@ class TestGuardedSolve:
 
     def test_one_bad_realization_fails_its_chunk(self, monkeypatch):
         # realization 3 of 40 is perturbed; it lies inside the first chunk at N = 8
-        original = spectral._sterf
         calls = []
 
-        def perturbed(*args, **kwargs):
-            energies, info = original(*args, **kwargs)
+        def perturbed(values, info):
             if len(calls) == 3:
-                energies[1::2] *= 1.0 + 1e-6
+                values[::2] *= 1.0 + 1e-6
             calls.append(None)
-            return energies, info
 
-        monkeypatch.setattr(spectral, "_sterf", perturbed)
+        monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(perturbed))
         with pytest.raises(NumericalFailureError):
             ensemble_fidelity(_config(n=8, delta=0.1), 40, seed=0)

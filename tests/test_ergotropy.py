@@ -147,6 +147,46 @@ class TestClosedFormsAgainstFirstPrinciples:
         q = match_mixed_to_pure(theta)
         assert erg_mixed(lo, q, 1.0) <= erg_mixed(hi, q, 1.0) + 1e-12
 
+    def test_coherent_against_a_100_digit_oracle(self):
+        # relative error, F down to 1e-12 and theta over [0, pi], pi itself and
+        # the ill-conditioned corner near (pi, 1/2) included; the oracle is the
+        # closed form as written, at 100 digits, on the same float inputs
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        thetas = np.concatenate(
+            [rng.uniform(0.0, math.pi, 1500), np.full(100, math.pi),
+             math.pi - 10.0 ** rng.uniform(-16, 0, 400)]
+        )
+        fidelities = 10.0 ** rng.uniform(-12, 0, thetas.size)
+        near = slice(1600, None)  # F near 1/(2 s^2), where 1 - 2 F s^2 cancels
+        fidelities[near] = np.minimum(
+            1.0, 0.5 / np.sin(0.5 * thetas[near]) ** 2 * (1 + rng.uniform(-1e-3, 1e-3, 400))
+        )
+        eps = np.finfo(float).eps
+        with mpmath.workdps(100):
+            for theta, fidelity in zip(thetas.tolist(), fidelities.tolist()):
+                got = erg_coherent(fidelity, theta, 1.0)
+                t, f = mpmath.mpf(theta), mpmath.mpf(fidelity)
+                s2 = mpmath.sin(t / 2) ** 2
+                exact = 2 * f * s2 - 1 + mpmath.sqrt(1 + 4 * s2 * s2 * f * (f - 1))
+                a = 1 - 2 * f * s2
+                spread = mpmath.sqrt(a * a + f * mpmath.sin(t) ** 2) + abs(a)
+                bound = 8 * eps * (1 + 1 / float(spread))
+                assert float(abs(got - exact)) <= bound * float(exact), (theta, fidelity)
+
+    @given(
+        theta=st.one_of(st.just(math.pi), st.floats(0.0, math.pi)),
+        fa=st.one_of(st.floats(0.0, 1.0), st.floats(-12.0, 0.0).map(lambda e: 10.0**e)),
+        fb=st.one_of(st.floats(0.0, 1.0), st.floats(-12.0, 0.0).map(lambda e: 10.0**e)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_coherent_nondecreasing_in_fidelity(self, theta, fa, fb):
+        # no absolute slack: a larger F never reads less, beyond a relative
+        # rounding, even where erg is far below eps (small F, theta = pi)
+        lo, hi = sorted((fa, fb))
+        eps = np.finfo(float).eps
+        assert erg_coherent(lo, theta, 1.0) <= erg_coherent(hi, theta, 1.0) * (1 + 4 * eps)
+
     @given(theta=st.floats(0.0, math.pi), fidelity=st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_coherent_never_below_matched_mixed(self, theta, fidelity):

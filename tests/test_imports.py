@@ -7,6 +7,8 @@ they assert no wall-clock times.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import os
 import subprocess
 import sys
@@ -56,7 +58,6 @@ def test_solver_is_scipys_dstevd():
     exec(ROUTINE, namespace)
     routine = namespace["routine"]
     assert routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd)
-    assert routine(spectral._sterf) == routine(scipy.linalg.lapack.dsterf)
 
 
 def test_solver_is_scipys_dstevd_when_scipy_linalg_comes_later():
@@ -65,10 +66,52 @@ def test_solver_is_scipys_dstevd_when_scipy_linalg_comes_later():
         "from ergochain import spectral\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         "import scipy.linalg.lapack\n"
-        "print(routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd),\n"
-        "      routine(spectral._sterf) == routine(scipy.linalg.lapack.dsterf))"
+        "print(routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd))"
     )
-    assert _fresh(code) == "True True"
+    assert _fresh(code) == "True"
+
+
+class _SymbolInfo(ctypes.Structure):
+    """``Dl_info`` of the C library's ``dladdr``: the file and symbol an address lies in."""
+
+    _fields_ = [
+        ("file", ctypes.c_char_p),
+        ("base", ctypes.c_void_p),
+        ("symbol", ctypes.c_char_p),
+        ("address", ctypes.c_void_p),
+    ]
+
+
+def _library_of(address):
+    """The file of the shared library whose code holds ``address`` (GNU ``dladdr``)."""
+    info = _SymbolInfo()
+    assert ctypes.CDLL(None).dladdr(ctypes.c_void_p(address), ctypes.byref(info))
+    return Path(os.fsdecode(info.file)).resolve(), info.symbol.decode()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="dladdr of the GNU C library")
+def test_dlasq1_resolves_from_scipys_own_lapack():
+    # the handle's code lies in the LAPACK that scipy's wheels ship beside the
+    # package (scipy.libs), under the symbol dlasq1
+    library, symbol = _library_of(ctypes.cast(spectral._lasq1, ctypes.c_void_p).value)
+    assert library.is_relative_to(Path(scipy.__file__).resolve().parents[1] / "scipy.libs")
+    assert symbol in ("scipy_dlasq1_", "dlasq1_")
+
+
+def test_loading_dlasq1_adds_no_module():
+    path = spectral._load_flapack().__file__
+    before = set(sys.modules)
+    routine = spectral._load_lasq1(path)
+    assert set(sys.modules) == before
+    address = lambda f: ctypes.cast(f, ctypes.c_void_p).value  # noqa: E731
+    assert address(routine) == address(spectral._lasq1)
+
+
+def test_library_without_dlasq1_raises_naming_the_path():
+    library = ctypes.util.find_library("c")
+    with pytest.raises(ImportError, match="dlasq1") as raised:
+        spectral._load_lasq1(library)
+    assert raised.value.path == library
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import dense_hamiltonian
+from lapack_hooks import hooked_lasq1, report_failure
 from oracles import krawtchouk, mp_end_spectrum
 from ergochain import (
     BondSet,
@@ -198,7 +199,7 @@ def _assert_read_through_dstevd(bonds):
 
 
 class TestEndWeights:
-    """Eigenvalues from dsterf, end weights from the eigenvalues, and their certificate."""
+    """Eigenvalues from dlasq1, end weights from the eigenvalues, and their certificate."""
 
     def test_weights_are_the_end_products_of_the_eigenvectors(self):
         # the identity itself, against 40-digit eigenvectors of the dense matrix
@@ -270,11 +271,13 @@ class TestEndWeights:
         assert signs == {-1.0, 1.0}
         assert {sign for _, sign in checked} == {-1.0, 1.0}
 
-    @pytest.mark.parametrize("n,weak", [(20, 1e-5), (40, 1e-6), (20, 1e-9)])
+    @pytest.mark.parametrize(
+        "n,weak", [(20, 1e-5), (40, 1e-6), (20, 1e-9), (20, 1e-13), (20, 1e-15)]
+    )
     def test_weak_end_bonds_resolve_against_the_oracle(self, n, weak):
-        # two end-localized states split by about weak^2: sigma_1 reaches 1e-18 at
-        # weak = 1e-9, far below dsterf's absolute error on H^2, and the Newton
-        # step on the bonds' continuant still resolves it to full relative accuracy
+        # two end-localized states split by about weak^2: sigma_1 reaches 1e-30 at
+        # weak = 1e-15, far below any absolute error bound on H^2, and dqds still
+        # resolves it to full relative accuracy
         mpmath = pytest.importorskip("mpmath")
         bonds = np.ones(n - 1)
         bonds[0] = bonds[-1] = weak
@@ -300,13 +303,12 @@ class TestEndWeights:
         bonds[n // 2 - 1] = middle
         _assert_read_through_dstevd(bonds)
 
-    @pytest.mark.parametrize("weak", [1e-13, 1e-15])
-    def test_end_pair_below_the_newton_reach_takes_the_dstevd_route(self, weak):
-        # sigma_1 ~ weak^2 lies below the quadratic error of one Newton step from
-        # dsterf's value (about 1e-33 in sigma^2): the step's bound dy says so,
-        # and the chain is read out through dstevd
+    def test_subnormal_end_pair_takes_the_dstevd_route(self):
+        # sigma_1^2 ~ 1e-321 is subnormal: its square keeps only a few digits,
+        # the absolute rounding term of dy says so, and the chain is read out
+        # through dstevd
         bonds = np.ones(19)
-        bonds[0] = bonds[-1] = weak
+        bonds[0] = bonds[-1] = 1e-80
         _assert_read_through_dstevd(bonds)
 
     def test_rows_of_a_stack_read_as_they_do_alone(self):
@@ -329,33 +331,24 @@ class TestEndWeights:
                 assert got.tobytes() == want.tobytes()
 
     def test_unsolved_eigenvalues_raise(self, monkeypatch):
-        original = spectral._sterf
+        def shifted(values, info):
+            values[0] -= 1e-6  # one singular value off: the sum of squares misses the trace
 
-        def shifted(*args):
-            energies, info = original(*args)
-            energies[0] -= 1e-6  # one eigenvalue off: the sum misses the block's trace
-            return energies, info
-
-        monkeypatch.setattr(spectral, "_sterf", shifted)
-        with pytest.raises(NumericalFailureError, match="trace"):
+        monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(shifted))
+        with pytest.raises(NumericalFailureError, match="trace sum_j b_j"):
             spectral._end_weights(np.ones((1, 7)))
 
     @pytest.mark.parametrize("n", [3, 8, 65])
-    def test_moved_eigenvalues_raise_under_refinement(self, monkeypatch, n):
-        # the top two dsterf values moved apart by 1e-9 with their sum kept: the
-        # trace check passes, and the Newton step finds the move, past dsterf's
-        # bound, and raises instead of repairing it (at N = 3 the second value is
-        # the dropped zero mode)
-        original = spectral._sterf
+    def test_moved_eigenvalues_raise_on_the_fourth_moment(self, monkeypatch, n):
+        # the largest and the smallest sigma^2 of the call moved 1e-9 toward each
+        # other, their sum kept: the trace check passes, and the fourth moment
+        # sees the move (at N = 3 and 65 the smallest is the zero mode of odd N)
+        def moved(values, info):
+            values[0] = math.sqrt(values[0] ** 2 - 1e-9)
+            values[-1] = math.sqrt(values[-1] ** 2 + 1e-9)
 
-        def moved(*args):
-            values, info = original(*args)
-            values[-1] += 1e-9
-            values[-2] -= 1e-9
-            return values, info
-
-        monkeypatch.setattr(spectral, "_sterf", moved)
-        with pytest.raises(NumericalFailureError, match="under refinement"):
+        monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(moved))
+        with pytest.raises(NumericalFailureError, match="sum sigma\\^4"):
             spectral._end_weights(np.linspace(0.5, 1.5, n - 1)[None])
 
     @pytest.mark.parametrize(
@@ -368,8 +361,8 @@ class TestEndWeights:
         ids=["ensemble_fidelity", "reflection_fidelity", "erg_max_window"],
     )
     def test_lapack_failure_raises(self, monkeypatch, call):
-        monkeypatch.setattr(spectral, "_sterf", lambda d, e: (d.copy(), 1))
-        with pytest.raises(NumericalFailureError, match="dsterf failed with info = 1"):
+        monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(report_failure))
+        with pytest.raises(NumericalFailureError, match="dlasq1 failed with info = 1"):
             call(ChainConfig(12, 1.0, 1.0, 0.5, 0.1))
 
     def test_no_benchmark_cell_falls_back(self, monkeypatch):
@@ -413,21 +406,21 @@ class TestEndWeights:
 def test_certificate_covers_the_oracle(n, kind, alpha, delta, seed, cut):
     # the bounds dy on sigma_k^2 and beta on the weights and on |f_N| hold against
     # the 40-digit oracle: disorder up to delta 0.99, signed bonds (delta >= 1)
-    # and a zero bond; every N, 2 and 3 included, takes one guarded dsterf call
-    # on an N//2 + 1 row block
+    # and a zero bond; every N, 2 and 3 included, takes one guarded dlasq1 call
+    # of order N//2 + N mod 2
     mpmath = pytest.importorskip("mpmath")
     if kind == "signed":
         delta += 1.0
     bonds = disordered_bonds(ChainConfig(n, 1.0, 1.0, alpha, delta), seed, 0).values.copy()
     if kind == "zero bond":
         bonds[cut % (n - 1)] = 0.0
-    rows, original = [], spectral._sterf
-    spectral._sterf = lambda d, e: rows.append(d.size) or original(d, e)
+    orders, original = [], spectral._lasq1
+    spectral._lasq1 = hooked_lasq1(lambda values, info: None, orders)
     try:
         energies, weights, beta = spectral._end_weights(bonds[None])
     finally:
-        spectral._sterf = original
-    assert rows == [n // 2 + 1]
+        spectral._lasq1 = original
+    assert orders == [n // 2 + n % 2]
     if kind == "zero bond":
         assert np.all(weights == 0.0) and beta[0] == 0.0
         return
@@ -436,10 +429,7 @@ def test_certificate_covers_the_oracle(n, kind, alpha, delta, seed, cut):
     roots, exact = mp_end_spectrum(mpmath, bonds, energies[0])
     # sigma_k^2 and their bounds, in the power-of-two units _end_weights works in
     m, scale = n // 2, int(np.frexp(np.max(np.abs(bonds)))[1])
-    padded = np.zeros((1, 2 * m + 2))
-    padded[0, 1:n] = np.ldexp(bonds, -scale)
-    y, dy, in_range = spectral._squared_spectrum(padded, np.array([False]))
-    assert np.all(in_range)
+    y, dy = spectral._squared_spectrum(np.ldexp(bonds, -scale)[None])
     t = reflection_time(n, alpha, 1.0)
     with mpmath.workdps(40):
         for k, root in enumerate(roots[n - m :]):

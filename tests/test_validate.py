@@ -185,9 +185,9 @@ def test_config_table_covers_the_package_root():
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Count the calls of both LAPACK handles, ``dstevd`` and ``dsterf``."""
+    """Count the calls of both LAPACK handles, ``dstevd`` and ``dlasq1``."""
     calls = []
-    for handle in ("_stevd", "_sterf"):
+    for handle in ("_stevd", "_lasq1"):
         original = getattr(ec.spectral, handle)
 
         def counted(*args, _original=original, _handle=handle):
