@@ -1,4 +1,4 @@
-"""Parameter domains, each declared once for the whole package.
+"""Parameter domains, arrays and object types, each declared once for the whole package.
 
 One rule decides what a number is: Python and numpy integers are integers,
 those plus Python and numpy floats are reals, and ``bool`` is neither. Each
@@ -6,6 +6,11 @@ scalar validator returns a plain Python ``int`` or ``float`` (JSON bytes and
 configuration hashes depend on that) and raises ``error``:
 InvalidInputError for library arguments, InvalidConfigError where
 ``ChainConfig`` or the CLI passes it in.
+
+Arrays follow the same rule entry by entry (``reals``). ``frozen`` is the one
+rule for the arrays a value type holds: a read-only float view of a nonempty
+array of finite reals, never a copy of a float array and never a flag set on
+the caller's array. ``instance`` is the one check of an object's type.
 """
 
 from __future__ import annotations
@@ -75,14 +80,45 @@ def positive(name: str, value, error: type = InvalidInputError) -> float:
 
 
 def reals(name: str, values, low: float = -math.inf, high: float = math.inf) -> np.ndarray:
-    """``real`` elementwise: a float array of finite values in [low, high]."""
+    """``real`` elementwise: a float array of finite values in [low, high].
+
+    A float array is returned as it is, not copied. Its range is read from
+    its least and largest entries, so the check makes no array-sized
+    temporary; a NaN propagates into both and fails. (A sum would not do:
+    [1e308, 1e308] overflows.)
+    """
     array = np.asarray(values)
     if array.dtype.kind not in _REAL_KINDS:
         raise InvalidInputError(f"{name} must hold real numbers, got dtype {array.dtype}")
-    array = array.astype(float)
-    if not np.all(np.isfinite(array) & (array >= low) & (array <= high)):
-        raise InvalidInputError(f"{name} must be finite and lie in [{low}, {high}]")
+    array = array.astype(float, copy=False)
+    if array.size:
+        lowest, highest = float(array.min()), float(array.max())
+        finite = math.isfinite(lowest) and math.isfinite(highest)
+        if not (finite and low <= lowest and highest <= high):
+            raise InvalidInputError(f"{name} must be finite and lie in [{low}, {high}]")
     return array
+
+
+def frozen(name: str, values, ndim: int = 1) -> np.ndarray:
+    """A read-only float view of a nonempty ``ndim``-D array of finite reals (``reals``).
+
+    The view shares the memory of a float array (no copy); only the view is
+    read-only, so the caller's array stays writable.
+    """
+    array = reals(name, values)
+    if array.ndim != ndim or array.size < 1:
+        raise InvalidInputError(f"{name} must be a nonempty {ndim}-D array, got {array.shape}")
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+def instance(name: str, value, kind: type):
+    """``value`` itself if it is a ``kind``, else InvalidInputError."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InvalidInputError(f"{name} must be {article} {kind.__name__}")
+    return value
 
 
 def unit_interval(name: str, value) -> float:

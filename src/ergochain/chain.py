@@ -78,7 +78,8 @@ class BondSet:
     ``alpha`` records the interpolation weight the bonds were built from, or
     None for bonds that did not come from ``interpolated_bonds`` (e.g. after
     disorder is applied). ``delta`` records the disorder half-width (0 for a
-    clean chain).
+    clean chain). ``values`` is a read-only view of the given array, not a
+    copy (``_validate.frozen``).
     """
 
     values: np.ndarray
@@ -86,13 +87,7 @@ class BondSet:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise InvalidInputError("bond values must be a 1-D array of length >= 1")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("bond values must all be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _validate.frozen("bond values", self.values))
 
     @property
     def n_sites(self) -> int:
@@ -104,39 +99,24 @@ class SingleExcitationHamiltonian:
     """Symmetric tridiagonal single-excitation block.
 
     ``diagonal`` has length N >= 2 (constant -(N-2)*B) and ``offdiagonal``
-    length N-1 (the bond strengths); every entry is finite.
+    length N-1 (the bond strengths); every entry is finite. Both are
+    read-only views of the given arrays, not copies (``_validate.frozen``).
     """
 
     diagonal: np.ndarray
     offdiagonal: np.ndarray
 
     def __post_init__(self) -> None:
-        diag = np.asarray(self.diagonal, dtype=float)
-        off = np.asarray(self.offdiagonal, dtype=float)
-        if diag.ndim != 1 or off.ndim != 1 or diag.size < 2 or off.size != diag.size - 1:
-            raise InvalidInputError(
-                "diagonal must be 1-D of length N >= 2 and offdiagonal of length N-1"
-            )
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-            raise InvalidInputError("Hamiltonian entries must all be finite")
-        diag.setflags(write=False)
-        off.setflags(write=False)
+        diag = _validate.frozen("diagonal", self.diagonal)
+        off = _validate.frozen("offdiagonal", self.offdiagonal)
+        if off.size != diag.size - 1:
+            raise InvalidInputError("diagonal must have length N >= 2 and offdiagonal N-1")
         object.__setattr__(self, "diagonal", diag)
         object.__setattr__(self, "offdiagonal", off)
 
     @property
     def n_sites(self) -> int:
         return self.diagonal.size
-
-
-def _check_config(config: ChainConfig) -> None:
-    """Raise InvalidInputError unless ``config`` is a ChainConfig.
-
-    The one config check: every function that takes a config calls it before
-    it reads a field, so a wrong type never reaches an attribute lookup.
-    """
-    if not isinstance(config, ChainConfig):
-        raise InvalidInputError("config must be a ChainConfig")
 
 
 def gn_factor(n_sites: int) -> float:
@@ -169,7 +149,7 @@ def interpolated_bonds(config: ChainConfig) -> BondSet:
     alpha=0 reproduces the uniform chain, alpha=1 the engineered chain, and the
     blend is affine in alpha bond by bond.
     """
-    _check_config(config)
+    _validate.instance("config", config, ChainConfig)
     engineered = pst_couplings(config.n_sites, config.coupling)
     values = (1.0 - config.alpha) * config.coupling + config.alpha * engineered
     return BondSet(values=values, alpha=config.alpha, delta=0.0)
@@ -236,9 +216,8 @@ def build_hamiltonian(bonds: BondSet, field: float) -> SingleExcitationHamiltoni
     The diagonal is the constant -(N-2)*B: flipping one of N down-spins in a
     field that pays -B per aligned spin leaves N-2 aligned net.
     """
-    if not isinstance(bonds, BondSet):
-        raise InvalidInputError("bonds must be a BondSet")
+    _validate.instance("bonds", bonds, BondSet)
     field = _validate.positive("field", field)
     n = bonds.n_sites
     diag = np.full(n, -(n - 2) * field)
-    return SingleExcitationHamiltonian(diagonal=diag, offdiagonal=bonds.values.copy())
+    return SingleExcitationHamiltonian(diagonal=diag, offdiagonal=bonds.values)

@@ -31,7 +31,7 @@ from .ergotropy import (
     _erg_out,
     reflection_time,
 )
-from .errors import InvalidInputError, MisuseError, UndefinedMetricError
+from .errors import MisuseError, UndefinedMetricError
 
 __all__ = [
     "EnsembleStats",
@@ -47,10 +47,11 @@ class EnsembleStats:
     """Ergotropy sample over one disorder ensemble.
 
     ``values[k]`` is realization k (the keyed stream makes the order
-    canonical). ``stddev`` is the sample standard deviation (ddof=1), 0.0 for
-    a single realization. It is taken about the first value, which leaves it
-    unchanged but spares the rounding of the mean, so a sample of equal
-    values (zero disorder) reads 0.0 exactly.
+    canonical); it is a read-only view of the given finite array, not a copy
+    (``_validate.frozen``). ``stddev`` is the sample standard deviation
+    (ddof=1), 0.0 for a single realization. It is taken about the first
+    value, which leaves it unchanged but spares the rounding of the mean, so
+    a sample of equal values (zero disorder) reads 0.0 exactly.
     """
 
     encoding: str
@@ -61,11 +62,7 @@ class EnsembleStats:
     stddev: float
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise InvalidInputError("values must be a 1-D array of length >= 1")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _validate.frozen("values", self.values))
 
     @property
     def count(self) -> int:
@@ -97,11 +94,12 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     failed residual raises NumericalFailureError.
 
     Row r of a chunk depends on bond row r alone, so F_k equals the
-    single-chain readout ``_end_amplitudes(bonds[None], field, T)`` of
+    single-chain readout ``_end_amplitudes(bonds[None], T)`` of
     ``disordered_bonds(config, seed, k)`` bit for bit. The modulus stays a
     Python scalar, because ``np.abs`` on complex arrays can differ from
     ``abs(complex)`` by an ulp. The constant diagonal -(N-2)B is a global
-    phase; the eigenvalue route leaves it out, so it adds no rounding to |f|.
+    phase; both routes leave it out (the ``dstevd`` fallback solves on a zero
+    diagonal), so it adds no rounding to |f| and needs no field.
 
     Everything runs in the calling thread, and ``dlasq1`` makes no threaded
     BLAS call, so the values do not depend on ``OPENBLAS_NUM_THREADS`` unless a chain
@@ -123,7 +121,7 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
         for r in range(rows):
             factors = _noise_factors(rng, config.delta, seed, start + r, n - 1)
             np.multiply(clean, factors, out=bonds[r])
-        amplitudes = _end_amplitudes(bonds[:rows], config.field, t)
+        amplitudes = _end_amplitudes(bonds[:rows], t)
         for r, f in enumerate(amplitudes):
             fidelities[start + r] = min(abs(f) ** 2, 1.0)
     return fidelities
@@ -140,9 +138,7 @@ def ensemble_stats(
     compares.
     """
     _check_inputs(config, encoding, parameter)
-    fidelities = np.asarray(fidelities)
-    if fidelities.ndim != 1 or fidelities.size < 1:
-        raise InvalidInputError("fidelities must be a 1-D array of length >= 1")
+    fidelities = _validate.frozen("fidelities", fidelities)
     values = _erg_out(encoding, fidelities, parameter, config.field)
     mean = float(np.mean(values))
     stddev = float(np.std(values - values[0], ddof=1)) if values.size > 1 else 0.0
@@ -186,9 +182,8 @@ def gamma_metric(coherent: EnsembleStats, mixed: EnsembleStats) -> float:
     Raises UndefinedMetricError when both means vanish (nothing arrived in
     either ensemble, so there is no comparison to make).
     """
-    for stats in (coherent, mixed):
-        if not isinstance(stats, EnsembleStats):
-            raise InvalidInputError("gamma_metric takes two EnsembleStats")
+    _validate.instance("coherent", coherent, EnsembleStats)
+    _validate.instance("mixed", mixed, EnsembleStats)
     if coherent.encoding != "coherent" or mixed.encoding != "mixed":
         raise MisuseError(
             "gamma_metric compares a coherent ensemble against a mixed one, got "

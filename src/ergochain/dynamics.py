@@ -97,8 +97,7 @@ def amplitude_spectral(
     alpha 0, 0.5 and 1; 61 times up to 1.2 reflection times). That is well
     below N^2 eps (8.8e-10 at N = 2000).
     """
-    if not isinstance(decomposition, SpectralDecomposition):
-        raise InvalidInputError("decomposition must be a SpectralDecomposition")
+    _validate.instance("decomposition", decomposition, SpectralDecomposition)
     site = _validate.integer("site", site, 1, decomposition.n_sites)
     time = _validate.real("time", time)
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
@@ -106,15 +105,16 @@ def amplitude_spectral(
     return TransitionAmplitude(value=value, site=site, time=time)
 
 
-def _end_amplitudes(bonds: np.ndarray, field: float, time: float) -> list[complex]:
+def _end_amplitudes(bonds: np.ndarray, time: float) -> list[complex]:
     """f_N(time) of each chain in a stack of bond rows (chains, N-1), as Python complex.
 
     The energies and end weights come from ``spectral._end_spectrum``: from
     the eigenvalues alone where the certificate holds, from ``dstevd``
-    otherwise. Entry r depends on bond row r alone, bit for bit, so a chain
-    read in a stack and on its own give the same value.
+    otherwise, and on either route without the constant diagonal -(N-2)B,
+    a global phase. Entry r depends on bond row r alone, bit for bit, so a
+    chain read in a stack and on its own give the same value.
     """
-    energies, weights = _end_spectrum(bonds, field)
+    energies, weights = _end_spectrum(bonds)
     phases = np.exp(-1j * energies * time)
     return [complex(np.sum(w * p)) for w, p in zip(weights, phases)]
 
@@ -154,15 +154,15 @@ def _numpy_openblas_threads():
 class _OneBlasThread:
     """Context manager: numpy's BLAS products inside it run on one OpenBLAS thread.
 
-    numpy and scipy each bundle an OpenBLAS with its own thread pool, and each
-    pool's worker spins for a while after a threaded call. On a 2-core host a
-    threaded numpy product therefore competes with scipy's worker still
-    spinning from the eigensolve. Right after a solve, the N = 256 window
-    product took a median 4.5 ms on one thread against 6.7-31 ms on two, and
-    at N = 1000 35-37 ms against 47-72 ms (20 calls each, two runs, 2-core
-    x86-64 host). One thread also makes the product's bits independent of
-    ``OPENBLAS_NUM_THREADS``; on two, windows from N = 130 on can differ in
-    the last bits (by up to 6e-16).
+    The bits are the reason: on one thread the product's bits do not depend
+    on ``OPENBLAS_NUM_THREADS``, while on two, windows from N = 130 on can
+    differ in the last bits (by up to 6e-16). It is not a speed-up. The
+    window's solve is one ``dlasq1`` call, which makes no threaded BLAS call,
+    so no pool is left spinning before the product. Right after such a solve
+    the N = 256 window product took a median 0.8-1.1 ms on one thread against
+    0.6-0.8 ms on two (single calls on two reached 22-39 ms), and at N = 1000
+    11-13 ms against 6.3-7.2 ms (20 calls each, five runs, 2-core x86-64
+    host).
 
     The first caller to enter saves numpy's thread count and sets it to 1;
     the last to leave restores it, after an exception too. A lock and a depth
@@ -210,16 +210,17 @@ def amplitude_profile(
 
     The (T, N) phase matrix times the weight vector is one BLAS product, run
     on one thread of numpy's OpenBLAS (``_OneBlasThread``), so its bits do
-    not depend on ``OPENBLAS_NUM_THREADS``.
+    not depend on ``OPENBLAS_NUM_THREADS``. The phases are exponentiated in
+    place, so the peak is 1.5 times the complex (T, N) matrix: the matrix and
+    the real outer product it is made from (tracemalloc, N = 1000,
+    T = 2000).
     """
-    if not isinstance(decomposition, SpectralDecomposition):
-        raise InvalidInputError("decomposition must be a SpectralDecomposition")
+    _validate.instance("decomposition", decomposition, SpectralDecomposition)
     site = _validate.integer("site", site, 1, decomposition.n_sites)
-    times = _validate.reals("times", times)
-    if times.ndim != 1:
-        raise InvalidInputError("times must be a 1-D array")
+    times = _validate.frozen("times", times)
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
-    phases = np.exp(-1j * np.outer(times, decomposition.energies))
+    phases = -1j * np.outer(times, decomposition.energies)
+    np.exp(phases, out=phases)
     with _one_blas_thread:
         return phases @ weights
 
@@ -233,8 +234,8 @@ def _amplitude_grid(
     exp(-i E (j+1) step) exp(-i E b B step). So (B + G) N exponentials and one
     (G, N) @ (N, B) product replace the (count, N) phase matrix of
     ``amplitude_profile``, and memory is O(N sqrt(count)). The product runs
-    on one thread of numpy's OpenBLAS (``_OneBlasThread``): it is faster so
-    on a 2-core host, and its bits do not depend on ``OPENBLAS_NUM_THREADS``.
+    on one thread of numpy's OpenBLAS (``_OneBlasThread``), so its bits do
+    not depend on ``OPENBLAS_NUM_THREADS``.
     """
     block = math.isqrt(count - 1) + 1
     blocks = -(-count // block)
@@ -375,11 +376,8 @@ def reduced_state(initial: InitialSiteState, amplitude: TransitionAmplitude) -> 
     amplitudes are meaningful here (the bulk Bessel formula near site 1 is
     not a valid input).
     """
-    if not isinstance(initial, InitialSiteState):
-        raise InvalidInputError("initial must be an InitialSiteState")
-    if not isinstance(amplitude, TransitionAmplitude):
-        raise InvalidInputError("amplitude must be a TransitionAmplitude")
-    f = amplitude.value
+    _validate.instance("initial", initial, InitialSiteState)
+    f = _validate.instance("amplitude", amplitude, TransitionAmplitude).value
     if abs(f) > 1.0 + 1e-9:
         raise InvalidInputError(f"|f| = {abs(f):.6g} > 1 is not a chain amplitude")
     p1 = initial.excited_population * abs(f) ** 2

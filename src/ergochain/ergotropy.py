@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _validate
-from .chain import ChainConfig, _check_config, gn_factor, interpolated_bonds
+from .chain import ChainConfig, gn_factor, interpolated_bonds
 from .dynamics import QubitState, _amplitude_grid, _end_amplitudes
 from .errors import InvalidInputError, UndefinedEfficiencyError
 from .spectral import _end_spectrum
@@ -50,8 +50,7 @@ __all__ = [
 
 def qubit_ergotropy(state: QubitState, field: float) -> float:
     """Ergotropy of a qubit state against the gap-2B local Hamiltonian."""
-    if not isinstance(state, QubitState):
-        raise InvalidInputError("state must be a QubitState")
+    _validate.instance("state", state, QubitState)
     field = _validate.positive("field", field)
     p1 = state.excited_population
     r = math.sqrt(0.25 * (1.0 - 2.0 * p1) ** 2 + abs(state.coherence) ** 2)
@@ -126,7 +125,7 @@ def erg_mixed(fidelity: float | np.ndarray, q: float, field: float) -> float | n
 
 def _check_inputs(config: ChainConfig, encoding: str, parameter: float) -> None:
     """Check the config, then the encoding and its parameter, before any solve."""
-    _check_config(config)
+    _validate.instance("config", config, ChainConfig)
     erg_input(encoding, parameter, config.field)
 
 
@@ -196,9 +195,9 @@ def _record(
 
 def _reflection_amplitude(config: ChainConfig) -> tuple[float, complex]:
     """(T, f_N(T)) of the clean chain: one ``dynamics._end_amplitudes`` readout."""
-    _check_config(config)
+    _validate.instance("config", config, ChainConfig)
     t = reflection_time(config.n_sites, config.alpha, config.coupling)
-    return t, _end_amplitudes(interpolated_bonds(config).values[None], config.field, t)[0]
+    return t, _end_amplitudes(interpolated_bonds(config).values[None], t)[0]
 
 
 def reflection_fidelity(config: ChainConfig) -> tuple[float, float]:
@@ -272,7 +271,7 @@ def erg_max_window(
     step = _validate.positive("step", step)
     if step > horizon:
         raise InvalidInputError(f"step {step} exceeds horizon {horizon}")
-    energies, weights = _end_spectrum(interpolated_bonds(config).values[None], config.field)
+    energies, weights = _end_spectrum(interpolated_bonds(config).values[None])
     times = np.arange(step, horizon + 0.5 * step, step)
     fidelities = np.abs(_amplitude_grid(energies[0], weights[0], step, times.size)) ** 2
     best = int(np.argmax(_erg_out(encoding, fidelities, parameter, config.field)))

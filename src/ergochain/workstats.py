@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _validate
-from .chain import ChainConfig, _check_config, build_hamiltonian, interpolated_bonds
+from .chain import ChainConfig, build_hamiltonian, interpolated_bonds
 from .dynamics import InitialSiteState
 from .errors import InvalidInputError
 from .spectral import _pst_ladder, _solve
@@ -55,18 +55,20 @@ MERGE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class WorkDistribution:
-    """Atomic work distribution: strictly increasing values, weights summing to 1."""
+    """Atomic work distribution: strictly increasing values, weights summing to 1.
+
+    Both arrays are finite, and read-only views of the given arrays, not
+    copies (``_validate.frozen``).
+    """
 
     values: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        probabilities = np.asarray(self.probabilities, dtype=float)
-        if values.ndim != 1 or probabilities.shape != values.shape or values.size < 1:
+        values = _validate.frozen("values", self.values)
+        probabilities = _validate.frozen("probabilities", self.probabilities)
+        if probabilities.shape != values.shape:
             raise InvalidInputError("values and probabilities must be equal-length 1-D arrays")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(probabilities))):
-            raise InvalidInputError("work atoms must be finite")
         if np.any(np.diff(values) <= 0):
             raise InvalidInputError("atom positions must be strictly increasing")
         if np.any(probabilities < -1e-12):
@@ -74,8 +76,6 @@ class WorkDistribution:
         total = float(np.sum(probabilities))
         if abs(total - 1.0) > 1e-9:
             raise InvalidInputError(f"probabilities sum to {total}, not 1")
-        values.setflags(write=False)
-        probabilities.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probabilities", probabilities)
 
@@ -92,13 +92,6 @@ class WorkMoments:
     higher: tuple[float, ...] | None = None
 
 
-def _sender(initial: InitialSiteState) -> float:
-    """The excited weight p = sin^2(theta/2) of a checked sender state."""
-    if not isinstance(initial, InitialSiteState):
-        raise InvalidInputError("initial must be an InitialSiteState")
-    return initial.excited_population
-
-
 def _merge_atoms(
     work: np.ndarray, band: np.ndarray, p_excited: float, scale: float
 ) -> WorkDistribution:
@@ -106,9 +99,10 @@ def _merge_atoms(
 
     The vacuum atom sits at W = 0 with weight 1 - p and goes first, ahead of
     the atoms at ``work`` with weights p * ``band``, where p = ``p_excited``
-    (``_sender``) and ``band`` are the excited branch's weights. A fused atom
-    is weight-summed, at the probability-weighted mean of its cluster, and
-    zero-weight atoms are dropped afterwards.
+    is the sender's excited weight sin^2(theta/2) and ``band`` are the
+    excited branch's weights. A fused atom is weight-summed, at the
+    probability-weighted mean of its cluster, and zero-weight atoms are
+    dropped afterwards.
     """
     values = np.concatenate([[0.0], work])
     probabilities = np.concatenate([[1.0 - p_excited], p_excited * band])
@@ -140,8 +134,8 @@ def tpm_distribution(config: ChainConfig, initial: InitialSiteState) -> WorkDist
     from the site-1 eigenvector components. The weights are squares, so the
     sign gauge is skipped. The field cancels in every W_k.
     """
-    p_excited = _sender(initial)
-    _check_config(config)
+    p_excited = _validate.instance("initial", initial, InitialSiteState).excited_population
+    _validate.instance("config", config, ChainConfig)
     hamiltonian = build_hamiltonian(interpolated_bonds(config), config.field)
     diag = hamiltonian.diagonal
     energies, vectors = _solve(diag, hamiltonian.offdiagonal)
@@ -157,7 +151,7 @@ def pst_closed_distribution(
     W_k = -(2J/N)(N - (2k-1)) G_N with binomial weights
     sin^2(theta/2) C(N-1, k-1) 2^(1-N), plus the vacuum atom at 0.
     """
-    p_excited = _sender(initial)
+    p_excited = _validate.instance("initial", initial, InitialSiteState).excited_population
     n = _validate.integer("n_sites", n_sites, 2)
     coupling = _validate.positive("coupling", coupling)
     work = _pst_ladder(n, coupling)
@@ -179,7 +173,7 @@ def uniform_closed_distribution(
     sin^2(theta/2) (2/(N+1)) sin^2(k pi/(N+1)), plus the vacuum atom. For odd
     N the band's zero mode lands exactly on the vacuum atom and fuses with it.
     """
-    p_excited = _sender(initial)
+    p_excited = _validate.instance("initial", initial, InitialSiteState).excited_population
     n = _validate.integer("n_sites", n_sites, 2)
     coupling = _validate.positive("coupling", coupling)
     k = np.arange(1, n + 1)
@@ -195,8 +189,7 @@ def moments(distribution: WorkDistribution, max_order: int = 2) -> WorkMoments:
     mean and variance are always filled; orders 3..max_order land in
     `higher` as raw (non-central) moments.
     """
-    if not isinstance(distribution, WorkDistribution):
-        raise InvalidInputError("distribution must be a WorkDistribution")
+    _validate.instance("distribution", distribution, WorkDistribution)
     max_order = _validate.integer("max_order", max_order, 2, 6)
     mean = float(np.sum(distribution.probabilities * distribution.values))
     second = float(np.sum(distribution.probabilities * distribution.values**2))
@@ -220,8 +213,7 @@ def adaptive_density(distribution: WorkDistribution) -> tuple[np.ndarray, np.nda
     would lump many atoms together or strand empty bins between them.
     Requires at least two atoms.
     """
-    if not isinstance(distribution, WorkDistribution):
-        raise InvalidInputError("distribution must be a WorkDistribution")
+    _validate.instance("distribution", distribution, WorkDistribution)
     v = distribution.values
     if v.size < 2:
         raise InvalidInputError("adaptive density needs at least two atoms")
@@ -240,8 +232,7 @@ def binned_histogram(
     ladder. Bins span [min - w/2, max + w/2] so the extreme atoms sit at the
     centers of the outer bins.
     """
-    if not isinstance(distribution, WorkDistribution):
-        raise InvalidInputError("distribution must be a WorkDistribution")
+    _validate.instance("distribution", distribution, WorkDistribution)
     n_bins = _validate.integer("n_bins", n_bins, 1)
     v = distribution.values
     lo, hi = float(v[0]), float(v[-1])

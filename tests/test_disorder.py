@@ -237,7 +237,7 @@ class TestStatsMapWholeSample:
 
 def _chain_readout(bonds, t):
     """F = min(|f_N(t)|^2, 1) of one chain read on its own (a stack of one bond row)."""
-    f = dynamics._end_amplitudes(bonds.values[None], 1.0, t)[0]
+    f = dynamics._end_amplitudes(bonds.values[None], t)[0]
     return min(abs(f) ** 2, 1.0)
 
 

@@ -81,6 +81,20 @@ class TestAmplitudeSpectral:
                 amplitude_spectral(decomposition, 10, float(t)).value, abs=1e-14
             )
 
+    def test_profile_exponentiates_its_phases_in_place(self):
+        # one (T, N) complex phase matrix and the real outer product it is made from
+        import tracemalloc
+
+        n, times = 400, np.arange(1, 1001) * 0.1
+        decomposition = _decomposition(n, 0.5)
+        tracemalloc.start()
+        try:
+            amplitude_profile(decomposition, n, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 16 * times.size * n
+
     def test_rejects_bad_site(self):
         decomposition = _decomposition(5, 0.0)
         for site in (0, 6, -1, 2.0):

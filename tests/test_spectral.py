@@ -12,10 +12,11 @@ from conftest import dense_hamiltonian
 from lapack_hooks import hooked_lasq1, report_failure
 from oracles import krawtchouk, mp_end_spectrum
 from ergochain import (
-    BondSet,
     ChainConfig,
     InvalidInputError,
     NumericalFailureError,
+    SingleExcitationHamiltonian,
+    SpectralDecomposition,
     amplitude_spectral,
     analytic_pst_spectrum,
     analytic_uniform_spectrum,
@@ -166,6 +167,20 @@ class TestCheckResidual:
             tracemalloc.stop()
         assert peak < 2.5 * 8 * n * n
 
+    def test_decomposition_checks_its_arrays_without_a_square_temporary(self):
+        # the finiteness check of (N, N) vectors reads their extremes: no copy, no mask
+        import tracemalloc
+
+        n = 2000
+        energies, vectors = np.arange(n, dtype=float), np.eye(n)
+        tracemalloc.start()
+        try:
+            SpectralDecomposition(energies, vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 8 * n * n
+
     def test_lapack_failure_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_stevd", lambda d, e: (d.copy(), np.eye(d.size), 2))
         with pytest.raises(NumericalFailureError, match="info = 2"):
@@ -189,13 +204,13 @@ def _assert_read_through_dstevd(bonds):
     t = 0.7 * n
     beta = spectral._end_weights(bonds[None])[2][0]
     assert not beta <= spectral.END_WEIGHT_ATOL
-    h = build_hamiltonian(BondSet(values=bonds, alpha=None), 1.3)
+    h = SingleExcitationHamiltonian(np.zeros(n), bonds)
     old = amplitude_spectral(diagonalize(h), n, t).value
-    assert dynamics._end_amplitudes(bonds[None], 1.3, t) == [old]
+    assert dynamics._end_amplitudes(bonds[None], t) == [old]
     # in a stack, the fallback row and its neighbours read as they do alone
     stack = np.array([np.linspace(0.8, 1.2, n - 1), bonds, np.full(n - 1, 0.9)])
-    alone = [dynamics._end_amplitudes(row[None], 1.3, t)[0] for row in stack]
-    assert dynamics._end_amplitudes(stack, 1.3, t) == alone
+    alone = [dynamics._end_amplitudes(row[None], t)[0] for row in stack]
+    assert dynamics._end_amplitudes(stack, t) == alone
 
 
 class TestEndWeights:
@@ -241,7 +256,7 @@ class TestEndWeights:
             bonds[cut] = 0.0
             energies, weights, beta = spectral._end_weights(bonds[None])
             assert np.all(weights == 0.0) and beta[0] == 0.0
-            assert dynamics._end_amplitudes(bonds[None], 1.0, 3.7) == [0j]
+            assert dynamics._end_amplitudes(bonds[None], 3.7) == [0j]
 
     @pytest.mark.parametrize("n", [5, 16, 64])
     def test_negative_bonds_match_the_dstevd_readout(self, n):
@@ -259,7 +274,7 @@ class TestEndWeights:
             sign = float(np.prod(np.sign(bonds.values)))
             signs.add(sign)
             energies, weights, beta = spectral._end_weights(bonds.values[None])
-            f = dynamics._end_amplitudes(bonds.values[None], 1.0, t)[0]
+            f = dynamics._end_amplitudes(bonds.values[None], t)[0]
             old = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), n, t).value
             if not beta[0] <= spectral.END_WEIGHT_ATOL:
                 assert f == old

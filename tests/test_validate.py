@@ -212,3 +212,97 @@ def test_valid_config_reaches_the_solver(eigensolves, name):
     getattr(ec, name)(config=_CONFIG, **CONFIG_CALLS[name])
     solves = name not in ("interpolated_bonds", "disordered_bonds", "ensemble_stats")
     assert bool(eigensolves) == solves
+
+
+# every package-root parameter that takes an object of a package type, with valid arguments
+_AMPLITUDE = ec.amplitude_spectral(_DECOMPOSITION, 4, 1.0)
+_COHERENT = ec.ensemble_erg(_CONFIG, "coherent", 1.0, 3, 1)
+_MIXED = ec.ensemble_erg(_CONFIG, "mixed", 0.75, 3, 1)
+OBJECT_CALLS = [
+    (ec.build_hamiltonian, {"bonds": _BONDS, "field": 1.0}, "bonds"),
+    (ec.diagonalize, {"hamiltonian": _HAMILTONIAN}, "hamiltonian"),
+    (ec.amplitude_spectral, {"decomposition": _DECOMPOSITION, "site": 4, "time": 1.0},
+     "decomposition"),
+    (ec.amplitude_profile,
+     {"decomposition": _DECOMPOSITION, "site": 4, "times": np.array([0.5, 1.0])},
+     "decomposition"),
+    (ec.reduced_state, {"initial": _STATE, "amplitude": _AMPLITUDE}, "initial"),
+    (ec.reduced_state, {"initial": _STATE, "amplitude": _AMPLITUDE}, "amplitude"),
+    (ec.qubit_ergotropy, {"state": ec.QubitState(0.5, 0.1), "field": 1.0}, "state"),
+    (ec.gamma_metric, {"coherent": _COHERENT, "mixed": _MIXED}, "coherent"),
+    (ec.gamma_metric, {"coherent": _COHERENT, "mixed": _MIXED}, "mixed"),
+    (ec.tpm_distribution, {"config": _CONFIG, "initial": _STATE}, "initial"),
+    (ec.pst_closed_distribution, {**_CHAIN, "initial": _STATE}, "initial"),
+    (ec.uniform_closed_distribution, {**_CHAIN, "initial": _STATE}, "initial"),
+    (ec.moments, {"distribution": _DISTRIBUTION}, "distribution"),
+    (ec.adaptive_density, {"distribution": _DISTRIBUTION}, "distribution"),
+    (ec.binned_histogram, {"distribution": _DISTRIBUTION, "n_bins": 5}, "distribution"),
+]
+
+
+def test_object_table_covers_the_package_root():
+    types = {name for name in ec.__all__ if dataclasses.is_dataclass(getattr(ec, name))}
+    takes_object = {
+        (function.__name__, parameter.name)
+        for function in (getattr(ec, name) for name in ec.__all__)
+        if inspect.isfunction(function)
+        for parameter in inspect.signature(function).parameters.values()
+        if parameter.annotation in types - {"ChainConfig"}
+    }
+    assert takes_object == {(function.__name__, name) for function, _, name in OBJECT_CALLS}
+
+
+@pytest.mark.parametrize(
+    "function, kwargs, name",
+    [pytest.param(*call, id=f"{call[0].__name__}-{call[2]}") for call in OBJECT_CALLS],
+)
+def test_object_of_another_type_raises(function, kwargs, name):
+    function(**kwargs)  # the valid call passes
+    for wrong in ("x", None, _CONFIG):
+        with pytest.raises(ec.InvalidInputError, match=f"^{name} must be an? "):
+            function(**{**kwargs, name: wrong})
+
+
+# each value type with one valid set of its arrays, and its other fields
+VALUE_TYPES = [
+    (ec.BondSet, {"values": [1.0, 0.5]}, {"alpha": None}),
+    (ec.SingleExcitationHamiltonian, {"diagonal": [0.0, 0.0], "offdiagonal": [1.0]}, {}),
+    (ec.SpectralDecomposition,
+     {"energies": [-1.0, 1.0], "vectors": [[0.6, 0.8], [0.8, -0.6]]}, {}),
+    (ec.WorkDistribution, {"values": [-1.0, 1.0], "probabilities": [0.25, 0.75]}, {}),
+    (ec.EnsembleStats, {"values": [0.1, 0.3]},
+     {"encoding": "coherent", "parameter": 1.0, "delta": 0.1, "mean": 0.2, "stddev": 0.1}),
+]
+VALUE_TYPE_PARAMETERS = [pytest.param(*case, id=case[0].__name__) for case in VALUE_TYPES]
+
+
+@pytest.mark.parametrize("kind, arrays, others", VALUE_TYPE_PARAMETERS)
+def test_value_type_holds_a_read_only_view_of_the_callers_array(kind, arrays, others):
+    given = {name: np.array(values) for name, values in arrays.items()}
+    held = kind(**given, **others)
+    for name, array in given.items():
+        view = getattr(held, name)
+        assert np.shares_memory(view, array)  # no copy
+        with pytest.raises(ValueError):
+            view[0] = 0.5
+        assert array.flags.writeable
+        array[0] = 0.5  # the caller's array stays writable
+
+
+@pytest.mark.parametrize("spoil", ["nan", "inf", "bool"])
+@pytest.mark.parametrize("kind, arrays, others", VALUE_TYPE_PARAMETERS)
+def test_value_type_rejects_non_finite_and_bool_arrays(kind, arrays, others, spoil):
+    for name in arrays:
+        given = {field: np.array(values) for field, values in arrays.items()}
+        if spoil == "bool":
+            given[name] = given[name] != 0
+        else:
+            given[name].flat[0] = math.nan if spoil == "nan" else math.inf
+        with pytest.raises(ec.InvalidInputError):
+            kind(**given, **others)
+
+
+def test_array_finiteness_is_read_from_the_extremes():
+    # a sum of these overflows to inf, though every entry is finite
+    bonds = ec.BondSet(values=np.array([1e308, 1e308, -1e308]), alpha=None)
+    assert bonds.values.tolist() == [1e308, 1e308, -1e308]
