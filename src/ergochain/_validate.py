@@ -8,9 +8,11 @@ InvalidInputError for library arguments, InvalidConfigError where
 ``ChainConfig`` or the CLI passes it in.
 
 Arrays follow the same rule entry by entry (``reals``). ``frozen`` is the one
-rule for the arrays a value type holds: a read-only float view of a nonempty
-array of finite reals, never a copy of a float array and never a flag set on
-the caller's array. ``instance`` is the one check of an object's type.
+rule for the arrays a value type holds: a nonempty float array of finite
+reals, read-only and out of the caller's reach. It sets no flag on the
+caller's array and copies only an array the caller can still write;
+``sealed`` hands the package's own new arrays over without that copy.
+``instance`` is the one check of an object's type.
 """
 
 from __future__ import annotations
@@ -100,17 +102,24 @@ def reals(name: str, values, low: float = -math.inf, high: float = math.inf) -> 
 
 
 def frozen(name: str, values, ndim: int = 1) -> np.ndarray:
-    """A read-only float view of a nonempty ``ndim``-D array of finite reals (``reals``).
+    """A nonempty ``ndim``-D float array of finite reals (``reals``), read-only.
 
-    The view shares the memory of a float array (no copy); only the view is
-    read-only, so the caller's array stays writable.
+    A read-only array that owns its memory (as ``sealed`` leaves one) is
+    taken as it is. Any other, a view included, is copied once and the copy
+    made read-only: the caller's array stays writable, and a later write to
+    it cannot reach the value type that holds the copy.
     """
     array = reals(name, values)
     if array.ndim != ndim or array.size < 1:
         raise InvalidInputError(f"{name} must be a nonempty {ndim}-D array, got {array.shape}")
-    view = array.view()
-    view.setflags(write=False)
-    return view
+    return sealed(array if array.base is None and not array.flags.writeable else array.copy())
+
+
+def sealed(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only in place, for an array the package has just
+    made and hands to a value type, which then holds it without a copy."""
+    array.setflags(write=False)
+    return array
 
 
 def instance(name: str, value, kind: type):

@@ -47,11 +47,12 @@ class EnsembleStats:
     """Ergotropy sample over one disorder ensemble.
 
     ``values[k]`` is realization k (the keyed stream makes the order
-    canonical); it is a read-only view of the given finite array, not a copy
-    (``_validate.frozen``). ``stddev`` is the sample standard deviation
-    (ddof=1), 0.0 for a single realization. It is taken about the first
-    value, which leaves it unchanged but spares the rounding of the mean, so
-    a sample of equal values (zero disorder) reads 0.0 exactly.
+    canonical); it is finite and read-only: a copy of an array the caller
+    can still write, the given array otherwise (``_validate.frozen``).
+    ``stddev`` is the sample standard deviation (ddof=1), 0.0 for a single
+    realization. It is taken about the first value, which leaves it
+    unchanged but spares the rounding of the mean, so a sample of equal
+    values (zero disorder) reads 0.0 exactly.
     """
 
     encoding: str
@@ -146,7 +147,7 @@ def ensemble_stats(
         encoding=encoding,
         parameter=float(parameter),
         delta=config.delta,
-        values=values,
+        values=_validate.sealed(values),
         mean=mean,
         stddev=stddev,
     )

@@ -217,7 +217,9 @@ def amplitude_profile(
     """
     _validate.instance("decomposition", decomposition, SpectralDecomposition)
     site = _validate.integer("site", site, 1, decomposition.n_sites)
-    times = _validate.frozen("times", times)
+    times = _validate.reals("times", times)
+    if times.ndim != 1:
+        raise InvalidInputError("times must be a 1-D array")
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
     phases = -1j * np.outer(times, decomposition.energies)
     np.exp(phases, out=phases)

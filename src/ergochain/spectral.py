@@ -159,8 +159,9 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors (as columns).
 
     ``energies[k]`` pairs with column ``vectors[:, k]``; every entry is
-    finite. Both are read-only views of the given arrays, not copies
-    (``_validate.frozen``), so holding one adds no (N, N) array. The class
+    finite. Both are read-only. An array the caller can still write is
+    copied (``_validate.frozen``); the routes that build one hand theirs over
+    read-only (``_validate.sealed``), so they add no (N, N) copy. The class
     leaves column signs as given; the route that builds one sets them by the
     gauge rule of the module docstring.
     """
@@ -475,7 +476,8 @@ def diagonalize(hamiltonian: SingleExcitationHamiltonian) -> SpectralDecompositi
     """
     _validate.instance("hamiltonian", hamiltonian, SingleExcitationHamiltonian)
     energies, vectors = _solve(hamiltonian.diagonal, hamiltonian.offdiagonal)
-    return SpectralDecomposition(energies=energies, vectors=_fix_column_signs(vectors.T))
+    vectors = _validate.sealed(_fix_column_signs(vectors.T))
+    return SpectralDecomposition(energies=_validate.sealed(energies), vectors=vectors)
 
 
 def analytic_uniform_spectrum(
@@ -497,7 +499,7 @@ def analytic_uniform_spectrum(
     sites = np.arange(1, n + 1)
     vectors = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(sites, theta))
     vectors *= np.where(sites % 2 == 1, 1.0, -1.0)[:, None]  # alternating gauge
-    return SpectralDecomposition(energies=energies, vectors=vectors)
+    return SpectralDecomposition(_validate.sealed(energies), _validate.sealed(vectors))
 
 
 def _pst_ladder(n: int, coupling: float) -> np.ndarray:
@@ -562,4 +564,4 @@ def analytic_pst_spectrum(
     coupling = _validate.positive("coupling", coupling)
     field = _validate.positive("field", field)
     energies = _pst_ladder(n, coupling) - (n - 2) * field
-    return SpectralDecomposition(energies=energies, vectors=_pst_vectors(n))
+    return SpectralDecomposition(_validate.sealed(energies), _validate.sealed(_pst_vectors(n)))

@@ -57,8 +57,8 @@ MERGE_RTOL = 1e-12
 class WorkDistribution:
     """Atomic work distribution: strictly increasing values, weights summing to 1.
 
-    Both arrays are finite, and read-only views of the given arrays, not
-    copies (``_validate.frozen``).
+    Both arrays are finite and read-only: copies of arrays the caller can
+    still write, the given arrays otherwise (``_validate.frozen``).
     """
 
     values: np.ndarray
@@ -123,7 +123,7 @@ def _merge_atoms(
             merged_p.append(float(p))
     keep_v = [v for v, p in zip(merged_v, merged_p) if p > 0]
     keep_p = [p for p in merged_p if p > 0]
-    return WorkDistribution(values=np.array(keep_v), probabilities=np.array(keep_p))
+    return WorkDistribution(_validate.sealed(np.array(keep_v)), _validate.sealed(np.array(keep_p)))
 
 
 def tpm_distribution(config: ChainConfig, initial: InitialSiteState) -> WorkDistribution:
@@ -191,16 +191,9 @@ def moments(distribution: WorkDistribution, max_order: int = 2) -> WorkMoments:
     """
     _validate.instance("distribution", distribution, WorkDistribution)
     max_order = _validate.integer("max_order", max_order, 2, 6)
-    mean = float(np.sum(distribution.probabilities * distribution.values))
-    second = float(np.sum(distribution.probabilities * distribution.values**2))
-    higher = (
-        tuple(
-            float(np.sum(distribution.probabilities * distribution.values**n))
-            for n in range(3, max_order + 1)
-        )
-        or None
-    )
-    return WorkMoments(mean=mean, variance=second - mean * mean, higher=higher)
+    p, v = distribution.probabilities, distribution.values
+    mean, second, *higher = (float(np.sum(p * v**n)) for n in range(1, max_order + 1))
+    return WorkMoments(mean=mean, variance=second - mean * mean, higher=tuple(higher) or None)
 
 
 def adaptive_density(distribution: WorkDistribution) -> tuple[np.ndarray, np.ndarray]:

@@ -81,6 +81,9 @@ class TestAmplitudeSpectral:
                 amplitude_spectral(decomposition, 10, float(t)).value, abs=1e-14
             )
 
+    def test_profile_of_no_times_is_empty(self):
+        assert amplitude_profile(_decomposition(5, 0.5), 5, np.array([])).shape == (0,)
+
     def test_profile_exponentiates_its_phases_in_place(self):
         # one (T, N) complex phase matrix and the real outer product it is made from
         import tracemalloc

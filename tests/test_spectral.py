@@ -168,18 +168,22 @@ class TestCheckResidual:
         assert peak < 2.5 * 8 * n * n
 
     def test_decomposition_checks_its_arrays_without_a_square_temporary(self):
-        # the finiteness check of (N, N) vectors reads their extremes: no copy, no mask
+        # the finiteness check of (N, N) vectors reads their extremes: no mask. A
+        # read-only owner is held as it is, a writable array is copied once
         import tracemalloc
 
         n = 2000
-        energies, vectors = np.arange(n, dtype=float), np.eye(n)
-        tracemalloc.start()
-        try:
-            SpectralDecomposition(energies, vectors)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.01 * 8 * n * n
+        for sealed, bound in ((True, 0.01), (False, 1.01)):
+            energies, vectors = np.arange(n, dtype=float), np.eye(n)
+            if sealed:
+                vectors.setflags(write=False)
+            tracemalloc.start()
+            try:
+                SpectralDecomposition(energies, vectors)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 8 * n * n
 
     def test_lapack_failure_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_stevd", lambda d, e: (d.copy(), np.eye(d.size), 2))
@@ -277,7 +281,9 @@ class TestEndWeights:
             f = dynamics._end_amplitudes(bonds.values[None], t)[0]
             old = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), n, t).value
             if not beta[0] <= spectral.END_WEIGHT_ATOL:
-                assert f == old
+                # the fallback solves on a zero diagonal, which moves the global phase
+                h = SingleExcitationHamiltonian(np.zeros(n), bonds.values)
+                assert f == amplitude_spectral(diagonalize(h), n, t).value
             elif len(checked) < 8:
                 exact = _oracle_modulus(mpmath, bonds.values, energies[0], t)
                 assert abs(abs(f) - exact) <= beta[0]

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import ergochain as ec
+from ergochain import _validate
 
 _CONFIG = ec.ChainConfig(n_sites=4, coupling=1.0, field=1.0, alpha=0.5, delta=0.1)
 _STATE = ec.InitialSiteState(theta=math.pi / 2)
@@ -277,16 +278,57 @@ VALUE_TYPE_PARAMETERS = [pytest.param(*case, id=case[0].__name__) for case in VA
 
 
 @pytest.mark.parametrize("kind, arrays, others", VALUE_TYPE_PARAMETERS)
-def test_value_type_holds_a_read_only_view_of_the_callers_array(kind, arrays, others):
+def test_value_type_is_out_of_reach_of_the_callers_array(kind, arrays, others):
     given = {name: np.array(values) for name, values in arrays.items()}
     held = kind(**given, **others)
     for name, array in given.items():
-        view = getattr(held, name)
-        assert np.shares_memory(view, array)  # no copy
+        kept = getattr(held, name)
+        before = kept.copy()
         with pytest.raises(ValueError):
-            view[0] = 0.5
+            kept.flat[0] = 0.5
         assert array.flags.writeable
-        array[0] = 0.5  # the caller's array stays writable
+        array.flat[0] = np.nan  # the caller's array stays writable ...
+        assert np.array_equal(kept, before)  # ... and the value type does not see the write
+
+
+@pytest.mark.parametrize("kind, arrays, others", VALUE_TYPE_PARAMETERS)
+def test_value_type_takes_a_read_only_owner_as_it_is(kind, arrays, others):
+    given = {name: _validate.sealed(np.array(values)) for name, values in arrays.items()}
+    held = kind(**given, **others)
+    for name, array in given.items():
+        assert getattr(held, name) is array
+        # a read-only view of a writable array is copied: its owner can still change
+        owner = np.array(arrays[name], dtype=float)
+        view = owner.view()
+        view.setflags(write=False)
+        again = kind(**{**given, name: view}, **others)
+        assert not np.shares_memory(getattr(again, name), owner)
+
+
+def test_a_decomposition_the_caller_spoils_stays_finite():
+    energies, vectors = np.array([-1.0, 1.0]), np.array([[0.6, 0.8], [0.8, -0.6]])
+    decomposition = ec.SpectralDecomposition(energies, vectors)
+    energies[0] = vectors[0, 0] = np.nan
+    assert cmath.isfinite(ec.amplitude_spectral(decomposition, 2, 1.0).value)
+
+
+def test_the_routes_hand_their_new_arrays_over_without_a_copy(monkeypatch):
+    taken = []
+
+    def spy(name, values, ndim=1, frozen=_validate.frozen):
+        held = frozen(name, values, ndim)
+        taken.append((name, held is values))
+        return held
+
+    monkeypatch.setattr(_validate, "frozen", spy)
+    ec.diagonalize(ec.build_hamiltonian(ec.disordered_bonds(_CONFIG, 1, 0), 1.0))
+    ec.analytic_uniform_spectrum(5, 1.0, 1.0)
+    ec.analytic_pst_spectrum(5, 1.0, 1.0)
+    ec.tpm_distribution(_CONFIG, _STATE)
+    ec.pst_closed_distribution(5, 1.0, _STATE)
+    fidelities = _validate.sealed(ec.ensemble_fidelity(_CONFIG, 3, 1))
+    ec.ensemble_stats(_CONFIG, "coherent", 1.0, fidelities)
+    assert len(taken) > 15 and all(held for _, held in taken), taken
 
 
 @pytest.mark.parametrize("spoil", ["nan", "inf", "bool"])
