@@ -103,27 +103,39 @@ def _merge_atoms(
     excited branch's weights. A fused atom is weight-summed, at the
     probability-weighted mean of its cluster, and zero-weight atoms are
     dropped afterwards.
+
+    Atoms are fused left to right, each against the mean of the cluster
+    before it. That loop runs only from an atom whose successor lies within
+    the tolerance, and it runs on while its own test holds: a rounded mean
+    can sit an ulp above the cluster's last member, so an atom just past
+    the tolerance of that member may still fuse. Every other atom is copied
+    as it is, so a spectrum with no close atoms costs a few array passes.
+    A segmented sum (``np.add.reduceat`` over runs of small gaps) would fuse
+    a chained cluster that the loop keeps apart.
     """
     values = np.concatenate([[0.0], work])
     probabilities = np.concatenate([[1.0 - p_excited], p_excited * band])
-    order = np.argsort(values)
-    values = values[order]
-    probabilities = probabilities[order]
+    atoms = np.array([values, probabilities])[:, np.argsort(values)]
+    values, probabilities = atoms
     tol = MERGE_RTOL * scale
-    merged_v: list[float] = []
-    merged_p: list[float] = []
-    for v, p in zip(values, probabilities):
-        if merged_v and v - merged_v[-1] <= tol:
-            total = merged_p[-1] + p
+    pieces = []
+    done = 0  # atoms before this one are copied or fused
+    for first in np.flatnonzero(np.diff(values) <= tol):
+        if first < done:
+            continue
+        pieces.append(atoms[:, done:first])
+        v, p = atoms[:, first]
+        done = first + 1
+        while done < values.size and values[done] - v <= tol:
+            total = p + probabilities[done]
             if total > 0:
-                merged_v[-1] = (merged_v[-1] * merged_p[-1] + v * p) / total
-            merged_p[-1] = total
-        else:
-            merged_v.append(float(v))
-            merged_p.append(float(p))
-    keep_v = [v for v, p in zip(merged_v, merged_p) if p > 0]
-    keep_p = [p for p in merged_p if p > 0]
-    return WorkDistribution(_validate.sealed(np.array(keep_v)), _validate.sealed(np.array(keep_p)))
+                v = (v * p + values[done] * probabilities[done]) / total
+            p = total
+            done += 1
+        pieces.append([[v], [p]])
+    values, probabilities = np.concatenate(pieces + [atoms[:, done:]], axis=1)
+    keep = probabilities > 0
+    return WorkDistribution(_validate.sealed(values[keep]), _validate.sealed(probabilities[keep]))
 
 
 def tpm_distribution(config: ChainConfig, initial: InitialSiteState) -> WorkDistribution:
@@ -149,18 +161,23 @@ def pst_closed_distribution(
     """Closed-form work atoms of the engineered chain.
 
     W_k = -(2J/N)(N - (2k-1)) G_N with binomial weights
-    sin^2(theta/2) C(N-1, k-1) 2^(1-N), plus the vacuum atom at 0.
+    sin^2(theta/2) C(N-1, k-1) 2^(1-N), plus the vacuum atom at 0. The
+    binomials are exact integers, so each quotient C / 2^(N-1) is correctly
+    rounded at any N. Pascal's rule runs over the lower half, j <= (N-1)//2,
+    and the upper half mirrors its quotients: equal integers give equal
+    quotients, so this is the full list's band bit for bit, at half its work.
     """
     p_excited = _validate.instance("initial", initial, InitialSiteState).excited_population
     n = _validate.integer("n_sites", n_sites, 2)
     coupling = _validate.positive("coupling", coupling)
     work = _pst_ladder(n, coupling)
-    binomials = [1]  # C(N-1, j) by Pascal's multiplicative rule, exact in integers
-    for j in range(n - 1):
+    binomials = [1]  # C(N-1, j), j <= (N-1)//2, by Pascal's multiplicative rule, exact
+    for j in range((n - 1) // 2):
         binomials.append(binomials[-1] * (n - 1 - j) // (j + 1))
     # int / int is correctly rounded and cannot overflow; float(C) overflows past N ~ 1030
     scale = 2 ** (n - 1)
-    band = np.array([c / scale for c in binomials])
+    half = [c / scale for c in binomials]
+    band = np.array(half + half[::-1][n % 2 :])  # C(N-1, j) = C(N-1, N-1-j); odd N: middle once
     return _merge_atoms(work, band, p_excited, coupling)
 
 

@@ -35,6 +35,7 @@ from ergochain import (
 )
 from ergochain import dynamics
 from ergochain.dynamics import _amplitude_grid
+from ergochain.spectral import END_WEIGHT_ATOL, _end_spectrum, _end_weights
 
 
 def _decomposition(n, alpha, coupling=1.0, field=1.0):
@@ -147,6 +148,71 @@ class TestAmplitudeGrid:
                 rtol=0.0,
                 atol=1e-13,
             )
+
+    def test_window_memory_stays_under_two_and_a_half_tables(self):
+        # the near and far (B, N) complex tables and the real outer product of the
+        # far table's mirrored half: 2.27 tables at N = 2000 (2.51 without the mirror)
+        import tracemalloc
+
+        n, count = 2000, 140_000  # horizon 0.7 N, step 0.01
+        config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=0.0)
+        energies, weights = _end_spectrum(interpolated_bonds(config).values[None])
+        block = math.isqrt(count - 1) + 1
+        tracemalloc.start()
+        try:
+            _amplitude_grid(energies[0], weights[0], 0.01, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * 16 * block * n
+
+
+def _grid_times(step, count):
+    """The near and far times of ``_amplitude_grid`` on this grid."""
+    block = math.isqrt(count - 1) + 1
+    return np.arange(1, block + 1) * step, np.arange(-(-count // block)) * (block * step)
+
+
+def _is_mirrored(energies):
+    m = energies.size // 2
+    return np.array_equal(energies[:m], -energies[::-1][:m])
+
+
+def _assert_exp_bits(times, energies):
+    table = dynamics._phase_table(times, energies)
+    expected = np.exp(-1j * np.outer(times, energies))
+    assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+
+class TestPhaseTable:
+    """The window's phase tables against the full exponential, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 1000, 1001])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_mirrored_spectrum_gives_the_full_tables_bits(self, n, alpha):
+        config = ChainConfig(n_sites=n, coupling=0.7, field=1.0, alpha=alpha)
+        energies = _end_spectrum(interpolated_bonds(config).values[None])[0][0]
+        assert _is_mirrored(energies)  # the half-table branch runs
+        for times in _grid_times(0.01 / 0.7, round(0.7 * n / 0.01)):
+            _assert_exp_bits(times, energies)
+
+    @pytest.mark.parametrize("n", [7, 8, 64])
+    def test_energies_with_the_diagonal_take_the_full_tables(self, n):
+        energies = _decomposition(n, 0.5).energies
+        assert not _is_mirrored(energies)
+        for times in _grid_times(0.01, round(0.7 * n / 0.01)):
+            _assert_exp_bits(times, energies)
+
+    def test_fallback_chain_takes_the_full_tables(self):
+        # two equal halves joined by a weak bond are read out through dstevd,
+        # whose energies are mirrored only to rounding
+        bonds = np.ones(19)
+        bonds[9] = 1e-8
+        assert not _end_weights(bonds[None])[2][0] <= END_WEIGHT_ATOL
+        energies = _end_spectrum(bonds[None])[0][0]
+        assert not _is_mirrored(energies)
+        for times in _grid_times(0.01, 1400):
+            _assert_exp_bits(times, energies)
 
 
 # erg_max_window's window at N = 131 (horizon 0.7N/J, step 0.01/J): with the

@@ -27,7 +27,7 @@ from ergochain import (
     uniform_closed_distribution,
 )
 from ergochain import spectral
-from ergochain.workstats import _merge_atoms
+from ergochain.workstats import MERGE_RTOL, _merge_atoms
 
 FULL = InitialSiteState(theta=math.pi)
 
@@ -225,6 +225,14 @@ class TestClosedDistributions:
             initial.excited_population * first_bond**2, rel=1e-9
         )
 
+    def test_pst_band_equals_the_full_pascal_list(self):
+        # half of Pascal's rule and its mirror give every quotient C / 2^(N-1)
+        for n in [*range(2, 301), 1024, 1025, 1100, 2000]:
+            expected = np.array([math.comb(n - 1, j) / 2 ** (n - 1) for j in range(n)])
+            expected = expected[expected > 0]  # past N ~ 1075 the outer ones underflow to 0
+            got = pst_closed_distribution(n, 1.0, FULL).probabilities
+            assert got.tobytes() == expected.tobytes(), n
+
     def test_pst_weights_are_binomial(self):
         n = 12
         dist = pst_closed_distribution(n, 1.0, FULL)
@@ -307,6 +315,81 @@ class TestDensities:
         single = WorkDistribution(values=np.array([0.0]), probabilities=np.array([1.0]))
         with pytest.raises(InvalidInputError):
             adaptive_density(single)
+
+
+def _merge_oracle(work, band, p_excited, scale):
+    """The reference: one left-to-right loop over every atom, each against the last mean."""
+    values = np.concatenate([[0.0], work])
+    probabilities = np.concatenate([[1.0 - p_excited], p_excited * band])
+    order = np.argsort(values)
+    values = values[order]
+    probabilities = probabilities[order]
+    tol = MERGE_RTOL * scale
+    merged_v: list[float] = []
+    merged_p: list[float] = []
+    for v, p in zip(values, probabilities):
+        if merged_v and v - merged_v[-1] <= tol:
+            total = merged_p[-1] + p
+            if total > 0:
+                merged_v[-1] = (merged_v[-1] * merged_p[-1] + v * p) / total
+            merged_p[-1] = total
+        else:
+            merged_v.append(float(v))
+            merged_p.append(float(p))
+    keep_v = [v for v, p in zip(merged_v, merged_p) if p > 0]
+    keep_p = [p for p in merged_p if p > 0]
+    return np.array(keep_v), np.array(keep_p)
+
+
+def _rounded_up_cluster():
+    # 1 + 3 ulp and 1 + 4 ulp at weights 0.3 and 0.35: their mean rounds to
+    # 1 + 5 ulp, above the last member, and the follower lies more than tol
+    # past that member but within tol of the mean
+    a, b, c = 1.0000000000000007, 1.0000000000000009, 1.000000000001001
+    mean = (a * 0.3 + b * 0.35) / (0.3 + 0.35)
+    assert mean > b and c - b > MERGE_RTOL and c - mean <= MERGE_RTOL
+    return np.array([-0.5, a, b, c]), np.array([0.1, 0.3, 0.35, 0.25]), 1.0, 1.0
+
+
+_tol = MERGE_RTOL * 1.3
+MERGE_CASES = {
+    "no close atoms": (np.linspace(-1.0, 1.0, 8), np.full(8, 1 / 8), 0.7, 1.3),
+    # the atom at W = tol and the vacuum atom at 0 are exactly tol apart
+    "gap of exactly tol": (np.array([-0.4, _tol, 0.9]), np.full(3, 1 / 3), 0.6, 1.3),
+    # steps of 0.6 tol: the loop fuses three atoms, then starts a new cluster at
+    # the fourth (1.2 tol past the mean); a segmented sum would fuse all five
+    "chained cluster": (
+        np.array([-0.25, *(0.25 + np.array([0.0, 0.6, 1.2, 1.8, 2.4]) * _tol), 0.75]),
+        np.full(7, 1 / 7),
+        0.8,
+        1.3,
+    ),
+    # a zero-weight pair keeps its first member's position; the follower fuses
+    # with it and lands at (x w) / w, one rounding away from x
+    "zero-weight cluster": (
+        np.array([-0.7, 0.3, 0.3 + 0.5 * _tol, 0.3000000000011014, 0.8]),
+        np.array([0.25, 0.0, 0.0, 0.5, 0.25]),
+        0.9,
+        1.3,
+    ),
+    # uniform band, N = 7: W_4 = -2J cos(pi/2) is a roundoff away from 0
+    "odd-N zero mode": (
+        -2.6 * np.cos(np.arange(1, 8) * math.pi / 8),
+        (2 / 8) * np.sin(np.arange(1, 8) * math.pi / 8) ** 2,
+        InitialSiteState(theta=1.0).excited_population,
+        1.3,
+    ),
+    "mean rounded above its last member": _rounded_up_cluster(),
+}
+
+
+@pytest.mark.parametrize("case", MERGE_CASES)
+def test_merge_atoms_equals_the_full_loop(case):
+    work, band, p_excited, scale = MERGE_CASES[case]
+    values, probabilities = _merge_oracle(work, band, p_excited, scale)
+    got = _merge_atoms(work, band, p_excited, scale)
+    assert got.values.tobytes() == values.tobytes()
+    assert got.probabilities.tobytes() == probabilities.tobytes()
 
 
 class TestWorkDistributionValidation:
