@@ -18,6 +18,13 @@ Scenarios:
 * bessel-compare: end-site arrival amplitude of the uniform chain against
   its bulk Bessel-function limit.
 
+The clean-chain scenarios (transport-sweep, theta-sweep) solve each chain
+once for its reflection fidelity F and compute each angle's inputs (the
+matched q and both erg_in) once per sweep; every row is then built straight
+from (T, F) and those inputs, with one receiver map per (chain, angle,
+encoding). The writers format a cell once where its value is the very object
+of the cell above it.
+
 Every run writes `<scenario>.csv` (or `.json`) plus `<scenario>.manifest.json`
 into the output directory. Data files are byte-identical across repeated runs
 with the same resolved configuration and seed; the manifest repeats the
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Sequence, get_args, get_origin
+from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -54,7 +61,8 @@ from . import __version__, _validate
 from .chain import ChainConfig, pst_couplings
 from .disorder import ensemble_fidelity, ensemble_stats, gamma_metric
 from .dynamics import InitialSiteState, amplitude_bessel_limit
-from .ergotropy import _record, _reflection_amplitude, match_mixed_to_pure, reflection_fidelity
+from .ergotropy import _efficiency, _erg_out, _reflection_amplitude, erg_input
+from .ergotropy import match_mixed_to_pure, reflection_fidelity
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -316,48 +324,63 @@ def config_hash(resolved: dict[str, Any]) -> str:
 Row = dict[str, Any]
 
 
-def _encoding_rows(
-    config: ChainConfig, theta: float, time: float, fidelity: float
-) -> list[Row]:
-    """Coherent row plus the input-matched mixed row from one reflection fidelity."""
-    rows: list[Row] = []
+def _angle_inputs(theta: float, field: float) -> tuple[tuple[str, float, float], ...]:
+    """(encoding, parameter, erg_in) of the angle theta and of its input-matched q.
+
+    Computed once per angle and shared by every chain of a sweep. The CLI's
+    theta lies in [0, pi] and q in [1/2, 1], so each parameter is already
+    the one ``erg_input`` validates.
+    """
     q = match_mixed_to_pure(theta)
-    for encoding, parameter in (("coherent", theta), ("mixed", q)):
-        record = _record(config, encoding, parameter, time, fidelity)
-        rows.append({**vars(record), "theta": theta})
+    return (
+        ("coherent", theta, erg_input("coherent", theta, field)),
+        ("mixed", q, erg_input("mixed", q, field)),
+    )
+
+
+def _reflection_rows(config: ChainConfig, angles: list[tuple], **extra: Any) -> list[Row]:
+    """One row per (angle, encoding) from the chain's one reflection fidelity.
+
+    ``angles`` pairs each theta with its ``_angle_inputs``, and ``extra``
+    adds fixed columns. A row holds the fields of the ``ErgotropyRecord``
+    that ``erg_at_reflection`` returns, plus theta, built straight from
+    (T, F) and the angle's inputs.
+    """
+    time, fidelity = reflection_fidelity(config)
+    cell = {"n_sites": config.n_sites, "alpha": config.alpha, "time": time, "fidelity": fidelity}
+    rows: list[Row] = []
+    for theta, inputs in angles:
+        for encoding, parameter, erg_in in inputs:
+            erg_out = _erg_out(encoding, fidelity, parameter, config.field)
+            efficiency = _efficiency(erg_out, erg_in)
+            rows.append({**cell, "encoding": encoding, "parameter": parameter, "erg_in": erg_in,
+                         "erg_out": erg_out, "efficiency": efficiency, "theta": theta, **extra})
     return rows
 
 
 def run_transport_sweep(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
     params = resolved["params"]
-    theta = params["theta"]
+    angles = [(params["theta"], _angle_inputs(params["theta"], chain["field"]))]
     rows: list[Row] = []
     for n in params["sites"]:
         for alpha in params["alphas"]:
-            config = ChainConfig(n, **chain, alpha=alpha)
-            rows += _encoding_rows(config, theta, *reflection_fidelity(config))
+            rows += _reflection_rows(ChainConfig(n, **chain, alpha=alpha), angles)
     return rows
 
 
 def run_theta_sweep(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
     params = resolved["params"]
-    thetas = np.linspace(0.0, math.pi, params["theta_count"])
+    thetas = np.linspace(0.0, math.pi, params["theta_count"]).tolist()
+    angles = [(theta, _angle_inputs(theta, chain["field"])) for theta in thetas]
     rows: list[Row] = []
     for n in params["sites"]:
         config = ChainConfig(n, **chain, alpha=params["alpha"])
-        time, fidelity = reflection_fidelity(config)
-        grid: list[Row] = []
-        for theta in thetas:
-            for row in _encoding_rows(config, float(theta), time, fidelity):
-                grid.append({**row, "kind": "grid"})
+        grid = _reflection_rows(config, angles, kind="grid")
         rows += grid
-        for encoding in ("coherent", "mixed"):
-            best = max(
-                (row for row in grid if row["encoding"] == encoding),
-                key=lambda row: row["erg_out"],
-            )
+        for encoding in _validate.ENCODINGS:
+            best = max((r for r in grid if r["encoding"] == encoding), key=lambda r: r["erg_out"])
             rows.append({**best, "kind": "argmax"})
     return rows
 
@@ -463,13 +486,32 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
+def _cells(rows: list[Row], columns: Iterable[str], text: Callable[[Any], str]) -> Iterator[tuple]:
+    """Each row's cells in column order, each value written by ``text``.
+
+    A value that is the very object above it in its column (a chain's time
+    and F, an angle shared by its two encodings) reuses that cell's text.
+    The test is identity, never equality: 0.0 and -0.0, or 1 and True, are
+    equal but written differently.
+    """
+    columns = list(columns)
+    above: list[Any] = [object()] * len(columns)
+    cells = [""] * len(columns)
+    for row in rows:
+        for i, column in enumerate(columns):
+            value = row[column]
+            if value is not above[i]:
+                above[i] = value
+                cells[i] = text(value)
+        yield tuple(cells)
+
+
 def write_rows_csv(path: Path, scenario: str, rows: list[Row]) -> None:
     columns = _SCENARIOS[scenario].columns
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(_format_cell(row[c]) for c in columns)
+        writer.writerows(_cells(rows, columns, _format_cell))
 
 
 def _json_value(value: Any) -> str:
@@ -499,10 +541,10 @@ def write_rows_json(path: Path, scenario: str, rows: list[Row]) -> None:
     ``int.__repr__``, ``encode_basestring_ascii``), each key escaped once.
     """
     columns = _SCENARIOS[scenario].columns
-    keys = [(f"    {encode_basestring_ascii(c)}: ", c) for c in columns]
+    keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
     items = [
-        "  {\n" + ",\n".join([key + _json_value(row[c]) for key, c in keys]) + "\n  }"
-        for row in rows
+        "  {\n" + ",\n".join([key + cell for key, cell in zip(keys, cells)]) + "\n  }"
+        for cells in _cells(rows, columns, _json_value)
     ]
     path.write_text("[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n")
 

@@ -46,6 +46,8 @@ __all__ = [
 class EnsembleStats:
     """Ergotropy sample over one disorder ensemble.
 
+    ``parameter`` is stored as validated, like ``ErgotropyRecord.parameter``.
+
     ``values[k]`` is realization k (the keyed stream makes the order
     canonical); it is finite and read-only: a copy of an array the caller
     can still write, the given array otherwise (``_validate.frozen``).
@@ -138,14 +140,14 @@ def ensemble_stats(
     pairs them realization by realization, which is what ``gamma_metric``
     compares.
     """
-    _check_inputs(config, encoding, parameter)
+    parameter = _check_inputs(config, encoding, parameter)
     fidelities = _validate.frozen("fidelities", fidelities)
     values = _erg_out(encoding, fidelities, parameter, config.field)
     mean = float(np.mean(values))
     stddev = float(np.std(values - values[0], ddof=1)) if values.size > 1 else 0.0
     return EnsembleStats(
         encoding=encoding,
-        parameter=float(parameter),
+        parameter=parameter,
         delta=config.delta,
         values=_validate.sealed(values),
         mean=mean,

@@ -57,13 +57,20 @@ def qubit_ergotropy(state: QubitState, field: float) -> float:
     return field * (2.0 * p1 - 1.0) + 2.0 * field * r
 
 
+def _parameter(encoding: str, parameter: float) -> float:
+    """The encoding's parameter as validated: theta in [0, pi], or q clipped onto [0, 1]."""
+    if _validate.encoding(encoding) == "coherent":
+        return _validate.angle("theta", parameter)
+    return _validate.unit_interval("q", parameter)
+
+
 def erg_input(encoding: str, parameter: float, field: float) -> float:
     """Sender-side ergotropy: 2B sin^2(theta/2) or max(0, 2B(2q-1))."""
     field = _validate.positive("field", field)
-    if _validate.encoding(encoding) == "coherent":
-        return 2.0 * field * math.sin(0.5 * _validate.angle("theta", parameter)) ** 2
-    q = _validate.unit_interval("q", parameter)
-    return max(0.0, 2.0 * field * (2.0 * q - 1.0))
+    parameter = _parameter(encoding, parameter)
+    if encoding == "coherent":
+        return 2.0 * field * math.sin(0.5 * parameter) ** 2
+    return max(0.0, 2.0 * field * (2.0 * parameter - 1.0))
 
 
 def match_mixed_to_pure(theta: float) -> float:
@@ -123,10 +130,13 @@ def erg_mixed(fidelity: float | np.ndarray, q: float, field: float) -> float | n
     return _positive_part(2.0 * field * (2.0 * q * fidelity - 1.0))
 
 
-def _check_inputs(config: ChainConfig, encoding: str, parameter: float) -> None:
-    """Check the config, then the encoding and its parameter, before any solve."""
+def _check_inputs(config: ChainConfig, encoding: str, parameter: float) -> float:
+    """Check the config, then the encoding and its parameter, before any solve.
+
+    Returns the parameter as validated, the one its ergotropies are computed at.
+    """
     _validate.instance("config", config, ChainConfig)
-    erg_input(encoding, parameter, config.field)
+    return _parameter(encoding, parameter)
 
 
 def _erg_out(encoding: str, fidelity: float | np.ndarray, parameter: float, field: float):
@@ -159,8 +169,11 @@ def reflection_time(n_sites: int, alpha: float, coupling: float) -> float:
 class ErgotropyRecord:
     """One transport-and-extract evaluation.
 
-    ``efficiency`` is erg_out / erg_in, or NaN when erg_in = 0 (theta = 0 or
-    q <= 1/2 sends nothing extractable, so the ratio is undefined).
+    ``parameter`` is stored as validated, the value erg_in and erg_out were
+    computed at: a q within ``_validate.UNIT_SLACK`` outside [0, 1] reads as
+    clipped onto it. ``efficiency`` is erg_out / erg_in, or NaN when
+    erg_in = 0 (theta = 0 or q <= 1/2 sends nothing extractable, so the
+    ratio is undefined).
     """
 
     n_sites: int
@@ -174,22 +187,27 @@ class ErgotropyRecord:
     efficiency: float
 
 
+def _efficiency(erg_out: float, erg_in: float) -> float:
+    """erg_out / erg_in, or NaN when nothing extractable was sent."""
+    return erg_out / erg_in if erg_in > 0 else math.nan
+
+
 def _record(
     config: ChainConfig, encoding: str, parameter: float, time: float, fidelity: float
 ) -> ErgotropyRecord:
+    """The record at (time, F) of a parameter that ``_check_inputs`` returned."""
     erg_in = erg_input(encoding, parameter, config.field)
     erg_out = _erg_out(encoding, fidelity, parameter, config.field)
-    efficiency = erg_out / erg_in if erg_in > 0 else math.nan
     return ErgotropyRecord(
         n_sites=config.n_sites,
         alpha=config.alpha,
         encoding=encoding,
-        parameter=float(parameter),
+        parameter=parameter,
         time=float(time),
         fidelity=float(fidelity),
         erg_in=erg_in,
         erg_out=erg_out,
-        efficiency=efficiency,
+        efficiency=_efficiency(erg_out, erg_in),
     )
 
 
@@ -229,7 +247,7 @@ def erg_at_reflection(config: ChainConfig, encoding: str, parameter: float) -> E
     is the clean-transport figure of merit. Disordered ensembles go through
     the ensemble API instead.
     """
-    _check_inputs(config, encoding, parameter)  # before the solve
+    parameter = _check_inputs(config, encoding, parameter)  # before the solve
     return _record(config, encoding, parameter, *reflection_fidelity(config))
 
 
@@ -269,7 +287,7 @@ def erg_max_window(
     ``dlasq1`` makes no threaded BLAS call, so the window's bits do not depend on
     ``OPENBLAS_NUM_THREADS`` (unless the chain falls back to ``dstevd``).
     """
-    _check_inputs(config, encoding, parameter)  # before the solve
+    parameter = _check_inputs(config, encoding, parameter)  # before the solve
     horizon = _validate.positive("horizon", horizon)
     if step is None:
         step = 0.01 / config.coupling

@@ -18,6 +18,9 @@ from ergochain import (
     amplitude_profile,
     build_hamiltonian,
     diagonalize,
+    ensemble_erg,
+    ensemble_fidelity,
+    ensemble_stats,
     erg_at_reflection,
     erg_coherent,
     erg_input,
@@ -391,3 +394,34 @@ def test_bad_parameter_is_rejected_before_the_solve(monkeypatch, call):
     with pytest.raises(InvalidInputError):
         call(cfg, "coherent", 4.0, *([2.0] if call is erg_max_window else []))
     assert calls == []
+
+
+class TestRecordsKeepTheValidatedParameter:
+    """A parameter that validation clips onto [0, 1] is stored as clipped,
+    the value its erg_in and erg_out were computed at."""
+
+    CONFIG = ChainConfig(n_sites=8, coupling=1.0, field=1.3, alpha=0.5)
+
+    @pytest.mark.parametrize("given, clipped", [(1 + 5e-13, 1.0), (-5e-13, 0.0)])
+    def test_erg_at_reflection(self, given, clipped):
+        record = erg_at_reflection(self.CONFIG, "mixed", given)
+        assert record.parameter == clipped
+        assert repr(record) == repr(erg_at_reflection(self.CONFIG, "mixed", clipped))
+
+    def test_erg_max_window(self):
+        record = erg_max_window(self.CONFIG, "mixed", 1 + 5e-13, 6.0, 0.05)
+        assert record.parameter == 1.0
+        assert record == erg_max_window(self.CONFIG, "mixed", 1.0, 6.0, 0.05)
+
+    @pytest.mark.parametrize("given, clipped", [(1 + 5e-13, 1.0), (-5e-13, 0.0)])
+    def test_ensembles(self, given, clipped):
+        config = ChainConfig(n_sites=8, coupling=1.0, field=1.3, alpha=0.5, delta=0.1)
+        stats = ensemble_erg(config, "mixed", given, 6, seed=3)
+        assert stats.parameter == clipped
+        fidelities = ensemble_fidelity(config, 6, seed=3)
+        assert ensemble_stats(config, "mixed", given, fidelities).parameter == clipped
+
+    def test_in_domain_parameters_are_stored_as_floats(self):
+        for encoding, given in (("coherent", np.float64(2.0)), ("mixed", 1), ("coherent", 3)):
+            record = erg_at_reflection(self.CONFIG, encoding, given)
+            assert type(record.parameter) is float and record.parameter == given
