@@ -3,9 +3,10 @@
 One rule decides what a number is: Python and numpy integers are integers,
 those plus Python and numpy floats are reals, and ``bool`` is neither. Each
 scalar validator returns a plain Python ``int`` or ``float`` (JSON bytes and
-configuration hashes depend on that) and raises ``error``:
-InvalidInputError for library arguments, InvalidConfigError where
-``ChainConfig`` or the CLI passes it in.
+configuration hashes depend on that). Every rule raises InvalidInputError.
+Two boundaries turn it into InvalidConfigError with the same message, each
+in one place: ``ChainConfig`` for its fields, and ``cli.resolve_config`` for
+the keys of a configuration file and the seed.
 
 Arrays follow the same rule entry by entry (``reals``). ``frozen`` is the one
 rule for the arrays a value type holds: a nonempty float array of finite
@@ -35,49 +36,41 @@ _REALS = (int, float, np.integer, np.floating)
 _REAL_KINDS = "iuf"  # numpy dtype kinds of integer and floating arrays
 
 
-def integer(
-    name: str, value, low: int, high: int | None = None, error: type = InvalidInputError
-) -> int:
+def integer(name: str, value, low: int, high: int | None = None) -> int:
     """An integer in [low, high] (no upper end when ``high`` is None)."""
     if isinstance(value, bool) or not isinstance(value, _INTEGERS):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < low or (high is not None and value > high):
         upper = "" if high is None else f" and <= {high}"
-        raise error(f"{name} must be >= {low}{upper}, got {value}")
+        raise InvalidInputError(f"{name} must be >= {low}{upper}, got {value}")
     return int(value)
 
 
-def real(
-    name: str,
-    value,
-    low: float = -math.inf,
-    high: float = math.inf,
-    error: type = InvalidInputError,
-) -> float:
+def real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
     """A finite real number in [low, high]."""
     if isinstance(value, bool) or not isinstance(value, _REALS):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
     except OverflowError:
-        raise error(f"{name} must be finite, got {value!r}") from None
+        raise InvalidInputError(f"{name} must be finite, got {value!r}") from None
     if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value!r}")
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
     if not low <= value <= high:
-        raise error(f"{name} must lie in [{low}, {high}], got {value}")
+        raise InvalidInputError(f"{name} must lie in [{low}, {high}], got {value}")
     return value
 
 
-def angle(name: str, value, error: type = InvalidInputError) -> float:
+def angle(name: str, value) -> float:
     """A preparation angle in [0, pi]."""
-    return real(name, value, 0.0, math.pi, error)
+    return real(name, value, 0.0, math.pi)
 
 
-def positive(name: str, value, error: type = InvalidInputError) -> float:
+def positive(name: str, value) -> float:
     """A finite real number > 0."""
-    value = real(name, value, error=error)
+    value = real(name, value)
     if value <= 0:
-        raise error(f"{name} must be > 0, got {value}")
+        raise InvalidInputError(f"{name} must be > 0, got {value}")
     return value
 
 
@@ -130,17 +123,12 @@ def instance(name: str, value, kind: type):
     return value
 
 
-def unit_interval(name: str, value) -> float:
-    """[0, 1] up to UNIT_SLACK, then clipped."""
+def unit_interval(name: str, value):
+    """[0, 1] up to UNIT_SLACK, then clipped: a float for a scalar, a float
+    array for an array of one or more dimensions, entry by entry."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        return np.clip(reals(name, value, -UNIT_SLACK, 1.0 + UNIT_SLACK), 0.0, 1.0)
     return min(max(real(name, value, -UNIT_SLACK, 1.0 + UNIT_SLACK), 0.0), 1.0)
-
-
-def unit_intervals(name: str, values):
-    """``unit_interval`` of a scalar, or of each entry of an array of one or
-    more dimensions, which gives a float array."""
-    if isinstance(values, np.ndarray) and values.ndim:
-        return np.clip(reals(name, values, -UNIT_SLACK, 1.0 + UNIT_SLACK), 0.0, 1.0)
-    return unit_interval(name, values)
 
 
 def complex_number(name: str, value) -> complex:

@@ -60,15 +60,17 @@ class ChainConfig:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        error = InvalidConfigError
-        for name, value in (
-            ("n_sites", _validate.integer("n_sites", self.n_sites, 2, error=error)),
-            ("coupling", _validate.positive("coupling", self.coupling, error=error)),
-            ("field", _validate.positive("field", self.field, error=error)),
-            ("alpha", _validate.real("alpha", self.alpha, 0.0, 1.0, error=error)),
-            ("delta", _validate.real("delta", self.delta, 0.0, error=error)),
-        ):
-            object.__setattr__(self, name, value)
+        try:
+            for name, value in (
+                ("n_sites", _validate.integer("n_sites", self.n_sites, 2)),
+                ("coupling", _validate.positive("coupling", self.coupling)),
+                ("field", _validate.positive("field", self.field)),
+                ("alpha", _validate.real("alpha", self.alpha, 0.0, 1.0)),
+                ("delta", _validate.real("delta", self.delta, 0.0)),
+            ):
+                object.__setattr__(self, name, value)
+        except InvalidInputError as exc:  # a field's domain: a configuration error
+            raise InvalidConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,14 @@ configuration hash and differs only in its timestamp. Every cell runs in the
 calling thread: --threads is validated, must be an integer >= 1, and selects
 no code path.
 
-Exit codes: 0 success, 2 configuration error (bad file, unknown key, bad
-value, an --out that cannot be a directory), 3 numerical failure (an
-internal accuracy contract was missed). The output directory is created
-right after the configuration is read, before any cell runs, so a bad --out
-exits 2 at once; a run that then fails numerically leaves that directory
-created and empty.
+Exit codes: 0 success, 2 configuration error (bad file, unknown key or
+section, bad value, a --seed outside the generator's key range, a bad
+--threads, an --out that cannot be a directory), 3 numerical failure (an
+internal accuracy contract was missed). Every configuration check, the seed
+included, runs before the output directory is made, so a configuration
+error leaves no directory behind. The directory is created right after
+that, before any cell runs, so a bad --out exits 2 at once; a run that then
+fails numerically leaves that directory created and empty.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_or
 import numpy as np
 
 from . import __version__, _validate
-from .chain import ChainConfig, pst_couplings
+from .chain import ChainConfig, _seed, pst_couplings
 from .disorder import ensemble_fidelity, ensemble_stats, gamma_metric
 from .dynamics import InitialSiteState, amplitude_bessel_limit
-from .ergotropy import _efficiency, _erg_out, _reflection_amplitude, erg_input
+from .ergotropy import _reflection_amplitude, _record_fields, erg_input
 from .ergotropy import match_mixed_to_pure, reflection_fidelity
 from .errors import (
     InvalidConfigError,
@@ -85,16 +87,13 @@ EXIT_NUMERICAL = 3
 _REQUIRED = None  # the default of a key that every config must set
 
 
-def _domain(rule: Callable, *bounds: float) -> Callable[[str, Any], Any]:
-    """A ``_validate`` rule that raises InvalidConfigError, as a table domain."""
-    return lambda name, value: rule(name, value, *bounds, error=InvalidConfigError)
-
-
-_SITES = _domain(_validate.integer, 2)
-_UNIT = _domain(_validate.real, 0.0, 1.0)
-_ANGLE = _domain(_validate.angle)
-_POSITIVE = _domain(_validate.positive)
-_COUNT = _domain(_validate.integer, 1)
+# A domain is a ``_validate`` rule and its bounds, called as
+# ``rule(name, value, *bounds)``.
+_SITES = (_validate.integer, 2)
+_UNIT = (_validate.real, 0.0, 1.0)
+_ANGLE = (_validate.angle,)
+_POSITIVE = (_validate.positive,)
+_COUNT = (_validate.integer, 1)
 
 # Each config key is key -> (parser, default, domain). INI text is parsed by
 # ``int`` or ``float`` (``list[...]``: a comma-separated list); JSON values
@@ -109,7 +108,7 @@ _CHAIN_SECTION = {
 
 @dataclass(frozen=True)
 class _Scenario:
-    keys: dict[str, tuple[Callable, Any, Callable[[str, Any], Any]]]
+    keys: dict[str, tuple[Callable, Any, tuple]]
     # output column -> JSON type; a tuple lists the allowed strings. The CSV
     # and JSON columns follow this order.
     columns: dict[str, Any]
@@ -141,7 +140,7 @@ _SCENARIOS: dict[str, _Scenario] = {
         keys={
             "sites": (list[int], _REQUIRED, _SITES),
             "alpha": (float, 1.0, _UNIT),
-            "theta_count": (int, 25, _domain(_validate.integer, 2)),
+            "theta_count": (int, 25, (_validate.integer, 2)),
         },
         columns={**_CELL_COLUMNS, "kind": ("grid", "argmax"), **_RECORD_COLUMNS},
     ),
@@ -149,7 +148,7 @@ _SCENARIOS: dict[str, _Scenario] = {
         keys={
             "sites": (list[int], _REQUIRED, _SITES),
             "alphas": (list[float], [1.0], _UNIT),
-            "deltas": (list[float], _REQUIRED, _domain(_validate.real, 0.0)),
+            "deltas": (list[float], _REQUIRED, (_validate.real, 0.0)),
             "theta": (float, math.pi / 2, _ANGLE),
             "realizations": (int, 200, _COUNT),
         },
@@ -238,7 +237,8 @@ def _read_raw_config(path: Path) -> dict[str, dict[str, Any]]:
                 f"config file {path} must be an object of section objects"
             )
         return {str(k): dict(v) for k, v in loaded.items()}
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header can be empty, so [DEFAULT] is an ordinary (unknown) section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -255,9 +255,10 @@ def _parse(parser: Callable, name: str, raw: Any) -> Any:
         raise InvalidConfigError(f"{name}: expected {parser.__name__}, got {raw!r}") from None
 
 
-def _resolve_value(name: str, raw: Any, parser: Callable, domain: Callable) -> Any:
+def _resolve_value(name: str, raw: Any, parser: Callable, domain: tuple) -> Any:
+    rule, *bounds = domain
     if get_origin(parser) is not list:
-        return domain(name, _parse(parser, name, raw))
+        return rule(name, _parse(parser, name, raw), *bounds)
     (item,) = get_args(parser)
     if isinstance(raw, str):
         raw = [part for part in raw.split(",") if part.strip()]
@@ -265,7 +266,7 @@ def _resolve_value(name: str, raw: Any, parser: Callable, domain: Callable) -> A
         raise InvalidConfigError(f"{name}: expected a list, got {raw!r}")
     if not raw:
         raise InvalidConfigError(f"{name}: expected a nonempty list")
-    return [domain(name, _parse(item, name, value)) for value in raw]
+    return [rule(name, _parse(item, name, value), *bounds) for value in raw]
 
 
 def _resolve_section(section: str, raw: dict[str, Any], keys: dict[str, tuple]) -> dict[str, Any]:
@@ -291,7 +292,8 @@ def resolve_config(path: Path, scenario: str, seed: int, fmt: str) -> dict[str, 
 
     The result contains everything that determines the output bytes (chain
     parameters, scenario parameters, seed, format, tool version), so its
-    canonical hash identifies the run.
+    canonical hash identifies the run. A value outside its domain, the seed
+    included, raises InvalidConfigError with the ``_validate`` message.
     """
     if scenario not in SCENARIOS:
         raise InvalidConfigError(f"unknown scenario {scenario!r} (known: {', '.join(SCENARIOS)})")
@@ -302,14 +304,17 @@ def resolve_config(path: Path, scenario: str, seed: int, fmt: str) -> dict[str, 
                 f"unknown section [{section}] for scenario {scenario!r} "
                 f"(expected [chain] and [{scenario}])"
             )
-    return {
-        "scenario": scenario,
-        "chain": _resolve_section("chain", raw.get("chain", {}), _CHAIN_SECTION),
-        "params": _resolve_section(scenario, raw.get(scenario, {}), _SCENARIOS[scenario].keys),
-        "seed": seed,
-        "format": fmt,
-        "toolVersion": __version__,
-    }
+    try:
+        return {
+            "scenario": scenario,
+            "chain": _resolve_section("chain", raw.get("chain", {}), _CHAIN_SECTION),
+            "params": _resolve_section(scenario, raw.get(scenario, {}), _SCENARIOS[scenario].keys),
+            "seed": _seed(seed),
+            "format": fmt,
+            "toolVersion": __version__,
+        }
+    except InvalidInputError as exc:  # a value outside its domain: a configuration error
+        raise InvalidConfigError(str(exc)) from None
 
 
 def config_hash(resolved: dict[str, Any]) -> str:
@@ -327,9 +332,9 @@ Row = dict[str, Any]
 def _angle_inputs(theta: float, field: float) -> tuple[tuple[str, float, float], ...]:
     """(encoding, parameter, erg_in) of the angle theta and of its input-matched q.
 
-    Computed once per angle and shared by every chain of a sweep. The CLI's
-    theta lies in [0, pi] and q in [1/2, 1], so each parameter is already
-    the one ``erg_input`` validates.
+    The one place the CLI pairs theta with its q. Computed once per angle and
+    shared by every chain of a run. The CLI's theta lies in [0, pi] and q in
+    [1/2, 1], so each parameter is already the one ``erg_input`` validates.
     """
     q = match_mixed_to_pure(theta)
     return (
@@ -343,19 +348,16 @@ def _reflection_rows(config: ChainConfig, angles: list[tuple], **extra: Any) -> 
 
     ``angles`` pairs each theta with its ``_angle_inputs``, and ``extra``
     adds fixed columns. A row holds the fields of the ``ErgotropyRecord``
-    that ``erg_at_reflection`` returns, plus theta, built straight from
-    (T, F) and the angle's inputs.
+    that ``erg_at_reflection`` returns (``ergotropy._record_fields``), plus
+    theta, built straight from (T, F) and the angle's inputs.
     """
     time, fidelity = reflection_fidelity(config)
-    cell = {"n_sites": config.n_sites, "alpha": config.alpha, "time": time, "fidelity": fidelity}
-    rows: list[Row] = []
-    for theta, inputs in angles:
-        for encoding, parameter, erg_in in inputs:
-            erg_out = _erg_out(encoding, fidelity, parameter, config.field)
-            efficiency = _efficiency(erg_out, erg_in)
-            rows.append({**cell, "encoding": encoding, "parameter": parameter, "erg_in": erg_in,
-                         "erg_out": erg_out, "efficiency": efficiency, "theta": theta, **extra})
-    return rows
+    return [
+        {**_record_fields(config, encoding, parameter, erg_in, time, fidelity),
+         "theta": theta, **extra}
+        for theta, inputs in angles
+        for encoding, parameter, erg_in in inputs
+    ]
 
 
 def run_transport_sweep(resolved: dict[str, Any]) -> list[Row]:
@@ -388,23 +390,21 @@ def run_theta_sweep(resolved: dict[str, Any]) -> list[Row]:
 def run_disorder(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
     params = resolved["params"]
-    theta = params["theta"]
-    q = match_mixed_to_pure(theta)
+    inputs = _angle_inputs(params["theta"], chain["field"])
     rows: list[Row] = []
     for n in params["sites"]:
         for alpha in params["alphas"]:
             for delta in params["deltas"]:
                 config = ChainConfig(n, **chain, alpha=alpha, delta=delta)
                 fidelities = ensemble_fidelity(config, params["realizations"], resolved["seed"])
-                stats_c = ensemble_stats(config, "coherent", theta, fidelities)
-                stats_m = ensemble_stats(config, "mixed", q, fidelities)
+                pair = [ensemble_stats(config, e, p, fidelities) for e, p, _ in inputs]
                 try:
-                    gamma = gamma_metric(stats_c, stats_m)
+                    gamma = gamma_metric(*pair)
                 except UndefinedMetricError:
                     gamma = math.nan
                 rows += [
                     {**vars(stats), "n_sites": n, "alpha": alpha, "count": stats.count, "gamma": g}
-                    for stats, g in ((stats_c, gamma), (stats_m, math.nan))
+                    for stats, g in zip(pair, (gamma, math.nan))
                 ]
     return rows
 
@@ -597,7 +597,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _COUNT("--threads", args.threads)
+        _validate.integer("--threads", args.threads, 1)
         resolved = resolve_config(Path(args.config), args.scenario, args.seed, args.format)
         out_dir = Path(args.out)
         try:

@@ -392,7 +392,9 @@ class QubitState:
     _POSITIVITY_SLACK = 1e-10
 
     def __post_init__(self) -> None:
-        p1 = _validate.unit_interval("excited_population", self.excited_population)
+        # ``real`` first: p1 is a scalar, and ``unit_interval`` would take an array
+        p1 = _validate.real("excited_population", self.excited_population)
+        p1 = _validate.unit_interval("excited_population", p1)
         c = _validate.complex_number("coherence", self.coherence)
         if abs(c) ** 2 > p1 * (1.0 - p1) + self._POSITIVITY_SLACK:
             raise InvalidInputError(

@@ -58,10 +58,13 @@ def qubit_ergotropy(state: QubitState, field: float) -> float:
 
 
 def _parameter(encoding: str, parameter: float) -> float:
-    """The encoding's parameter as validated: theta in [0, pi], or q clipped onto [0, 1]."""
+    """The encoding's parameter as validated: theta in [0, pi], or q clipped onto [0, 1].
+
+    Either is a scalar: ``real`` rejects the array that ``unit_interval`` takes.
+    """
     if _validate.encoding(encoding) == "coherent":
         return _validate.angle("theta", parameter)
-    return _validate.unit_interval("q", parameter)
+    return _validate.unit_interval("q", _validate.real("q", parameter))
 
 
 def erg_input(encoding: str, parameter: float, field: float) -> float:
@@ -106,7 +109,7 @@ def erg_coherent(
     theta is near pi and F near 1/2, where erg itself moves by that much,
     relative, under a change of F by one rounding.
     """
-    fidelity = _validate.unit_intervals("fidelity", fidelity)
+    fidelity = _validate.unit_interval("fidelity", fidelity)
     theta = _validate.angle("theta", theta)
     field = _validate.positive("field", field)
     a = 1.0 - 2.0 * math.sin(0.5 * theta) ** 2 * fidelity
@@ -124,8 +127,8 @@ def erg_mixed(fidelity: float | np.ndarray, q: float, field: float) -> float | n
 
     A scalar F gives a float; an array of F gives an array.
     """
-    fidelity = _validate.unit_intervals("fidelity", fidelity)
-    q = _validate.unit_interval("q", q)
+    fidelity = _validate.unit_interval("fidelity", fidelity)
+    q = _parameter("mixed", q)
     field = _validate.positive("field", field)
     return _positive_part(2.0 * field * (2.0 * q * fidelity - 1.0))
 
@@ -192,23 +195,29 @@ def _efficiency(erg_out: float, erg_in: float) -> float:
     return erg_out / erg_in if erg_in > 0 else math.nan
 
 
+def _record_fields(
+    config: ChainConfig, encoding: str, parameter: float, erg_in: float, time: float,
+    fidelity: float,
+) -> dict:
+    """The fields of an ``ErgotropyRecord`` at (time, F), as a dict.
+
+    ``parameter`` is one that ``_check_inputs`` returned, and ``erg_in`` its
+    input ergotropy. The CLI adds its own columns to this dict.
+    """
+    erg_out = _erg_out(encoding, fidelity, parameter, config.field)
+    return {
+        "n_sites": config.n_sites, "alpha": config.alpha, "encoding": encoding,
+        "parameter": parameter, "time": float(time), "fidelity": float(fidelity),
+        "erg_in": erg_in, "erg_out": erg_out, "efficiency": _efficiency(erg_out, erg_in),
+    }
+
+
 def _record(
     config: ChainConfig, encoding: str, parameter: float, time: float, fidelity: float
 ) -> ErgotropyRecord:
     """The record at (time, F) of a parameter that ``_check_inputs`` returned."""
     erg_in = erg_input(encoding, parameter, config.field)
-    erg_out = _erg_out(encoding, fidelity, parameter, config.field)
-    return ErgotropyRecord(
-        n_sites=config.n_sites,
-        alpha=config.alpha,
-        encoding=encoding,
-        parameter=parameter,
-        time=float(time),
-        fidelity=float(fidelity),
-        erg_in=erg_in,
-        erg_out=erg_out,
-        efficiency=_efficiency(erg_out, erg_in),
-    )
+    return ErgotropyRecord(**_record_fields(config, encoding, parameter, erg_in, time, fidelity))
 
 
 def _reflection_amplitude(config: ChainConfig) -> tuple[float, complex]:

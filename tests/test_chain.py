@@ -53,6 +53,12 @@ class TestChainConfig:
         with pytest.raises(InvalidConfigError):
             ChainConfig(**base)
 
+    def test_domain_error_is_a_config_error_with_the_rule_message(self):
+        with pytest.raises(InvalidConfigError) as info:
+            ChainConfig(n_sites=1, coupling=1.0, field=1.0)
+        assert type(info.value) is InvalidConfigError
+        assert str(info.value) == "n_sites must be >= 2, got 1"
+
 
 class TestGnFactor:
     def test_even_is_one(self):

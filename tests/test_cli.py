@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from lapack_hooks import hooked_lasq1, report_failure
-from ergochain import ChainConfig, ensemble_erg, spectral
+from ergochain import ChainConfig, InvalidConfigError, ensemble_erg, spectral
 from ergochain.cli import (
     _RUNNERS,
     _SCENARIOS,
@@ -434,10 +434,92 @@ class TestFailurePaths:
 
 
 def test_seed_beyond_the_generator_key_is_a_configuration_error(tmp_path, capsys, solve_calls):
-    code, _ = _run(tmp_path, "disorder", DISORDER_INI, "--seed", "100000000000000000000000")
+    code, out = _run(tmp_path, "disorder", DISORDER_INI, "--seed", "100000000000000000000000")
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+    code, out = _run(tmp_path / "workdist", "workdist", WORKDIST_INI, "--seed", "-" + "9" * 20)
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
     assert solve_calls == []
+
+
+_TRANSPORT = "[transport-sweep]\nsites = 4\nalphas = 0.5\n"
+_SEED_RANGE = "seed must be >= -9223372036854775808 and <= 18446744073709551615"
+
+# (scenario, config text, config suffix, extra arguments, the stderr line after the prefix)
+CONFIG_ERRORS = {
+    "sites": ("transport-sweep", "[transport-sweep]\nsites = 1\nalphas = 0.5\n", ".ini", (),
+              "[transport-sweep] sites must be >= 2, got 1"),
+    "alphas": ("transport-sweep", "[transport-sweep]\nsites = 4\nalphas = 1.5\n", ".ini", (),
+               "[transport-sweep] alphas must lie in [0.0, 1.0], got 1.5"),
+    "alpha": ("theta-sweep", "[theta-sweep]\nsites = 4\nalpha = -0.1\n", ".ini", (),
+              "[theta-sweep] alpha must lie in [0.0, 1.0], got -0.1"),
+    "theta": ("transport-sweep", _TRANSPORT + "theta = 4\n", ".ini", (),
+              "[transport-sweep] theta must lie in [0.0, 3.141592653589793], got 4.0"),
+    "theta_count": ("theta-sweep", "[theta-sweep]\nsites = 4\ntheta_count = 1\n", ".ini", (),
+                    "[theta-sweep] theta_count must be >= 2, got 1"),
+    "deltas": ("disorder", "[disorder]\nsites = 4\ndeltas = -0.1\n", ".ini", (),
+               "[disorder] deltas must lie in [0.0, inf], got -0.1"),
+    "realizations": ("disorder", "[disorder]\nsites = 4\ndeltas = 0.1\nrealizations = 0\n",
+                     ".ini", (), "[disorder] realizations must be >= 1, got 0"),
+    "n": ("workdist", "[workdist]\nn = 1\n", ".ini", (), "[workdist] n must be >= 2, got 1"),
+    "bins": ("workdist", "[workdist]\nn = 4\nbins = 0\n", ".ini", (),
+             "[workdist] bins must be >= 1, got 0"),
+    "coupling": ("transport-sweep", "[chain]\ncoupling = -1\n\n" + _TRANSPORT, ".ini", (),
+                 "[chain] coupling must be > 0, got -1.0"),
+    "field": ("transport-sweep", "[chain]\nfield = 0\n\n" + _TRANSPORT, ".ini", (),
+              "[chain] field must be > 0, got 0.0"),
+    "json-true": ("transport-sweep", '{"transport-sweep": {"sites": [4], "alphas": [true]}}',
+                  ".json", (), "[transport-sweep] alphas must be a real number, got True"),
+    "json-inf": ("transport-sweep",
+                 '{"transport-sweep": {"sites": [4], "alphas": [0.5], "theta": Infinity}}',
+                 ".json", (), "[transport-sweep] theta must be finite, got inf"),
+    "ini-inf": ("transport-sweep", _TRANSPORT + "theta = inf\n", ".ini", (),
+                "[transport-sweep] theta must be finite, got inf"),
+    "unparsable": ("transport-sweep", "[transport-sweep]\nsites = four\nalphas = 0.5\n", ".ini",
+                   (), "[transport-sweep] sites: expected int, got 'four'"),
+    "json-not-a-list": ("transport-sweep", '{"transport-sweep": {"sites": 4, "alphas": [0.5]}}',
+                        ".json", (), "[transport-sweep] sites: expected a list, got 4"),
+    "json-empty-list": ("transport-sweep", '{"transport-sweep": {"sites": [], "alphas": [0.5]}}',
+                        ".json", (), "[transport-sweep] sites: expected a nonempty list"),
+    "ini-empty-list": ("transport-sweep", "[transport-sweep]\nsites = ,\nalphas = 0.5\n", ".ini",
+                       (), "[transport-sweep] sites: expected a nonempty list"),
+    "threads": ("transport-sweep", _TRANSPORT, ".ini", ("--threads", "0"),
+                "--threads must be >= 1, got 0"),
+    "ini-default-section": (
+        "transport-sweep", "[DEFAULT]\nsites = 4, 8\n\n[transport-sweep]\nalphas = 0.5\n", ".ini",
+        (), "unknown section [DEFAULT] for scenario 'transport-sweep'"
+        " (expected [chain] and [transport-sweep])"),
+    "seed-workdist": ("workdist", WORKDIST_INI, ".ini", ("--seed", str(2**64)),
+                      f"{_SEED_RANGE}, got {2**64}"),
+    "seed-disorder": ("disorder", DISORDER_INI, ".ini", ("--seed", str(-(2**63) - 1)),
+                      f"{_SEED_RANGE}, got {-(2**63) - 1}"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_configuration_error_table(tmp_path, capsys, solve_calls, case):
+    scenario, text, suffix, extra, message = CONFIG_ERRORS[case]
+    code, out = _run(tmp_path, scenario, text, *extra, config_name=f"run{suffix}")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"ergochain: configuration error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+    assert solve_calls == []
+
+
+@pytest.mark.parametrize("case", ["sites", "coupling", "seed-workdist"])
+def test_resolve_config_raises_the_configuration_error_class(tmp_path, case):
+    scenario, text, suffix, extra, message = CONFIG_ERRORS[case]
+    config = _write(tmp_path, f"run{suffix}", text)
+    seed = int(extra[1]) if extra else 0
+    with pytest.raises(InvalidConfigError) as info:
+        resolve_config(config, scenario, seed, "csv")
+    assert type(info.value) is InvalidConfigError
+    assert str(info.value) == message
 
 
 def _json_dumps_rows(scenario, rows):

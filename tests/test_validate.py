@@ -151,6 +151,38 @@ def test_numpy_scalars_act_like_python_ones(function, kwargs, name):
         assert _same(result, numpy_result)
 
 
+@pytest.mark.parametrize("function, kwargs, name", PARAMETERS)
+def test_an_array_in_place_of_a_number_is_finite_or_an_ergochain_error(function, kwargs, name):
+    # ``unit_interval`` takes arrays (of F); a scalar q or p1 must not pass through it as one
+    for size in (1, 2):
+        kind, result = outcome(function, kwargs, name, np.full(size, kwargs[name]))
+        if kind == "ok":
+            assert _finite(result), f"{name}=array of {size} gave {result!r}"
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [("q", lambda v: ec.erg_mixed(0.9, v, 1.0)),
+     ("q", lambda v: ec.erg_input("mixed", v, 1.0)),
+     ("excited_population", lambda v: ec.QubitState(v, 0.0))],
+    ids=["erg_mixed", "erg_input", "QubitState"],
+)
+def test_a_scalar_unit_parameter_rejects_an_array(name, call):
+    for size in (1, 2):
+        with pytest.raises(ec.InvalidInputError, match=f"{name} must be a real number"):
+            call(np.full(size, 0.7))
+
+
+def test_unit_interval_takes_a_scalar_or_an_array():
+    assert _validate.unit_interval("F", 1.0 + 1e-13) == 1.0
+    assert type(_validate.unit_interval("F", np.float64(0.5))) is float
+    clipped = _validate.unit_interval("F", np.array([[-1e-13, 0.5], [1.0, 1.0 + 1e-13]]))
+    assert clipped.dtype == float and np.array_equal(clipped, [[0.0, 0.5], [1.0, 1.0]])
+    for bad in (1.5, np.array([0.5, 1.5]), np.array([math.nan])):
+        with pytest.raises(ec.InvalidInputError):
+            _validate.unit_interval("F", bad)
+
+
 @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "minus-huge"])
 def test_integers_past_the_float_range_are_not_finite_reals(value):
     with pytest.raises(ec.InvalidInputError):
