@@ -11,8 +11,9 @@ the keys of a configuration file and the seed.
 Arrays follow the same rule entry by entry (``reals``). ``frozen`` is the one
 rule for the arrays a value type holds: a nonempty float array of finite
 reals, read-only and out of the caller's reach. It sets no flag on the
-caller's array and copies only an array the caller can still write;
-``sealed`` hands the package's own new arrays over without that copy.
+caller's array and copies it: numpy lets the owner of a read-only array make
+it writable again. Only an array that ``sealed`` registered, one the package
+has just made, is taken without that copy.
 ``instance`` is the one check of an object's type.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 
 import numpy as np
 
@@ -34,6 +36,9 @@ UNIT_SLACK = 1e-12
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 _REAL_KINDS = "iuf"  # numpy dtype kinds of integer and floating arrays
+
+# The arrays ``sealed`` made read-only, by id; an entry goes with its array.
+_SEALED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def integer(name: str, value, low: int, high: int | None = None) -> int:
@@ -97,21 +102,23 @@ def reals(name: str, values, low: float = -math.inf, high: float = math.inf) -> 
 def frozen(name: str, values, ndim: int = 1) -> np.ndarray:
     """A nonempty ``ndim``-D float array of finite reals (``reals``), read-only.
 
-    A read-only array that owns its memory (as ``sealed`` leaves one) is
-    taken as it is. Any other, a view included, is copied once and the copy
-    made read-only: the caller's array stays writable, and a later write to
-    it cannot reach the value type that holds the copy.
+    An array that ``sealed`` registered is taken as it is. Any other, a
+    read-only one or a view included, is copied once and the copy sealed:
+    the caller's array keeps its flags, and a later write to it, after
+    making it writable again too, cannot reach the value type that holds
+    the copy.
     """
     array = reals(name, values)
     if array.ndim != ndim or array.size < 1:
         raise InvalidInputError(f"{name} must be a nonempty {ndim}-D array, got {array.shape}")
-    return sealed(array if array.base is None and not array.flags.writeable else array.copy())
+    return array if _SEALED.get(id(array)) is array else sealed(array.copy())
 
 
 def sealed(array: np.ndarray) -> np.ndarray:
-    """``array`` made read-only in place, for an array the package has just
-    made and hands to a value type, which then holds it without a copy."""
+    """``array`` made read-only in place and registered, for an array the package
+    has just made and hands to a value type, which then holds it without a copy."""
     array.setflags(write=False)
+    _SEALED[id(array)] = array
     return array
 
 

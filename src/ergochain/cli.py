@@ -9,14 +9,17 @@ Scenarios:
   over a grid of chain lengths and bond blends, both encodings at matched
   input ergotropy.
 * theta-sweep: the same quantities against the preparation angle theta at
-  fixed blend.
+  fixed blend, then one ``argmax`` row per encoding: the grid row of largest
+  ``erg_out``, ties going to the largest theta. Where no angle extracts work
+  by the mixed encoding (F < 1/2), every mixed ``erg_out`` is 0 and that row
+  is theta = pi.
 * disorder: ensemble statistics of the receiver ergotropy under bond noise,
   with the coherent-vs-mixed contrast Gamma.
 * workdist: the quench work distribution at one length: atoms, adaptive
   densities with their Gaussian/semicircle limits at the two closed-form
   blends, uniform-bin histograms in between.
-* bessel-compare: end-site arrival amplitude of the uniform chain against
-  its bulk Bessel-function limit.
+* bessel-compare: end-site arrival amplitude |f_N| = sqrt(F) of the uniform
+  chain against its bulk Bessel-function limit.
 
 The clean-chain scenarios (transport-sweep, theta-sweep) solve each chain
 once for its reflection fidelity F and compute each angle's inputs (the
@@ -63,8 +66,7 @@ from . import __version__, _validate
 from .chain import ChainConfig, _seed, pst_couplings
 from .disorder import ensemble_fidelity, ensemble_stats, gamma_metric
 from .dynamics import InitialSiteState, amplitude_bessel_limit
-from .ergotropy import _reflection_amplitude, _record_fields, erg_input
-from .ergotropy import match_mixed_to_pure, reflection_fidelity
+from .ergotropy import _record_fields, erg_input, match_mixed_to_pure, reflection_fidelity
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -382,8 +384,9 @@ def run_theta_sweep(resolved: dict[str, Any]) -> list[Row]:
         grid = _reflection_rows(config, angles, kind="grid")
         rows += grid
         for encoding in _validate.ENCODINGS:
-            best = max((r for r in grid if r["encoding"] == encoding), key=lambda r: r["erg_out"])
-            rows.append({**best, "kind": "argmax"})
+            ranked = [r for r in reversed(grid) if r["encoding"] == encoding]
+            # max keeps the first of equal rows: ties go to the largest theta
+            rows.append({**max(ranked, key=lambda r: r["erg_out"]), "kind": "argmax"})
     return rows
 
 
@@ -452,8 +455,8 @@ def run_bessel_compare(resolved: dict[str, Any]) -> list[Row]:
     chain = resolved["chain"]
     rows: list[Row] = []
     for n in resolved["params"]["sites"]:
-        t, f = _reflection_amplitude(ChainConfig(n, **chain, alpha=0.0))
-        f_discrete = abs(f)
+        t, fidelity = reflection_fidelity(ChainConfig(n, **chain, alpha=0.0))
+        f_discrete = math.sqrt(fidelity)
         f_bessel = abs(amplitude_bessel_limit(n, chain["coupling"], t).value)
         rows.append(
             {

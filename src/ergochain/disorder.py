@@ -1,9 +1,11 @@
 """Disorder ensembles: receiver ergotropy statistics under bond noise.
 
 Each realization multiplies every bond by an independent factor (1 + d),
-d ~ U(-delta, +delta), solves the noisy chain for its eigenvalues and end
-weights, and reads out the receiver fidelity at the clean chain's reflection
-time (the protocol cannot adapt its readout time to noise it does not know). Realization k is drawn
+d ~ U(-delta, +delta), solves the noisy chain for its half spectrum
+(sigma_k, c_k), and reads out the receiver fidelity
+F = min((sum_k c_k g(sigma_k T))^2, 1), g = sin or cos by the parity of N, at
+the clean chain's reflection time T (the protocol cannot adapt its readout
+time to noise it does not know). Realization k is drawn
 from a counter-based stream keyed by (seed, k), so ensembles are reproducible
 element by element regardless of evaluation order or thread count.
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import _validate, spectral
 from .chain import ChainConfig, _noise_factors, _noise_generator, _seed, interpolated_bonds
-from .dynamics import _end_amplitudes
+from .dynamics import _end_fidelities
 from .ergotropy import (
     _check_inputs,
     _erg_out,
@@ -79,15 +81,15 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     (seed, k) and read out at the clean chain's reflection time T. The clean
     bond profile and one Philox generator are built once. Each realization
     re-keys that generator and draws into a preallocated bond row. A chunk of
-    rows is then read out by ``dynamics._end_amplitudes``. The chunk holds
-    the chains whose (chunk, N) complex phases fill one block of
-    ``spectral._BLOCK_BYTES`` (128 KB): 1024 at N = 8, 64 at N = 128, one
-    from N = 8193 on. ``_end_weights`` forms its pair arrays in blocks of
-    its own, so memory stays a few blocks whatever the count. Each chain
-    takes one LAPACK ``dlasq1`` (dqds) call for its half spectrum, the
-    singular values of a bidiagonal matrix of its bonds, and end weights
-    from the eigenvalues alone (``spectral._end_weights``), no
-    eigenvectors. Each chain carries a
+    rows is then read out by ``dynamics._end_fidelities``, in one vectorized
+    real sum per chunk. The chunk holds ``spectral._BLOCK_BYTES`` // (16 N)
+    chains, so its (chunk, N) energies and end weights take half a block
+    (128 KB) each: 1024 at N = 8, 64 at N = 128, one from N = 8193 on.
+    ``_end_weights`` forms its pair arrays in blocks of its own, so memory
+    stays a few blocks whatever the count. Each chain takes one LAPACK
+    ``dlasq1`` (dqds) call for its half spectrum, the singular values of a
+    bidiagonal matrix of its bonds, and end weights from the eigenvalues
+    alone (``spectral._end_weights``), no eigenvectors. Each chain carries a
     first-order certificate ``beta`` on |f_N|; one whose ``beta`` exceeds
     ``spectral.END_WEIGHT_ATOL`` (1e-6) is solved by the guarded
     ``spectral._solve`` (``dstevd`` and its residual contract) instead. On
@@ -96,13 +98,15 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     values that miss the trace or the fourth moment of the chain, or a
     failed residual raises NumericalFailureError.
 
-    Row r of a chunk depends on bond row r alone, so F_k equals the
-    single-chain readout ``_end_amplitudes(bonds[None], T)`` of
-    ``disordered_bonds(config, seed, k)`` bit for bit. The modulus stays a
-    Python scalar, because ``np.abs`` on complex arrays can differ from
-    ``abs(complex)`` by an ulp. The constant diagonal -(N-2)B is a global
-    phase; both routes leave it out (the ``dstevd`` fallback solves on a zero
-    diagonal), so it adds no rounding to |f| and needs no field.
+    Both routes are folded onto the half spectrum (sigma_k, c_k)
+    (``spectral._end_spectrum``), on which f_N is a real sum up to a factor
+    -i, and F is clipped by the package's one rule, min(F, 1). Row r of a
+    chunk depends on bond row r alone, so F_k equals the single-chain
+    readout ``_end_fidelities(bonds[None], T)`` of
+    ``disordered_bonds(config, seed, k)`` bit for bit. The constant diagonal
+    -(N-2)B is a global phase; both routes leave it out (the ``dstevd``
+    fallback solves on a zero diagonal), so it adds no rounding to F and
+    needs no field.
 
     Everything runs in the calling thread, and ``dlasq1`` makes no threaded
     BLAS call, so the values do not depend on ``OPENBLAS_NUM_THREADS`` unless a chain
@@ -113,8 +117,8 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     seed = _seed(seed)
     n = config.n_sites
     t = reflection_time(n, config.alpha, config.coupling)
-    # chains whose (chunk, N) complex phases fill one block, read at call time:
-    # 1024 at N = 8, 256 at N = 32, 64 at N = 128, 1 from N = 8193 on
+    # chains whose (chunk, N) energies and weights take half a block each, read
+    # at call time: 1024 at N = 8, 256 at N = 32, 64 at N = 128, 1 from N = 8193 on
     chunk = min(n_realizations, max(1, spectral._BLOCK_BYTES // (16 * n)))
     bonds = np.empty((chunk, n - 1))
     fidelities = np.empty(n_realizations)
@@ -124,9 +128,7 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
         for r in range(rows):
             factors = _noise_factors(rng, config.delta, seed, start + r, n - 1)
             np.multiply(clean, factors, out=bonds[r])
-        amplitudes = _end_amplitudes(bonds[:rows], t)
-        for r, f in enumerate(amplitudes):
-            fidelities[start + r] = min(abs(f) ** 2, 1.0)
+        fidelities[start : start + rows] = _end_fidelities(bonds[:rows], t)
     return fidelities
 
 

@@ -12,6 +12,14 @@ admit closed forms, and the uniform bulk admits a Bessel-function limit.
 Route-vs-route contracts compare |f|: the closed forms are written without
 the constant field offset on the diagonal, so their phases differ from the
 spectral route by a global factor while the moduli agree.
+
+The receiver reads only F = |f_N|^2, and the package computes every F from
+the half spectrum (sigma_k, c_k) of ``spectral._end_spectrum``. Without its
+diagonal the chain is bipartite, so f_N = -i sum_k c_k sin(sigma_k t) for
+even N and sum_k c_k cos(sigma_k t) for odd N: F is the square of a real sum.
+Two readouts consume it, ``_end_fidelities`` at one time for a stack of
+chains and ``_window_fidelities`` over an arithmetic grid of times. Both
+apply the package's one clip rule, min(F, 1), against roundoff past 1.
 """
 
 from __future__ import annotations
@@ -105,18 +113,22 @@ def amplitude_spectral(
     return TransitionAmplitude(value=value, site=site, time=time)
 
 
-def _end_amplitudes(bonds: np.ndarray, time: float) -> list[complex]:
-    """f_N(time) of each chain in a stack of bond rows (chains, N-1), as Python complex.
+def _end_fidelities(bonds: np.ndarray, time: float) -> np.ndarray:
+    """F = min(|f_N(time)|^2, 1) of each chain in a stack of bond rows (chains, N-1).
 
-    The energies and end weights come from ``spectral._end_spectrum``: from
-    the eigenvalues alone where the certificate holds, from ``dstevd``
-    otherwise, and on either route without the constant diagonal -(N-2)B,
-    a global phase. Entry r depends on bond row r alone, bit for bit, so a
-    chain read in a stack and on its own give the same value.
+    From the half spectrum of ``spectral._end_spectrum`` (the certified
+    eigenvalue route, or ``dstevd`` past the certificate, both without the
+    constant diagonal -(N-2)B, a global phase), f_N is a real sum up to a
+    factor -i: F = (sum_k c_k g(sigma_k t))^2 with g = sin for even N and
+    cos for odd N. The one clip rule of the package, min(F, 1), takes off
+    the roundoff that puts a perfect transfer past 1 (F - 1 = +1.8e-12 on
+    the engineered chain at N = 2500). Entry r depends on bond row r alone,
+    bit for bit, so a chain read in a stack and on its own give the same F.
     """
-    energies, weights = _end_spectrum(bonds)
-    phases = np.exp(-1j * energies * time)
-    return [complex(np.sum(w * p)) for w, p in zip(weights, phases)]
+    sigma, amplitudes = _end_spectrum(bonds)
+    wave = np.sin if bonds.shape[1] % 2 else np.cos
+    sums = (amplitudes * wave(sigma * time)).sum(axis=-1)
+    return np.minimum(sums * sums, 1.0)
 
 
 # Thread-count setter and getter of a bundled OpenBLAS, in the order tried:
@@ -203,34 +215,6 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _phase_table(times: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """exp(-i E_k t_i) over ``np.outer(times, energies)``, bit for bit.
-
-    A mirrored spectrum, ``energies[:m] == -energies[::-1][:m]`` exactly
-    (m = N//2), is what ``_end_weights`` returns: the chain without its
-    diagonal is bipartite, so its energies are +-sigma_k. Then only columns
-    m..N-1 are exponentiated, in place, and columns 0..m-1 are the complex
-    conjugates of their mirror columns: t (-E) = -(t E) exactly, and numpy's
-    complex exp commutes with conjugation to the bit (sin is odd and cos
-    even). That gave the full table's bits on 27.4M entries
-    (N = 2-69, 127-129, 256, 257, 1000, 1001, 2001; alpha 0, 0.5, 1;
-    J 1, 0.7, 1.9). Any other spectrum (a ``dstevd`` fallback chain, a
-    decomposition with its diagonal) has every column exponentiated. Either
-    way the exponential runs in place, on the table, and the only other
-    array is the real outer product of the exponentiated columns: its peak
-    is 1.25 tables on a mirrored spectrum and 1.5 otherwise.
-    """
-    m = energies.size // 2
-    if not np.array_equal(energies[:m], -energies[::-1][:m]):
-        m = 0  # no mirror: every column is exponentiated, none conjugated
-    table = np.empty((times.size, energies.size), complex)
-    half = table[:, m:]
-    np.multiply(np.outer(times, energies[m:]), -1j, out=half)
-    np.exp(half, out=half)
-    np.conjugate(table[:, ::-1][:, :m], out=table[:, :m])
-    return table
-
-
 def amplitude_profile(
     decomposition: SpectralDecomposition, site: int, times: np.ndarray
 ) -> np.ndarray:
@@ -238,11 +222,9 @@ def amplitude_profile(
 
     The (T, N) phase matrix times the weight vector is one BLAS product, run
     on one thread of numpy's OpenBLAS (``_OneBlasThread``), so its bits do
-    not depend on ``OPENBLAS_NUM_THREADS``. The phases come from
-    ``_phase_table``, exponentiated in place, so the peak is 1.5 times the
-    complex (T, N) matrix: the matrix and the real outer product it is made
-    from (tracemalloc, N = 1000, T = 2000). Energies with the constant
-    diagonal are not mirrored; on a mirrored spectrum the peak is 1.26.
+    not depend on ``OPENBLAS_NUM_THREADS``. The phases are exponentiated in
+    place, so the peak is 1.5 times the complex (T, N) matrix: the matrix and
+    the real outer product it is made from (tracemalloc, N = 1000, T = 2000).
     """
     _validate.instance("decomposition", decomposition, SpectralDecomposition)
     site = _validate.integer("site", site, 1, decomposition.n_sites)
@@ -250,38 +232,43 @@ def amplitude_profile(
     if times.ndim != 1:
         raise InvalidInputError("times must be a 1-D array")
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
-    phases = _phase_table(times, decomposition.energies)
+    phases = np.empty((times.size, decomposition.n_sites), complex)
+    np.multiply(np.outer(times, decomposition.energies), -1j, out=phases)
+    np.exp(phases, out=phases)
     with _one_blas_thread:
         return phases @ weights
 
 
-def _amplitude_grid(
-    energies: np.ndarray, weights: np.ndarray, step: float, count: int
-) -> np.ndarray:
-    """sum_k weights[k] exp(-i E_k t_i) on the arithmetic grid t_i = (i+1) step, i < count.
+def _window_fidelities(bonds: np.ndarray, step: float, count: int) -> np.ndarray:
+    """F = min(|f_N(t_i)|^2, 1) of one chain (bond row ``bonds``) on t_i = (i+1) step, i < count.
 
-    With B = ceil(sqrt(count)), G = ceil(count / B) and i = b B + j, each
-    phase factors as exp(-i E (j+1) step) exp(-i E b B step). So a (B, N)
-    and a (G, N) phase table and one (G, N) @ (N, B) product replace the
-    (count, N) phase matrix of ``amplitude_profile``. The tables take
-    (B + G) N exponentials, and (B + G)·⌈N/2⌉ on a mirrored spectrum
-    (``_phase_table``); the weights multiply the near table in place.
-    Memory is O(N sqrt(count)): on a mirrored spectrum the tracemalloc peak
-    is 2.27 (B, N) complex tables at N = 2000 and 2.26 at N = 5000
-    (count = 0.7 N / 0.01; 2.51 on a spectrum that is not mirrored), the two
-    tables and the real outer product of the far table's exponentiated
-    columns. The product runs on one thread of numpy's OpenBLAS
-    (``_OneBlasThread``), so its bits do not depend on
-    ``OPENBLAS_NUM_THREADS``.
+    The half spectrum (sigma_k, c_k) of ``spectral._end_spectrum`` gives
+    S(t) = sum_k c_k exp(-i sigma_k t). Its real part (odd N) or its
+    imaginary part (even N) is the real sum of ``_end_fidelities``, up to
+    sign. With B = ceil(sqrt(count)), G = ceil(count / B) and i = b B + j,
+    each phase factors as exp(-i sigma (j+1) step) exp(-i sigma b B step).
+    So one table of B near and G far rows over the h = (N+1)//2 columns,
+    exponentiated in place, and one (G, h) @ (h, B) product replace the
+    (count, N) phase matrix of ``amplitude_profile``; c multiplies the near
+    rows in place. Memory is O(N sqrt(count)): the tracemalloc peak is the
+    table and the real outer product it is made from, 1.51 complex (B, N)
+    tables at N = 2000 and 1.50 at N = 5000 (count = 0.7 N / 0.01). The
+    product runs on one thread of numpy's OpenBLAS (``_OneBlasThread``), so
+    its bits do not depend on ``OPENBLAS_NUM_THREADS``. F is clipped as in
+    ``_end_fidelities``.
     """
+    sigma, amplitudes = _end_spectrum(bonds[None])
     block = math.isqrt(count - 1) + 1
-    blocks = -(-count // block)
-    near = _phase_table(np.arange(1, block + 1) * step, energies)
-    near *= weights
-    far = _phase_table(np.arange(blocks) * (block * step), energies)
+    far_times = np.arange(-(-count // block)) * (block * step)
+    times = np.concatenate((np.arange(1, block + 1) * step, far_times))
+    table = np.empty((times.size, sigma.shape[1]), complex)
+    np.multiply(np.outer(times, sigma[0]), -1j, out=table)
+    np.exp(table, out=table)
+    table[:block] *= amplitudes[0]
     with _one_blas_thread:
-        product = far @ near.T
-    return product.ravel()[:count]
+        product = table[block:] @ table[:block].T  # far rows times near rows
+    sums = (product.imag if bonds.size % 2 else product.real).ravel()[:count]
+    return np.minimum(sums * sums, 1.0)
 
 
 def amplitude_uniform_closed(

@@ -30,9 +30,8 @@ import numpy as np
 
 from . import _validate
 from .chain import ChainConfig, gn_factor, interpolated_bonds
-from .dynamics import QubitState, _amplitude_grid, _end_amplitudes
+from .dynamics import QubitState, _end_fidelities, _window_fidelities
 from .errors import InvalidInputError, UndefinedEfficiencyError
-from .spectral import _end_spectrum
 
 __all__ = [
     "ErgotropyRecord",
@@ -220,15 +219,8 @@ def _record(
     return ErgotropyRecord(**_record_fields(config, encoding, parameter, erg_in, time, fidelity))
 
 
-def _reflection_amplitude(config: ChainConfig) -> tuple[float, complex]:
-    """(T, f_N(T)) of the clean chain: one ``dynamics._end_amplitudes`` readout."""
-    _validate.instance("config", config, ChainConfig)
-    t = reflection_time(config.n_sites, config.alpha, config.coupling)
-    return t, _end_amplitudes(interpolated_bonds(config).values[None], t)[0]
-
-
 def reflection_fidelity(config: ChainConfig) -> tuple[float, float]:
-    """(T, F): first reflection time of the clean chain and F = |f_N(T)|^2.
+    """(T, F): first reflection time of the clean chain and F = min(|f_N(T)|^2, 1).
 
     Solves the chain once, from its eigenvalues alone: one LAPACK ``dlasq1``
     (dqds) call for the half spectrum, the singular values of a bidiagonal
@@ -239,14 +231,18 @@ def reflection_fidelity(config: ChainConfig) -> tuple[float, float]:
     ``spectral.END_WEIGHT_ATOL`` (1e-6) is read out through ``dstevd`` and
     the residual contract of ``diagonalize`` instead. The constant diagonal
     -(N-2)B is a global phase and is left out, so it adds no rounding to F.
-    Every encoding's receiver ergotropy at T is a function of F alone, so
-    callers that need several encodings or parameters map this one F instead
-    of solving the chain again. F is not clipped to 1: at perfect transfer it
-    can exceed 1 by a few ulps. Disorder is ignored here (config.delta plays
-    no role).
+    Either route is folded onto (sigma_k, c_k), and F is the square of one
+    real sum (``dynamics._end_fidelities``). Every encoding's receiver
+    ergotropy at T is a function of F alone, so callers that need several
+    encodings or parameters map this one F instead of solving the chain
+    again. F is clipped to 1: at perfect transfer dqds can leave it past 1
+    by more than the unit interval's roundoff slack (+1.8e-12 on the
+    engineered chain at N = 2500), always within ``beta``. Disorder is
+    ignored here (config.delta plays no role).
     """
-    t, f = _reflection_amplitude(config)
-    return t, abs(f) ** 2
+    _validate.instance("config", config, ChainConfig)
+    t = reflection_time(config.n_sites, config.alpha, config.coupling)
+    return t, float(_end_fidelities(interpolated_bonds(config).values[None], t)[0])
 
 
 def erg_at_reflection(config: ChainConfig, encoding: str, parameter: float) -> ErgotropyRecord:
@@ -274,24 +270,24 @@ def erg_max_window(
     to maximizing |f| over the same grid, but the maximization is done on the
     ergotropy itself.
 
-    The chain is solved once through ``spectral._end_spectrum``: energies
-    from one LAPACK ``dlasq1`` (dqds) call on half the spectrum, and end
-    weights from the eigenvalues alone, with
-    the certificate and the ``dstevd`` fallback of ``reflection_fidelity``
-    (``beta`` bounds the weights' share of the error of |f| at every time).
-    The grid is arithmetic, so the T = horizon/step phase factors factorize
-    into a block of B = ceil(sqrt(T)) near steps times G = ceil(T/B) far
-    block offsets: one matrix product and (B + G)·⌈N/2⌉ exponentials on a
-    mirrored spectrum, as ``_end_weights`` returns it (+-sigma_k, so half of
-    each phase table is the complex conjugate of the other; (B + G) N on a
-    ``dstevd`` fallback chain). Memory is O(N sqrt(T)) instead of the (T, N)
-    phase matrix that ``amplitude_profile`` builds: the tracemalloc peak of
-    the window is 2.27 (B, N) complex tables at N = 2000 and 2.26 at
-    N = 5000 (horizon 0.7 N/J, step 0.01/J), and 2.51 on a fallback chain.
-    Both routes round each phase E t at the
-    scale eps max|E| horizon; against a 40-digit reference on the same
-    decomposition both stay within about 1e-13 of F at N = 256 and 6e-13 at
-    N = 1000 (uniform chain, J = B = 1, horizon 0.7 N/J). The product runs on
+    The chain is solved once through ``spectral._end_spectrum``: its half
+    spectrum (sigma_k, c_k) from one LAPACK ``dlasq1`` (dqds) call and end
+    weights from the eigenvalues alone, with the certificate and the
+    ``dstevd`` fallback of ``reflection_fidelity`` (``beta`` bounds the
+    weights' share of the error of |f| at every time). The grid is
+    arithmetic, so the T = horizon/step phase factors factorize into a block
+    of B = ceil(sqrt(T)) near steps times G = ceil(T/B) far block offsets
+    (``dynamics._window_fidelities``): one matrix product and
+    (B + G)·⌈N/2⌉ exponentials over the half spectrum, of whose sums the
+    real part (odd N) or the imaginary part (even N) is f_N up to a phase.
+    Memory is O(N sqrt(T)) instead of the (T, N) phase matrix that
+    ``amplitude_profile`` builds: the tracemalloc peak of the window is
+    1.51 complex (B, N) tables at N = 2000 and 1.50 at N = 5000 (horizon
+    0.7 N/J, step 0.01/J). Each F is clipped to 1, as in
+    ``reflection_fidelity``. Against a 40-digit sum over the same
+    (sigma_k, c_k) at the exact times (i+1)·step, F stays within 9.0e-16 at
+    N = 256 and 1.3e-15 at N = 1000 (uniform chain, J = B = 1, horizon
+    0.7 N/J; 191 times each, the window's maximum among them). The product runs on
     one thread of numpy's OpenBLAS (see ``dynamics._OneBlasThread``) and
     ``dlasq1`` makes no threaded BLAS call, so the window's bits do not depend on
     ``OPENBLAS_NUM_THREADS`` (unless the chain falls back to ``dstevd``).
@@ -303,9 +299,8 @@ def erg_max_window(
     step = _validate.positive("step", step)
     if step > horizon:
         raise InvalidInputError(f"step {step} exceeds horizon {horizon}")
-    energies, weights = _end_spectrum(interpolated_bonds(config).values[None])
     times = np.arange(step, horizon + 0.5 * step, step)
-    fidelities = np.abs(_amplitude_grid(energies[0], weights[0], step, times.size)) ** 2
+    fidelities = _window_fidelities(interpolated_bonds(config).values, step, times.size)
     best = int(np.argmax(_erg_out(encoding, fidelities, parameter, config.field)))
     return _record(config, encoding, parameter, times[best], float(fidelities[best]))
 

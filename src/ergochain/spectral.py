@@ -13,7 +13,9 @@ accuracy (no eigenvectors, no threaded BLAS call). The weights follow from
 w_k = prod_j b_j / prod_(j != k) (E_k - E_j) over pairs of the half
 spectrum, and a first-order certificate ``beta`` bounds their error in
 |f_N|. ``_end_spectrum`` reads a chain whose ``beta`` exceeds
-END_WEIGHT_ATOL (1e-6) through ``_solve`` instead. Both routines are
+END_WEIGHT_ATOL (1e-6) through ``_solve`` instead, then folds either route
+onto the half spectrum (sigma_k, c_k), on which f_N is a real sum times 1 or
+-i; the readouts of F in ``dynamics`` take nothing else. Both routines are
 scipy's. ``_stevd`` comes from its ``_flapack`` extension, which
 ``_load_flapack`` loads by itself: ``import scipy.linalg`` would run the
 package init, whose array-API layer imports ``numpy.testing`` and
@@ -439,17 +441,27 @@ def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _end_spectrum(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and end weights v_k[1] v_k[N] of a stack of chains (chains, N-1).
+    """Half spectrum (sigma_k, c_k) of a stack of chains (chains, N-1), with
 
-    Every chain is read without the constant diagonal -(N-2)B, a global
-    phase of f_N, so all rows of a stack share one energy convention. Each
-    chain is read from ``_end_weights`` when its certificate ``beta`` is at
-    most END_WEIGHT_ATOL. A chain past it (near-degenerate pairs, as in two
-    nearly equal halves, where the eigenvalue bounds reach the gaps, or a
-    sigma_k^2 below the normal range, as with end bonds under about 1e-78 of
-    the largest) is solved by one guarded ``_solve`` on a zero diagonal: its
-    energies and weights are those of ``diagonalize`` on that chain, bit for
-    bit, since v_k[1] v_k[N] does not depend on the sign gauge. Row r
+        f_N(t) = -i sum_k c_k sin(sigma_k t)  (N even),   sum_k c_k cos(sigma_k t)  (N odd),
+
+    k over the (N+1)//2 columns; for odd N column 0 is the zero mode,
+    sigma_0 = 0. Every chain is read without the constant diagonal -(N-2)B,
+    a global phase of f_N, so all rows of a stack share one energy
+    convention. Each chain is read from ``_end_weights`` when its certificate
+    ``beta`` is at most END_WEIGHT_ATOL. A chain past it (near-degenerate
+    pairs, as in two nearly equal halves, where the eigenvalue bounds reach
+    the gaps, or a sigma_k^2 below the normal range, as with end bonds under
+    about 1e-78 of the largest) is solved by one guarded ``_solve`` on a zero
+    diagonal; v_k[1] v_k[N] does not depend on the sign gauge.
+
+    Then one fold serves every chain. The zero-diagonal chain is bipartite:
+    E_(N-1-j) = -E_j and w_(N-1-j) = (-1)^(N+1) w_j for the eigenvalues E and
+    end weights w, ascending. So for j >= N//2, sigma = (E_j - E_(N-1-j))/2
+    and c = w_j + (-1)^(N+1) w_(N-1-j), the middle term of odd N halved
+    (c_0 = w_0). ``_end_weights`` mirrors both exactly, so there the fold is
+    exact: sigma_k keeps the bits of E_j, and c_k = 2 w_j (w_0 for the zero
+    mode). On a ``dstevd`` chain it averages the two mirror halves. Row r
     depends on bond row r alone.
     """
     energies, weights, beta = _end_weights(bonds)
@@ -459,7 +471,11 @@ def _end_spectrum(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for r in fallback:
             energies[r], vectors = _solve(diag, bonds[r])
             weights[r] = vectors[:, 0] * vectors[:, -1]
-    return energies, weights
+    n = energies.shape[1]
+    sigma = 0.5 * (energies - energies[:, ::-1])[:, n // 2 :]
+    amplitudes = (weights + (-1) ** (n + 1) * weights[:, ::-1])[:, n // 2 :]
+    amplitudes[:, : n % 2] *= 0.5  # odd N: the zero mode is its own mirror
+    return sigma, amplitudes
 
 
 def diagonalize(hamiltonian: SingleExcitationHamiltonian) -> SpectralDecomposition:

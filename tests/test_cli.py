@@ -143,6 +143,32 @@ class TestHappyPaths:
             assert summary["theta"] == best["theta"]
             assert summary["erg_out"] == best["erg_out"]
 
+    def test_theta_sweep_argmax_ties_go_to_the_largest_theta(self, tmp_path):
+        # at N = 64, alpha 0, F < 1/2: no angle extracts work by the mixed encoding,
+        # so every mixed erg_out ties at 0 and the summary names theta = pi
+        code, out = _run(
+            tmp_path, "theta-sweep", "[theta-sweep]\nsites = 64\nalpha = 0.0\ntheta_count = 5\n"
+        )
+        assert code == 0
+        with open(out / "theta-sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        mixed = [r for r in rows if r["encoding"] == "mixed"]
+        assert {r["erg_out"] for r in mixed} == {"0"}
+        (summary,) = [r for r in mixed if r["kind"] == "argmax"]
+        assert float(summary["theta"]) == math.pi
+        assert summary["efficiency"] == "0"
+
+    @pytest.mark.parametrize("n", [2500, 5000])
+    def test_perfect_transfer_chain_runs(self, tmp_path, n):
+        # dqds leaves the engineered chain's F past 1 by 1.8e-12 at N = 2500, beyond
+        # the unit interval's slack; the readout clips it onto 1
+        config = f"[transport-sweep]\nsites = {n}\nalphas = 1.0\n"
+        code, out = _run(tmp_path, "transport-sweep", config)
+        assert code == 0
+        with open(out / "transport-sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2 and all(float(r["fidelity"]) <= 1.0 for r in rows)
+
     def test_workdist_kinds_per_alpha(self, tmp_path):
         code, out = _run(tmp_path, "workdist", WORKDIST_INI)
         assert code == 0

@@ -106,11 +106,14 @@ class TestFidelitySample:
                 record = erg_at_reflection(cfg, encoding, parameter)
                 assert (record.time, record.fidelity) == (time, fidelity)
 
-    def test_each_path_keeps_its_clip(self):
+    def test_every_path_clips_alike(self):
         # the engineered N = 18 chain overshoots F = 1 by a few ulps at T: the
-        # ensemble clips it, the single-chain readout reports it unclipped
+        # ensemble and the single-chain readout both clip it to 1
         cfg = _config(n=18, delta=0.0, alpha=1.0)
-        assert 1.0 < reflection_fidelity(cfg)[1] < 1.0 + 1e-14
+        t = reflection_time(18, 1.0, 1.0)
+        sigma, amplitudes = spectral._end_spectrum(interpolated_bonds(cfg).values[None])
+        assert 1.0 < np.sum(amplitudes * np.sin(sigma * t)) ** 2 < 1.0 + 1e-14
+        assert reflection_fidelity(cfg)[1] == 1.0
         assert ensemble_fidelity(cfg, 3, seed=0).tolist() == [1.0, 1.0, 1.0]
 
     def test_ensemble_stats_rejects_bad_input(self):
@@ -237,8 +240,7 @@ class TestStatsMapWholeSample:
 
 def _chain_readout(bonds, t):
     """F = min(|f_N(t)|^2, 1) of one chain read on its own (a stack of one bond row)."""
-    f = dynamics._end_amplitudes(bonds.values[None], t)[0]
-    return min(abs(f) ** 2, 1.0)
+    return dynamics._end_fidelities(bonds.values[None], t)[0]
 
 
 def _parent_loop(config, n_realizations, seed):
@@ -280,8 +282,8 @@ class TestEnsembleKernel:
 
     @pytest.mark.parametrize("n, calls", [(8, 1), (32, 1), (128, 3)])
     def test_one_end_weights_call_per_block_of_phases(self, monkeypatch, n, calls):
-        # a chunk is the chains whose (chunk, N) complex phases fill one 128 KB
-        # block: 1024 at N = 8, 256 at N = 32, 64 at N = 128
+        # a chunk is _BLOCK_BYTES // (16 N) chains, whose (chunk, N) energies and
+        # weights take half a 128 KB block each: 1024 at N = 8, 256 at N = 32, 64 at N = 128
         heights = _end_weights_calls(monkeypatch)
         ensemble_fidelity(_config(n=n, delta=0.2), 150, seed=0)
         assert len(heights) == calls
@@ -339,13 +341,13 @@ class TestEnsembleKernel:
                     bonds = disordered_bonds(cfg, 7, k)
                     energies, weights, beta = spectral._end_weights(bonds.values[None])
                     assert beta[0] <= 1e-10  # far inside the tolerance: no fallback
-                    f = complex(np.sum(weights[0] * np.exp(-1j * energies[0] * t)))
+                    f = math.sqrt(dynamics._end_fidelities(bonds.values[None], t)[0])
                     old = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), n, t)
-                    assert abs(abs(f) - abs(old.value)) <= beta[0], (alpha, delta, k)
+                    assert abs(f - abs(old.value)) <= beta[0], (alpha, delta, k)
 
     @pytest.mark.parametrize("n", SITES)
     def test_matches_parent_loop_across_chunk_boundaries(self, monkeypatch, n):
-        # a block of 7 chains' phases makes a chunk of 7 at every N, so 150
+        # a block of 16 N bytes for each of 7 chains makes a chunk of 7 at every N, so 150
         # realizations cross 21 boundaries; realization k depends only on
         # (seed, k), so each count is a prefix of one oracle run
         cfg = _config(n=n, delta=0.2, alpha=0.5)

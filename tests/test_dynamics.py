@@ -21,6 +21,7 @@ from ergochain import (
     InvalidInputError,
     NumericalFailureError,
     QubitState,
+    SingleExcitationHamiltonian,
     amplitude_bessel_limit,
     amplitude_profile,
     amplitude_pst_closed,
@@ -34,8 +35,7 @@ from ergochain import (
     reflection_time,
 )
 from ergochain import dynamics
-from ergochain.dynamics import _amplitude_grid
-from ergochain.spectral import END_WEIGHT_ATOL, _end_spectrum, _end_weights
+from ergochain.dynamics import _window_fidelities
 
 
 def _decomposition(n, alpha, coupling=1.0, field=1.0):
@@ -43,10 +43,8 @@ def _decomposition(n, alpha, coupling=1.0, field=1.0):
     return diagonalize(build_hamiltonian(interpolated_bonds(cfg), field))
 
 
-def _grid(decomposition, site, step, count):
-    """``_amplitude_grid`` on a decomposition's energies and site weights v_k[1] v_k[site]."""
-    weights = decomposition.vectors[0] * decomposition.vectors[site - 1]
-    return _amplitude_grid(decomposition.energies, weights, step, count)
+def _bonds(n, alpha):
+    return interpolated_bonds(ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=alpha)).values
 
 
 class TestAmplitudeSpectral:
@@ -81,6 +79,27 @@ class TestAmplitudeSpectral:
             assert profile[i] == pytest.approx(
                 amplitude_spectral(decomposition, 10, float(t)).value, abs=1e-14
             )
+
+    def test_every_site(self):
+        decomposition = _decomposition(9, 0.3, coupling=1.7, field=0.6)
+        times = np.arange(1, 51) * 0.37
+        for site in range(1, 10):
+            expected = [amplitude_spectral(decomposition, site, float(t)).value for t in times]
+            np.testing.assert_allclose(
+                amplitude_profile(decomposition, site, times), expected, rtol=0.0, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("n", [7, 8, 64])
+    def test_energies_with_the_diagonal_take_the_full_phase_bits(self, n):
+        # the in-place exponential gives the bits of the out-of-place one on a
+        # spectrum that the diagonal -(N-2)B keeps from being mirrored
+        decomposition = _decomposition(n, 0.5)
+        times = np.arange(1, round(0.7 * n / 0.01) + 1) * 0.01
+        weights = decomposition.vectors[0] * decomposition.vectors[n - 1]
+        with dynamics._one_blas_thread:
+            expected = np.exp(-1j * np.outer(times, decomposition.energies)) @ weights
+        got = amplitude_profile(decomposition, n, times)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_profile_of_no_times_is_empty(self):
         assert amplitude_profile(_decomposition(5, 0.5), 5, np.array([])).shape == (0,)
@@ -127,92 +146,34 @@ class TestAmplitudeGrid:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("count", [1, 2, 1024, 1021])
     def test_matches_profile(self, n, alpha, count):
-        decomposition = _decomposition(n, alpha)
+        # the profile of the same chain without its constant diagonal, a global phase
+        bonds = _bonds(n, alpha)
+        decomposition = diagonalize(SingleExcitationHamiltonian(np.zeros(n), bonds))
         horizon = 0.7 * n
         step = horizon / count
         times = np.arange(step, horizon + 0.5 * step, step)
         assert times.size == count
         direct = np.abs(amplitude_profile(decomposition, n, times)) ** 2
-        factorized = np.abs(_grid(decomposition, n, step, count)) ** 2
+        factorized = _window_fidelities(bonds, step, count)
         assert factorized.shape == (count,)
         assert np.max(np.abs(factorized - direct)) <= 1e-12
         assert np.argmax(factorized) == np.argmax(direct)
 
-    def test_every_site(self):
-        decomposition = _decomposition(9, 0.3, coupling=1.7, field=0.6)
-        times = np.arange(1, 51) * 0.37
-        for site in range(1, 10):
-            np.testing.assert_allclose(
-                _grid(decomposition, site, 0.37, 50),
-                amplitude_profile(decomposition, site, times),
-                rtol=0.0,
-                atol=1e-13,
-            )
-
-    def test_window_memory_stays_under_two_and_a_half_tables(self):
-        # the near and far (B, N) complex tables and the real outer product of the
-        # far table's mirrored half: 2.27 tables at N = 2000 (2.51 without the mirror)
+    def test_window_memory_stays_at_one_and_a_half_tables(self):
+        # one table of the near and far rows over the half spectrum, and the real
+        # outer product it is made from: 1.50 complex (B, N) tables at N = 2000
         import tracemalloc
 
         n, count = 2000, 140_000  # horizon 0.7 N, step 0.01
-        config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=0.0)
-        energies, weights = _end_spectrum(interpolated_bonds(config).values[None])
+        bonds = _bonds(n, 0.0)
         block = math.isqrt(count - 1) + 1
         tracemalloc.start()
         try:
-            _amplitude_grid(energies[0], weights[0], 0.01, count)
+            _window_fidelities(bonds, 0.01, count)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.4 * 16 * block * n
-
-
-def _grid_times(step, count):
-    """The near and far times of ``_amplitude_grid`` on this grid."""
-    block = math.isqrt(count - 1) + 1
-    return np.arange(1, block + 1) * step, np.arange(-(-count // block)) * (block * step)
-
-
-def _is_mirrored(energies):
-    m = energies.size // 2
-    return np.array_equal(energies[:m], -energies[::-1][:m])
-
-
-def _assert_exp_bits(times, energies):
-    table = dynamics._phase_table(times, energies)
-    expected = np.exp(-1j * np.outer(times, energies))
-    assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
-
-
-class TestPhaseTable:
-    """The window's phase tables against the full exponential, bit for bit."""
-
-    @pytest.mark.parametrize("n", [2, 3, 64, 65, 1000, 1001])
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_mirrored_spectrum_gives_the_full_tables_bits(self, n, alpha):
-        config = ChainConfig(n_sites=n, coupling=0.7, field=1.0, alpha=alpha)
-        energies = _end_spectrum(interpolated_bonds(config).values[None])[0][0]
-        assert _is_mirrored(energies)  # the half-table branch runs
-        for times in _grid_times(0.01 / 0.7, round(0.7 * n / 0.01)):
-            _assert_exp_bits(times, energies)
-
-    @pytest.mark.parametrize("n", [7, 8, 64])
-    def test_energies_with_the_diagonal_take_the_full_tables(self, n):
-        energies = _decomposition(n, 0.5).energies
-        assert not _is_mirrored(energies)
-        for times in _grid_times(0.01, round(0.7 * n / 0.01)):
-            _assert_exp_bits(times, energies)
-
-    def test_fallback_chain_takes_the_full_tables(self):
-        # two equal halves joined by a weak bond are read out through dstevd,
-        # whose energies are mirrored only to rounding
-        bonds = np.ones(19)
-        bonds[9] = 1e-8
-        assert not _end_weights(bonds[None])[2][0] <= END_WEIGHT_ATOL
-        energies = _end_spectrum(bonds[None])[0][0]
-        assert not _is_mirrored(energies)
-        for times in _grid_times(0.01, 1400):
-            _assert_exp_bits(times, energies)
+        assert peak < 1.55 * 16 * block * n
 
 
 # erg_max_window's window at N = 131 (horizon 0.7N/J, step 0.01/J): with the
@@ -228,8 +189,7 @@ config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=0.0)
 record = erg_max_window(config, "coherent", math.pi / 2, 0.7 * n, 0.01)
 decomposition = diagonalize(build_hamiltonian(interpolated_bonds(config), 1.0))
 count = int(round(0.7 * n / 0.01))
-weights = decomposition.vectors[0] * decomposition.vectors[n - 1]
-window = dynamics._amplitude_grid(decomposition.energies, weights, 0.01, count)
+window = dynamics._window_fidelities(interpolated_bonds(config).values, 0.01, count)
 profile = dynamics.amplitude_profile(decomposition, n, np.arange(1, count + 1) * 0.01)
 digest = hashlib.sha256(repr(record).encode() + window.tobytes() + profile.tobytes())
 print(digest.hexdigest())
@@ -298,7 +258,7 @@ class TestOneBlasThread:
         monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: (recording_setter, getter))
         monkeypatch.setattr(dynamics, "_one_blas_thread", dynamics._OneBlasThread())
         decomposition = _decomposition(131, 0.0)
-        _grid(decomposition, 131, 0.01, 9170)
+        _window_fidelities(_bonds(131, 0.0), 0.01, 9170)
         amplitude_profile(decomposition, 131, np.arange(1, 101) * 0.1)
         assert history == [1, 2, 1, 2]
         assert getter() == 2
@@ -393,13 +353,13 @@ class TestOneBlasThread:
         count = 70 * n
         times = np.arange(1, count + 1) * 0.01
         pinned = (
-            _grid(decomposition, n, 0.01, count),
+            _window_fidelities(_bonds(n, 0.0), 0.01, count),
             amplitude_profile(decomposition, n, times),
         )
         monkeypatch.setattr(dynamics, "_OPENBLAS_THREAD_SYMBOLS", (("no_set", "no_get"),))
         monkeypatch.setattr(dynamics, "_one_blas_thread", dynamics._OneBlasThread())
         fallback = (
-            _grid(decomposition, n, 0.01, count),
+            _window_fidelities(_bonds(n, 0.0), 0.01, count),
             amplitude_profile(decomposition, n, times),
         )
         assert dynamics._numpy_openblas_threads() is None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ergotropy_by_sorting
-from ergochain import ergotropy
+from ergochain import ergotropy, spectral
 from ergochain import (
     ChainConfig,
     InvalidInputError,
@@ -30,6 +30,7 @@ from ergochain import (
     interpolated_bonds,
     match_mixed_to_pure,
     qubit_ergotropy,
+    reflection_fidelity,
     reflection_time,
     rescaled_efficiency,
 )
@@ -388,12 +389,23 @@ class TestArrayMaps:
 @pytest.mark.parametrize("call", [erg_at_reflection, erg_max_window])
 def test_bad_parameter_is_rejected_before_the_solve(monkeypatch, call):
     calls = []
-    for solve in ("_end_amplitudes", "_end_spectrum"):
+    for solve in ("_end_fidelities", "_window_fidelities"):
         monkeypatch.setattr(ergotropy, solve, lambda *args: calls.append(args))
     cfg = ChainConfig(n_sites=8, coupling=1.0, field=1.0, alpha=1.0)
     with pytest.raises(InvalidInputError):
         call(cfg, "coherent", 4.0, *([2.0] if call is erg_max_window else []))
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [2500, 5000])
+def test_perfect_transfer_reads_within_the_certificate(n):
+    # F is clipped onto 1 (at N = 2500 dqds puts it 1.8e-12 past), and its
+    # distance from the exact 1 stays within the chain's certificate beta
+    config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=1.0)
+    record = erg_at_reflection(config, "coherent", math.pi / 2)
+    beta = spectral._end_weights(interpolated_bonds(config).values[None])[2][0]
+    assert 0.0 <= 1.0 - record.fidelity <= beta
+    assert record.fidelity == reflection_fidelity(config)[1]
 
 
 class TestRecordsKeepTheValidatedParameter:

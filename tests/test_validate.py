@@ -337,6 +337,20 @@ def test_value_type_takes_a_read_only_owner_as_it_is(kind, arrays, others):
         assert not np.shares_memory(getattr(again, name), owner)
 
 
+@pytest.mark.parametrize("kind, arrays, others", VALUE_TYPE_PARAMETERS)
+def test_a_read_only_array_made_writable_again_cannot_reach_the_value_type(kind, arrays, others):
+    # numpy lets the owner of a read-only array set ``writeable`` back to True
+    given = {name: np.array(values, dtype=float) for name, values in arrays.items()}
+    for array in given.values():
+        array.setflags(write=False)
+    held = kind(**given, **others)
+    for name, array in given.items():
+        before = getattr(held, name).copy()
+        array.setflags(write=True)
+        array.flat[0] = np.nan
+        assert np.array_equal(getattr(held, name), before)
+
+
 def test_a_decomposition_the_caller_spoils_stays_finite():
     energies, vectors = np.array([-1.0, 1.0]), np.array([[0.6, 0.8], [0.8, -0.6]])
     decomposition = ec.SpectralDecomposition(energies, vectors)
