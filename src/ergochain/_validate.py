@@ -10,10 +10,15 @@ the keys of a configuration file and the seed.
 
 Arrays follow the same rule entry by entry (``reals``). ``frozen`` is the one
 rule for the arrays a value type holds: a nonempty float array of finite
-reals, read-only and out of the caller's reach. It sets no flag on the
-caller's array and copies it: numpy lets the owner of a read-only array make
-it writable again. Only an array that ``sealed`` registered, one the package
-has just made, is taken without that copy.
+reals, flagged read-only. It sets no flag on the caller's array and copies
+it, so no write to the array the caller passed, made writable again or not,
+reaches the value type. Only an array that ``sealed`` registered, one the
+package has just made, is taken without that copy. Neither rule guards the
+held array against whoever reads it out: numpy lets that reader set
+``flags.writeable = True`` again and write, and the write then reaches the
+value type and every array that shares it (``build_hamiltonian`` takes a
+``BondSet``'s values as its offdiagonal without a copy). Read-only is a
+guard against an accidental write, not a seal.
 ``instance`` is the one check of an object's type.
 """
 

@@ -98,10 +98,10 @@ _POSITIVE = (_validate.positive,)
 _COUNT = (_validate.integer, 1)
 
 # Each config key is key -> (parser, default, domain). INI text is parsed by
-# ``int`` or ``float`` (``list[...]``: a comma-separated list); JSON values
-# are used as they are. The domain then checks the value, or each item of a
-# list. Defaults are applied before hashing, so the configuration hash always
-# covers the fully resolved parameter set.
+# ``int`` or ``float`` (``list[...]``: a comma-separated list); JSON values,
+# strings included, are used as they are. The domain then checks the value,
+# or each item of a list. Defaults are applied before hashing, so the
+# configuration hash always covers the fully resolved parameter set.
 _CHAIN_SECTION = {
     "coupling": (float, 1.0, _POSITIVE),
     "field": (float, 1.0, _POSITIVE),
@@ -219,6 +219,10 @@ OUTPUT_SCHEMA: dict[str, dict[str, Any]] = {
 # configuration loading
 
 
+class _IniText(str):
+    """A value read from INI text: the one kind of raw value that ``_parse`` parses."""
+
+
 def _read_raw_config(path: Path) -> dict[str, dict[str, Any]]:
     """File -> {section: {key: raw value}}. JSON for .json, INI otherwise."""
     if not path.is_file():
@@ -245,11 +249,11 @@ def _read_raw_config(path: Path) -> dict[str, dict[str, Any]]:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise InvalidConfigError(f"config file {path} is not valid INI: {exc}") from exc
-    return {section: dict(parser.items(section)) for section in parser.sections()}
+    return {name: {k: _IniText(v) for k, v in parser.items(name)} for name in parser.sections()}
 
 
 def _parse(parser: Callable, name: str, raw: Any) -> Any:
-    if not isinstance(raw, str):
+    if not isinstance(raw, _IniText):
         return raw
     try:
         return parser(raw.strip())
@@ -262,8 +266,8 @@ def _resolve_value(name: str, raw: Any, parser: Callable, domain: tuple) -> Any:
     if get_origin(parser) is not list:
         return rule(name, _parse(parser, name, raw), *bounds)
     (item,) = get_args(parser)
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part.strip()]
+    if isinstance(raw, _IniText):
+        raw = [_IniText(part) for part in raw.split(",") if part.strip()]
     elif not isinstance(raw, (list, tuple)):
         raise InvalidConfigError(f"{name}: expected a list, got {raw!r}")
     if not raw:

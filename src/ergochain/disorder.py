@@ -83,8 +83,9 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     re-keys that generator and draws into a preallocated bond row. A chunk of
     rows is then read out by ``dynamics._end_fidelities``, in one vectorized
     real sum per chunk. The chunk holds ``spectral._BLOCK_BYTES`` // (16 N)
-    chains, so its (chunk, N) energies and end weights take half a block
-    (128 KB) each: 1024 at N = 8, 64 at N = 128, one from N = 8193 on.
+    chains, so its (chunk, N-1) bond rows take half a block (128 KB) and its
+    half spectrum, sigma and c of (chunk, (N+1)//2) each, a quarter block
+    each: 1024 chains at N = 8, 64 at N = 128, one from N = 8193 on.
     ``_end_weights`` forms its pair arrays in blocks of its own, so memory
     stays a few blocks whatever the count. Each chain takes one LAPACK
     ``dlasq1`` (dqds) call for its half spectrum, the singular values of a
@@ -98,11 +99,12 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     values that miss the trace or the fourth moment of the chain, or a
     failed residual raises NumericalFailureError.
 
-    Both routes are folded onto the half spectrum (sigma_k, c_k)
-    (``spectral._end_spectrum``), on which f_N is a real sum up to a factor
-    -i, and F is clipped by the package's one rule, min(F, 1). Row r of a
-    chunk depends on bond row r alone, so F_k equals the single-chain
-    readout ``_end_fidelities(bonds[None], T)`` of
+    The eigenvalue route gives the half spectrum (sigma_k, c_k) directly,
+    and a ``dstevd`` chain is folded onto it (``spectral._end_spectrum``);
+    on it f_N is a real sum up to a factor -i, and F is clipped by the
+    package's one rule, min(F, 1). Row r of a chunk depends on bond row r
+    alone, so F_k equals the single-chain readout
+    ``_end_fidelities(bonds[None], T)`` of
     ``disordered_bonds(config, seed, k)`` bit for bit. The constant diagonal
     -(N-2)B is a global phase; both routes leave it out (the ``dstevd``
     fallback solves on a zero diagonal), so it adds no rounding to F and
@@ -117,8 +119,8 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     seed = _seed(seed)
     n = config.n_sites
     t = reflection_time(n, config.alpha, config.coupling)
-    # chains whose (chunk, N) energies and weights take half a block each, read
-    # at call time: 1024 at N = 8, 256 at N = 32, 64 at N = 128, 1 from N = 8193 on
+    # chains whose (chunk, N-1) bonds take half a block, read at call time:
+    # 1024 at N = 8, 256 at N = 32, 64 at N = 128, 1 from N = 8193 on
     chunk = min(n_realizations, max(1, spectral._BLOCK_BYTES // (16 * n)))
     bonds = np.empty((chunk, n - 1))
     fidelities = np.empty(n_realizations)

@@ -231,9 +231,10 @@ def reflection_fidelity(config: ChainConfig) -> tuple[float, float]:
     ``spectral.END_WEIGHT_ATOL`` (1e-6) is read out through ``dstevd`` and
     the residual contract of ``diagonalize`` instead. The constant diagonal
     -(N-2)B is a global phase and is left out, so it adds no rounding to F.
-    Either route is folded onto (sigma_k, c_k), and F is the square of one
-    real sum (``dynamics._end_fidelities``). Every encoding's receiver
-    ergotropy at T is a function of F alone, so callers that need several
+    The eigenvalue route gives the half spectrum (sigma_k, c_k) itself, a
+    ``dstevd`` chain is folded onto it, and F is the square of one real sum
+    (``dynamics._end_fidelities``). Every encoding's receiver ergotropy at T
+    is a function of F alone, so callers that need several
     encodings or parameters map this one F instead of solving the chain
     again. F is clipped to 1: at perfect transfer dqds can leave it past 1
     by more than the unit interval's roundoff slack (+1.8e-12 on the
@@ -265,10 +266,15 @@ def erg_max_window(
 ) -> ErgotropyRecord:
     """Best receiver ergotropy over the sampled window (0, horizon].
 
-    The window is scanned with uniform ``step`` (default 0.01/J). Both
-    encodings' ergotropy are nondecreasing in fidelity, so this is equivalent
-    to maximizing |f| over the same grid, but the maximization is done on the
-    ergotropy itself.
+    The window is scanned with uniform ``step`` (default 0.01/J), and the
+    record is the first maximum of the ergotropy on that grid. Both
+    encodings' ergotropy is nondecreasing in F, but it is flat where nothing
+    is extracted, so the record's F is the window's largest only where some
+    work is extracted. Where every ``erg_out`` is 0 (the mixed encoding
+    below its threshold), the first maximum is the first grid time, whatever
+    F is there: ``erg_max_window(ChainConfig(128, 1, 1, 0), "mixed", 0.75,
+    89.6, 0.01)`` returns t = 0.01 with F = 4.7e-37. Maximizing F itself is
+    item 2 of ROADMAP.md.
 
     The chain is solved once through ``spectral._end_spectrum``: its half
     spectrum (sigma_k, c_k) from one LAPACK ``dlasq1`` (dqds) call and end

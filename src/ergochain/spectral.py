@@ -5,21 +5,22 @@ divide-and-conquer driver), and it enforces the residual contract on what
 the driver returns. Its three callers are ``diagonalize``, the fallback of
 ``_end_spectrum`` and ``workstats.tpm_distribution``. Every readout of f_N
 at one time or over a window needs only the eigenvalues and the end weights
-v_k[1] v_k[N], and ``_end_weights`` gets both from half the spectrum: the
+v_k[1] v_k[N], and ``_end_weights`` gets both as half the spectrum: the
 chain without its constant diagonal is bipartite, its eigenvalues are
 +-sigma_k, the singular values of a bidiagonal matrix of the bonds, and one
 LAPACK ``dlasq1`` (dqds) call per chain computes them to high relative
 accuracy (no eigenvectors, no threaded BLAS call). The weights follow from
 w_k = prod_j b_j / prod_(j != k) (E_k - E_j) over pairs of the half
 spectrum, and a first-order certificate ``beta`` bounds their error in
-|f_N|. ``_end_spectrum`` reads a chain whose ``beta`` exceeds
-END_WEIGHT_ATOL (1e-6) through ``_solve`` instead, then folds either route
-onto the half spectrum (sigma_k, c_k), on which f_N is a real sum times 1 or
--i; the readouts of F in ``dynamics`` take nothing else. Both routines are
-scipy's. ``_stevd`` comes from its ``_flapack`` extension, which
-``_load_flapack`` loads by itself: ``import scipy.linalg`` would run the
-package init, whose array-API layer imports ``numpy.testing`` and
-``numpy.f2py``, about 0.33 s of a 0.47 s ``import ergochain.cli``. Without
+|f_N|. What ``_end_weights`` returns is the half spectrum (sigma_k, c_k),
+c_k the sum of the two mirror weights, on which f_N is a real sum times 1
+or -i; the readouts of F in ``dynamics`` take nothing else.
+``_end_spectrum`` reads a chain whose ``beta`` exceeds END_WEIGHT_ATOL
+(1e-6) through ``_solve`` instead and folds that chain's full spectrum onto
+its row. Both routines are scipy's. ``_stevd`` comes from its ``_flapack``
+extension, which ``_load_flapack`` loads by itself: ``import scipy.linalg``
+would run the package init, whose array-API layer imports ``numpy.testing``
+and ``numpy.f2py``, about 0.33 s of a 0.47 s ``import ergochain.cli``. Without
 it the import takes about 0.18 s (medians of 8 fresh interpreters, 2-core
 x86-64 host). scipy does not wrap ``dlasq1``; ``_load_lasq1`` finds it
 through the same extension's shared library, by ``ctypes``. So both are
@@ -83,9 +84,11 @@ RESIDUAL_RTOL = 1e-9
 # large, and the product and reciprocal passes add less, so the step holds
 # about 1.5 blocks at its peak (tracemalloc, numpy 2.4.6, N = 5000: 182 KB
 # above the pass's three (chains, m) outputs; ``reflection_fidelity`` peaks at
-# 363 KB in all). The disorder kernel reads
-# _BLOCK_BYTES // (16 N) chains at a time, so its (chunk, N) complex phases are
-# one block. Every reader looks it up at call time, so one value drives all.
+# 363 KB in all). The half spectrum (sigma, c) is made after that peak. The
+# disorder kernel reads _BLOCK_BYTES // (16 N) chains at a time, so its
+# (chunk, N-1) bond rows take half a block, and the chunk's sigma and c, each
+# (chunk, (N+1)//2), a quarter block each. Every reader looks it up at call
+# time, so one value drives all.
 _BLOCK_BYTES = 128 * 1024
 
 # Tolerance of the end-weight certificate ``beta`` on |f_N|. The bound is
@@ -364,32 +367,42 @@ def _squared_spectrum(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, end weights w_k = v_k[1] v_k[N] and their certificate, per chain.
+    """Half spectrum (sigma_k, c_k) of each chain in a stack, and its certificate ``beta``.
 
-    ``bonds`` is a stack (chains, N-1); row r of each output depends on bond
-    row r alone, bit for bit. The constant diagonal -(N-2)B only multiplies
-    f_N by a global phase, so it is left out, and with it its rounding in
-    |f_N|. The chain H then has a zero diagonal: it is bipartite, its
-    spectrum is +-sigma_k, k = 1..m = N//2 (and 0 for odd N), and the sigma_k
-    are the singular values of a bidiagonal matrix of the bonds (Golub and
-    Kahan 1965). ``_squared_spectrum`` computes them with ``dlasq1``, on
-    bonds scaled by a power of two (no square overflows, no bit changes);
-    ``dlasq1`` makes no threaded BLAS call, so no bit depends on
-    ``OPENBLAS_NUM_THREADS``. The weights are the residues of
-    (z - H)^-1_(1N) = prod_j b_j / det(z - H) (Golub and Welsch 1969):
+    ``bonds`` is a stack (chains, N-1); sigma and c are (chains, (N+1)//2),
+    ``beta`` is (chains,), and row r of each depends on bond row r alone,
+    bit for bit. The constant diagonal -(N-2)B only multiplies f_N by a
+    global phase, so it is left out, and with it its rounding in |f_N|. The
+    chain H then has a zero diagonal: it is bipartite, its spectrum is
+    +-sigma_k, k = 1..m = N//2 (and 0 for odd N), and the sigma_k are the
+    singular values of a bidiagonal matrix of the bonds (Golub and Kahan
+    1965). ``_squared_spectrum`` computes them with ``dlasq1``, on bonds
+    scaled by a power of two (no square overflows), and the same ``ldexp``
+    scales them back, with no bit changed; ``dlasq1`` makes no threaded BLAS
+    call, so no bit depends on ``OPENBLAS_NUM_THREADS``. The end weights
+    w = v[1] v[N] are the residues of (z - H)^-1_(1N) = prod_j b_j / det(z - H)
+    (Golub and Welsch 1969):
 
         |w(+-sigma_k)| = prod|b| / (2 sigma_k [sigma_k if N odd]
                                     prod_(j != k) |sigma_k^2 - sigma_j^2|),
 
-    the zero mode of odd N has prod|b| / prod_j sigma_j^2, and the sign is
-    sign(prod_j b_j) (-1)^(N-k) for ascending E. The products run over the
-    m^2 pairs of the half spectrum (one ``_pair_sums`` pass), not over N^2
-    gaps. A zero bond splits the chain: w = 0 exactly, so f_N = 0.
+    the zero mode of odd N has prod|b| / prod_j sigma_j^2, and the sign of
+    w(E) is sign(prod_j b_j) (-1)^(N-i) at place i of the ascending
+    spectrum. The products run over the m^2 pairs of the half spectrum (one
+    ``_pair_sums`` pass), not over N^2 gaps. The two mirror images
+    w(+-sigma_k) sum in f_N to c_k = 2 w(sigma_k) times sin or cos, so
 
-    The certificate ``beta = sum_k |w_k| rho_k`` is a first-order bound on
-    the error the weights put into |f_N(t)|, at any t. With each sigma_k^2
-    within dy_k of the exact one (``_squared_spectrum``), each weight is
-    within rho_k = sum_(j != k) (dy_k + dy_j)/|sigma_k^2 - sigma_j^2| +
+        f_N(t) = -i sum_k c_k sin(sigma_k t)  (N even),   sum_k c_k cos(sigma_k t)  (N odd),
+
+    the columns ascending in sigma; for odd N column 0 is the zero mode,
+    sigma_0 = 0 and c_0 = w(0). A zero bond splits the chain: c = 0 exactly,
+    so f_N = 0.
+
+    The certificate ``beta = sum_k |w_k| rho_k`` over the full spectrum is a
+    first-order bound on the error the weights put into |f_N(t)|, at any t,
+    and so on sum_k |c_k - exact c_k|. With each sigma_k^2 within dy_k of
+    the exact one (``_squared_spectrum``), each weight is within
+    rho_k = sum_(j != k) (dy_k + dy_j)/|sigma_k^2 - sigma_j^2| +
     dy_k/(2 sigma_k^2) [twice for odd N] + 2N eps of its value, relative.
     ``beta`` is inf where neighbours, or sigma_1^2 and 0, lie within twice
     their dy, or where a weight is not finite; and 0 for a split chain. The
@@ -407,74 +420,64 @@ def _end_weights(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         y, dy = _squared_spectrum(scaled)
         del scaled
         gaps, gaps_exponent, rho = _pair_sums(y, dy)
-        sigma = np.sqrt(y)
+        sigma = np.zeros((chains, m + odd))  # made after the pass's peak
+        amplitudes = np.empty((chains, m + odd))
+        np.sqrt(y, out=sigma[:, odd:])
         gaps *= y if odd else sigma
         gaps *= 2.0
         np.divide(bond_product[:, None], gaps, out=gaps)
         np.subtract(bond_exponent[:, None], gaps_exponent, out=gaps_exponent)
-        magnitudes = np.ldexp(gaps, gaps_exponent)
+        magnitudes = amplitudes[:, odd:]
+        np.ldexp(gaps, gaps_exponent, out=magnitudes)
         del gaps, gaps_exponent
         rho += dy / y * (0.5 + 0.5 * odd) + 2 * n * _EPS  # dy / y first: 0.5 dy may underflow
         beta = 2 * (magnitudes * rho).sum(axis=-1)
-        weights = np.empty((chains, n))
-        weights[:, :m] = magnitudes[:, ::-1]
-        weights[:, n - m :] = magnitudes
         if odd:
             y_product, y_exponent = _product(y)
-            weights[:, m] = np.ldexp(bond_product / y_product, bond_exponent - y_exponent)
-            beta += weights[:, m] * ((dy / y).sum(axis=-1) + 2 * n * _EPS)
+            amplitudes[:, 0] = np.ldexp(bond_product / y_product, bond_exponent - y_exponent)
+            beta += amplitudes[:, 0] * ((dy / y).sum(axis=-1) + 2 * n * _EPS)
         resolved = (
             (y[:, 0] > 2 * dy[:, 0])
             & (y[:, 1:] - y[:, :-1] > 2 * (dy[:, 1:] + dy[:, :-1])).all(axis=-1)
             & (beta <= np.inf)
         )
         beta[~resolved] = np.inf
-    energies = np.zeros((chains, n))
-    np.negative(sigma[:, ::-1], out=energies[:, :m])
-    energies[:, n - m :] = sigma
-    parity = np.ones(n)
-    parity[n - 2 :: -2] = -1.0  # (-1)^(N-k) for ascending E
-    weights *= sign[:, None] * parity
-    weights[split] = 0.0
+    # c_k = 2 w(sigma_k): 2 (-1)^(N-i), i the place of sigma_k in the ascending E
+    parity = 2.0 * (-1.0) ** np.arange(m + odd - 1, -1, -1)
+    parity[:odd] *= 0.5  # the zero mode of odd N is its own mirror: c_0 = w(0)
+    amplitudes *= sign[:, None] * parity
+    amplitudes[split] = 0.0
     beta[split] = 0.0
-    return np.ldexp(energies, scale[:, None]), weights, beta
+    return np.ldexp(sigma, scale[:, None]), amplitudes, beta
 
 
 def _end_spectrum(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half spectrum (sigma_k, c_k) of a stack of chains (chains, N-1), with
+    """Half spectrum (sigma_k, c_k) of a stack (chains, N-1), as ``_end_weights`` defines it.
 
-        f_N(t) = -i sum_k c_k sin(sigma_k t)  (N even),   sum_k c_k cos(sigma_k t)  (N odd),
-
-    k over the (N+1)//2 columns; for odd N column 0 is the zero mode,
-    sigma_0 = 0. Every chain is read without the constant diagonal -(N-2)B,
-    a global phase of f_N, so all rows of a stack share one energy
-    convention. Each chain is read from ``_end_weights`` when its certificate
-    ``beta`` is at most END_WEIGHT_ATOL. A chain past it (near-degenerate
-    pairs, as in two nearly equal halves, where the eigenvalue bounds reach
-    the gaps, or a sigma_k^2 below the normal range, as with end bonds under
-    about 1e-78 of the largest) is solved by one guarded ``_solve`` on a zero
-    diagonal; v_k[1] v_k[N] does not depend on the sign gauge.
-
-    Then one fold serves every chain. The zero-diagonal chain is bipartite:
-    E_(N-1-j) = -E_j and w_(N-1-j) = (-1)^(N+1) w_j for the eigenvalues E and
-    end weights w, ascending. So for j >= N//2, sigma = (E_j - E_(N-1-j))/2
-    and c = w_j + (-1)^(N+1) w_(N-1-j), the middle term of odd N halved
-    (c_0 = w_0). ``_end_weights`` mirrors both exactly, so there the fold is
-    exact: sigma_k keeps the bits of E_j, and c_k = 2 w_j (w_0 for the zero
-    mode). On a ``dstevd`` chain it averages the two mirror halves. Row r
-    depends on bond row r alone.
+    Every chain is read without the constant diagonal -(N-2)B, a global
+    phase of f_N, so all rows of a stack share one energy convention. A row
+    whose certificate ``beta`` is at most END_WEIGHT_ATOL is ``_end_weights``'
+    own, bit for bit. A chain past it (near-degenerate pairs, as in two
+    nearly equal halves, where the eigenvalue bounds reach the gaps, or a
+    sigma_k^2 below the normal range, as with end bonds under about 1e-78 of
+    the largest) is solved by one guarded ``_solve`` on a zero diagonal
+    (v_k[1] v_k[N] does not depend on the sign gauge), and its full
+    spectrum is folded onto the half spectrum in its row: with
+    E_(N-1-j) = -E_j and w_(N-1-j) = (-1)^(N+1) w_j for the eigenvalues E
+    and end weights w, ascending, sigma = (E_j - E_(N-1-j))/2 and
+    c = w_j + (-1)^(N+1) w_(N-1-j) for j >= N//2, the middle term of odd N
+    halved (c_0 = w_0). The fold averages the two mirror halves of
+    ``dstevd``'s spectrum. Row r depends on bond row r alone.
     """
-    energies, weights, beta = _end_weights(bonds)
-    fallback = np.flatnonzero(~(beta <= END_WEIGHT_ATOL))
-    if fallback.size:
-        diag = np.zeros(energies.shape[1])
-        for r in fallback:
-            energies[r], vectors = _solve(diag, bonds[r])
-            weights[r] = vectors[:, 0] * vectors[:, -1]
-    n = energies.shape[1]
-    sigma = 0.5 * (energies - energies[:, ::-1])[:, n // 2 :]
-    amplitudes = (weights + (-1) ** (n + 1) * weights[:, ::-1])[:, n // 2 :]
-    amplitudes[:, : n % 2] *= 0.5  # odd N: the zero mode is its own mirror
+    sigma, amplitudes, beta = _end_weights(bonds)
+    n = bonds.shape[1] + 1
+    diag = np.zeros(n)
+    for r in np.flatnonzero(~(beta <= END_WEIGHT_ATOL)):
+        energies, vectors = _solve(diag, bonds[r])
+        weights = vectors[:, 0] * vectors[:, -1]
+        sigma[r] = 0.5 * (energies - energies[::-1])[n // 2 :]
+        amplitudes[r] = (weights + (-1) ** (n + 1) * weights[::-1])[n // 2 :]
+        amplitudes[r, : n % 2] *= 0.5  # odd N: the zero mode is its own mirror
     return sigma, amplitudes
 
 

@@ -510,6 +510,22 @@ CONFIG_ERRORS = {
                         ".json", (), "[transport-sweep] sites: expected a list, got 4"),
     "json-empty-list": ("transport-sweep", '{"transport-sweep": {"sites": [], "alphas": [0.5]}}',
                         ".json", (), "[transport-sweep] sites: expected a nonempty list"),
+    # a JSON string is a value, never INI text to parse: none of these is read as a number
+    "json-string-list": ("transport-sweep",
+                         '{"transport-sweep": {"sites": "8, 16", "alphas": [0.5]}}', ".json", (),
+                         "[transport-sweep] sites: expected a list, got '8, 16'"),
+    "json-string-item": ("transport-sweep",
+                         '{"transport-sweep": {"sites": ["8"], "alphas": [0.5]}}', ".json", (),
+                         "[transport-sweep] sites must be an integer, got '8'"),
+    "json-string-scalar": (
+        "transport-sweep",
+        '{"transport-sweep": {"sites": [8], "alphas": [0.5], "theta": " 1.5 "}}',
+        ".json", (), "[transport-sweep] theta must be a real number, got ' 1.5 '"),
+    "json-string-chain": (
+        "transport-sweep",
+        '{"transport-sweep": {"sites": "8, 16", "alphas": "0.5", "theta": " 1.5 "},'
+        ' "chain": {"coupling": "2"}}',
+        ".json", (), "[chain] coupling must be a real number, got '2'"),
     "ini-empty-list": ("transport-sweep", "[transport-sweep]\nsites = ,\nalphas = 0.5\n", ".ini",
                        (), "[transport-sweep] sites: expected a nonempty list"),
     "threads": ("transport-sweep", _TRANSPORT, ".ini", ("--threads", "0"),

@@ -339,7 +339,7 @@ class TestEnsembleKernel:
                 t = reflection_time(n, alpha, 1.0)
                 for k in range(10):
                     bonds = disordered_bonds(cfg, 7, k)
-                    energies, weights, beta = spectral._end_weights(bonds.values[None])
+                    _, _, beta = spectral._end_weights(bonds.values[None])
                     assert beta[0] <= 1e-10  # far inside the tolerance: no fallback
                     f = math.sqrt(dynamics._end_fidelities(bonds.values[None], t)[0])
                     old = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), n, t)

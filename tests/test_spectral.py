@@ -195,9 +195,34 @@ def _end_modulus(bonds, t):
     return math.sqrt(dynamics._end_fidelities(bonds[None], t)[0])
 
 
-def _oracle_moduli(mpmath, bonds, start, times):
+def _full_spectrum(sigma, n):
+    """The ascending eigenvalues -sigma_k, [0 for odd N,] +sigma_k of one half spectrum row."""
+    return np.concatenate((-sigma[n % 2 :][::-1], sigma))
+
+
+def _oracle_half_spectrum(mpmath, bonds, sigma):
+    """40-digit (roots, w) of the full spectrum from starts +-sigma_k, and its exact c_k.
+
+    c_k = 2 v_k[1] v_k[N] over the positive roots, and c_0 = v_0[1] v_0[N]
+    for the zero mode of odd N.
+    """
+    n = bonds.size + 1
+    roots, weights = mp_end_spectrum(mpmath, bonds, _full_spectrum(sigma, n))
+    with mpmath.workdps(40):  # doubling is exact at 40 digits, not at the default 15
+        amplitudes = [2 * w for w in weights[n // 2 :]]
+    amplitudes[: n % 2] = weights[n // 2 : n // 2 + n % 2]
+    return roots, weights, amplitudes
+
+
+def _amplitude_error(mpmath, amplitudes, exact):
+    """sum_k |c_k - exact c_k|, in 40 digits: the full spectrum's sum_k |w_k - exact w_k|."""
+    with mpmath.workdps(40):
+        return float(mpmath.fsum(abs(c - x) for c, x in zip(amplitudes, exact)))
+
+
+def _oracle_moduli(mpmath, bonds, sigma, times):
     """|f_N(t)| of the zero-diagonal chain with these bonds at each t, from the 40-digit oracle."""
-    roots, exact = mp_end_spectrum(mpmath, bonds, start)
+    roots, exact = mp_end_spectrum(mpmath, bonds, _full_spectrum(sigma, bonds.size + 1))
     with mpmath.workdps(40):
         return [
             float(abs(mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(exact, roots))))
@@ -215,10 +240,10 @@ def _assert_fallback_reads_the_oracle(bonds):
     """
     mpmath = pytest.importorskip("mpmath")
     n = bonds.size + 1
-    energies, _, beta = spectral._end_weights(bonds[None])
+    sigma, _, beta = spectral._end_weights(bonds[None])
     assert not beta[0] <= spectral.END_WEIGHT_ATOL
     times = (0.1 * n, 0.7 * n, 3.1 * n)
-    for t, exact in zip(times, _oracle_moduli(mpmath, bonds, energies[0], times)):
+    for t, exact in zip(times, _oracle_moduli(mpmath, bonds, sigma[0], times)):
         assert abs(_end_modulus(bonds, t) - exact) <= 1e-14
     # in a stack, the fallback row and its neighbours read as they do alone
     stack = np.array([np.linspace(0.8, 1.2, n - 1), bonds, np.full(n - 1, 0.9)])
@@ -227,23 +252,27 @@ def _assert_fallback_reads_the_oracle(bonds):
 
 
 class TestEndWeights:
-    """Eigenvalues from dlasq1, end weights from the eigenvalues, and their certificate."""
+    """Half spectrum from dlasq1, end weights from the eigenvalues, and their certificate."""
 
     def test_weights_are_the_end_products_of_the_eigenvectors(self):
-        # the identity itself, against 40-digit eigenvectors of the dense matrix
+        # the identity itself, against 40-digit eigenvectors of the dense matrix:
+        # sigma_k are its positive eigenvalues and c_k = 2 v_k[1] v_k[N] over them,
+        # c_0 = v_0[1] v_0[N] for the zero mode of odd N
         mpmath = pytest.importorskip("mpmath")
         for n in (2, 5, 10):
             bonds = disordered_bonds(ChainConfig(n, 1.0, 1.0, 0.5, 0.9), 3, n).values
-            energies, weights, beta = spectral._end_weights(bonds[None])
+            sigma, amplitudes, beta = spectral._end_weights(bonds[None])
+            assert sigma.shape == amplitudes.shape == (1, (n + 1) // 2)
             with mpmath.workdps(40):
                 matrix = mpmath.matrix(n, n)
                 for j, b in enumerate(bonds):
                     matrix[j, j + 1] = matrix[j + 1, j] = mpmath.mpf(float(b))
                 values, vectors = mpmath.eigsy(matrix)
-                order = sorted(range(n), key=lambda k: values[k])
-                exact = [vectors[0, k] * vectors[n - 1, k] for k in order]
-                assert max(abs(values[k] - e) for k, e in zip(order, energies[0])) < 1e-14
-            assert sum(abs(w - float(x)) for w, x in zip(weights[0], exact)) <= beta[0]
+                upper = sorted(range(n), key=lambda k: values[k])[n // 2 :]
+                exact = [2 * vectors[0, k] * vectors[n - 1, k] for k in upper]
+                exact[: n % 2] = [vectors[0, k] * vectors[n - 1, k] for k in upper[: n % 2]]
+                assert max(abs(values[k] - s) for k, s in zip(upper, sigma[0])) < 1e-14
+            assert _amplitude_error(mpmath, amplitudes[0], exact) <= beta[0]
 
     @pytest.mark.parametrize(
         "n,alpha,delta",
@@ -253,22 +282,21 @@ class TestEndWeights:
         mpmath = pytest.importorskip("mpmath")
         bonds = disordered_bonds(ChainConfig(n, 1.0, 1.0, alpha, delta), 11, n).values
         t = reflection_time(n, alpha, 1.0)
-        energies, weights, beta = spectral._end_weights(bonds[None])
-        roots, exact = mp_end_spectrum(mpmath, bonds, energies[0])
+        sigma, amplitudes, beta = spectral._end_weights(bonds[None])
+        roots, weights, exact = _oracle_half_spectrum(mpmath, bonds, sigma[0])
         with mpmath.workdps(40):
-            f_exact = mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(exact, roots))
-            weight_error = float(mpmath.fsum(abs(w - x) for w, x in zip(weights[0], exact)))
+            f_exact = mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(weights, roots))
             f_error = float(abs(_end_modulus(bonds, t) - abs(f_exact)))
         assert 0.0 < beta[0] <= 1e-10
-        assert weight_error <= beta[0]
+        assert _amplitude_error(mpmath, amplitudes[0], exact) <= beta[0]
         assert f_error <= beta[0]
 
     def test_a_zero_bond_gives_zero_exactly(self):
         for n, cut in ((2, 0), (9, 4), (9, 7), (40, 19)):
             bonds = np.linspace(0.5, 1.5, n - 1)
             bonds[cut] = 0.0
-            energies, weights, beta = spectral._end_weights(bonds[None])
-            assert np.all(weights == 0.0) and beta[0] == 0.0
+            sigma, amplitudes, beta = spectral._end_weights(bonds[None])
+            assert np.all(amplitudes == 0.0) and beta[0] == 0.0
             assert dynamics._end_fidelities(bonds[None], 3.7).tolist() == [0.0]
 
     @pytest.mark.parametrize("n", [5, 16, 64])
@@ -286,12 +314,12 @@ class TestEndWeights:
             bonds = disordered_bonds(config, 2, k)
             sign = float(np.prod(np.sign(bonds.values)))
             signs.add(sign)
-            energies, weights, beta = spectral._end_weights(bonds.values[None])
+            sigma, _, beta = spectral._end_weights(bonds.values[None])
             assert beta[0] <= spectral.END_WEIGHT_ATOL
             if len(checked) < 8:
                 f = _end_modulus(bonds.values, t)
                 old = amplitude_spectral(diagonalize(build_hamiltonian(bonds, 1.0)), n, t).value
-                (exact,) = _oracle_moduli(mpmath, bonds.values, energies[0], [t])
+                (exact,) = _oracle_moduli(mpmath, bonds.values, sigma[0], [t])
                 assert abs(f - exact) <= beta[0]
                 assert abs(f - abs(old)) <= beta[0] + abs(abs(old) - exact)
                 checked.add((k, sign))
@@ -309,15 +337,14 @@ class TestEndWeights:
         bonds = np.ones(n - 1)
         bonds[0] = bonds[-1] = weak
         t = 0.7 * n
-        energies, weights, beta = spectral._end_weights(bonds[None])
-        roots, exact = mp_end_spectrum(mpmath, bonds, energies[0])
+        sigma, amplitudes, beta = spectral._end_weights(bonds[None])
+        roots, _, exact = _oracle_half_spectrum(mpmath, bonds, sigma[0])
         with mpmath.workdps(40):
             smallest = min(abs(r) for r in roots)
-            assert abs(energies[0, n // 2] - smallest) <= 1e-13 * float(smallest)
-            weight_error = float(mpmath.fsum(abs(w - x) for w, x in zip(weights[0], exact)))
+            assert abs(sigma[0, 0] - smallest) <= 1e-13 * float(smallest)
         assert 0.0 < beta[0] <= 1e-10
-        assert weight_error <= beta[0]
-        (exact,) = _oracle_moduli(mpmath, bonds, energies[0], [t])
+        assert _amplitude_error(mpmath, amplitudes[0], exact) <= beta[0]
+        (exact,) = _oracle_moduli(mpmath, bonds, sigma[0], [t])
         assert abs(_end_modulus(bonds, t) - exact) <= beta[0]
 
     @pytest.mark.parametrize(
@@ -345,40 +372,47 @@ class TestEndWeights:
         rng = np.random.default_rng(5)
         for n, chains in ((2, 7), (8, 256), (33, 16), (129, 3)):
             stack = rng.uniform(0.3, 1.7, (chains, n - 1))
-            energies, weights, beta = spectral._end_weights(stack)
+            sigma, amplitudes, beta = spectral._end_weights(stack)
             for r in (0, chains // 2, chains - 1):
                 alone = spectral._end_weights(stack[r : r + 1].copy())
-                assert energies[r].tobytes() == alone[0][0].tobytes()
-                assert weights[r].tobytes() == alone[1][0].tobytes()
+                assert sigma[r].tobytes() == alone[0][0].tobytes()
+                assert amplitudes[r].tobytes() == alone[1][0].tobytes()
                 assert beta[r] == alone[2][0]
-
-    @pytest.mark.parametrize("n", [2, 3, 8, 9, 128, 129])
-    def test_the_fold_is_exact_on_the_eigenvalue_route(self, n):
-        # the half spectrum keeps the bits of the positive eigenvalues, and
-        # c_k = 2 w_k, w_0 for the zero mode of odd N
-        stack = np.random.default_rng(1).uniform(0.5, 1.5, (5, n - 1))
-        energies, weights, beta = spectral._end_weights(stack)
-        assert np.all(beta <= spectral.END_WEIGHT_ATOL)
-        sigma, amplitudes = spectral._end_spectrum(stack)
-        expected = 2.0 * weights[:, n // 2 :]
-        expected[:, : n % 2] = weights[:, n // 2 : n // 2 + n % 2]
-        assert sigma.tobytes() == energies[:, n // 2 :].tobytes()
-        assert amplitudes.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 64, 65, 1000, 1001])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-    def test_interpolated_chains_are_mirrored_exactly(self, n, alpha):
-        # the premise of the exact fold on the chains the CLI runs: E_(N-1-j) = -E_j
-        # and w_(N-1-j) = (-1)^(N+1) w_j bit for bit, the zero mode of odd N at 0
-        config = ChainConfig(n_sites=n, coupling=0.7, field=1.0, alpha=alpha)
-        bonds = interpolated_bonds(config).values[None]
-        energies, weights, beta = spectral._end_weights(bonds)
+    def test_certified_rows_are_handed_on_unsolved(self, monkeypatch, n, alpha):
+        # on the chains the CLI runs, _end_spectrum returns the half spectrum of
+        # _end_weights bit for bit, and never calls dstevd
+        def no_dstevd(*args):
+            raise AssertionError("dstevd fallback")
+
+        bonds = interpolated_bonds(ChainConfig(n, 0.7, 1.0, alpha)).values[None]
+        sigma, amplitudes, beta = spectral._end_weights(bonds)
         assert beta[0] <= spectral.END_WEIGHT_ATOL
-        assert np.array_equal(energies[0], -energies[0, ::-1])
-        assert np.array_equal(weights[0], (-1) ** (n + 1) * weights[0, ::-1])
-        sigma, amplitudes = spectral._end_spectrum(bonds)
-        assert sigma.tobytes() == energies[:, n // 2 :].tobytes()
-        assert np.all(amplitudes[0, n % 2 :] == 2.0 * weights[0, n // 2 + n % 2 :])
+        monkeypatch.setattr(spectral, "_solve", no_dstevd)
+        got = spectral._end_spectrum(bonds)
+        assert got[0].tobytes() == sigma.tobytes()
+        assert got[1].tobytes() == amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_only_the_fallback_row_is_solved(self, monkeypatch, n):
+        # a stack with a near-degenerate middle row: dstevd solves that row alone,
+        # and the certified rows around it keep the bits of _end_weights
+        stack = np.ones((3, n - 1))
+        stack[0] = np.linspace(0.8, 1.2, n - 1)
+        stack[1, n // 2 - 1 : (n + 1) // 2] = 1e-10
+        stack[2] = 0.9
+        sigma, amplitudes, beta = spectral._end_weights(stack)
+        assert (beta <= spectral.END_WEIGHT_ATOL).tolist() == [True, False, True]
+        solved, original = [], spectral._solve
+        monkeypatch.setattr(spectral, "_solve", lambda d, e: solved.append(e) or original(d, e))
+        got = spectral._end_spectrum(stack)
+        assert len(solved) == 1 and solved[0].tobytes() == stack[1].tobytes()
+        for r in (0, 2):
+            assert got[0][r].tobytes() == sigma[r].tobytes()
+            assert got[1][r].tobytes() == amplitudes[r].tobytes()
+        assert got[0].shape == got[1].shape == (3, (n + 1) // 2)
 
     def test_block_size_changes_no_weight(self, monkeypatch):
         stack = np.random.default_rng(2).uniform(0.5, 1.5, (3, 40))
@@ -475,16 +509,16 @@ def test_certificate_covers_the_oracle(n, kind, alpha, delta, seed, cut):
     orders, original = [], spectral._lasq1
     spectral._lasq1 = hooked_lasq1(lambda values, info: None, orders)
     try:
-        energies, weights, beta = spectral._end_weights(bonds[None])
+        sigma, amplitudes, beta = spectral._end_weights(bonds[None])
     finally:
         spectral._lasq1 = original
     assert orders == [n // 2 + n % 2]
     if kind == "zero bond":
-        assert np.all(weights == 0.0) and beta[0] == 0.0
+        assert np.all(amplitudes == 0.0) and beta[0] == 0.0
         return
     if not beta[0] <= spectral.END_WEIGHT_ATOL:
         return  # read out through dstevd instead
-    roots, exact = mp_end_spectrum(mpmath, bonds, energies[0])
+    roots, weights, exact = _oracle_half_spectrum(mpmath, bonds, sigma[0])
     # sigma_k^2 and their bounds, in the power-of-two units _end_weights works in
     m, scale = n // 2, int(np.frexp(np.max(np.abs(bonds)))[1])
     y, dy = spectral._squared_spectrum(np.ldexp(bonds, -scale)[None])
@@ -492,9 +526,8 @@ def test_certificate_covers_the_oracle(n, kind, alpha, delta, seed, cut):
     with mpmath.workdps(40):
         for k, root in enumerate(roots[n - m :]):
             assert abs(mpmath.ldexp(root**2, -2 * scale) - y[0, k]) <= dy[0, k]
-        weight_error = float(mpmath.fsum(abs(w - x) for w, x in zip(weights[0], exact)))
-        f_exact = abs(mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(exact, roots)))
-    assert weight_error <= beta[0]
+        f_exact = abs(mpmath.fsum(w * mpmath.expj(-e * t) for w, e in zip(weights, roots)))
+    assert _amplitude_error(mpmath, amplitudes[0], exact) <= beta[0]
     assert abs(_end_modulus(bonds, t) - float(f_exact)) <= beta[0]
 
 
