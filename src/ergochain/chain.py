@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from . import _validate
 from .errors import InvalidConfigError, InvalidInputError
@@ -163,18 +162,21 @@ def _seed(seed: int) -> int:
     return _validate.integer("seed", seed, -(2**63), 2**64 - 1)
 
 
-def _noise_generator() -> Generator:
+def _noise_generator() -> np.random.Generator:
     """A Philox generator for ``_noise_factors``, which re-keys it before each draw.
 
     Building one takes about 18 us and re-keying it 6 us, so an ensemble
     builds one per call. It is never shared between calls, so ensembles can
-    run in several threads at once.
+    run in several threads at once. ``numpy.random`` is imported here, on
+    the first disorder draw, not with the package: nothing else uses it.
     """
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=np.zeros(2, dtype=np.uint64)))
 
 
 def _noise_factors(
-    rng: Generator, delta: float, seed: int, realization_index: int, size: int
+    rng: np.random.Generator, delta: float, seed: int, realization_index: int, size: int
 ) -> np.ndarray:
     """The factors (1 + d_j), d_j ~ U(-delta, +delta), drawn from the (seed, index) stream.
 

@@ -28,14 +28,13 @@ import ctypes
 import math
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import _validate
 from .errors import InvalidInputError, NumericalFailureError
 from .chain import gn_factor
-from .spectral import SpectralDecomposition, _end_spectrum
+from .spectral import SpectralDecomposition, _end_spectrum, _numpy_openblas
 
 __all__ = [
     "InitialSiteState",
@@ -144,15 +143,10 @@ _OPENBLAS_THREAD_SYMBOLS = (
 def _numpy_openblas_threads():
     """(setter, getter) of the thread count of numpy's bundled OpenBLAS, or None.
 
-    The library is the one in the wheel's ``numpy.libs`` directory; numpy has
-    mapped it already, so ``CDLL`` returns that copy and loads nothing new.
+    The library is the one ``spectral._numpy_openblas`` finds, which numpy
+    has mapped already, so the lookup loads nothing new.
     """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
+    for lib in _numpy_openblas():
         for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
             setter = getattr(lib, set_name, None)
             getter = getattr(lib, get_name, None)
@@ -184,7 +178,8 @@ class _OneBlasThread:
     BLAS is not a bundled OpenBLAS with these symbols (a source build against
     another BLAS, a wheel laid out differently), entering does nothing and
     the products run on that BLAS's own threads. scipy's OpenBLAS, which
-    runs the eigensolves, is never touched.
+    runs the ``dstevd`` solves, is never touched; ``dlasq1``, which runs in
+    numpy's, makes no threaded call either way.
     """
 
     def __init__(self) -> None:

@@ -17,14 +17,20 @@ c_k the sum of the two mirror weights, on which f_N is a real sum times 1
 or -i; the readouts of F in ``dynamics`` take nothing else.
 ``_end_spectrum`` reads a chain whose ``beta`` exceeds END_WEIGHT_ATOL
 (1e-6) through ``_solve`` instead and folds that chain's full spectrum onto
-its row. Both routines are scipy's. ``_stevd`` comes from its ``_flapack``
-extension, which ``_load_flapack`` loads by itself: ``import scipy.linalg``
-would run the package init, whose array-API layer imports ``numpy.testing``
-and ``numpy.f2py``, about 0.33 s of a 0.47 s ``import ergochain.cli``. Without
-it the import takes about 0.18 s (medians of 8 fresh interpreters, 2-core
-x86-64 host). scipy does not wrap ``dlasq1``; ``_load_lasq1`` finds it
-through the same extension's shared library, by ``ctypes``. So both are
-routines of scipy's bundled LAPACK, and every output bit is its. For the two
+its row. The two routines come from two libraries. ``_lasq1`` is
+``dlasq1`` of the OpenBLAS numpy's wheel bundles, which numpy has mapped
+already (``scipy_dlasq1_64_``, 64-bit integers); only where numpy bundles
+none does ``_load_lasq1`` fall back to scipy's bundled LAPACK, through the
+shared library of scipy's ``_flapack`` extension (``scipy_dlasq1_``, 32-bit
+integers). Neither numpy nor scipy wraps ``dlasq1``, so either is reached
+by ``ctypes``; the two gave equal bits on every bidiagonal tried (2,562,
+of order 1-500).
+``_stevd`` is scipy's own ``dstevd``, from its ``_flapack`` extension, which
+``_load_flapack`` loads by itself on the first ``_stevd`` call: ``import
+scipy.linalg`` would run the package init, whose array-API layer imports
+``numpy.testing`` and ``numpy.f2py``. So ``import ergochain`` loads neither
+``scipy`` nor a second OpenBLAS; a run loads them on its first
+``diagonalize``, ``tpm_distribution`` or ``dstevd`` fallback row. For the two
 special bond families the spectrum is known in closed form:
 
 * uniform bonds: E_k = -2J cos(k pi/(N+1)) - (N-2)B with sine-wave
@@ -51,16 +57,18 @@ touching the spectrum.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import _validate
 from .chain import SingleExcitationHamiltonian, gn_factor
@@ -102,61 +110,125 @@ END_WEIGHT_ATOL = 1e-6
 _EPS = np.finfo(float).eps
 
 
+def _numpy_openblas() -> list[ctypes.CDLL]:
+    """The OpenBLAS libraries numpy's wheel bundles in ``numpy.libs``, by ``ctypes``.
+
+    numpy has mapped them already, so ``CDLL`` returns those copies and loads
+    nothing new. The list is empty where numpy bundles none (conda, a source
+    build against another BLAS). A file that does not load is left out.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = []
+    for path in sorted(libs.glob("*openblas*")):
+        with contextlib.suppress(OSError):
+            found.append(ctypes.CDLL(str(path)))
+    return found
+
+
+def _flapack_path() -> str:
+    """The file of scipy's ``_flapack`` extension; ImportError naming it where it is missing.
+
+    ``import scipy`` (about 15 ms) locates the package and runs scipy's
+    distributor init, which on Windows wheels adds the DLL directories the
+    extension needs.
+    """
+    import scipy
+
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack" + suffix)
+    if not os.path.isfile(path):
+        raise ImportError(f"LAPACK extension not found: {path}", name="ergochain._flapack", path=path)
+    return path
+
+
 def _load_flapack():
     """scipy's ``_flapack`` extension (LAPACK ``dstevd``), loaded on its own.
 
     A process that has imported ``scipy.linalg._flapack`` already reuses it.
-    Otherwise the extension file in scipy's package directory is loaded
-    under the private name ``ergochain._flapack``. Under scipy's own name it
-    would sit in ``sys.modules`` before its package existed, and a later
+    Otherwise the extension file in scipy's package directory
+    (``_flapack_path``) is loaded under the private name
+    ``ergochain._flapack``. Under scipy's own name it would sit in
+    ``sys.modules`` before its package existed, and a later
     ``import scipy.linalg`` would then leave ``scipy.linalg._flapack``
     unset. Both modules come from the one shared library, so each routine is
     the same Fortran routine that ``scipy.linalg.lapack`` calls (the capsule
-    pointers are equal) and every output bit is scipy's. A missing extension
-    raises ImportError naming the path; there is no other route to the
-    solvers. ``import scipy`` (about 15 ms) stays: it locates the package and
-    runs scipy's distributor init, which on Windows wheels adds the DLL
-    directories the extension needs.
+    pointers are equal). A missing extension raises ImportError naming the
+    path; there is no other route to ``dstevd``.
     """
     flapack = sys.modules.get("scipy.linalg._flapack")
     if flapack is None:
-        name = "ergochain._flapack"
-        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-        path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack" + suffix)
-        if not os.path.isfile(path):
-            raise ImportError(f"LAPACK extension not found: {path}", name=name, path=path)
-        loader = importlib.machinery.ExtensionFileLoader(name, path)
-        spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+        path = _flapack_path()
+        loader = importlib.machinery.ExtensionFileLoader("ergochain._flapack", path)
+        spec = importlib.util.spec_from_file_location(loader.name, path, loader=loader)
         flapack = importlib.util.module_from_spec(spec)
         loader.exec_module(flapack)
     return flapack
 
 
-def _load_lasq1(path: str):
-    """LAPACK ``dlasq1`` from the shared library of scipy's extension at ``path``, by ``ctypes``.
+# Symbols of LAPACK ``dlasq1`` and the integer each takes: the ILP64 builds
+# (numpy's wheels) add the suffix 64_, the scipy-openblas builds the prefix scipy_.
+_LASQ1_SYMBOLS = (
+    ("scipy_dlasq1_64_", ctypes.c_int64),
+    ("dlasq1_64_", ctypes.c_int64),
+    ("scipy_dlasq1_", ctypes.c_int),
+    ("dlasq1_", ctypes.c_int),
+)
 
-    scipy's wrappers leave ``dlasq1`` out, but the extension links scipy's
-    bundled LAPACK, whose symbols it resolves on Linux: ``scipy_dlasq1_``
-    for the prefixed builds of the wheels, or ``dlasq1_``. A library without
-    either raises ImportError naming the path. Nothing is added to
-    ``sys.modules``. The routine takes (N, D, E, WORK, INFO): N and INFO as
-    ``ctypes.c_int``, the arrays as addresses, WORK of 4N doubles.
+
+def _lasq1_libraries():
+    """Where ``dlasq1`` is looked for, in order, as ``ctypes.CDLL``s.
+
+    First numpy's bundled OpenBLAS (``_numpy_openblas``), mapped already.
+    Then, only where none of those has it, the shared library of scipy's
+    ``_flapack`` extension, which links scipy's own bundled LAPACK; mapping
+    it runs no Python code, but locating it imports ``scipy``.
     """
-    library = ctypes.CDLL(path)
-    for symbol in ("scipy_dlasq1_", "dlasq1_"):
-        routine = getattr(library, symbol, None)
-        if routine is not None:
-            pointer = ctypes.POINTER(ctypes.c_int)
-            routine.argtypes = (pointer,) + (ctypes.c_void_p,) * 3 + (pointer,)
-            routine.restype = None
-            return routine
+    yield from _numpy_openblas()
+    yield ctypes.CDLL(_flapack_path())
+
+
+def _load_lasq1(libraries):
+    """LAPACK ``dlasq1`` from the first of ``libraries`` (``ctypes.CDLL``s) that exports it.
+
+    Each library is searched for the symbols of ``_LASQ1_SYMBOLS``, in
+    order; on Linux a library's lookup also reaches the libraries it links.
+    The routine takes (N, D, E, WORK, INFO): N and INFO as pointers to the
+    symbol's integer, the arrays as addresses, WORK of 4N doubles. The handle
+    carries that integer type as its ``integer`` attribute. Where no library
+    has a symbol, ImportError names the last path searched. Nothing is added
+    to ``sys.modules``.
+    """
+    path = None
+    for library in libraries:
+        path = library._name
+        for symbol, integer in _LASQ1_SYMBOLS:
+            routine = getattr(library, symbol, None)
+            if routine is not None:
+                pointer = ctypes.POINTER(integer)
+                routine.argtypes = (pointer,) + (ctypes.c_void_p,) * 3 + (pointer,)
+                routine.restype = None
+                routine.integer = integer
+                return routine
     raise ImportError(f"LAPACK dlasq1 not found in {path}", path=path)
 
 
-_flapack = _load_flapack()
-_stevd = _flapack.dstevd
-_lasq1 = _load_lasq1(_flapack.__file__)
-del _flapack
+_lasq1 = _load_lasq1(_lasq1_libraries())
+_dstevd = None  # scipy's handle, set by the first ``_stevd`` call
+_dstevd_lock = threading.Lock()
+
+
+def _stevd(diag: np.ndarray, off: np.ndarray):
+    """LAPACK ``dstevd`` of scipy's ``_flapack`` (``_load_flapack``), which loads on the first call.
+
+    So ``import scipy`` and scipy's LAPACK wait until a run needs a full
+    eigendecomposition. The lock makes concurrent first calls load it once.
+    """
+    global _dstevd
+    if _dstevd is None:
+        with _dstevd_lock:
+            if _dstevd is None:
+                _dstevd = _load_flapack().dstevd
+    return _dstevd(diag, off)
 
 
 @dataclass(frozen=True)
@@ -205,12 +277,12 @@ def _solve(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The one call of LAPACK ``dstevd``, the driver scipy's tridiagonal
     eigensolver picks by default in scipy 1.17. It is named here, so a scipy
     that changes its default cannot change the bits. ``_stevd`` calls scipy's
-    own routine, from its ``_flapack`` extension loaded without importing
-    ``scipy.linalg`` (see the module docstring), so the bundled LAPACK and
-    BLAS are the ones ``scipy.linalg`` would use. Eigenvector k is row
-    ``vectors[k]``, a transposed view of the driver's columns. A nonzero
-    ``info`` raises NumericalFailureError, and so does a result that fails
-    ``_check_residual``.
+    own routine, from its ``_flapack`` extension loaded on the first call
+    without importing ``scipy.linalg`` (see the module docstring), so the
+    bundled LAPACK and BLAS are the ones ``scipy.linalg`` would use.
+    Eigenvector k is row ``vectors[k]``, a transposed view of the driver's
+    columns. A nonzero ``info`` raises NumericalFailureError, and so does a
+    result that fails ``_check_residual``.
     """
     energies, vectors, info = _stevd(diag, off)
     if info != 0:
@@ -338,7 +410,7 @@ def _squared_spectrum(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d[:, :m] = scaled[:, 0::2]
     e[:, : n - 1 - m] = scaled[:, 1::2]
     work = np.empty(4 * order)
-    size, info = ctypes.c_int(order), ctypes.c_int()
+    size, info = _lasq1.integer(order), _lasq1.integer()
     d_at, e_at, work_at, row = d.ctypes.data, e.ctypes.data, work.ctypes.data, d.strides[0]
     for r in range(chains):
         _lasq1(size, d_at + r * row, e_at + r * row, work_at, info)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import builtins
 import csv
+import functools
 import io
 import json
 import math
@@ -286,6 +287,7 @@ def solve_calls(monkeypatch):
     for handle in ("_stevd", "_lasq1"):
         original = getattr(spectral, handle)
 
+        @functools.wraps(original)  # carries ``integer``, the type dlasq1's handle takes
         def counted(*args, _original=original, **kwargs):
             calls.append(threading.get_ident())
             return _original(*args, **kwargs)
@@ -627,6 +629,54 @@ def test_lapack_failure_exits_numerical(tmp_path, capsys, monkeypatch, scenario)
     code, _ = _run(tmp_path, scenario, SCENARIO_INIS[scenario])
     assert code == 3
     assert "info = 1" in capsys.readouterr().err
+
+
+# Each scenario's data bytes in a fresh interpreter, with ``scipy.linalg``
+# imported at {linalg} (before ergochain, after it, or never). ``spectral``
+# loads scipy's ``_flapack`` itself or reuses scipy.linalg's, and its dlasq1
+# comes from numpy's OpenBLAS either way.
+IMPORT_ORDER_DIGESTS = """
+import hashlib, sys, tempfile
+from pathlib import Path
+{before}from ergochain.cli import main
+{after}inis = {inis!r}
+with tempfile.TemporaryDirectory() as tmp:
+    for scenario, text in inis.items():
+        config = Path(tmp) / (scenario + ".ini")
+        config.write_text(text)
+        for fmt in ("csv", "json"):
+            out = Path(tmp) / scenario / fmt
+            assert main([scenario, "--config", str(config), "--out", str(out), "--format", fmt]) == 0
+            data = (out / (scenario + "." + fmt)).read_bytes()
+            print("digest", scenario, fmt, hashlib.sha256(data).hexdigest())
+print("linalg", "scipy.linalg" in sys.modules)
+"""
+
+
+def _import_order_digests(linalg):
+    code = IMPORT_ORDER_DIGESTS.format(
+        linalg=linalg,
+        before="import scipy.linalg\n" if linalg == "before" else "",
+        after="import scipy.linalg\n" if linalg == "after" else "",
+        inis=SCENARIO_INIS,
+    )
+    root = str(Path(spectral.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": root if not path else root + os.pathsep + path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if line.startswith(("digest ", "linalg "))]
+    assert lines[-1] == f"linalg {linalg != 'never'}"
+    return lines[:-1]
+
+
+def test_data_bytes_do_not_depend_on_when_scipy_linalg_is_imported():
+    never = _import_order_digests("never")
+    assert len(never) == 2 * len(SCENARIO_INIS)
+    assert _import_order_digests("before") == never
+    assert _import_order_digests("after") == never
 
 
 # Chains past N = 202, where dstevd's bits can depend on the OpenBLAS thread

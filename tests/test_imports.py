@@ -1,8 +1,9 @@
 """Start-up cost: what importing ergochain loads, checked in fresh interpreters.
 
 A CLI study is a short process, so the packages an import pulls in are part
-of every run. These tests pin which heavy scipy subpackages stay unloaded;
-they assert no wall-clock times.
+of every run. These tests pin what stays unloaded until a run needs it
+(scipy and its second OpenBLAS, ``numpy.random``) and which library each
+LAPACK routine comes from; they assert no wall-clock times.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
 import ergochain
 from ergochain import spectral
 
-HEAVY = ("scipy.linalg", "scipy.special")
+# Loaded on first use only: scipy's package init and its second OpenBLAS
+# (through ``_flapack``), the linalg and special subpackages, and numpy.random.
+HEAVY = ("scipy", "scipy.linalg", "scipy.special", "numpy.random")
 
 
 def _fresh(code: str) -> str:
@@ -36,9 +40,24 @@ def _fresh(code: str) -> str:
 
 
 @pytest.mark.parametrize("module", ["ergochain", "ergochain.cli"])
-def test_import_leaves_linalg_and_special_unloaded(module):
-    code = f"import sys, {module}\nprint([m for m in {HEAVY!r} if m in sys.modules])"
-    assert _fresh(code) == "[]"
+def test_import_leaves_scipy_and_numpy_random_unloaded(module):
+    code = (
+        f"import sys, {module}\n"
+        "from ergochain import spectral\n"
+        f"print([m for m in {HEAVY!r} if m in sys.modules], spectral._dstevd)"
+    )
+    assert _fresh(code) == "[] None"
+
+
+def test_first_ensemble_loads_numpy_random_and_no_scipy():
+    code = (
+        "import sys\n"
+        "from ergochain import ChainConfig, ensemble_fidelity\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "ensemble_fidelity(ChainConfig(8, 1.0, 1.0, 0.5, 0.2), 4, 0)\n"
+        "print('numpy.random' in sys.modules, 'scipy' in sys.modules)"
+    )
+    assert _fresh(code) == "True False"
 
 
 # The Fortran routine an f2py handle calls: the pointer in its ``_cpointer`` capsule.
@@ -50,25 +69,55 @@ ROUTINE = (
     "    return get(handle._cpointer, None)\n"
 )
 
-
-def test_solver_is_scipys_dstevd():
-    import scipy.linalg.lapack
-
-    namespace = {}
-    exec(ROUTINE, namespace)
-    routine = namespace["routine"]
-    assert routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd)
+# The first full eigendecomposition of a run: a work distribution.
+FIRST_DSTEVD = (
+    "from ergochain import ChainConfig, InitialSiteState, spectral, tpm_distribution\n"
+    "assert spectral._dstevd is None\n"
+    "tpm_distribution(ChainConfig(9, 1.0, 1.0, 0.5), InitialSiteState(2.0))\n"
+)
 
 
-def test_solver_is_scipys_dstevd_when_scipy_linalg_comes_later():
-    code = ROUTINE + (
-        "import sys\n"
-        "from ergochain import spectral\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
-        "import scipy.linalg.lapack\n"
-        "print(routine(spectral._stevd) == routine(scipy.linalg.lapack.dstevd))"
+@pytest.mark.parametrize("linalg_first", [False, True], ids=["linalg-later", "linalg-first"])
+def test_first_tpm_distribution_loads_scipys_dstevd(linalg_first):
+    # the first dstevd loads scipy but not scipy.linalg; the handle is scipy's
+    # own dstevd whichever import comes first, and scipy.linalg keeps its
+    # _flapack attribute either way
+    code = (
+        ROUTINE
+        + ("import scipy.linalg\n" if linalg_first else "")
+        + "import sys\n"
+        + FIRST_DSTEVD
+        + "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        + "import scipy.linalg.lapack\n"
+        + "print(routine(spectral._dstevd) == routine(scipy.linalg.lapack.dstevd), "
+        + "scipy.linalg._flapack is scipy.linalg.lapack._flapack, "
+        + "spectral._dstevd is scipy.linalg.lapack.dstevd)"
     )
-    assert _fresh(code) == "True"
+    assert _fresh(code).splitlines() == [f"True {linalg_first}", f"True True {linalg_first}"]
+
+
+def test_concurrent_first_calls_load_dstevd_once():
+    # eight threads make the process's first dstevd call at once, with a short
+    # switch interval; the extension is loaded once and every solve agrees
+    code = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "from ergochain import spectral\n"
+        "loads, load = [], spectral._load_flapack\n"
+        "spectral._load_flapack = lambda: loads.append(1) or load()\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier, results = threading.Barrier(8), []\n"
+        "def solve():\n"
+        "    barrier.wait()\n"
+        "    results.append(spectral._solve(np.zeros(40), np.linspace(0.5, 1.5, 39))[0].tobytes())\n"
+        "threads = [threading.Thread(target=solve) for _ in range(8)]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join(60)\n"
+        "print(len(loads), len(results), len(set(results)), any(t.is_alive() for t in threads))"
+    )
+    assert _fresh(code) == "1 8 1 False"
 
 
 class _SymbolInfo(ctypes.Structure):
@@ -82,48 +131,106 @@ class _SymbolInfo(ctypes.Structure):
     ]
 
 
-def _library_of(address):
-    """The file of the shared library whose code holds ``address`` (GNU ``dladdr``)."""
+def _library_of(routine):
+    """The file of the shared library whose code holds a ctypes routine, and its symbol (GNU ``dladdr``)."""
     info = _SymbolInfo()
+    address = ctypes.cast(routine, ctypes.c_void_p).value
     assert ctypes.CDLL(None).dladdr(ctypes.c_void_p(address), ctypes.byref(info))
     return Path(os.fsdecode(info.file)).resolve(), info.symbol.decode()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="dladdr of the GNU C library")
-def test_dlasq1_resolves_from_scipys_own_lapack():
-    # the handle's code lies in the LAPACK that scipy's wheels ship beside the
-    # package (scipy.libs), under the symbol dlasq1
-    library, symbol = _library_of(ctypes.cast(spectral._lasq1, ctypes.c_void_p).value)
-    assert library.is_relative_to(Path(scipy.__file__).resolve().parents[1] / "scipy.libs")
-    assert symbol in ("scipy_dlasq1_", "dlasq1_")
+def _wheel_libs(package):
+    """The directory of shared libraries a wheel of ``package`` ships beside it."""
+    return Path(package.__file__).resolve().parents[1] / f"{package.__name__}.libs"
 
 
-def test_loading_dlasq1_adds_no_module():
-    path = spectral._load_flapack().__file__
+def _scipy_lasq1():
+    """The fallback ``dlasq1``: from the LAPACK that scipy's ``_flapack`` extension links."""
+    return spectral._load_lasq1([ctypes.CDLL(spectral._flapack_path())])
+
+
+needs_numpy_openblas = pytest.mark.skipif(
+    sys.platform != "linux" or not spectral._numpy_openblas(),
+    reason="dladdr of the GNU C library, and a numpy wheel that bundles OpenBLAS",
+)
+
+
+@needs_numpy_openblas
+def test_dlasq1_resolves_from_numpys_bundled_openblas():
+    # first choice: the ILP64 OpenBLAS numpy's wheel ships in numpy.libs, which
+    # numpy has mapped already; loading it again adds no module
+    library, symbol = _library_of(spectral._lasq1)
+    assert library.is_relative_to(_wheel_libs(np))
+    assert symbol in ("scipy_dlasq1_64_", "dlasq1_64_")
+    assert spectral._lasq1.integer is ctypes.c_int64
     before = set(sys.modules)
-    routine = spectral._load_lasq1(path)
+    routine = spectral._load_lasq1(spectral._numpy_openblas())
     assert set(sys.modules) == before
-    address = lambda f: ctypes.cast(f, ctypes.c_void_p).value  # noqa: E731
-    assert address(routine) == address(spectral._lasq1)
+    assert _library_of(routine) == _library_of(spectral._lasq1)
+
+
+# The OpenBLAS files mapped into the process, after each step of a run.
+MAPPED_OPENBLAS = (
+    "import os\n"
+    "def mapped():\n"
+    "    with open('/proc/self/maps') as maps:\n"
+    "        paths = {line.split()[-1] for line in maps if 'openblas' in line}\n"
+    "    return sorted(os.path.basename(os.path.dirname(p)) for p in paths)\n"
+    "from ergochain import ChainConfig, InitialSiteState, ensemble_fidelity, tpm_distribution\n"
+    "ensemble_fidelity(ChainConfig(64, 1.0, 1.0, 0.5, 0.2), 8, 0)\n"
+    "print(mapped())\n"
+    "tpm_distribution(ChainConfig(9, 1.0, 1.0, 0.5), InitialSiteState(2.0))\n"
+    "print(mapped())\n"
+)
+
+
+@needs_numpy_openblas
+def test_dqds_runs_map_only_numpys_openblas():
+    # scipy's own OpenBLAS is mapped by the first dstevd, not before
+    assert _fresh(MAPPED_OPENBLAS).splitlines() == [
+        "['numpy.libs']",
+        "['numpy.libs', 'scipy.libs']",
+    ]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="dladdr of the GNU C library")
+def test_fallback_dlasq1_resolves_from_scipys_own_lapack():
+    # a library without dlasq1 is passed over for the next candidate: the
+    # LAPACK that scipy's wheels ship beside the package (scipy.libs), 32-bit
+    libc = ctypes.CDLL(ctypes.util.find_library("c"))
+    before = set(sys.modules)
+    routine = spectral._load_lasq1([libc, ctypes.CDLL(spectral._flapack_path())])
+    assert set(sys.modules) == before
+    library, symbol = _library_of(routine)
+    assert library.is_relative_to(_wheel_libs(scipy))
+    assert symbol in ("scipy_dlasq1_", "dlasq1_")
+    assert routine.integer is ctypes.c_int
+
+
+def _half_spectra(lasq1, stacks, monkeypatch):
+    """The bytes of ``_end_weights``' (sigma, c, beta) of each stack, solved by ``lasq1``."""
+    monkeypatch.setattr(spectral, "_lasq1", lasq1)
+    return [b"".join(a.tobytes() for a in spectral._end_weights(bonds)) for bonds in stacks]
+
+
+@needs_numpy_openblas
+def test_both_candidate_libraries_give_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(23)
+    stacks = []
+    for n in (2, 3, 8, 9, 64, 65, 128, 257, 500, 1001):
+        stacks.append(rng.uniform(0.2, 1.8, (6, n - 1)))  # disordered
+        stacks.append(rng.uniform(-1.0, 1.0, (3, n - 1)))  # signed
+        stacks.append(np.exp(rng.uniform(-30.0, 30.0, (3, n - 1))))  # graded
+        stacks.append(np.sqrt(np.arange(1, n) * (n - np.arange(1, n)))[None])  # engineered
+    numpy_bits = _half_spectra(spectral._lasq1, stacks, monkeypatch)
+    assert _half_spectra(_scipy_lasq1(), stacks, monkeypatch) == numpy_bits
 
 
 def test_library_without_dlasq1_raises_naming_the_path():
     library = ctypes.util.find_library("c")
     with pytest.raises(ImportError, match="dlasq1") as raised:
-        spectral._load_lasq1(library)
+        spectral._load_lasq1([ctypes.CDLL(library)])
     assert raised.value.path == library
-
-
-@pytest.mark.parametrize(
-    "first,second", [("ergochain", "scipy.linalg"), ("scipy.linalg", "ergochain")]
-)
-def test_scipy_linalg_keeps_its_flapack_attribute(first, second):
-    code = (
-        f"import {first}, {second}\n"
-        "import scipy.linalg\n"
-        "print(scipy.linalg._flapack is scipy.linalg.lapack._flapack)"
-    )
-    assert _fresh(code) == "True"
 
 
 def test_missing_extension_raises_naming_the_path(monkeypatch, tmp_path):

@@ -230,25 +230,34 @@ def _oracle_moduli(mpmath, bonds, sigma, times):
         ]
 
 
-def _assert_fallback_reads_the_oracle(bonds):
-    """beta past the tolerance, |f_N| within 1e-14 of the oracle, and stack rows as alone.
+def _assert_fallback_reads_the_oracle(bonds, monkeypatch):
+    """beta past the tolerance, one ``_solve`` per readout, |f_N| within 1e-14 of the oracle.
 
-    The fold averages the mirror halves of ``dstevd``'s spectrum; its worst
-    error on these chains, at these times, was 2.3e-15, against 2.1e-15 for a
-    complex sum over the full spectrum. Both round each phase E t at about
-    eps max|E| t.
+    Each readout of the chain, alone or as the middle row of a stack, makes
+    exactly one ``_solve`` call, with its bonds, and the stack's rows read as
+    they do alone. The count is what shows the route: on these chains the
+    uncertified dqds weights read |f_N| within 1e-14 too. The fold averages
+    the mirror halves of ``dstevd``'s spectrum; its worst error on these
+    chains, at these times, was 2.3e-15, against 2.1e-15 for a complex sum
+    over the full spectrum. Both round each phase E t at about eps max|E| t.
     """
     mpmath = pytest.importorskip("mpmath")
     n = bonds.size + 1
     sigma, _, beta = spectral._end_weights(bonds[None])
     assert not beta[0] <= spectral.END_WEIGHT_ATOL
+    solved, original = [], spectral._solve
+    monkeypatch.setattr(spectral, "_solve", lambda d, e: solved.append(e.tobytes()) or original(d, e))
     times = (0.1 * n, 0.7 * n, 3.1 * n)
     for t, exact in zip(times, _oracle_moduli(mpmath, bonds, sigma[0], times)):
+        solved.clear()
         assert abs(_end_modulus(bonds, t) - exact) <= 1e-14
+        assert solved == [bonds.tobytes()]
     # in a stack, the fallback row and its neighbours read as they do alone
     stack = np.array([np.linspace(0.8, 1.2, n - 1), bonds, np.full(n - 1, 0.9)])
     alone = [dynamics._end_fidelities(row[None], times[1])[0] for row in stack]
+    solved.clear()
     assert dynamics._end_fidelities(stack, times[1]).tolist() == alone
+    assert solved == [bonds.tobytes()]
 
 
 class TestEndWeights:
@@ -350,7 +359,7 @@ class TestEndWeights:
     @pytest.mark.parametrize(
         "n,middle", [(20, 1e-8), (40, 1e-10), (20, 1e-12), (21, 1e-4), (41, 1e-4)]
     )
-    def test_near_degenerate_halves_take_the_dstevd_route(self, n, middle):
+    def test_near_degenerate_halves_take_the_dstevd_route(self, monkeypatch, n, middle):
         # two equal halves joined by a weak middle bond (for odd N, the two bonds
         # of the centre site): every level pairs with its mirror image at a
         # splitting of about the middle bond (its square for odd N), within the
@@ -358,15 +367,15 @@ class TestEndWeights:
         # is read out through dstevd
         bonds = np.ones(n - 1)
         bonds[n // 2 - 1 : (n + 1) // 2] = middle
-        _assert_fallback_reads_the_oracle(bonds)
+        _assert_fallback_reads_the_oracle(bonds, monkeypatch)
 
-    def test_subnormal_end_pair_takes_the_dstevd_route(self):
+    def test_subnormal_end_pair_takes_the_dstevd_route(self, monkeypatch):
         # sigma_1^2 ~ 1e-321 is subnormal: its square keeps only a few digits,
         # the absolute rounding term of dy says so, and the chain is read out
         # through dstevd
         bonds = np.ones(19)
         bonds[0] = bonds[-1] = 1e-80
-        _assert_fallback_reads_the_oracle(bonds)
+        _assert_fallback_reads_the_oracle(bonds, monkeypatch)
 
     def test_rows_of_a_stack_read_as_they_do_alone(self):
         rng = np.random.default_rng(5)

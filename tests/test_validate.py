@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import inspect
 import math
 
@@ -223,6 +224,7 @@ def eigensolves(monkeypatch):
     for handle in ("_stevd", "_lasq1"):
         original = getattr(ec.spectral, handle)
 
+        @functools.wraps(original)  # carries ``integer``, the type dlasq1's handle takes
         def counted(*args, _original=original, _handle=handle):
             calls.append(_handle)
             return _original(*args)
