@@ -17,7 +17,9 @@ Scenarios:
   with the coherent-vs-mixed contrast Gamma.
 * workdist: the quench work distribution at one length: atoms, adaptive
   densities with their Gaussian/semicircle limits at the two closed-form
-  blends, uniform-bin histograms in between.
+  blends, uniform-bin histograms in between. Where the sender sends nothing
+  (theta = 0, or sin^2(theta/2) underflowing to 0), each blend's law is the
+  one atom W = 0, p = 1, and that atom row is all it writes.
 * bessel-compare: end-site arrival amplitude |f_N| = sqrt(F) of the uniform
   chain against its bulk Bessel-function limit.
 
@@ -440,6 +442,8 @@ def run_workdist(resolved: dict[str, Any]) -> list[Row]:
     for alpha in params["alphas"]:
         distribution = tpm_distribution(ChainConfig(n, **chain, alpha=alpha), initial)
         add(alpha, "atom", distribution.values, distribution.probabilities)
+        if distribution.values.size == 1:
+            continue  # a sender that sends nothing: the atom W = 0, p = 1 is the whole law
         if alpha == 1.0 or alpha == 0.0:
             points, densities = adaptive_density(distribution)
             add(alpha, "density", points, densities)

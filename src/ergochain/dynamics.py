@@ -177,9 +177,11 @@ class _OneBlasThread:
     The library is looked up on first entry, not at import. When numpy's
     BLAS is not a bundled OpenBLAS with these symbols (a source build against
     another BLAS, a wheel laid out differently), entering does nothing and
-    the products run on that BLAS's own threads. scipy's OpenBLAS, which
-    runs the ``dstevd`` solves, is never touched; ``dlasq1``, which runs in
-    numpy's, makes no threaded call either way.
+    the products run on that BLAS's own threads. ``dstevd`` and ``dlasq1``
+    run in numpy's OpenBLAS too, so the pool is shared: a ``dstevd`` solve in
+    another thread that overlaps a product runs on one thread, and from
+    N = 202 on its bits can then differ from a solve on two. Nothing
+    serializes the two; ``dlasq1`` makes no threaded call either way.
     """
 
     def __init__(self) -> None:

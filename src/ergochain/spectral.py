@@ -17,21 +17,19 @@ c_k the sum of the two mirror weights, on which f_N is a real sum times 1
 or -i; the readouts of F in ``dynamics`` take nothing else.
 ``_end_spectrum`` reads a chain whose ``beta`` exceeds END_WEIGHT_ATOL
 (1e-6) through ``_solve`` instead and folds that chain's full spectrum onto
-its row. The two routines come from two libraries. ``_lasq1`` is
-``dlasq1`` of the OpenBLAS numpy's wheel bundles, which numpy has mapped
-already (``scipy_dlasq1_64_``, 64-bit integers); only where numpy bundles
-none does ``_load_lasq1`` fall back to scipy's bundled LAPACK, through the
-shared library of scipy's ``_flapack`` extension (``scipy_dlasq1_``, 32-bit
-integers). Neither numpy nor scipy wraps ``dlasq1``, so either is reached
-by ``ctypes``; the two gave equal bits on every bidiagonal tried (2,562,
-of order 1-500).
-``_stevd`` is scipy's own ``dstevd``, from its ``_flapack`` extension, which
-``_load_flapack`` loads by itself on the first ``_stevd`` call: ``import
-scipy.linalg`` would run the package init, whose array-API layer imports
-``numpy.testing`` and ``numpy.f2py``. So ``import ergochain`` loads neither
-``scipy`` nor a second OpenBLAS; a run loads them on its first
-``diagonalize``, ``tpm_distribution`` or ``dstevd`` fallback row. For the two
-special bond families the spectrum is known in closed form:
+its row. Both routines come from one library, resolved once at import by
+``_load_lapack``: the OpenBLAS numpy's wheel bundles, which numpy has mapped
+already (``scipy_dlasq1_64_`` and ``scipy_dstevd_64_``, 64-bit integers).
+Only where numpy bundles none do they come from scipy's bundled LAPACK,
+through the shared library of scipy's ``_flapack`` extension
+(``scipy_dlasq1_``, ``scipy_dstevd_``, 32-bit integers); only then does
+``import ergochain`` import ``scipy``. Either is reached by ``ctypes``, as
+neither numpy nor scipy wraps ``dlasq1``; the two libraries gave equal bits
+for ``dlasq1`` on every bidiagonal tried (2,562, of order 1-500), and for
+``dstevd`` under ``OPENBLAS_NUM_THREADS=1``. So a run maps one OpenBLAS and
+starts one thread pool.
+
+For the two special bond families the spectrum is known in closed form:
 
 * uniform bonds: E_k = -2J cos(k pi/(N+1)) - (N-2)B with sine-wave
   eigenvectors;
@@ -60,11 +58,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import importlib.machinery
-import importlib.util
 import math
 import os
-import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,49 +132,25 @@ def _flapack_path() -> str:
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     path = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack" + suffix)
     if not os.path.isfile(path):
-        raise ImportError(f"LAPACK extension not found: {path}", name="ergochain._flapack", path=path)
+        raise ImportError(f"LAPACK extension not found: {path}", path=path)
     return path
 
 
-def _load_flapack():
-    """scipy's ``_flapack`` extension (LAPACK ``dstevd``), loaded on its own.
-
-    A process that has imported ``scipy.linalg._flapack`` already reuses it.
-    Otherwise the extension file in scipy's package directory
-    (``_flapack_path``) is loaded under the private name
-    ``ergochain._flapack``. Under scipy's own name it would sit in
-    ``sys.modules`` before its package existed, and a later
-    ``import scipy.linalg`` would then leave ``scipy.linalg._flapack``
-    unset. Both modules come from the one shared library, so each routine is
-    the same Fortran routine that ``scipy.linalg.lapack`` calls (the capsule
-    pointers are equal). A missing extension raises ImportError naming the
-    path; there is no other route to ``dstevd``.
-    """
-    flapack = sys.modules.get("scipy.linalg._flapack")
-    if flapack is None:
-        path = _flapack_path()
-        loader = importlib.machinery.ExtensionFileLoader("ergochain._flapack", path)
-        spec = importlib.util.spec_from_file_location(loader.name, path, loader=loader)
-        flapack = importlib.util.module_from_spec(spec)
-        loader.exec_module(flapack)
-    return flapack
-
-
-# Symbols of LAPACK ``dlasq1`` and the integer each takes: the ILP64 builds
+# Symbols of LAPACK routines and the integer each takes: the ILP64 builds
 # (numpy's wheels) add the suffix 64_, the scipy-openblas builds the prefix scipy_.
-_LASQ1_SYMBOLS = (
-    ("scipy_dlasq1_64_", ctypes.c_int64),
-    ("dlasq1_64_", ctypes.c_int64),
-    ("scipy_dlasq1_", ctypes.c_int),
-    ("dlasq1_", ctypes.c_int),
+_LAPACK_SYMBOLS = (
+    ("scipy_{}_64_", ctypes.c_int64),
+    ("{}_64_", ctypes.c_int64),
+    ("scipy_{}_", ctypes.c_int),
+    ("{}_", ctypes.c_int),
 )
 
 
-def _lasq1_libraries():
-    """Where ``dlasq1`` is looked for, in order, as ``ctypes.CDLL``s.
+def _lapack_libraries():
+    """Where ``dlasq1`` and ``dstevd`` are looked for, in order, as ``ctypes.CDLL``s.
 
     First numpy's bundled OpenBLAS (``_numpy_openblas``), mapped already.
-    Then, only where none of those has it, the shared library of scipy's
+    Then, only where none of those has them, the shared library of scipy's
     ``_flapack`` extension, which links scipy's own bundled LAPACK; mapping
     it runs no Python code, but locating it imports ``scipy``.
     """
@@ -187,48 +158,61 @@ def _lasq1_libraries():
     yield ctypes.CDLL(_flapack_path())
 
 
-def _load_lasq1(libraries):
-    """LAPACK ``dlasq1`` from the first of ``libraries`` (``ctypes.CDLL``s) that exports it.
+def _load_lapack(libraries):
+    """LAPACK ``dlasq1`` and ``dstevd`` from the first of ``libraries`` (``ctypes.CDLL``s) with both.
 
-    Each library is searched for the symbols of ``_LASQ1_SYMBOLS``, in
-    order; on Linux a library's lookup also reaches the libraries it links.
-    The routine takes (N, D, E, WORK, INFO): N and INFO as pointers to the
-    symbol's integer, the arrays as addresses, WORK of 4N doubles. The handle
-    carries that integer type as its ``integer`` attribute. Where no library
-    has a symbol, ImportError names the last path searched. Nothing is added
-    to ``sys.modules``.
+    Each library is searched for the symbol pairs of ``_LAPACK_SYMBOLS``, in
+    order, so both routines take the same integer, which each handle carries
+    as its ``integer`` attribute; on Linux a library's lookup also reaches the
+    libraries it links. Integers are passed as pointers to that type and
+    arrays as addresses: ``dlasq1`` takes (N, D, E, WORK, INFO), ``dstevd``
+    (JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO) and the hidden
+    length of JOBZ. Where no library has a pair, ImportError names the last
+    path searched. Nothing is added to ``sys.modules``.
     """
     path = None
     for library in libraries:
         path = library._name
-        for symbol, integer in _LASQ1_SYMBOLS:
-            routine = getattr(library, symbol, None)
-            if routine is not None:
-                pointer = ctypes.POINTER(integer)
-                routine.argtypes = (pointer,) + (ctypes.c_void_p,) * 3 + (pointer,)
-                routine.restype = None
-                routine.integer = integer
-                return routine
-    raise ImportError(f"LAPACK dlasq1 not found in {path}", path=path)
+        for symbol, integer in _LAPACK_SYMBOLS:
+            lasq1 = getattr(library, symbol.format("dlasq1"), None)
+            stevd = getattr(library, symbol.format("dstevd"), None)
+            if lasq1 is not None and stevd is not None:
+                pointer, address = ctypes.POINTER(integer), ctypes.c_void_p
+                lasq1.argtypes = (pointer,) + (address,) * 3 + (pointer,)
+                stevd.argtypes = (ctypes.c_char_p, pointer, address, address, address, pointer,
+                                  address, pointer, address, pointer, pointer, ctypes.c_size_t)
+                for routine in (lasq1, stevd):
+                    routine.restype = None
+                    routine.integer = integer
+                return lasq1, stevd
+    raise ImportError(f"LAPACK dlasq1 and dstevd not found in {path}", path=path)
 
 
-_lasq1 = _load_lasq1(_lasq1_libraries())
-_dstevd = None  # scipy's handle, set by the first ``_stevd`` call
-_dstevd_lock = threading.Lock()
+_lasq1, _dstevd = _load_lapack(_lapack_libraries())
 
 
 def _stevd(diag: np.ndarray, off: np.ndarray):
-    """LAPACK ``dstevd`` of scipy's ``_flapack`` (``_load_flapack``), which loads on the first call.
+    """LAPACK ``dstevd`` with eigenvectors (``_dstevd``) on copies of ``diag`` and ``off``.
 
-    So ``import scipy`` and scipy's LAPACK wait until a run needs a full
-    eigendecomposition. The lock makes concurrent first calls load it once.
+    Returns (energies, vectors, info): energies ascending, eigenvector k as
+    column ``vectors[:, k]`` of an (N, N) array in Fortran order, and the
+    routine's status. ``dstevd`` overwrites D and E, and ``ctypes`` does not
+    see a read-only flag, so both are copied first. The workspace sizes are
+    LWORK = 1 + 4N + N^2 and LIWORK = 3 + 5N, the least ``dstevd`` takes
+    for JOBZ = 'V', so memory is the (N, N) result beside its workspace.
     """
-    global _dstevd
-    if _dstevd is None:
-        with _dstevd_lock:
-            if _dstevd is None:
-                _dstevd = _load_flapack().dstevd
-    return _dstevd(diag, off)
+    n = diag.size
+    integer = _dstevd.integer
+    energies, off = np.array(diag, dtype=float), np.array(off, dtype=float)
+    vectors = np.empty((n, n), order="F")
+    work = np.empty(1 + 4 * n + n * n)
+    iwork = np.empty(3 + 5 * n, dtype=integer)
+    size, info = integer(n), integer()
+    _dstevd(
+        b"V", size, energies.ctypes.data, off.ctypes.data, vectors.ctypes.data, size,
+        work.ctypes.data, integer(work.size), iwork.ctypes.data, integer(iwork.size), info, 1,
+    )
+    return energies, vectors, info.value
 
 
 @dataclass(frozen=True)
@@ -275,11 +259,13 @@ def _solve(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (rows) of one tridiagonal matrix, checked.
 
     The one call of LAPACK ``dstevd``, the driver scipy's tridiagonal
-    eigensolver picks by default in scipy 1.17. It is named here, so a scipy
-    that changes its default cannot change the bits. ``_stevd`` calls scipy's
-    own routine, from its ``_flapack`` extension loaded on the first call
-    without importing ``scipy.linalg`` (see the module docstring), so the
-    bundled LAPACK and BLAS are the ones ``scipy.linalg`` would use.
+    eigensolver picks by default in scipy 1.17. ``_stevd`` calls it by
+    ``ctypes`` from the library that also runs ``dlasq1`` (see the module
+    docstring), on copies of ``diag`` and ``off``, with the workspace sizes
+    scipy's wrapper uses. It calls that library's threaded BLAS, so from
+    N = 202 on its bits can depend on ``OPENBLAS_NUM_THREADS``, as those of
+    scipy's library did. On one thread the two libraries gave equal bits on
+    clean chains N = 2-1000; on two, eigenvectors up to 2.5e-16 apart.
     Eigenvector k is row ``vectors[k]``, a transposed view of the driver's
     columns. A nonzero ``info`` raises NumericalFailureError, and so does a
     result that fails ``_check_residual``.

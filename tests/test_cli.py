@@ -182,6 +182,17 @@ class TestHappyPaths:
         assert kinds[0.5] == {"atom", "hist"}
         assert kinds[1.0] == {"atom", "density", "gaussian"}
 
+    @pytest.mark.parametrize("theta", ["0", "1e-200"])  # sin^2(theta/2) is 0 at both
+    def test_workdist_of_a_sender_that_sends_nothing_is_one_atom(self, tmp_path, theta):
+        config = f"[workdist]\nn = 8\nalphas = 0.0, 0.5, 1.0\ntheta = {theta}\n"
+        code, out = _run(tmp_path, "workdist", config)
+        assert code == 0
+        with open(out / "workdist.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["alpha"], r["kind"], r["work"], r["value"]) for r in rows] == [
+            (alpha, "atom", "0", "1") for alpha in ("0", "0.5", "1")
+        ]
+
     def test_theta_sweep_trends(self, tmp_path):
         code, out = _run(
             tmp_path,
@@ -633,8 +644,7 @@ def test_lapack_failure_exits_numerical(tmp_path, capsys, monkeypatch, scenario)
 
 # Each scenario's data bytes in a fresh interpreter, with ``scipy.linalg``
 # imported at {linalg} (before ergochain, after it, or never). ``spectral``
-# loads scipy's ``_flapack`` itself or reuses scipy.linalg's, and its dlasq1
-# comes from numpy's OpenBLAS either way.
+# takes dlasq1 and dstevd from numpy's OpenBLAS either way.
 IMPORT_ORDER_DIGESTS = """
 import hashlib, sys, tempfile
 from pathlib import Path

@@ -2,8 +2,9 @@
 
 A CLI study is a short process, so the packages an import pulls in are part
 of every run. These tests pin what stays unloaded until a run needs it
-(scipy and its second OpenBLAS, ``numpy.random``) and which library each
-LAPACK routine comes from; they assert no wall-clock times.
+(``numpy.random``; scipy only for the Bessel limit) and which library both
+LAPACK routines come from, so that a run maps one OpenBLAS; they assert no
+wall-clock times.
 """
 
 from __future__ import annotations
@@ -22,16 +23,19 @@ import scipy
 import ergochain
 from ergochain import spectral
 
-# Loaded on first use only: scipy's package init and its second OpenBLAS
-# (through ``_flapack``), the linalg and special subpackages, and numpy.random.
+# Loaded on first use only: scipy's package init (the Bessel limit), its linalg
+# and special subpackages, and numpy.random (the first disorder draw).
 HEAVY = ("scipy", "scipy.linalg", "scipy.special", "numpy.random")
 
 
-def _fresh(code: str) -> str:
-    """Standard output of ``code`` run by a new interpreter that imports this ergochain."""
+def _fresh(code: str, **environ: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this ergochain.
+
+    ``environ`` adds to or overrides the environment of this process.
+    """
     root = str(Path(ergochain.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": root if not path else root + os.pathsep + path}
+    env = {**os.environ, **environ, "PYTHONPATH": root if not path else root + os.pathsep + path}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
@@ -41,12 +45,8 @@ def _fresh(code: str) -> str:
 
 @pytest.mark.parametrize("module", ["ergochain", "ergochain.cli"])
 def test_import_leaves_scipy_and_numpy_random_unloaded(module):
-    code = (
-        f"import sys, {module}\n"
-        "from ergochain import spectral\n"
-        f"print([m for m in {HEAVY!r} if m in sys.modules], spectral._dstevd)"
-    )
-    assert _fresh(code) == "[] None"
+    code = f"import sys, {module}\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    assert _fresh(code) == "[]"
 
 
 def test_first_ensemble_loads_numpy_random_and_no_scipy():
@@ -58,66 +58,6 @@ def test_first_ensemble_loads_numpy_random_and_no_scipy():
         "print('numpy.random' in sys.modules, 'scipy' in sys.modules)"
     )
     assert _fresh(code) == "True False"
-
-
-# The Fortran routine an f2py handle calls: the pointer in its ``_cpointer`` capsule.
-ROUTINE = (
-    "import ctypes\n"
-    "get = ctypes.pythonapi.PyCapsule_GetPointer\n"
-    "get.argtypes, get.restype = [ctypes.py_object, ctypes.c_char_p], ctypes.c_void_p\n"
-    "def routine(handle):\n"
-    "    return get(handle._cpointer, None)\n"
-)
-
-# The first full eigendecomposition of a run: a work distribution.
-FIRST_DSTEVD = (
-    "from ergochain import ChainConfig, InitialSiteState, spectral, tpm_distribution\n"
-    "assert spectral._dstevd is None\n"
-    "tpm_distribution(ChainConfig(9, 1.0, 1.0, 0.5), InitialSiteState(2.0))\n"
-)
-
-
-@pytest.mark.parametrize("linalg_first", [False, True], ids=["linalg-later", "linalg-first"])
-def test_first_tpm_distribution_loads_scipys_dstevd(linalg_first):
-    # the first dstevd loads scipy but not scipy.linalg; the handle is scipy's
-    # own dstevd whichever import comes first, and scipy.linalg keeps its
-    # _flapack attribute either way
-    code = (
-        ROUTINE
-        + ("import scipy.linalg\n" if linalg_first else "")
-        + "import sys\n"
-        + FIRST_DSTEVD
-        + "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
-        + "import scipy.linalg.lapack\n"
-        + "print(routine(spectral._dstevd) == routine(scipy.linalg.lapack.dstevd), "
-        + "scipy.linalg._flapack is scipy.linalg.lapack._flapack, "
-        + "spectral._dstevd is scipy.linalg.lapack.dstevd)"
-    )
-    assert _fresh(code).splitlines() == [f"True {linalg_first}", f"True True {linalg_first}"]
-
-
-def test_concurrent_first_calls_load_dstevd_once():
-    # eight threads make the process's first dstevd call at once, with a short
-    # switch interval; the extension is loaded once and every solve agrees
-    code = (
-        "import sys, threading\n"
-        "import numpy as np\n"
-        "from ergochain import spectral\n"
-        "loads, load = [], spectral._load_flapack\n"
-        "spectral._load_flapack = lambda: loads.append(1) or load()\n"
-        "sys.setswitchinterval(1e-6)\n"
-        "barrier, results = threading.Barrier(8), []\n"
-        "def solve():\n"
-        "    barrier.wait()\n"
-        "    results.append(spectral._solve(np.zeros(40), np.linspace(0.5, 1.5, 39))[0].tobytes())\n"
-        "threads = [threading.Thread(target=solve) for _ in range(8)]\n"
-        "for thread in threads:\n"
-        "    thread.start()\n"
-        "for thread in threads:\n"
-        "    thread.join(60)\n"
-        "print(len(loads), len(results), len(set(results)), any(t.is_alive() for t in threads))"
-    )
-    assert _fresh(code) == "1 8 1 False"
 
 
 class _SymbolInfo(ctypes.Structure):
@@ -144,9 +84,9 @@ def _wheel_libs(package):
     return Path(package.__file__).resolve().parents[1] / f"{package.__name__}.libs"
 
 
-def _scipy_lasq1():
-    """The fallback ``dlasq1``: from the LAPACK that scipy's ``_flapack`` extension links."""
-    return spectral._load_lasq1([ctypes.CDLL(spectral._flapack_path())])
+def _scipy_lapack():
+    """The fallback (``dlasq1``, ``dstevd``): from the LAPACK that scipy's ``_flapack`` extension links."""
+    return spectral._load_lapack([ctypes.CDLL(spectral._flapack_path())])
 
 
 needs_numpy_openblas = pytest.mark.skipif(
@@ -156,55 +96,93 @@ needs_numpy_openblas = pytest.mark.skipif(
 
 
 @needs_numpy_openblas
-def test_dlasq1_resolves_from_numpys_bundled_openblas():
+def test_lapack_resolves_from_numpys_bundled_openblas():
     # first choice: the ILP64 OpenBLAS numpy's wheel ships in numpy.libs, which
-    # numpy has mapped already; loading it again adds no module
-    library, symbol = _library_of(spectral._lasq1)
-    assert library.is_relative_to(_wheel_libs(np))
-    assert symbol in ("scipy_dlasq1_64_", "dlasq1_64_")
-    assert spectral._lasq1.integer is ctypes.c_int64
+    # numpy has mapped already, for both routines; loading it again adds no module
+    handles = (spectral._lasq1, spectral._dstevd)
+    (lasq1, lasq1_symbol), (stevd, stevd_symbol) = map(_library_of, handles)
+    assert lasq1 == stevd and lasq1.is_relative_to(_wheel_libs(np))
+    assert lasq1_symbol in ("scipy_dlasq1_64_", "dlasq1_64_")
+    assert stevd_symbol == lasq1_symbol.replace("dlasq1", "dstevd")
+    assert spectral._lasq1.integer is spectral._dstevd.integer is ctypes.c_int64
     before = set(sys.modules)
-    routine = spectral._load_lasq1(spectral._numpy_openblas())
+    routines = spectral._load_lapack(spectral._numpy_openblas())
     assert set(sys.modules) == before
-    assert _library_of(routine) == _library_of(spectral._lasq1)
+    assert list(map(_library_of, routines)) == list(map(_library_of, handles))
 
 
-# The OpenBLAS files mapped into the process, after each step of a run.
-MAPPED_OPENBLAS = (
+# ``mapped()``: the directories of the OpenBLAS files mapped into the process.
+MAPPED = (
     "import os\n"
     "def mapped():\n"
     "    with open('/proc/self/maps') as maps:\n"
     "        paths = {line.split()[-1] for line in maps if 'openblas' in line}\n"
     "    return sorted(os.path.basename(os.path.dirname(p)) for p in paths)\n"
-    "from ergochain import ChainConfig, InitialSiteState, ensemble_fidelity, tpm_distribution\n"
+)
+
+# The OpenBLAS files mapped into the process, after each step of a run.
+MAPPED_OPENBLAS = MAPPED + (
+    "import sys\n"
+    "from ergochain import (ChainConfig, InitialSiteState, build_hamiltonian, diagonalize,\n"
+    "                       ensemble_fidelity, interpolated_bonds, tpm_distribution)\n"
     "ensemble_fidelity(ChainConfig(64, 1.0, 1.0, 0.5, 0.2), 8, 0)\n"
     "print(mapped())\n"
     "tpm_distribution(ChainConfig(9, 1.0, 1.0, 0.5), InitialSiteState(2.0))\n"
-    "print(mapped())\n"
+    "diagonalize(build_hamiltonian(interpolated_bonds(ChainConfig(40, 1.0, 1.0, 0.5)), 1.0))\n"
+    "print(mapped(), 'scipy' in sys.modules)\n"
 )
 
 
 @needs_numpy_openblas
 def test_dqds_runs_map_only_numpys_openblas():
-    # scipy's own OpenBLAS is mapped by the first dstevd, not before
-    assert _fresh(MAPPED_OPENBLAS).splitlines() == [
-        "['numpy.libs']",
-        "['numpy.libs', 'scipy.libs']",
+    # dstevd runs in numpy's OpenBLAS too: neither scipy nor its OpenBLAS loads
+    assert _fresh(MAPPED_OPENBLAS).splitlines() == ["['numpy.libs']", "['numpy.libs'] False"]
+
+
+# Every CLI scenario but bessel-compare, in order, in one interpreter: after
+# each, is scipy imported, and which OpenBLAS directories are mapped?
+CLI_RUNS = MAPPED + (
+    "import contextlib, io, sys, tempfile\n"
+    "from pathlib import Path\n"
+    "from ergochain.cli import main\n"
+    "inis = {\n"
+    "    'transport-sweep': '[transport-sweep]\\nsites = 4, 9\\nalphas = 0.0, 1.0\\n',\n"
+    "    'theta-sweep': '[theta-sweep]\\nsites = 5\\ntheta_count = 5\\n',\n"
+    "    'disorder': '[disorder]\\nsites = 8\\nalphas = 0.5\\ndeltas = 0.1\\nrealizations = 4\\n',\n"
+    "    'workdist': '[workdist]\\nn = 12\\nbins = 9\\n',\n"
+    "}\n"
+    "with tempfile.TemporaryDirectory() as tmp:\n"
+    "    for scenario, text in inis.items():\n"
+    "        config = Path(tmp) / (scenario + '.ini')\n"
+    "        config.write_text(text)\n"
+    "        out = Path(tmp) / scenario\n"
+    "        with contextlib.redirect_stdout(io.StringIO()):  # the 'wrote ...' line\n"
+    "            assert main([scenario, '--config', str(config), '--out', str(out)]) == 0\n"
+    "        print(scenario, 'scipy' in sys.modules, mapped())\n"
+)
+
+
+@needs_numpy_openblas
+def test_cli_scenarios_import_no_scipy_and_map_only_numpys_openblas():
+    assert _fresh(CLI_RUNS).splitlines() == [
+        f"{scenario} False ['numpy.libs']"
+        for scenario in ("transport-sweep", "theta-sweep", "disorder", "workdist")
     ]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="dladdr of the GNU C library")
-def test_fallback_dlasq1_resolves_from_scipys_own_lapack():
-    # a library without dlasq1 is passed over for the next candidate: the
-    # LAPACK that scipy's wheels ship beside the package (scipy.libs), 32-bit
+def test_fallback_lapack_resolves_from_scipys_own_lapack():
+    # a library without the routines is passed over for the next candidate:
+    # the LAPACK that scipy's wheels ship beside the package (scipy.libs), 32-bit
     libc = ctypes.CDLL(ctypes.util.find_library("c"))
     before = set(sys.modules)
-    routine = spectral._load_lasq1([libc, ctypes.CDLL(spectral._flapack_path())])
+    lasq1, stevd = spectral._load_lapack([libc, ctypes.CDLL(spectral._flapack_path())])
     assert set(sys.modules) == before
-    library, symbol = _library_of(routine)
-    assert library.is_relative_to(_wheel_libs(scipy))
+    (library, symbol), (stevd_library, stevd_symbol) = _library_of(lasq1), _library_of(stevd)
+    assert library == stevd_library and library.is_relative_to(_wheel_libs(scipy))
     assert symbol in ("scipy_dlasq1_", "dlasq1_")
-    assert routine.integer is ctypes.c_int
+    assert stevd_symbol == symbol.replace("dlasq1", "dstevd")
+    assert lasq1.integer is stevd.integer is ctypes.c_int
 
 
 def _half_spectra(lasq1, stacks, monkeypatch):
@@ -223,21 +201,51 @@ def test_both_candidate_libraries_give_the_same_bits(monkeypatch):
         stacks.append(np.exp(rng.uniform(-30.0, 30.0, (3, n - 1))))  # graded
         stacks.append(np.sqrt(np.arange(1, n) * (n - np.arange(1, n)))[None])  # engineered
     numpy_bits = _half_spectra(spectral._lasq1, stacks, monkeypatch)
-    assert _half_spectra(_scipy_lasq1(), stacks, monkeypatch) == numpy_bits
+    assert _half_spectra(_scipy_lapack()[0], stacks, monkeypatch) == numpy_bits
 
 
-def test_library_without_dlasq1_raises_naming_the_path():
+# The bytes of ``_stevd``'s (energies, vectors, info) on a stack of chains, from
+# each candidate library, in a fresh interpreter whose OpenBLAS runs one thread.
+STEVD_BITS = (
+    "import ctypes, hashlib\n"
+    "import numpy as np\n"
+    "from ergochain import spectral\n"
+    "rng = np.random.default_rng(25)\n"
+    "chains = []\n"
+    "for n in (2, 3, 8, 9, 64, 65, 128, 257, 500, 1000):\n"
+    "    chains.append((np.zeros(n), rng.uniform(0.2, 1.8, n - 1)))\n"
+    "    chains.append((rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n - 1)))\n"
+    "    inner = np.arange(1, n)\n"
+    "    chains.append((np.full(n, 2.0 - n), np.sqrt(inner * (n - inner))))\n"
+    "def bits():\n"
+    "    digest = hashlib.sha256()\n"
+    "    for diag, off in chains:\n"
+    "        energies, vectors, info = spectral._stevd(diag, off)\n"
+    "        digest.update(energies.tobytes() + vectors.tobytes() + bytes([info]))\n"
+    "    return digest.hexdigest()\n"
+    "numpy_bits = bits()\n"
+    "spectral._dstevd = spectral._load_lapack([ctypes.CDLL(spectral._flapack_path())])[1]\n"
+    "print(spectral._dstevd.integer is ctypes.c_int, numpy_bits == bits())\n"
+)
+
+
+@needs_numpy_openblas
+def test_both_candidate_libraries_give_the_same_dstevd_bits_on_one_thread():
+    # with more threads the eigenvectors' last bits may follow each pool's split
+    assert _fresh(STEVD_BITS, OPENBLAS_NUM_THREADS="1") == "True True"
+
+
+def test_library_without_the_routines_raises_naming_the_path():
     library = ctypes.util.find_library("c")
-    with pytest.raises(ImportError, match="dlasq1") as raised:
-        spectral._load_lasq1([ctypes.CDLL(library)])
+    with pytest.raises(ImportError, match="dlasq1 and dstevd") as raised:
+        spectral._load_lapack([ctypes.CDLL(library)])
     assert raised.value.path == library
 
 
 def test_missing_extension_raises_naming_the_path(monkeypatch, tmp_path):
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
     with pytest.raises(ImportError, match="_flapack") as raised:
-        spectral._load_flapack()
+        spectral._flapack_path()
     assert raised.value.path.startswith(str(tmp_path / "scipy" / "linalg" / "_flapack"))
 
 

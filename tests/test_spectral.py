@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,44 @@ def _hamiltonian(n, alpha, coupling=1.0, field=1.0):
     return build_hamiltonian(interpolated_bonds(cfg), field)
 
 
+DRIVER_SITES = (2, 3, 8, 33, 128, 500)
+DRIVER_BLENDS = ((0.0, 0.0), (1.0, 0.0), (0.5, 0.2))
+
+# Per case: do ``diagonalize``'s energies and vectors equal ``eigh_tridiagonal``'s, bit for bit?
+DRIVER_MATCHES = f"""\
+from scipy.linalg import eigh_tridiagonal
+from ergochain import ChainConfig, build_hamiltonian, diagonalize, disordered_bonds
+from ergochain.spectral import _fix_column_signs
+for n in {DRIVER_SITES!r}:
+    for alpha, delta in {DRIVER_BLENDS!r}:
+        config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=alpha, delta=delta)
+        h = build_hamiltonian(disordered_bonds(config, seed=5, realization_index=n), 1.0)
+        energies, vectors = eigh_tridiagonal(h.diagonal, h.offdiagonal)
+        decomposition = diagonalize(h)
+        print(n, alpha, delta, decomposition.energies.tobytes() == energies.tobytes(),
+              decomposition.vectors.tobytes() == _fix_column_signs(vectors).tobytes())
+"""
+
+
+@pytest.fixture(scope="module")
+def driver_matches():
+    """``DRIVER_MATCHES`` of one fresh interpreter whose OpenBLAS runs one thread, by "n alpha delta".
+
+    ``diagonalize`` calls ``dstevd`` from numpy's bundled OpenBLAS and
+    ``eigh_tridiagonal`` from scipy's. On one thread the two give the same
+    bits; on more, each library's split of the threaded BLAS work can move
+    the eigenvectors' last bits.
+    """
+    root = str(Path(spectral.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": root if not path else root + os.pathsep + path}
+    done = subprocess.run([sys.executable, "-c", DRIVER_MATCHES], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return {" ".join(line.split()[:3]): " ".join(line.split()[3:]) for line in done.stdout.splitlines()}
+
+
 class TestDiagonalize:
     @pytest.mark.parametrize("n,alpha", [(2, 0.0), (5, 1.0), (16, 0.5), (40, 0.25)])
     def test_eigendecomposition_contract(self, n, alpha):
@@ -68,16 +110,19 @@ class TestDiagonalize:
         with pytest.raises(InvalidInputError):
             diagonalize(np.eye(3))
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 33, 128, 500])
-    @pytest.mark.parametrize("alpha,delta", [(0.0, 0.0), (1.0, 0.0), (0.5, 0.2)])
-    def test_named_driver_matches_eigh_tridiagonal(self, n, alpha, delta):
+    @pytest.mark.parametrize("n", DRIVER_SITES)
+    @pytest.mark.parametrize("alpha,delta", DRIVER_BLENDS)
+    def test_named_driver_matches_eigh_tridiagonal(self, driver_matches, n, alpha, delta):
         # dstevd is what eigh_tridiagonal's "auto" picks, so the bits are the same
-        config = ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=alpha, delta=delta)
-        h = build_hamiltonian(disordered_bonds(config, seed=5, realization_index=n), 1.0)
-        energies, vectors = eigh_tridiagonal(h.diagonal, h.offdiagonal)
-        decomposition = diagonalize(h)
-        assert decomposition.energies.tobytes() == energies.tobytes()
-        assert decomposition.vectors.tobytes() == _fix_column_signs(vectors).tobytes()
+        assert driver_matches[f"{n} {alpha} {delta}"] == "True True"
+
+    def test_leaves_the_hamiltonian_as_it_was(self):
+        # dstevd overwrites D and E, and ctypes does not see the read-only flag
+        # of the sealed diagonal and bonds: the wrapper solves copies
+        h = _hamiltonian(40, 0.5)
+        before = h.diagonal.tobytes(), h.offdiagonal.tobytes()
+        diagonalize(h)
+        assert (h.diagonal.tobytes(), h.offdiagonal.tobytes()) == before
 
     def test_residual_bound_is_enforced(self, monkeypatch):
         h = _hamiltonian(16, 0.5)
@@ -376,6 +421,20 @@ class TestEndWeights:
         bonds = np.ones(19)
         bonds[0] = bonds[-1] = 1e-80
         _assert_fallback_reads_the_oracle(bonds, monkeypatch)
+
+    def test_fallback_rows_leave_the_bond_stack_as_it_was(self, monkeypatch):
+        # rows 0 and 2 (subnormal end pairs) are solved by dstevd on views of
+        # the caller's stack and on one shared zero diagonal; neither is written
+        solved = []
+        solve = spectral._solve
+        monkeypatch.setattr(spectral, "_solve", lambda d, e: solved.append(1) or solve(d, e))
+        bonds = np.ones((3, 19))
+        bonds[::2, 0] = bonds[::2, -1] = 1e-80
+        before = bonds.tobytes()
+        sigma, amplitudes = spectral._end_spectrum(bonds)
+        assert len(solved) == 2 and bonds.tobytes() == before
+        assert sigma[0].tobytes() == sigma[2].tobytes()
+        assert amplitudes[0].tobytes() == amplitudes[2].tobytes()
 
     def test_rows_of_a_stack_read_as_they_do_alone(self):
         rng = np.random.default_rng(5)

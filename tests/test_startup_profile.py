@@ -50,4 +50,13 @@ def test_prints_both_cache_modes(tool, capsys):
     if sys.platform == "linux":
         assert all("VmRSS" in head and head.endswith(" MB") for head in heads)
     assert sum("ergochain's own modules, self:" in line for line in lines) == 2
-    assert lines[3].split()[-1] == "ergochain"  # the largest cumulative time is the import's
+    assert lines[4].split()[-1] == "ergochain"  # the largest cumulative time is the import's
+    places = [i for i, line in enumerate(lines) if line.startswith("  OpenBLAS mapped after the import: ")]
+    assert places == [1, lines.index(heads[1]) + 1]  # one line under each head
+    mapped = [lines[i] for i in places]
+    if sys.platform == "linux":
+        # one library, numpy's, which also runs the work distribution's dstevd
+        for line in mapped:
+            after_import, after_solve = line.split(": ", 1)[1].split("; after tpm_distribution: ")
+            assert after_import == after_solve
+            assert [path.split("/")[0] for path in after_import.split(",")] == ["numpy.libs"]

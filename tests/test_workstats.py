@@ -68,6 +68,34 @@ class TestTpmDistribution:
         with pytest.raises(NumericalFailureError):
             tpm_distribution(_config(20, 0.5), FULL)
 
+    def test_solve_leaves_its_inputs_as_they_were(self, monkeypatch):
+        # dstevd overwrites D and E, and ctypes does not see a read-only flag:
+        # the wrapper solves copies of the chain's diagonal and bonds
+        original, unchanged = spectral._stevd, []
+
+        def watched(diag, off):
+            before = diag.tobytes(), off.tobytes()
+            result = original(diag, off)
+            unchanged.append((diag.tobytes(), off.tobytes()) == before)
+            return result
+
+        monkeypatch.setattr(spectral, "_stevd", watched)
+        tpm_distribution(_config(40, 0.5), FULL)
+        assert unchanged == [True]
+
+    def test_holds_two_square_arrays(self):
+        # the eigenvectors beside dstevd's workspace of 1 + 4N + N^2 doubles
+        import tracemalloc
+
+        n = 1000
+        tracemalloc.start()
+        try:
+            tpm_distribution(_config(n, 0.5), FULL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n * n
+
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_normalized_and_sorted(self, alpha):
         dist = tpm_distribution(_config(14, alpha), InitialSiteState(theta=1.1))

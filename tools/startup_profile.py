@@ -1,4 +1,4 @@
-"""Print what importing ergochain costs: per-module import times and resident memory.
+"""Print what importing ergochain costs: per-module import times, memory and OpenBLAS libraries.
 
 Usage:
 
@@ -10,6 +10,10 @@ over them:
 
 * the wall time of the import statement and VmRSS right after it (Linux;
   ``-`` elsewhere);
+* the OpenBLAS files mapped into the process (``/proc/self/maps``, Linux;
+  ``-`` elsewhere) right after the import and after a first
+  ``tpm_distribution`` (a ``dstevd`` solve), each as ``<directory>/<file>``
+  and listed once for every distinct set the runs saw;
 * the summed ``-X importtime`` self time of ergochain's own modules;
 * for the K modules (default 15) with the largest cumulative time, the
   ``-X importtime`` self and cumulative microseconds.
@@ -40,18 +44,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Imports nothing before the module but ``time`` (built in), so every module
-# the import needs shows in its tree.
+# the import needs shows in its tree; the work distribution runs after it.
 PROBE = """\
 import time
 t0 = time.perf_counter()
 import {module}
 t1 = time.perf_counter()
+import os
+def mapped():
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {{line.split()[-1] for line in maps if "openblas" in line}}
+    except OSError:
+        return "-"
+    return ",".join(sorted(os.path.basename(os.path.dirname(p)) + "/" + os.path.basename(p)
+                           for p in paths)) or "none"
 try:
     with open("/proc/self/status") as status:
         rss = next(line.split()[1] for line in status if line.startswith("VmRSS:"))
 except OSError:
     rss = "-"
-print(t1 - t0, rss)
+after_import = mapped()
+from ergochain import ChainConfig, InitialSiteState, tpm_distribution
+tpm_distribution(ChainConfig(64, 1.0, 1.0, 0.5), InitialSiteState(2.0))
+print(t1 - t0, rss, after_import, mapped())
 """
 
 
@@ -75,8 +91,14 @@ def module_tree(stderr: str, module: str) -> list[tuple[str, int, int]]:
     return rows[start : end + 1]
 
 
-def run_probe(src: Path, module: str, write_bytecode: bool) -> tuple[float, int | None, list[tuple[str, int, int]]]:
-    """(import seconds, VmRSS kB, ``module_tree``) of one fresh interpreter."""
+def run_probe(
+    src: Path, module: str, write_bytecode: bool
+) -> tuple[float, int | None, tuple[str, str], list[tuple[str, int, int]]]:
+    """(import seconds, VmRSS kB, mapped OpenBLAS files, ``module_tree``) of one fresh interpreter.
+
+    The files are two comma-separated lists: after the import, and after the
+    first ``tpm_distribution``.
+    """
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
     env["PYTHONPATH"] = str(src)
     flags = ["-X", "importtime"] + ([] if write_bytecode else ["-B"])
@@ -88,16 +110,18 @@ def run_probe(src: Path, module: str, write_bytecode: bool) -> tuple[float, int 
         timeout=120,
         check=True,
     )
-    seconds, rss = done.stdout.split()[-2:]
-    return float(seconds), None if rss == "-" else int(rss), module_tree(done.stderr, module)
+    seconds, rss, after_import, after_solve = done.stdout.split()[-4:]
+    mapped = (after_import, after_solve)
+    return float(seconds), None if rss == "-" else int(rss), mapped, module_tree(done.stderr, module)
 
 
 def profile(src: Path, module: str, runs: int, write_bytecode: bool, top: int) -> None:
     """Print the medians of ``runs`` probes of ``module``."""
-    seconds, rss, times, own_rows = [], [], {}, []
+    seconds, rss, times, own_rows, mapped = [], [], {}, [], set()
     for _ in range(runs):
-        s, r, rows = run_probe(src, module, write_bytecode)
+        s, r, libraries, rows = run_probe(src, module, write_bytecode)
         own_rows.append(rows)
+        mapped.add(libraries)
         seconds.append(s)
         if r is not None:
             rss.append(r)
@@ -106,6 +130,8 @@ def profile(src: Path, module: str, runs: int, write_bytecode: bool, top: int) -
     mode = "cached" if write_bytecode else "compile"
     rss_text = f"{statistics.median(rss) / 1024:.1f} MB" if rss else "-"
     print(f"import {module} [{mode}]: {statistics.median(seconds) * 1e3:.1f} ms, VmRSS {rss_text}")
+    for after_import, after_solve in sorted(mapped):
+        print(f"  OpenBLAS mapped after the import: {after_import}; after tpm_distribution: {after_solve}")
     own = statistics.median(
         sum(self_us for name, self_us, _ in run if name.split(".")[0] == "ergochain") for run in own_rows
     )
