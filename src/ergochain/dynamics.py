@@ -24,7 +24,6 @@ apply the package's one clip rule, min(F, 1), against roundoff past 1.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import threading
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ import numpy as np
 from . import _validate
 from .errors import InvalidInputError, NumericalFailureError
 from .chain import gn_factor
-from .spectral import SpectralDecomposition, _end_spectrum, _numpy_openblas
+from .spectral import SpectralDecomposition, _blas_threads, _end_spectrum
 
 __all__ = [
     "InitialSiteState",
@@ -97,19 +96,18 @@ def amplitude_spectral(
 ) -> TransitionAmplitude:
     """f_site(time) summed over the eigendecomposition. Works for any bonds.
 
-    The constant diagonal -(N-2)B of the chain stays in the energies. It is
-    a global phase, but its rounding in E_k t moves |f|: against the same
-    sum with the diagonal removed, by at most 2.1e-12, 7.4e-12 and 1.4e-11
-    at N = 500, 1000 and 2000 (J = B = 1; clean and disordered chains at
-    alpha 0, 0.5 and 1; 61 times up to 1.2 reflection times). That is well
-    below N^2 eps (8.8e-10 at N = 2000).
+    The one-time case of ``amplitude_profile``: one formula, and so the same
+    bits, for a scalar time and an array of times. The constant diagonal
+    -(N-2)B of the chain stays in the energies. It is a global phase, but
+    its rounding in E_k t moves |f|: against the same sum with the diagonal
+    removed, by at most 2.1e-12, 7.4e-12 and 1.4e-11 at N = 500, 1000 and
+    2000 (J = B = 1; clean and disordered chains at alpha 0, 0.5 and 1; 61
+    times up to 1.2 reflection times). That is well below N^2 eps
+    (8.8e-10 at N = 2000).
     """
-    _validate.instance("decomposition", decomposition, SpectralDecomposition)
-    site = _validate.integer("site", site, 1, decomposition.n_sites)
-    time = _validate.real("time", time)
-    weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
-    value = complex(np.sum(weights * np.exp(-1j * decomposition.energies * time)))
-    return TransitionAmplitude(value=value, site=site, time=time)
+    time = _validate.real("time", time)  # a scalar; the profile validates the rest
+    value = complex(amplitude_profile(decomposition, site, [time])[0])
+    return TransitionAmplitude(value=value, site=int(site), time=time)
 
 
 def _end_fidelities(bonds: np.ndarray, time: float) -> np.ndarray:
@@ -130,33 +128,6 @@ def _end_fidelities(bonds: np.ndarray, time: float) -> np.ndarray:
     return np.minimum(sums * sums, 1.0)
 
 
-# Thread-count setter and getter of a bundled OpenBLAS, in the order tried:
-# scipy-openblas wheels (64-bit integers, then 32-bit), then plain OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _numpy_openblas_threads():
-    """(setter, getter) of the thread count of numpy's bundled OpenBLAS, or None.
-
-    The library is the one ``spectral._numpy_openblas`` finds, which numpy
-    has mapped already, so the lookup loads nothing new.
-    """
-    for lib in _numpy_openblas():
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            setter = getattr(lib, set_name, None)
-            getter = getattr(lib, get_name, None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
-    return None
-
-
 class _OneBlasThread:
     """Context manager: numpy's BLAS products inside it run on one OpenBLAS thread.
 
@@ -170,12 +141,14 @@ class _OneBlasThread:
     11-13 ms against 6.3-7.2 ms (20 calls each, five runs, 2-core x86-64
     host).
 
-    The first caller to enter saves numpy's thread count and sets it to 1;
-    the last to leave restores it, after an exception too. A lock and a depth
-    counter make this hold for nested and concurrent callers, so the count
-    can neither stay at 1 nor be restored under another caller's product.
-    The library is looked up on first entry, not at import. When numpy's
-    BLAS is not a bundled OpenBLAS with these symbols (a source build against
+    ``threads`` is the (setter, getter) pair of numpy's OpenBLAS thread count
+    that ``spectral`` binds at import, in the pass that finds ``dlasq1`` and
+    ``dstevd`` (``spectral._blas_threads``). The first caller to enter saves
+    the count and sets it to 1; the last to leave restores it, after an
+    exception too. A lock and a depth counter make this hold for nested and
+    concurrent callers, so the count can neither stay at 1 nor be restored
+    under another caller's product. Where ``threads`` is None (numpy's BLAS
+    is not a bundled OpenBLAS with these symbols: a source build against
     another BLAS, a wheel laid out differently), entering does nothing and
     the products run on that BLAS's own threads. ``dstevd`` and ``dlasq1``
     run in numpy's OpenBLAS too, so the pool is shared: a ``dstevd`` solve in
@@ -184,20 +157,16 @@ class _OneBlasThread:
     serializes the two; ``dlasq1`` makes no threaded call either way.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, threads) -> None:
         self._lock = threading.Lock()
-        self._resolved = False
-        self._api = None
+        self._threads = threads
         self._depth = 0
         self._saved = 1
 
     def __enter__(self) -> None:
         with self._lock:
-            if not self._resolved:
-                self._api = _numpy_openblas_threads()
-                self._resolved = True
-            if self._api is not None and self._depth == 0:
-                setter, getter = self._api
+            if self._threads is not None and self._depth == 0:
+                setter, getter = self._threads
                 self._saved = getter()
                 setter(1)
             self._depth += 1
@@ -205,17 +174,17 @@ class _OneBlasThread:
     def __exit__(self, *exc_info) -> None:
         with self._lock:
             self._depth -= 1
-            if self._api is not None and self._depth == 0:
-                self._api[0](self._saved)
+            if self._threads is not None and self._depth == 0:
+                self._threads[0](self._saved)
 
 
-_one_blas_thread = _OneBlasThread()
+_one_blas_thread = _OneBlasThread(_blas_threads)
 
 
 def amplitude_profile(
     decomposition: SpectralDecomposition, site: int, times: np.ndarray
 ) -> np.ndarray:
-    """Vectorized f_site(t) over an array of times (same sum as amplitude_spectral).
+    """Vectorized f_site(t) over an array of times (``amplitude_spectral`` at each).
 
     The (T, N) phase matrix times the weight vector is one BLAS product, run
     on one thread of numpy's OpenBLAS (``_OneBlasThread``), so its bits do
@@ -247,9 +216,10 @@ def _window_fidelities(bonds: np.ndarray, step: float, count: int) -> np.ndarray
     So one table of B near and G far rows over the h = (N+1)//2 columns,
     exponentiated in place, and one (G, h) @ (h, B) product replace the
     (count, N) phase matrix of ``amplitude_profile``; c multiplies the near
-    rows in place. Memory is O(N sqrt(count)): the tracemalloc peak is the
-    table and the real outer product it is made from, 1.51 complex (B, N)
-    tables at N = 2000 and 1.50 at N = 5000 (count = 0.7 N / 0.01). The
+    rows in place. The table is O(N sqrt(count)); the (G, B) product (16 B
+    per sample) and F (8 B) are O(count). At N = 2000 and 5000 (count =
+    0.7 N / 0.01) the tracemalloc peak is the table and the real outer
+    product it is made from, 1.51 and 1.50 complex (B, N) tables. The
     product runs on one thread of numpy's OpenBLAS (``_OneBlasThread``), so
     its bits do not depend on ``OPENBLAS_NUM_THREADS``. F is clipped as in
     ``_end_fidelities``.

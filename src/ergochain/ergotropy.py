@@ -257,6 +257,12 @@ def erg_at_reflection(config: ChainConfig, encoding: str, parameter: float) -> E
     return _record(config, encoding, parameter, *reflection_fidelity(config))
 
 
+# The most steps horizon/step that ``erg_max_window`` samples: 48 times the
+# window of N = 5000 at horizon 0.7 N/J and step 0.01/J, and about 0.7 GB of
+# the window's O(T) arrays (40 B per sample).
+_MAX_WINDOW_STEPS = 2**24
+
+
 def erg_max_window(
     config: ChainConfig,
     encoding: str,
@@ -286,11 +292,14 @@ def erg_max_window(
     (``dynamics._window_fidelities``): one matrix product and
     (B + G)·⌈N/2⌉ exponentials over the half spectrum, of whose sums the
     real part (odd N) or the imaginary part (even N) is f_N up to a phase.
-    Memory is O(N sqrt(T)) instead of the (T, N) phase matrix that
+    The table is O(N sqrt(T)) instead of the (T, N) phase matrix that
     ``amplitude_profile`` builds: the tracemalloc peak of the window is
     1.51 complex (B, N) tables at N = 2000 and 1.50 at N = 5000 (horizon
-    0.7 N/J, step 0.01/J). Each F is clipped to 1, as in
-    ``reflection_fidelity``. Against a 40-digit sum over the same
+    0.7 N/J, step 0.01/J). The (G, B) product (16 B per sample) and F, the
+    ergotropy and the times (8 B each) are O(T), so a window of more than
+    2^24 steps horizon/step (``_MAX_WINDOW_STEPS``, 0.7 GB of those arrays)
+    raises InvalidInputError before anything is allocated. Each F is
+    clipped to 1, as in ``reflection_fidelity``. Against a 40-digit sum over the same
     (sigma_k, c_k) at the exact times (i+1)·step, F stays within 9.0e-16 at
     N = 256 and 1.3e-15 at N = 1000 (uniform chain, J = B = 1, horizon
     0.7 N/J; 191 times each, the window's maximum among them). The product runs on
@@ -305,6 +314,10 @@ def erg_max_window(
     step = _validate.positive("step", step)
     if step > horizon:
         raise InvalidInputError(f"step {step} exceeds horizon {horizon}")
+    if not horizon / step <= _MAX_WINDOW_STEPS:  # the ratio may overflow to inf
+        raise InvalidInputError(
+            f"window of {horizon / step:.3g} steps (horizon/step) exceeds {_MAX_WINDOW_STEPS}"
+        )
     times = np.arange(step, horizon + 0.5 * step, step)
     fidelities = _window_fidelities(interpolated_bonds(config).values, step, times.size)
     best = int(np.argmax(_erg_out(encoding, fidelities, parameter, config.field)))

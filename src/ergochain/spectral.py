@@ -20,9 +20,14 @@ or -i; the readouts of F in ``dynamics`` take nothing else.
 its row. Both routines come from one library, resolved once at import by
 ``_load_lapack``: the OpenBLAS numpy's wheel bundles, which numpy has mapped
 already (``scipy_dlasq1_64_`` and ``scipy_dstevd_64_``, 64-bit integers).
-Only where numpy bundles none do they come from scipy's bundled LAPACK,
-through the shared library of scipy's ``_flapack`` extension
-(``scipy_dlasq1_``, ``scipy_dstevd_``, 32-bit integers); only then does
+The same pass binds that library's thread-count setter and getter
+(``scipy_openblas_set_num_threads64_`` and its ``get`` twin) as
+``_blas_threads``, with which ``dynamics._OneBlasThread`` runs numpy's BLAS
+products on one thread; import calls neither. Only where numpy bundles
+no OpenBLAS do the routines come from scipy's bundled LAPACK, through the
+shared library of scipy's ``_flapack`` extension (``scipy_dlasq1_``,
+``scipy_dstevd_``, 32-bit integers), and ``_blas_threads`` is None, since
+scipy's pool does not run numpy's products; only then does
 ``import ergochain`` import ``scipy``. Either is reached by ``ctypes``, as
 neither numpy nor scipy wraps ``dlasq1``; the two libraries gave equal bits
 for ``dlasq1`` on every bidiagonal tried (2,562, of order 1-500), and for
@@ -105,6 +110,10 @@ END_WEIGHT_ATOL = 1e-6
 _EPS = np.finfo(float).eps
 
 
+# Where numpy's wheel bundles its shared libraries, OpenBLAS among them.
+_NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
 def _numpy_openblas() -> list[ctypes.CDLL]:
     """The OpenBLAS libraries numpy's wheel bundles in ``numpy.libs``, by ``ctypes``.
 
@@ -112,9 +121,8 @@ def _numpy_openblas() -> list[ctypes.CDLL]:
     nothing new. The list is empty where numpy bundles none (conda, a source
     build against another BLAS). A file that does not load is left out.
     """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     found = []
-    for path in sorted(libs.glob("*openblas*")):
+    for path in sorted(_NUMPY_LIBS.glob("*openblas*")):
         with contextlib.suppress(OSError):
             found.append(ctypes.CDLL(str(path)))
     return found
@@ -136,13 +144,14 @@ def _flapack_path() -> str:
     return path
 
 
-# Symbols of LAPACK routines and the integer each takes: the ILP64 builds
-# (numpy's wheels) add the suffix 64_, the scipy-openblas builds the prefix scipy_.
+# Symbols of LAPACK routines, of the OpenBLAS thread-count setter and getter
+# beside them, and the integer the routines take: the ILP64 builds (numpy's
+# wheels) add the suffix 64_, the scipy-openblas builds the prefix scipy_.
 _LAPACK_SYMBOLS = (
-    ("scipy_{}_64_", ctypes.c_int64),
-    ("{}_64_", ctypes.c_int64),
-    ("scipy_{}_", ctypes.c_int),
-    ("{}_", ctypes.c_int),
+    ("scipy_{}_64_", "scipy_openblas_{}_num_threads64_", ctypes.c_int64),
+    ("{}_64_", "openblas_{}_num_threads64_", ctypes.c_int64),
+    ("scipy_{}_", "scipy_openblas_{}_num_threads", ctypes.c_int),
+    ("{}_", "openblas_{}_num_threads", ctypes.c_int),
 )
 
 
@@ -159,21 +168,26 @@ def _lapack_libraries():
 
 
 def _load_lapack(libraries):
-    """LAPACK ``dlasq1`` and ``dstevd`` from the first of ``libraries`` (``ctypes.CDLL``s) with both.
+    """``dlasq1``, ``dstevd`` and a thread pair from the first of ``libraries`` (``CDLL``s) with both.
 
     Each library is searched for the symbol pairs of ``_LAPACK_SYMBOLS``, in
     order, so both routines take the same integer, which each handle carries
-    as its ``integer`` attribute; on Linux a library's lookup also reaches the
-    libraries it links. Integers are passed as pointers to that type and
-    arrays as addresses: ``dlasq1`` takes (N, D, E, WORK, INFO), ``dstevd``
-    (JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO) and the hidden
-    length of JOBZ. Where no library has a pair, ImportError names the last
-    path searched. Nothing is added to ``sys.modules``.
+    as its ``integer`` attribute, beside the library's path as ``library``;
+    on Linux a library's lookup also reaches the libraries it links. Integers
+    are passed as pointers to that type and arrays as addresses: ``dlasq1``
+    takes (N, D, E, WORK, INFO), ``dstevd`` (JOBZ, N, D, E, Z, LDZ, WORK,
+    LWORK, IWORK, LIWORK, INFO) and the hidden length of JOBZ. The thread
+    pair is (setter, getter) of the pool's thread count, by the thread
+    symbols of the same row, both taking or returning a C ``int``; it is
+    None unless the library lies in ``numpy.libs`` and exports both, as only
+    numpy's pool runs numpy's BLAS products. Neither is called here. Where
+    no library has the routines, ImportError names the last path searched.
+    Nothing is added to ``sys.modules``.
     """
     path = None
     for library in libraries:
         path = library._name
-        for symbol, integer in _LAPACK_SYMBOLS:
+        for symbol, threads, integer in _LAPACK_SYMBOLS:
             lasq1 = getattr(library, symbol.format("dlasq1"), None)
             stevd = getattr(library, symbol.format("dstevd"), None)
             if lasq1 is not None and stevd is not None:
@@ -182,13 +196,18 @@ def _load_lapack(libraries):
                 stevd.argtypes = (ctypes.c_char_p, pointer, address, address, address, pointer,
                                   address, pointer, address, pointer, pointer, ctypes.c_size_t)
                 for routine in (lasq1, stevd):
-                    routine.restype = None
-                    routine.integer = integer
-                return lasq1, stevd
+                    routine.restype, routine.integer, routine.library = None, integer, path
+                setter = getattr(library, threads.format("set"), None)
+                getter = getattr(library, threads.format("get"), None)
+                if Path(path).parent != _NUMPY_LIBS or setter is None or getter is None:
+                    return lasq1, stevd, None
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                return lasq1, stevd, (setter, getter)
     raise ImportError(f"LAPACK dlasq1 and dstevd not found in {path}", path=path)
 
 
-_lasq1, _dstevd = _load_lapack(_lapack_libraries())
+_lasq1, _dstevd, _blas_threads = _load_lapack(_lapack_libraries())
 
 
 def _stevd(diag: np.ndarray, off: np.ndarray):

@@ -36,6 +36,7 @@ from ergochain import (
 )
 from ergochain import dynamics
 from ergochain.dynamics import _window_fidelities
+from ergochain.spectral import _blas_threads
 
 
 def _decomposition(n, alpha, coupling=1.0, field=1.0):
@@ -228,11 +229,10 @@ class _FakeThreads:
 
 @pytest.fixture
 def two_blas_threads():
-    """numpy's OpenBLAS (setter, getter), its count set to 2 for the test."""
-    api = dynamics._numpy_openblas_threads()
-    if api is None:
+    """numpy's OpenBLAS (setter, getter) as ``spectral`` binds it, its count set to 2 for the test."""
+    if _blas_threads is None:
         pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
-    setter, getter = api
+    setter, getter = _blas_threads
     before = getter()
     setter(2)
     try:
@@ -255,8 +255,8 @@ class TestOneBlasThread:
             history.append(count)
             setter(count)
 
-        monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: (recording_setter, getter))
-        monkeypatch.setattr(dynamics, "_one_blas_thread", dynamics._OneBlasThread())
+        guard = dynamics._OneBlasThread((recording_setter, getter))
+        monkeypatch.setattr(dynamics, "_one_blas_thread", guard)
         decomposition = _decomposition(131, 0.0)
         _window_fidelities(_bonds(131, 0.0), 0.01, 9170)
         amplitude_profile(decomposition, 131, np.arange(1, 101) * 0.1)
@@ -273,7 +273,7 @@ class TestOneBlasThread:
 
     def test_concurrent_callers_restore_once_the_last_leaves(self, two_blas_threads):
         _, getter = two_blas_threads
-        guard = dynamics._OneBlasThread()
+        guard = dynamics._OneBlasThread(two_blas_threads)
         first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
         inside = {}
 
@@ -299,10 +299,9 @@ class TestOneBlasThread:
         assert inside == {"after_first_left": 1}
         assert getter() == 2
 
-    def test_stress_never_leaves_the_pool_at_one(self, monkeypatch):
+    def test_stress_never_leaves_the_pool_at_one(self):
         fake = _FakeThreads(7)
-        guard = dynamics._OneBlasThread()
-        monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: (fake.set, fake.get))
+        guard = dynamics._OneBlasThread((fake.set, fake.get))
         wrong = []
 
         def run():
@@ -327,25 +326,14 @@ class TestOneBlasThread:
         assert fake.history[::2] == [1] * (len(fake.history) // 2)
         assert fake.history[1::2] == [7] * (len(fake.history) // 2)
 
-    def test_nested_entries_set_and_restore_once(self, monkeypatch):
+    def test_nested_entries_set_and_restore_once(self):
         fake = _FakeThreads(3)
-        guard = dynamics._OneBlasThread()
-        monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: (fake.set, fake.get))
+        guard = dynamics._OneBlasThread((fake.set, fake.get))
         with guard:
             with guard:
                 assert fake.count == 1
             assert fake.count == 1
         assert fake.history == [1, 3]
-
-    def test_library_is_resolved_on_first_entry_only(self, monkeypatch):
-        lookups = []
-        monkeypatch.setattr(dynamics, "_numpy_openblas_threads", lambda: lookups.append(1))
-        guard = dynamics._OneBlasThread()
-        assert lookups == []
-        for _ in range(3):
-            with guard:
-                pass
-        assert lookups == [1]
 
     @pytest.mark.parametrize("n", [33, 131])
     def test_products_run_when_the_setter_is_missing(self, monkeypatch, n):
@@ -356,13 +344,11 @@ class TestOneBlasThread:
             _window_fidelities(_bonds(n, 0.0), 0.01, count),
             amplitude_profile(decomposition, n, times),
         )
-        monkeypatch.setattr(dynamics, "_OPENBLAS_THREAD_SYMBOLS", (("no_set", "no_get"),))
-        monkeypatch.setattr(dynamics, "_one_blas_thread", dynamics._OneBlasThread())
+        monkeypatch.setattr(dynamics, "_one_blas_thread", dynamics._OneBlasThread(None))
         fallback = (
             _window_fidelities(_bonds(n, 0.0), 0.01, count),
             amplitude_profile(decomposition, n, times),
         )
-        assert dynamics._numpy_openblas_threads() is None
         for got, want in zip(fallback, pinned):
             if n == 33:  # at this size both products have the same bits on 1 and 2 threads
                 assert got.tobytes() == want.tobytes()

@@ -321,6 +321,25 @@ class TestErgMaxWindow:
         with pytest.raises(InvalidInputError):
             erg_max_window(cfg, "coherent", 1.0, 1.0, step=2.0)
 
+    # horizon/step just past 2^24, then 1e15, then 1e600, which overflows to inf
+    @pytest.mark.parametrize("horizon, step", [(1.001 * 2**24, 1.0), (1e12, 1e-3), (1e300, 1e-300)])
+    def test_rejects_a_window_past_the_step_bound_before_allocating(
+        self, monkeypatch, horizon, step
+    ):
+        calls = []
+        monkeypatch.setattr(ergotropy, "_window_fidelities", lambda *args: calls.append(args))
+        cfg = ChainConfig(n_sites=8, coupling=1.0, field=1.0)
+        assert ergotropy._MAX_WINDOW_STEPS == 2**24
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="horizon/step"):
+                erg_max_window(cfg, "coherent", 1.0, horizon, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert calls == []
+
 
 class TestRescaledEfficiency:
     def test_size_compensated_ratio(self):

@@ -95,19 +95,32 @@ needs_numpy_openblas = pytest.mark.skipif(
 )
 
 
+# The thread-count symbols that pair with each ILP64 symbol convention of dlasq1.
+THREAD_SYMBOLS = {
+    "scipy_dlasq1_64_": "scipy_openblas_{}_num_threads64_",
+    "dlasq1_64_": "openblas_{}_num_threads64_",
+}
+
+
 @needs_numpy_openblas
 def test_lapack_resolves_from_numpys_bundled_openblas():
     # first choice: the ILP64 OpenBLAS numpy's wheel ships in numpy.libs, which
-    # numpy has mapped already, for both routines; loading it again adds no module
-    handles = (spectral._lasq1, spectral._dstevd)
-    (lasq1, lasq1_symbol), (stevd, stevd_symbol) = map(_library_of, handles)
+    # numpy has mapped already, for both routines and for the pool's thread
+    # count; loading it again adds no module
+    handles = (spectral._lasq1, spectral._dstevd, *spectral._blas_threads)
+    (lasq1, lasq1_symbol), (stevd, stevd_symbol), *threads = map(_library_of, handles)
     assert lasq1 == stevd and lasq1.is_relative_to(_wheel_libs(np))
-    assert lasq1_symbol in ("scipy_dlasq1_64_", "dlasq1_64_")
+    assert lasq1_symbol in THREAD_SYMBOLS
     assert stevd_symbol == lasq1_symbol.replace("dlasq1", "dstevd")
+    pattern = THREAD_SYMBOLS[lasq1_symbol]
+    assert threads == [(lasq1, pattern.format("set")), (lasq1, pattern.format("get"))]
     assert spectral._lasq1.integer is spectral._dstevd.integer is ctypes.c_int64
+    assert spectral._lasq1.library == spectral._dstevd.library
+    assert Path(spectral._lasq1.library).resolve() == lasq1
     before = set(sys.modules)
-    routines = spectral._load_lapack(spectral._numpy_openblas())
+    lasq1_handle, stevd_handle, pair = spectral._load_lapack(spectral._numpy_openblas())
     assert set(sys.modules) == before
+    routines = (lasq1_handle, stevd_handle, *pair)
     assert list(map(_library_of, routines)) == list(map(_library_of, handles))
 
 
@@ -176,8 +189,10 @@ def test_fallback_lapack_resolves_from_scipys_own_lapack():
     # the LAPACK that scipy's wheels ship beside the package (scipy.libs), 32-bit
     libc = ctypes.CDLL(ctypes.util.find_library("c"))
     before = set(sys.modules)
-    lasq1, stevd = spectral._load_lapack([libc, ctypes.CDLL(spectral._flapack_path())])
+    lasq1, stevd, threads = spectral._load_lapack([libc, ctypes.CDLL(spectral._flapack_path())])
     assert set(sys.modules) == before
+    # scipy's library exports a thread-count pair too, but its pool runs no numpy product
+    assert threads is None
     (library, symbol), (stevd_library, stevd_symbol) = _library_of(lasq1), _library_of(stevd)
     assert library == stevd_library and library.is_relative_to(_wheel_libs(scipy))
     assert symbol in ("scipy_dlasq1_", "dlasq1_")
@@ -233,6 +248,30 @@ STEVD_BITS = (
 def test_both_candidate_libraries_give_the_same_dstevd_bits_on_one_thread():
     # with more threads the eigenvectors' last bits may follow each pool's split
     assert _fresh(STEVD_BITS, OPENBLAS_NUM_THREADS="1") == "True True"
+
+
+# numpy's pool thread count before and after ``import ergochain``, read by a
+# getter looked up here, apart from the package's own binding.
+IMPORT_THREADS = (
+    "import ctypes, os, numpy\n"
+    "libs = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(numpy.__file__))),\n"
+    "                    'numpy.libs')\n"
+    "paths = sorted(os.path.join(libs, name) for name in os.listdir(libs) if 'openblas' in name)\n"
+    "library = ctypes.CDLL(paths[0])\n"
+    "names = ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_')\n"
+    "get = next(getattr(library, name) for name in names if hasattr(library, name))\n"
+    "before = get()\n"
+    "import ergochain\n"
+    "print(before, get())\n"
+)
+
+
+@needs_numpy_openblas
+def test_import_leaves_numpys_pool_thread_count_as_it_was():
+    # import only looks the setter and getter up; it sets no count
+    for environ in ({"OPENBLAS_NUM_THREADS": "2"}, {}):
+        before, after = _fresh(IMPORT_THREADS, **environ).split()
+        assert after == before
 
 
 def test_library_without_the_routines_raises_naming_the_path():

@@ -50,9 +50,23 @@ def test_prints_both_cache_modes(tool, capsys):
     if sys.platform == "linux":
         assert all("VmRSS" in head and head.endswith(" MB") for head in heads)
     assert sum("ergochain's own modules, self:" in line for line in lines) == 2
-    assert lines[4].split()[-1] == "ergochain"  # the largest cumulative time is the import's
+    assert lines[5].split()[-1] == "ergochain"  # the largest cumulative time is the import's
     places = [i for i, line in enumerate(lines) if line.startswith("  OpenBLAS mapped after the import: ")]
     assert places == [1, lines.index(heads[1]) + 1]  # one line under each head
+    bound = [i for i, line in enumerate(lines) if line.startswith("  LAPACK bound: ")]
+    assert bound == [place + 1 for place in places]  # one line under each of those
+    from ergochain import spectral
+
+    library = Path(spectral._lasq1.library)
+    convention = spectral._lasq1.__name__.replace("dlasq1", "{}")
+    binding = f"  LAPACK bound: {library.parent.name}/{library.name}, symbols {convention}; "
+    for i in bound:
+        assert lines[i].startswith(binding + "numpy's pool threads: ")
+        threads = lines[i].rsplit(": ", 1)[1]
+        if spectral._blas_threads is None:
+            assert threads == "not pinned"
+        else:
+            assert int(threads) >= 1
     mapped = [lines[i] for i in places]
     if sys.platform == "linux":
         # one library, numpy's, which also runs the work distribution's dstevd

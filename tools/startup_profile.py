@@ -14,6 +14,10 @@ over them:
   ``-`` elsewhere) right after the import and after a first
   ``tpm_distribution`` (a ``dstevd`` solve), each as ``<directory>/<file>``
   and listed once for every distinct set the runs saw;
+* the library and symbol convention ``ergochain.spectral`` bound ``dlasq1``
+  and ``dstevd`` from, and numpy's pool thread count right after the import,
+  read through the getter bound beside them (``not pinned`` where there is
+  none), listed once for every distinct pair the runs saw;
 * the summed ``-X importtime`` self time of ergochain's own modules;
 * for the K modules (default 15) with the largest cumulative time, the
   ``-X importtime`` self and cumulative microseconds.
@@ -65,9 +69,14 @@ try:
 except OSError:
     rss = "-"
 after_import = mapped()
+from ergochain import spectral
+library = spectral._lasq1.library
+binding = (os.path.basename(os.path.dirname(library)) + "/" + os.path.basename(library) + ", symbols "
+           + spectral._lasq1.__name__.replace("dlasq1", "{{}}"))
+threads = "not pinned" if spectral._blas_threads is None else str(spectral._blas_threads[1]())
 from ergochain import ChainConfig, InitialSiteState, tpm_distribution
 tpm_distribution(ChainConfig(64, 1.0, 1.0, 0.5), InitialSiteState(2.0))
-print(t1 - t0, rss, after_import, mapped())
+print(t1 - t0, rss, after_import, mapped(), binding, threads, sep="\t")
 """
 
 
@@ -93,11 +102,12 @@ def module_tree(stderr: str, module: str) -> list[tuple[str, int, int]]:
 
 def run_probe(
     src: Path, module: str, write_bytecode: bool
-) -> tuple[float, int | None, tuple[str, str], list[tuple[str, int, int]]]:
-    """(import seconds, VmRSS kB, mapped OpenBLAS files, ``module_tree``) of one fresh interpreter.
+) -> tuple[float, int | None, tuple[str, str], tuple[str, str], list[tuple[str, int, int]]]:
+    """Import seconds, VmRSS kB, OpenBLAS files, LAPACK binding and ``module_tree`` of a fresh interpreter.
 
     The files are two comma-separated lists: after the import, and after the
-    first ``tpm_distribution``.
+    first ``tpm_distribution``. The binding is (library and symbol
+    convention, numpy's pool thread count or ``not pinned``).
     """
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
     env["PYTHONPATH"] = str(src)
@@ -110,18 +120,19 @@ def run_probe(
         timeout=120,
         check=True,
     )
-    seconds, rss, after_import, after_solve = done.stdout.split()[-4:]
-    mapped = (after_import, after_solve)
-    return float(seconds), None if rss == "-" else int(rss), mapped, module_tree(done.stderr, module)
+    seconds, rss, after_import, after_solve, binding, threads = done.stdout.splitlines()[-1].split("\t")
+    mapped, bound = (after_import, after_solve), (binding, threads)
+    return float(seconds), None if rss == "-" else int(rss), mapped, bound, module_tree(done.stderr, module)
 
 
 def profile(src: Path, module: str, runs: int, write_bytecode: bool, top: int) -> None:
     """Print the medians of ``runs`` probes of ``module``."""
-    seconds, rss, times, own_rows, mapped = [], [], {}, [], set()
+    seconds, rss, times, own_rows, mapped, bound = [], [], {}, [], set(), set()
     for _ in range(runs):
-        s, r, libraries, rows = run_probe(src, module, write_bytecode)
+        s, r, libraries, binding, rows = run_probe(src, module, write_bytecode)
         own_rows.append(rows)
         mapped.add(libraries)
+        bound.add(binding)
         seconds.append(s)
         if r is not None:
             rss.append(r)
@@ -132,6 +143,8 @@ def profile(src: Path, module: str, runs: int, write_bytecode: bool, top: int) -
     print(f"import {module} [{mode}]: {statistics.median(seconds) * 1e3:.1f} ms, VmRSS {rss_text}")
     for after_import, after_solve in sorted(mapped):
         print(f"  OpenBLAS mapped after the import: {after_import}; after tpm_distribution: {after_solve}")
+    for binding, threads in sorted(bound):
+        print(f"  LAPACK bound: {binding}; numpy's pool threads: {threads}")
     own = statistics.median(
         sum(self_us for name, self_us, _ in run if name.split(".")[0] == "ergochain") for run in own_rows
     )
