@@ -25,10 +25,13 @@ Scenarios:
 
 The clean-chain scenarios (transport-sweep, theta-sweep) solve each chain
 once for its reflection fidelity F and compute each angle's inputs (the
-matched q and both erg_in) once per sweep; every row is then built straight
-from (T, F) and those inputs, with one receiver map per (chain, angle,
-encoding). The writers format a cell once where its value is the very object
-of the cell above it.
+matched q and both erg_in) once per sweep; the coherent receiver map then
+runs once per sweep, over the chains' F and the array of angles, and the
+mixed one once per chain, over the array of q. A runner returns column
+blocks: the cells every row of a block shares and one list per other
+column. The writers format each shared cell once per block and each list
+once per run, however many blocks share it, and write each file in one
+call.
 
 Every run writes `<scenario>.csv` (or `.json`) plus `<scenario>.manifest.json`
 into the output directory. Data files are byte-identical across repeated runs
@@ -38,20 +41,20 @@ calling thread: --threads is validated, must be an integer >= 1, and selects
 no code path.
 
 Exit codes: 0 success, 2 configuration error (bad file, unknown key or
-section, bad value, a --seed outside the generator's key range, a bad
---threads, an --out that cannot be a directory), 3 numerical failure (an
-internal accuracy contract was missed). Every configuration check, the seed
-included, runs before the output directory is made, so a configuration
-error leaves no directory behind. The directory is created right after
-that, before any cell runs, so a bad --out exits 2 at once; a run that then
-fails numerically leaves that directory created and empty.
+section, bad value or a count past 2^20, a --seed outside the generator's
+key range, a bad --threads, an --out that cannot be a directory, a data file
+or manifest that cannot be written, named in the message), 3 numerical
+failure (an internal accuracy contract was missed). Every configuration
+check, the seed included, runs before the output directory is made, so a
+configuration error leaves no directory behind. The directory is created
+right after that, before any cell runs, so a bad --out exits 2 at once; a
+run that then fails numerically leaves that directory created and empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import math
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin
+from typing import Any, Callable, Iterable, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -68,7 +71,8 @@ from . import __version__, _validate
 from .chain import ChainConfig, _seed, pst_couplings
 from .disorder import ensemble_fidelity, ensemble_stats, gamma_metric
 from .dynamics import InitialSiteState, amplitude_bessel_limit
-from .ergotropy import _record_fields, erg_input, match_mixed_to_pure, reflection_fidelity
+from .ergotropy import _efficiency, erg_coherent, erg_input, erg_mixed, match_mixed_to_pure
+from .ergotropy import reflection_fidelity
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -97,7 +101,10 @@ _SITES = (_validate.integer, 2)
 _UNIT = (_validate.real, 0.0, 1.0)
 _ANGLE = (_validate.angle,)
 _POSITIVE = (_validate.positive,)
-_COUNT = (_validate.integer, 1)
+# The largest count a config may ask for (angles, realizations, bins), so a
+# count that cannot be allocated is a configuration error, not a MemoryError.
+_MAX_COUNT = 2**20
+_COUNT = (_validate.integer, 1, _MAX_COUNT)
 
 # Each config key is key -> (parser, default, domain). INI text is parsed by
 # ``int`` or ``float`` (``list[...]``: a comma-separated list); JSON values,
@@ -144,7 +151,7 @@ _SCENARIOS: dict[str, _Scenario] = {
         keys={
             "sites": (list[int], _REQUIRED, _SITES),
             "alpha": (float, 1.0, _UNIT),
-            "theta_count": (int, 25, (_validate.integer, 2)),
+            "theta_count": (int, 25, (_validate.integer, 2, _MAX_COUNT)),
         },
         columns={**_CELL_COLUMNS, "kind": ("grid", "argmax"), **_RECORD_COLUMNS},
     ),
@@ -334,7 +341,11 @@ def config_hash(resolved: dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 # scenario runners
 
-Row = dict[str, Any]
+# A runner returns its rows as column blocks (shared, lists) in row order.
+# ``shared`` maps a column to the cell of every row of the block; ``lists``
+# maps each other column, at least one, to the block's values in row order,
+# all of one length. A list object may serve several blocks.
+Block = tuple[dict[str, Any], dict[str, Sequence]]
 
 
 def _angle_inputs(theta: float, field: float) -> tuple[tuple[str, float, float], ...]:
@@ -351,56 +362,79 @@ def _angle_inputs(theta: float, field: float) -> tuple[tuple[str, float, float],
     )
 
 
-def _reflection_rows(config: ChainConfig, angles: list[tuple], **extra: Any) -> list[Row]:
-    """One row per (angle, encoding) from the chain's one reflection fidelity.
+def _reflection_blocks(
+    configs: list[ChainConfig], thetas: list[float], field: float, **extra: Any
+) -> list[Block]:
+    """One block per chain: a coherent row, then its input-matched mixed row,
+    at each angle, from the chain's one reflection fidelity.
 
-    ``angles`` pairs each theta with its ``_angle_inputs``, and ``extra``
-    adds fixed columns. A row holds the fields of the ``ErgotropyRecord``
-    that ``erg_at_reflection`` returns (``ergotropy._record_fields``), plus
-    theta, built straight from (T, F) and the angle's inputs.
+    A row holds the fields of the ``ErgotropyRecord`` that ``erg_at_reflection``
+    returns, plus theta; ``extra`` adds shared columns. The angle columns are
+    one list object that every chain's block shares. The coherent map runs
+    once, over the chains' F and the array of angles; the mixed map once per
+    chain, over the array of q, which takes F's place (``erg_mixed`` is
+    symmetric in F and q to the bit).
     """
-    time, fidelity = reflection_fidelity(config)
+    inputs = [row for theta in thetas for row in _angle_inputs(theta, field)]
+    encodings, parameters, erg_in = map(list, zip(*inputs))
+    lists = {
+        "theta": [theta for theta in thetas for _ in _validate.ENCODINGS],
+        "encoding": encodings, "parameter": parameters, "erg_in": erg_in,
+    }
+    solved = [reflection_fidelity(config) for config in configs]
+    fidelities = np.array([fidelity for _, fidelity in solved])[:, None]
+    qs = np.array(parameters[1::2])
+    erg_out = np.stack(
+        (erg_coherent(fidelities, np.array(thetas), field),
+         [erg_mixed(qs, fidelity, field) for _, fidelity in solved]), axis=2,
+    ).reshape(len(configs), -1)
+    efficiency = _efficiency(erg_out, np.array(erg_in))
     return [
-        {**_record_fields(config, encoding, parameter, erg_in, time, fidelity),
-         "theta": theta, **extra}
-        for theta, inputs in angles
-        for encoding, parameter, erg_in in inputs
+        ({"n_sites": config.n_sites, "alpha": config.alpha, "time": time, "fidelity": fidelity,
+          **extra}, {**lists, "erg_out": out, "efficiency": ratio})
+        for config, (time, fidelity), out, ratio
+        in zip(configs, solved, erg_out.tolist(), efficiency.tolist())
     ]
 
 
-def run_transport_sweep(resolved: dict[str, Any]) -> list[Row]:
+def run_transport_sweep(resolved: dict[str, Any]) -> list[Block]:
     chain = resolved["chain"]
     params = resolved["params"]
-    angles = [(params["theta"], _angle_inputs(params["theta"], chain["field"]))]
-    rows: list[Row] = []
-    for n in params["sites"]:
-        for alpha in params["alphas"]:
-            rows += _reflection_rows(ChainConfig(n, **chain, alpha=alpha), angles)
-    return rows
+    configs = [
+        ChainConfig(n, **chain, alpha=alpha) for n in params["sites"] for alpha in params["alphas"]
+    ]
+    return _reflection_blocks(configs, [params["theta"]], chain["field"])
 
 
-def run_theta_sweep(resolved: dict[str, Any]) -> list[Row]:
+def run_theta_sweep(resolved: dict[str, Any]) -> list[Block]:
     chain = resolved["chain"]
     params = resolved["params"]
+    configs = [ChainConfig(n, **chain, alpha=params["alpha"]) for n in params["sites"]]
     thetas = np.linspace(0.0, math.pi, params["theta_count"]).tolist()
-    angles = [(theta, _angle_inputs(theta, chain["field"])) for theta in thetas]
-    rows: list[Row] = []
-    for n in params["sites"]:
-        config = ChainConfig(n, **chain, alpha=params["alpha"])
-        grid = _reflection_rows(config, angles, kind="grid")
-        rows += grid
-        for encoding in _validate.ENCODINGS:
-            ranked = [r for r in reversed(grid) if r["encoding"] == encoding]
-            # max keeps the first of equal rows: ties go to the largest theta
-            rows.append({**max(ranked, key=lambda r: r["erg_out"]), "kind": "argmax"})
-    return rows
+    blocks: list[Block] = []
+    for shared, lists in _reflection_blocks(configs, thetas, chain["field"], kind="grid"):
+        erg_out = lists["erg_out"]
+        # max keeps the first of equal rows, scanned from the end: ties go to the largest theta
+        best = [max(reversed(range(e, len(erg_out), 2)), key=erg_out.__getitem__) for e in (0, 1)]
+        argmax = {column: [values[i] for i in best] for column, values in lists.items()}
+        blocks += [(shared, lists), ({**shared, "kind": "argmax"}, argmax)]
+    return blocks
 
 
-def run_disorder(resolved: dict[str, Any]) -> list[Row]:
+def _row_count(blocks: list[Block]) -> int:
+    return sum(len(next(iter(lists.values()))) for _, lists in blocks)
+
+
+def _one_block(scenario: str, rows: list[tuple]) -> list[Block]:
+    """Rows given as tuples in the scenario's column order, as one block."""
+    return [({}, dict(zip(_SCENARIOS[scenario].columns, map(list, zip(*rows)))))]
+
+
+def run_disorder(resolved: dict[str, Any]) -> list[Block]:
     chain = resolved["chain"]
     params = resolved["params"]
     inputs = _angle_inputs(params["theta"], chain["field"])
-    rows: list[Row] = []
+    rows: list[tuple] = []
     for n in params["sites"]:
         for alpha in params["alphas"]:
             for delta in params["deltas"]:
@@ -412,73 +446,58 @@ def run_disorder(resolved: dict[str, Any]) -> list[Row]:
                 except UndefinedMetricError:
                     gamma = math.nan
                 rows += [
-                    {**vars(stats), "n_sites": n, "alpha": alpha, "count": stats.count, "gamma": g}
-                    for stats, g in zip(pair, (gamma, math.nan))
+                    (n, alpha, s.delta, s.encoding, s.parameter, s.mean, s.stddev, s.count, g)
+                    for s, g in zip(pair, (gamma, math.nan))
                 ]
-    return rows
+    return _one_block("disorder", rows)
 
 
-def run_workdist(resolved: dict[str, Any]) -> list[Row]:
+def run_workdist(resolved: dict[str, Any]) -> list[Block]:
     chain = resolved["chain"]
     params = resolved["params"]
     n = params["n"]
     theta = params["theta"]
     initial = InitialSiteState(theta=theta)
-    rows: list[Row] = []
+    blocks: list[Block] = []
 
-    def add(alpha: float, kind: str, works: Sequence[float], values: Sequence[float]) -> None:
-        rows.extend(
-            {
-                "n_sites": n,
-                "alpha": alpha,
-                "theta": theta,
-                "kind": kind,
-                "work": float(work),
-                "value": float(value),
-            }
-            for work, value in zip(works, values)
-        )
+    def add(alpha: float, kind: str, works: list[float], values: np.ndarray) -> None:
+        shared = {"n_sites": n, "alpha": alpha, "theta": theta, "kind": kind}
+        blocks.append((shared, {"work": works, "value": values.tolist()}))
 
     for alpha in params["alphas"]:
         distribution = tpm_distribution(ChainConfig(n, **chain, alpha=alpha), initial)
-        add(alpha, "atom", distribution.values, distribution.probabilities)
+        add(alpha, "atom", distribution.values.tolist(), distribution.probabilities)
         if distribution.values.size == 1:
             continue  # a sender that sends nothing: the atom W = 0, p = 1 is the whole law
         if alpha == 1.0 or alpha == 0.0:
             points, densities = adaptive_density(distribution)
-            add(alpha, "density", points, densities)
+            works = points.tolist()  # one list for the three laws on these points
+            add(alpha, "density", works, densities)
             if alpha == 1.0:
                 # limit of the binomial ladder: centered Gaussian, variance
                 # equal to the squared first engineered bond
                 variance = float(pst_couplings(n, chain["coupling"])[0] ** 2)
-                add(alpha, "gaussian", points, gaussian_density(points, variance))
+                add(alpha, "gaussian", works, gaussian_density(points, variance))
             else:
-                add(alpha, "semicircle", points, semicircle_density(points, chain["coupling"]))
+                add(alpha, "semicircle", works, semicircle_density(points, chain["coupling"]))
         else:
-            add(alpha, "hist", *binned_histogram(distribution, params["bins"]))
-    return rows
+            centers, heights = binned_histogram(distribution, params["bins"])
+            add(alpha, "hist", centers.tolist(), heights)
+    return blocks
 
 
-def run_bessel_compare(resolved: dict[str, Any]) -> list[Row]:
+def run_bessel_compare(resolved: dict[str, Any]) -> list[Block]:
     chain = resolved["chain"]
-    rows: list[Row] = []
+    rows: list[tuple] = []
     for n in resolved["params"]["sites"]:
         t, fidelity = reflection_fidelity(ChainConfig(n, **chain, alpha=0.0))
         f_discrete = math.sqrt(fidelity)
         f_bessel = abs(amplitude_bessel_limit(n, chain["coupling"], t).value)
-        rows.append(
-            {
-                "n_sites": n,
-                "time": t,
-                "f_discrete": f_discrete,
-                "f_bessel": f_bessel,
-                "diff": abs(f_discrete - f_bessel),
-            }
-        )
-    return rows
+        rows.append((n, t, f_discrete, f_bessel, abs(f_discrete - f_bessel)))
+    return _one_block("bessel-compare", rows)
 
 
-_RUNNERS: dict[str, Callable[[dict[str, Any]], list[Row]]] = {
+_RUNNERS: dict[str, Callable[[dict[str, Any]], list[Block]]] = {
     "transport-sweep": run_transport_sweep,
     "theta-sweep": run_theta_sweep,
     "disorder": run_disorder,
@@ -497,66 +516,88 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def _cells(rows: list[Row], columns: Iterable[str], text: Callable[[Any], str]) -> Iterator[tuple]:
-    """Each row's cells in column order, each value written by ``text``.
+def _block_rows(
+    blocks: list[Block], columns: Iterable[str], text: Callable[[Any], str],
+    row: Callable[[list[str]], str],
+) -> list[str]:
+    """Each row of ``blocks`` as text: its cells in column order, each written by
+    ``text`` and joined by ``row``.
 
-    A value that is the very object above it in its column (a chain's time
-    and F, an angle shared by its two encodings) reuses that cell's text.
-    The test is identity, never equality: 0.0 and -0.0, or 1 and True, are
-    equal but written differently.
+    A block's shared cells are written once, and each list column with one
+    ``map``; a list object that several blocks share is written once per call.
+    ``row`` then joins the shared cells (``%`` doubled) and a ``%s`` per list
+    column into the block's template, which each row fills in.
     """
-    columns = list(columns)
-    above: list[Any] = [object()] * len(columns)
-    cells = [""] * len(columns)
-    for row in rows:
-        for i, column in enumerate(columns):
-            value = row[column]
-            if value is not above[i]:
-                above[i] = value
-                cells[i] = text(value)
-        yield tuple(cells)
+    written: dict[int, list[str]] = {}  # id of a list column -> its cells
+    rows: list[str] = []
+    for shared, lists in blocks:
+        cells, filled = [], []
+        for column in columns:
+            if column in shared:
+                cells.append(text(shared[column]).replace("%", "%%"))
+                continue
+            values = lists[column]
+            if id(values) not in written:
+                written[id(values)] = list(map(text, values))
+            cells.append("%s")
+            filled.append(written[id(values)])
+        rows += map(row(cells).__mod__, zip(*filled))
+    return rows
 
 
-def write_rows_csv(path: Path, scenario: str, rows: list[Row]) -> None:
+def write_rows_csv(path: Path, scenario: str, blocks: list[Block]) -> None:
+    """The rows as ``csv.writer`` writes them, each cell as ``_format_cell``
+    writes it, in one write.
+
+    ``csv.writer`` (QUOTE_MINIMAL, lines ended by a newline) quotes a cell,
+    doubling its quotes, when it holds a comma, a quote or a newline. A
+    number's text never does, so the rule is applied to each distinct string.
+    """
     columns = _SCENARIOS[scenario].columns
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(_cells(rows, columns, _format_cell))
+    quoted: dict[str, str] = {}
+
+    def text(value: Any) -> str:
+        if not isinstance(value, str):
+            return _format_cell(value)
+        if value not in quoted:
+            special = "," in value or '"' in value or "\n" in value
+            quoted[value] = '"' + value.replace('"', '""') + '"' if special else str(value)
+        return quoted[value]
+
+    lines = [",".join(map(text, columns)), *_block_rows(blocks, columns, text, ",".join)]
+    path.write_text("\n".join(lines) + "\n", newline="")
+
+
+# the text ``float.__repr__`` gives a non-finite float -> its JSON, NaN as null
+_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_value(value: Any) -> str:
-    """One row value as ``json.dumps`` writes it, except that NaN is null."""
+    """One row value as ``json.dumps`` writes it, except that NaN is null.
+
+    A float, most cells, takes ``float.__repr__`` as ``json.dumps`` does,
+    without the cost of a ``json.dumps`` call; any other value goes through it.
+    """
     if isinstance(value, float):
-        if value != value:
-            return "null"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    return json.dumps(value)
 
 
-def write_rows_json(path: Path, scenario: str, rows: list[Row]) -> None:
+def write_rows_json(path: Path, scenario: str, blocks: list[Block]) -> None:
     """The rows as ``json.dumps(rows, indent=2)`` writes them, NaN as null.
 
     ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the rows
-    are joined here from the encoder's own pieces (``float.__repr__``,
-    ``int.__repr__``, ``encode_basestring_ascii``), each key escaped once.
+    are joined here from the encoder's own pieces (``_json_value`` per cell,
+    ``encode_basestring_ascii`` once per key).
     """
     columns = _SCENARIOS[scenario].columns
-    keys = [f"    {encode_basestring_ascii(c)}: " for c in columns]
-    items = [
-        "  {\n" + ",\n".join([key + cell for key, cell in zip(keys, cells)]) + "\n  }"
-        for cells in _cells(rows, columns, _json_value)
-    ]
+    keys = [f"    {encode_basestring_ascii(c)}: ".replace("%", "%%") for c in columns]
+
+    def row(cells: list[str]) -> str:
+        return "  {\n" + ",\n".join([key + cell for key, cell in zip(keys, cells)]) + "\n  }"
+
+    items = _block_rows(blocks, columns, _json_value, row)
     path.write_text("[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n")
 
 
@@ -615,10 +656,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)  # before the run, so a bad --out fails fast
         except OSError as exc:
             raise InvalidConfigError(f"cannot use {out_dir} as output directory: {exc}") from exc
-        rows = _RUNNERS[args.scenario](resolved)
-        data_path = out_dir / f"{args.scenario}.{args.format}"
-        _WRITERS[args.format](data_path, args.scenario, rows)
-        write_manifest(out_dir / f"{args.scenario}.manifest.json", resolved, len(rows))
+        blocks = _RUNNERS[args.scenario](resolved)
+        rows = _row_count(blocks)
+        data_path = path = out_dir / f"{args.scenario}.{args.format}"
+        try:  # ``path`` names the file being written, for the message
+            _WRITERS[args.format](path, args.scenario, blocks)
+            path = out_dir / f"{args.scenario}.manifest.json"
+            write_manifest(path, resolved, rows)
+        except OSError as exc:
+            raise InvalidConfigError(f"cannot write {path}: {exc}") from exc
     except (InvalidConfigError, InvalidInputError, MisuseError) as exc:
         print(f"ergochain: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -626,7 +672,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = f" (residual {exc.residual:.3e})" if exc.residual is not None else ""
         print(f"ergochain: numerical failure: {exc}{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(f"wrote {data_path} ({len(rows)} rows)")
+    print(f"wrote {data_path} ({rows} rows)")
     return EXIT_OK
 
 

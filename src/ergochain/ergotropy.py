@@ -89,14 +89,19 @@ def _positive_part(value):
 
 
 def erg_coherent(
-    fidelity: float | np.ndarray, theta: float, field: float
+    fidelity: float | np.ndarray, theta: float | np.ndarray, field: float
 ) -> float | np.ndarray:
     """Receiver ergotropy for the coherent encoding after fidelity-F transport.
 
     erg = B [2 F s^2 - 1 + sqrt(1 + 4 s^4 F (F - 1))], s^2 = sin^2(theta/2).
     Nonnegative and nondecreasing in F on [0, 1]; the sqrt term is the
     transported coherence doing work the populations alone could not.
-    A scalar F gives a float; an array of F gives an array.
+    A scalar F and theta give a float. An array of F, of theta or of both
+    (broadcast together) gives an array, whose every entry has the bits of
+    the scalar call at its (F, theta): the terms of theta are taken once per
+    angle by the scalar expression (``_coherent_sines``), and every other step
+    (products, ``sqrt``, the division, the choice of branch) is one correctly
+    rounded operation per entry.
 
     With a = 1 - 2 F s^2 and c = F sin^2(theta) the radicand is a^2 + c, and
     erg = B c / (r + a) for a > 0, B (r - a) otherwise, r = sqrt(a^2 + c):
@@ -109,10 +114,15 @@ def erg_coherent(
     relative, under a change of F by one rounding.
     """
     fidelity = _validate.unit_interval("fidelity", fidelity)
-    theta = _validate.angle("theta", theta)
     field = _validate.positive("field", field)
-    a = 1.0 - 2.0 * math.sin(0.5 * theta) ** 2 * fidelity
-    c = math.sin(theta) ** 2 * fidelity
+    if isinstance(theta, np.ndarray):
+        theta = _validate.reals("theta", theta, 0.0, math.pi)
+        terms = [_coherent_sines(angle) for angle in theta.ravel().tolist()]
+        two_s2, sin2 = np.array(terms).T.reshape(2, *theta.shape)
+    else:
+        two_s2, sin2 = _coherent_sines(_validate.angle("theta", theta))
+    a = 1.0 - two_s2 * fidelity
+    c = sin2 * fidelity
     # math.sqrt keeps the scalar path free of numpy scalar overhead
     if isinstance(a, np.ndarray):
         span = np.sqrt(a * a + c) + np.abs(a)
@@ -121,10 +131,22 @@ def erg_coherent(
     return field * (c / span if a > 0.0 else span)
 
 
+def _coherent_sines(theta: float) -> tuple[float, float]:
+    """(2 sin^2(theta/2), sin^2(theta)), the terms of theta in ``erg_coherent``.
+
+    Scalar expressions on purpose: ``s ** 2`` is libm ``pow``, which differs
+    from numpy's ``x ** 2`` (``x * x``) in the last bit of some angles.
+    """
+    return 2.0 * math.sin(0.5 * theta) ** 2, math.sin(theta) ** 2
+
+
 def erg_mixed(fidelity: float | np.ndarray, q: float, field: float) -> float | np.ndarray:
     """Receiver ergotropy for the mixed encoding: max(0, 2B(2qF - 1)).
 
-    A scalar F gives a float; an array of F gives an array.
+    A scalar F gives a float; an array of F gives an array, each entry with
+    the bits of the scalar call. The map is symmetric in F and q to the bit
+    (doubling is exact, so (2q)F and (2F)q round the same product): an array
+    of q at one F is ``erg_mixed(qs, F, field)``.
     """
     fidelity = _validate.unit_interval("fidelity", fidelity)
     q = _parameter("mixed", q)
@@ -189,26 +211,12 @@ class ErgotropyRecord:
     efficiency: float
 
 
-def _efficiency(erg_out: float, erg_in: float) -> float:
-    """erg_out / erg_in, or NaN when nothing extractable was sent."""
+def _efficiency(erg_out, erg_in):
+    """erg_out / erg_in, or NaN where nothing extractable was sent; elementwise
+    for arrays, each entry with the bits of the scalar division."""
+    if isinstance(erg_out, np.ndarray):
+        return np.divide(erg_out, erg_in, out=np.full(erg_out.shape, math.nan), where=erg_in > 0)
     return erg_out / erg_in if erg_in > 0 else math.nan
-
-
-def _record_fields(
-    config: ChainConfig, encoding: str, parameter: float, erg_in: float, time: float,
-    fidelity: float,
-) -> dict:
-    """The fields of an ``ErgotropyRecord`` at (time, F), as a dict.
-
-    ``parameter`` is one that ``_check_inputs`` returned, and ``erg_in`` its
-    input ergotropy. The CLI adds its own columns to this dict.
-    """
-    erg_out = _erg_out(encoding, fidelity, parameter, config.field)
-    return {
-        "n_sites": config.n_sites, "alpha": config.alpha, "encoding": encoding,
-        "parameter": parameter, "time": float(time), "fidelity": float(fidelity),
-        "erg_in": erg_in, "erg_out": erg_out, "efficiency": _efficiency(erg_out, erg_in),
-    }
 
 
 def _record(
@@ -216,7 +224,11 @@ def _record(
 ) -> ErgotropyRecord:
     """The record at (time, F) of a parameter that ``_check_inputs`` returned."""
     erg_in = erg_input(encoding, parameter, config.field)
-    return ErgotropyRecord(**_record_fields(config, encoding, parameter, erg_in, time, fidelity))
+    erg_out = _erg_out(encoding, fidelity, parameter, config.field)
+    return ErgotropyRecord(
+        config.n_sites, config.alpha, encoding, parameter, float(time), float(fidelity),
+        erg_in, erg_out, _efficiency(erg_out, erg_in),
+    )
 
 
 def reflection_fidelity(config: ChainConfig) -> tuple[float, float]:

@@ -49,3 +49,20 @@ def mp_end_spectrum(mpmath, bonds, start):
             for k, e in enumerate(roots)
         ]
     return roots, weights
+
+
+def block_rows(blocks):
+    """The CLI's column blocks as one dict per row, in row order.
+
+    Each row holds the block's shared cells and its own entry of every list
+    column, the very objects the block holds.
+    """
+    rows = []
+    for shared, lists in blocks:
+        rows += [{**shared, **dict(zip(lists, values))} for values in zip(*lists.values())]
+    return rows
+
+
+def rows_block(rows, columns):
+    """One block that holds ``rows`` (dicts) in list columns only."""
+    return [({}, {column: [row[column] for row in rows] for column in columns})]

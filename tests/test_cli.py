@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from lapack_hooks import hooked_lasq1, report_failure
+from oracles import block_rows, rows_block
 from ergochain import ChainConfig, InvalidConfigError, ensemble_erg, spectral
 from ergochain.cli import (
     _RUNNERS,
@@ -317,17 +318,17 @@ class TestOneSolvePerChain:
         resolved = self._resolved(
             tmp_path, "theta-sweep", "[theta-sweep]\nsites = 4, 9, 16\ntheta_count = 11\n"
         )
-        rows = run_theta_sweep(resolved)
+        rows = block_rows(run_theta_sweep(resolved))
         assert len(rows) == 3 * (11 * 2 + 2)
         assert len(solve_calls) == 3
 
     def test_transport_sweep_solves_each_cell_once(self, tmp_path, solve_calls):
-        rows = run_transport_sweep(self._resolved(tmp_path, "transport-sweep", TRANSPORT_INI))
-        assert len(rows) == 2 * 2 * 2
+        blocks = run_transport_sweep(self._resolved(tmp_path, "transport-sweep", TRANSPORT_INI))
+        assert len(block_rows(blocks)) == 2 * 2 * 2
         assert len(solve_calls) == 2 * 2
 
     def test_disorder_solves_each_realization_once(self, tmp_path, solve_calls):
-        rows = run_disorder(self._resolved(tmp_path, "disorder", DISORDER_INI))
+        rows = block_rows(run_disorder(self._resolved(tmp_path, "disorder", DISORDER_INI)))
         assert len(rows) == 2 * 2
         assert len(solve_calls) == 2 * 25
 
@@ -464,6 +465,18 @@ class TestFailurePaths:
         assert "configuration error" in capsys.readouterr().err
         assert ran == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("taken", ["data", "manifest"])
+    def test_unwritable_output_file(self, tmp_path, capsys, fmt, taken):
+        # a directory where the data file or the manifest goes: exit 2, naming it
+        name = {"data": f"theta-sweep.{fmt}", "manifest": "theta-sweep.manifest.json"}[taken]
+        (tmp_path / "out" / name).mkdir(parents=True)
+        code, out = _run(tmp_path, "theta-sweep", SCENARIO_INIS["theta-sweep"], "--format", fmt)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"ergochain: configuration error: cannot write {out / name}:")
+        assert (out / name).is_dir()
+
     def test_numerical_failure_leaves_the_out_directory_empty(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(report_failure))
         code, out = _run(tmp_path, "theta-sweep", SCENARIO_INIS["theta-sweep"])
@@ -498,14 +511,14 @@ CONFIG_ERRORS = {
     "theta": ("transport-sweep", _TRANSPORT + "theta = 4\n", ".ini", (),
               "[transport-sweep] theta must lie in [0.0, 3.141592653589793], got 4.0"),
     "theta_count": ("theta-sweep", "[theta-sweep]\nsites = 4\ntheta_count = 1\n", ".ini", (),
-                    "[theta-sweep] theta_count must be >= 2, got 1"),
+                    "[theta-sweep] theta_count must be >= 2 and <= 1048576, got 1"),
     "deltas": ("disorder", "[disorder]\nsites = 4\ndeltas = -0.1\n", ".ini", (),
                "[disorder] deltas must lie in [0.0, inf], got -0.1"),
     "realizations": ("disorder", "[disorder]\nsites = 4\ndeltas = 0.1\nrealizations = 0\n",
-                     ".ini", (), "[disorder] realizations must be >= 1, got 0"),
+                     ".ini", (), "[disorder] realizations must be >= 1 and <= 1048576, got 0"),
     "n": ("workdist", "[workdist]\nn = 1\n", ".ini", (), "[workdist] n must be >= 2, got 1"),
     "bins": ("workdist", "[workdist]\nn = 4\nbins = 0\n", ".ini", (),
-             "[workdist] bins must be >= 1, got 0"),
+             "[workdist] bins must be >= 1 and <= 1048576, got 0"),
     "coupling": ("transport-sweep", "[chain]\ncoupling = -1\n\n" + _TRANSPORT, ".ini", (),
                  "[chain] coupling must be > 0, got -1.0"),
     "field": ("transport-sweep", "[chain]\nfield = 0\n\n" + _TRANSPORT, ".ini", (),
@@ -552,6 +565,18 @@ CONFIG_ERRORS = {
     "seed-disorder": ("disorder", DISORDER_INI, ".ini", ("--seed", str(-(2**63) - 1)),
                       f"{_SEED_RANGE}, got {-(2**63) - 1}"),
 }
+# each count one past its bound, and far past it (it cannot be allocated); no
+# count at the bound itself is run
+CONFIG_ERRORS.update(
+    (f"{key}-{count}", (scenario, f"{text}{key} = {count}\n", ".ini", (),
+                        f"[{scenario}] {key} must be >= {low} and <= 1048576, got {count}"))
+    for key, scenario, text, low in (
+        ("theta_count", "theta-sweep", "[theta-sweep]\nsites = 5\n", 2),
+        ("realizations", "disorder", "[disorder]\nsites = 4\ndeltas = 0.1\n", 1),
+        ("bins", "workdist", "[workdist]\nn = 4\nalphas = 0.5\n", 1),
+    )
+    for count in (2**20 + 1, 10**15)
+)
 
 
 @pytest.mark.parametrize("case", CONFIG_ERRORS)
@@ -605,10 +630,12 @@ class TestJsonRowWriter:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_rows_of_every_scenario(self, tmp_path, scenario):
         config = _write(tmp_path, "run.ini", SCENARIO_INIS[scenario])
-        rows = _RUNNERS[scenario](resolve_config(config, scenario, 0, "json"))
-        assert rows
-        write_rows_json(tmp_path / "rows.json", scenario, rows)
-        assert (tmp_path / "rows.json").read_text() == _json_dumps_rows(scenario, rows)
+        blocks = _RUNNERS[scenario](resolve_config(config, scenario, 0, "json"))
+        assert blocks
+        write_rows_json(tmp_path / "rows.json", scenario, blocks)
+        assert (tmp_path / "rows.json").read_text() == _json_dumps_rows(
+            scenario, block_rows(blocks)
+        )
 
     def test_no_rows(self, tmp_path):
         write_rows_json(tmp_path / "rows.json", "disorder", [])
@@ -625,7 +652,7 @@ class TestJsonRowWriter:
             {c: values[(i + j) % len(values)] for j, c in enumerate(columns)}
             for i in range(len(values))
         ]
-        write_rows_json(tmp_path / "rows.json", "disorder", rows)
+        write_rows_json(tmp_path / "rows.json", "disorder", rows_block(rows, columns))
         text = (tmp_path / "rows.json").read_text()
         assert text == _json_dumps_rows("disorder", rows)
         assert "Infinity" in text and "-Infinity" in text and "NaN" not in text

@@ -1,11 +1,12 @@
-"""The clean-chain CLI rows and the cell writer against the routes they replace.
+"""The clean-chain CLI blocks and the block writers against the routes they replace.
 
-``transport-sweep`` and ``theta-sweep`` build each row straight from the
-chain's (T, F) and the angle's inputs, computed once per angle. The oracle
-below is the record route they replaced: one ``ErgotropyRecord`` per (chain,
-angle, encoding), turned into a dict, with theta and kind merged in. The
-writers format a value once where it repeats the object above it; the oracle
-there formats every cell.
+``transport-sweep`` and ``theta-sweep`` return one block of rows per chain,
+built from the chain's (T, F) and the angles' inputs, computed once per angle,
+with each encoding's receiver map run once over the array of angles. The
+oracle below is the record route they replaced: one ``ErgotropyRecord`` per
+(chain, angle, encoding), turned into a dict, with theta and kind merged in.
+The writers format each shared cell once per block and each list column once
+per call; the oracles there format every cell of every row.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import pytest
 import ergochain
 from ergochain import ChainConfig, cli, disorder, ergotropy
 from ergochain.cli import _SCENARIOS, resolve_config, write_rows_csv, write_rows_json
-from ergochain.ergotropy import _record, match_mixed_to_pure, reflection_fidelity
+from ergochain.ergotropy import _record, erg_coherent, erg_mixed, match_mixed_to_pure
+from ergochain.ergotropy import reflection_fidelity
+from oracles import block_rows
 
 
 def _encoding_rows(config, theta, time, fidelity):
@@ -69,7 +72,7 @@ _ORACLES = {"transport-sweep": _oracle_transport_sweep, "theta-sweep": _oracle_t
 
 
 def _csv_per_cell(scenario, rows):
-    """Every cell formatted on its own, as the writer did before it reused text."""
+    """``csv.writer`` over every cell, each formatted on its own by ``_format_cell``."""
     columns = _SCENARIOS[scenario].columns
     handle = io.StringIO(newline="")
     writer = csv.writer(handle, lineterminator="\n")
@@ -141,21 +144,22 @@ def case(request, tmp_path_factory):
 
 class TestRowsAgainstTheRecordRoute:
     def test_values(self, case):
-        _, rows, oracle = case
-        assert len(rows) == len(oracle)
+        _, blocks, oracle = case
+        rows = block_rows(blocks)
+        assert cli._row_count(blocks) == len(rows) == len(oracle)
         for row, want in zip(rows, oracle):
             assert row.keys() == want.keys()
             for key in want:
                 assert _same_value(row[key], want[key]), (key, row[key], want[key])
 
     def test_csv_bytes(self, case, tmp_path):
-        scenario, rows, oracle = case
-        write_rows_csv(tmp_path / "rows.csv", scenario, rows)
+        scenario, blocks, oracle = case
+        write_rows_csv(tmp_path / "rows.csv", scenario, blocks)
         assert (tmp_path / "rows.csv").read_text() == _csv_per_cell(scenario, oracle)
 
     def test_json_bytes(self, case, tmp_path):
-        scenario, rows, oracle = case
-        write_rows_json(tmp_path / "rows.json", scenario, rows)
+        scenario, blocks, oracle = case
+        write_rows_json(tmp_path / "rows.json", scenario, blocks)
         assert (tmp_path / "rows.json").read_text() == _json_per_cell(scenario, oracle)
 
     def test_the_cases_reach_the_edges(self, tmp_path):
@@ -163,7 +167,7 @@ class TestRowsAgainstTheRecordRoute:
         rows = []
         for name in CASES:
             resolved = _resolved(tmp_path, name)
-            rows += cli._RUNNERS[resolved["scenario"]](resolved)
+            rows += block_rows(cli._RUNNERS[resolved["scenario"]](resolved))
         assert any(math.isnan(r["efficiency"]) for r in rows)
         assert max(r["fidelity"] for r in rows) == 1.0
         assert any(r["encoding"] == "mixed" and r["erg_in"] > 0 and r["erg_out"] == 0 for r in rows)
@@ -194,86 +198,161 @@ def test_theta_sweep_computes_each_angle_once(monkeypatch, sites):
         "chain": {"coupling": 1.0, "field": 1.0},
         "params": {"sites": sites, "alpha": 0.5, "theta_count": count},
     }
-    rows = cli.run_theta_sweep(resolved)
-    assert len(rows) == len(sites) * (2 * count + 2)
+    assert len(block_rows(cli.run_theta_sweep(resolved))) == len(sites) * (2 * count + 2)
     assert len(calls["match_mixed_to_pure"]) == count
     assert len(calls["erg_input"]) == 2 * count
-    # the receiver maps still run once per (site, angle, encoding)
-    assert len(calls["erg_coherent"]) == len(calls["erg_mixed"]) == len(sites) * count
+    # the coherent map runs once, over the chains' F and the array of angles
+    ((fidelities, thetas, _),) = calls["erg_coherent"]
+    assert fidelities.shape == (len(sites), 1) and thetas.shape == (count,)
+    # the mixed map once per chain, over the array of q in F's place
+    assert len(calls["erg_mixed"]) == len(sites)
+    assert all(qs.shape == (count,) and type(f) is float for qs, f, _ in calls["erg_mixed"])
 
 
 def test_transport_sweep_computes_its_angle_once(monkeypatch):
-    calls = {name: _counted(monkeypatch, name) for name in ("match_mixed_to_pure", "erg_input")}
+    names = ("match_mixed_to_pure", "erg_input", "erg_coherent", "erg_mixed")
+    calls = {name: _counted(monkeypatch, name) for name in names}
     resolved = {
         "chain": {"coupling": 1.0, "field": 1.0},
         "params": {"sites": [4, 8], "alphas": [0.0, 1.0], "theta": 1.0},
     }
-    assert len(cli.run_transport_sweep(resolved)) == 2 * 2 * 2
+    assert len(block_rows(cli.run_transport_sweep(resolved))) == 2 * 2 * 2
     assert len(calls["match_mixed_to_pure"]) == 1
     assert len(calls["erg_input"]) == 2
+    assert len(calls["erg_coherent"]) == 1 and len(calls["erg_mixed"]) == 2 * 2
 
 
-class TestCellWriter:
-    """``_cells`` reuses a cell's text only for the very object above it."""
+def _written(path):
+    """The file's text as written: no newline translation, so a "\\r" reads back."""
+    with open(path, newline="") as handle:
+        return handle.read()
 
-    SCENARIO = "disorder"  # nine columns
-    SHARED = 0.1
-    NAN = math.nan
-    WIDE = np.float64(2.5)
 
-    def _rows(self):
-        # each column runs through one sequence of values, shifted by its index
-        values = [
-            self.SHARED, self.SHARED, 0.1, 0.0, -0.0, 0.0, 1, True, 1.0, 1, False, 0,
-            self.NAN, self.NAN, math.nan, self.WIDE, self.WIDE, np.float64(2.5), 2.5,
-            None, None, "mixed", "mixed", "coherent", math.inf, -math.inf, 2**70, -3,
-        ]
-        columns = list(_SCENARIOS[self.SCENARIO].columns)
-        return [
-            {c: values[(i + j) % len(values)] for j, c in enumerate(columns)}
-            for i in range(len(values))
-        ]
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
-    def test_csv_equals_the_per_cell_route(self, tmp_path):
-        rows = self._rows()
-        write_rows_csv(tmp_path / "rows.csv", self.SCENARIO, rows)
-        assert (tmp_path / "rows.csv").read_text() == _csv_per_cell(self.SCENARIO, rows)
 
-    def test_json_equals_the_per_cell_route(self, tmp_path):
-        rows = self._rows()
-        write_rows_json(tmp_path / "rows.json", self.SCENARIO, rows)
-        assert (tmp_path / "rows.json").read_text() == _json_per_cell(self.SCENARIO, rows)
+class TestReceiverMapOverAngles:
+    """Each row of a sweep's blocks has the bits of the scalar receiver maps."""
+
+    FIDELITIES = [0.0, 1e-300, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 1.0]
+    THETAS = [0.0, math.pi, *np.random.default_rng(7).uniform(0.0, math.pi, 10**4).tolist()]
+
+    @pytest.mark.parametrize("field", [1.0, 1.9])
+    def test_blocks_equal_the_scalar_maps(self, monkeypatch, field):
+        # the chain of N sites reads FIDELITIES[N - 2], so one sweep covers them all
+        fidelity_of = dict(enumerate(self.FIDELITIES, start=2))
+        monkeypatch.setattr(cli, "reflection_fidelity", lambda c: (1.5, fidelity_of[c.n_sites]))
+        configs = [ChainConfig(n, coupling=1.0, field=field, alpha=0.5) for n in fidelity_of]
+        blocks = cli._reflection_blocks(configs, self.THETAS, field)
+        assert [shared["fidelity"] for shared, _ in blocks] == self.FIDELITIES
+        want_in = []
+        for theta in self.THETAS:
+            q = match_mixed_to_pure(theta)
+            want_in += [ergotropy.erg_input("coherent", theta, field),
+                        ergotropy.erg_input("mixed", q, field)]
+        for (_, lists), fidelity in zip(blocks, self.FIDELITIES):
+            want_out = []
+            for theta in self.THETAS:
+                q = match_mixed_to_pure(theta)
+                want_out += [erg_coherent(fidelity, theta, field), erg_mixed(fidelity, q, field)]
+            assert _bits(lists["erg_out"]) == _bits(want_out)
+            assert _bits(lists["erg_in"]) == _bits(want_in)
+            efficiency = lists["efficiency"]
+            assert [math.isnan(e) for e in efficiency] == [erg_in == 0 for erg_in in want_in]
+            assert _bits([e for e in efficiency if e == e]) == _bits(
+                [out / erg_in for out, erg_in in zip(want_out, want_in) if erg_in > 0]
+            )
+
+    def test_angles_reach_the_edges(self):
+        """theta = 0 sends nothing, and at F = 1/2 - 1 ulp theta = pi leaves
+        the mixed map at 0 while one ulp more extracts work."""
+        below, above = self.FIDELITIES[2], self.FIDELITIES[4]
+        assert erg_mixed(below, match_mixed_to_pure(math.pi), 1.0) == 0.0
+        assert erg_mixed(above, match_mixed_to_pure(math.pi), 1.0) > 0.0
+        assert ergotropy.erg_input("coherent", 0.0, 1.0) == 0.0
+
+
+# every kind of value a cell may hold, strings with the characters that need
+# quoting (or a template's "%") among them
+EDGE_VALUES = [
+    0.0, -0.0, 1, True, 1.0, math.nan, math.inf, -math.inf, 1e-320, np.float64(2.5), 2**70,
+    None, "a,b", 'say "hi"', "two\nlines", "100%", "%s %d %%", "café → \U0001f600",
+    "", "cr\rhere", False, 0.1, -3, "coherent",
+]
+
+
+def _edge_blocks(columns):
+    """Blocks whose shared cells and list columns run through ``EDGE_VALUES``.
+
+    One list object serves every block, the lists of two blocks are equal but
+    not identical ([0.0, 1] against [-0.0, True] among them), and the last
+    block is a one-row law like ``workdist``'s lone atom.
+    """
+    n = len(EDGE_VALUES)
+    common = [EDGE_VALUES[(5 * k) % n] for k in range(n)]
+    blocks = []
+    for i in range(4):
+        shared = {
+            c: EDGE_VALUES[(7 * i + j) % n] for j, c in enumerate(columns[:-1]) if (i + j) % 3 == 0
+        }
+        lists = {c: [EDGE_VALUES[(i + j + k) % n] for k in range(n)]
+                 for j, c in enumerate(columns[:-1]) if c not in shared}
+        blocks.append((shared, {**lists, columns[-1]: common}))
+    blocks.append(({c: -0.0 for c in columns[:-1]}, {columns[-1]: ["100%"]}))
+    return blocks
+
+
+class TestBlockWriters:
+    """Both writers write the bytes of the per-cell route, whatever the cells hold."""
+
+    @pytest.mark.parametrize("scenario", ["disorder", "workdist"])
+    def test_csv_equals_the_per_cell_route(self, tmp_path, scenario):
+        blocks = _edge_blocks(list(_SCENARIOS[scenario].columns))
+        write_rows_csv(tmp_path / "rows.csv", scenario, blocks)
+        text = _written(tmp_path / "rows.csv")
+        assert text == _csv_per_cell(scenario, block_rows(blocks))
+        assert '"a,b"' in text and '"say ""hi"""' in text and "100%" in text
+
+    @pytest.mark.parametrize("scenario", ["disorder", "workdist"])
+    def test_json_equals_the_per_cell_route(self, tmp_path, scenario):
+        blocks = _edge_blocks(list(_SCENARIOS[scenario].columns))
+        write_rows_json(tmp_path / "rows.json", scenario, blocks)
+        text = _written(tmp_path / "rows.json")
+        assert text == _json_per_cell(scenario, block_rows(blocks))
+        assert "Infinity" in text and "NaN" not in text
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_reuse_by_equality_would_fail(self, tmp_path, monkeypatch, fmt):
-        """The rows above tell identity from equality: 0.0/-0.0 and 1/True/1.0."""
+    def test_empty_run(self, tmp_path, fmt):
+        cli._WRITERS[fmt](tmp_path / f"rows.{fmt}", "workdist", [])
+        per_cell = {"csv": _csv_per_cell, "json": _json_per_cell}[fmt]("workdist", [])
+        assert (tmp_path / f"rows.{fmt}").read_text() == per_cell
+        assert cli._row_count([]) == 0
 
-        def by_equality(rows, columns, text):
-            out = []
-            for name in columns:
-                above, cell, cells = object(), "", []
-                for row in rows:
-                    if row[name] != above:
-                        above, cell = row[name], text(row[name])
-                    cells.append(cell)
-                out.append(cells)
-            return zip(*out)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_row_law(self, tmp_path, fmt):
+        """The whole law of a sender that sends nothing: the atom W = 0, p = 1."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"workdist": {"n": 6, "alphas": [0.5], "theta": 0.0}}))
+        blocks = cli.run_workdist(resolve_config(config, "workdist", 0, fmt))
+        assert cli._row_count(blocks) == 1
+        cli._WRITERS[fmt](tmp_path / f"rows.{fmt}", "workdist", blocks)
+        per_cell = {"csv": _csv_per_cell, "json": _json_per_cell}[fmt]
+        assert (tmp_path / f"rows.{fmt}").read_text() == per_cell("workdist", block_rows(blocks))
 
-        rows = self._rows()
-        monkeypatch.setattr(cli, "_cells", by_equality)
-        cli._WRITERS[fmt](tmp_path / f"rows.{fmt}", self.SCENARIO, rows)
-        per_cell = {"csv": _csv_per_cell, "json": _json_per_cell}[fmt](self.SCENARIO, rows)
-        assert (tmp_path / f"rows.{fmt}").read_text() != per_cell
-
-    def test_each_run_of_one_object_is_formatted_once(self):
-        rows = self._rows()
-        texts = []
+    def test_each_shared_cell_and_list_is_written_once(self):
+        common = [0.5, -0.0, "x"]
+        blocks = [
+            ({"a": 1, "c": "%d"}, {"b": common, "d": [0.0, 1, 1.0]}),
+            ({"a": 2, "c": "%"}, {"b": common, "d": [-0.0, True, 1.0]}),
+        ]
+        written = []
 
         def text(value):
-            texts.append(value)
+            written.append(value)
             return repr(value)
 
-        cells = list(cli._cells(rows, ["mean"], text))
-        assert [cell for (cell,) in cells] == [repr(row["mean"]) for row in rows]
-        runs = 1 + sum(b["mean"] is not a["mean"] for a, b in zip(rows, rows[1:]))
-        assert len(texts) == runs < len(rows)
+        rows = cli._block_rows(blocks, "abcd", text, ",".join)
+        assert rows == [",".join(repr(row[c]) for c in "abcd") for row in block_rows(blocks)]
+        assert rows[3] == "2,0.5,'%',-0.0"
+        assert len(written) == 2 * 2 + len(common) + 2 * 3

@@ -386,6 +386,28 @@ class TestArrayMaps:
         values = erg_mixed(self.FIDELITIES, q, 1.7)
         assert values.tobytes() == self._scalar(erg_mixed, q, 1.7).tobytes()
 
+    def test_arrays_of_angles_broadcast_against_fidelities(self):
+        """F as a column and theta as a row: every entry has the scalar bits."""
+        thetas = np.concatenate([[0.0, math.pi], np.random.default_rng(3).uniform(0, math.pi, 200)])
+        values = erg_coherent(self.FIDELITIES[:, None], thetas, 1.3)
+        assert values.shape == (self.FIDELITIES.size, thetas.size)
+        want = [[erg_coherent(float(f), float(t), 1.3) for t in thetas] for f in self.FIDELITIES]
+        assert values.tobytes() == np.array(want).tobytes()
+        assert erg_coherent(0.75, thetas, 1.3).tobytes() == np.array(want[192]).tobytes()
+
+    @pytest.mark.parametrize("bad", [[0.5, 3.5, 1.5], [-0.1], [math.nan]])
+    def test_arrays_of_angles_validated_elementwise(self, bad):
+        with pytest.raises(InvalidInputError, match="theta"):
+            erg_coherent(0.5, np.array(bad), 1.0)
+
+    def test_mixed_is_symmetric_in_fidelity_and_q_to_the_bit(self):
+        """What lets an array of q at one F go in F's place."""
+        qs = np.concatenate([self.FIDELITIES[self.FIDELITIES >= 0], [math.nextafter(0.5, 1.0)]])
+        for fidelity in self.FIDELITIES[self.FIDELITIES >= 0].tolist():
+            swapped = erg_mixed(qs, fidelity, 1.7)
+            want = [erg_mixed(fidelity, q, 1.7) for q in np.clip(qs, 0.0, 1.0).tolist()]
+            assert swapped.tobytes() == np.array(want).tobytes(), fidelity
+
     def test_scalar_gives_python_float(self):
         assert type(erg_coherent(np.float64(0.5), 1.0, 1.0)) is float
         assert type(erg_mixed(np.float64(0.9), 0.8, 1.0)) is float
