@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -37,6 +38,10 @@ ENCODINGS = ("coherent", "mixed")
 # Roundoff slack of the unit interval: values within it are clipped onto
 # [0, 1], values beyond it are errors.
 UNIT_SLACK = 1e-12
+
+# The largest value ``positive`` takes (and a disorder half-width): twice it,
+# as in 2J, 2B and a draw's 2 delta, stays finite.
+HALF_MAX = sys.float_info.max / 2
 
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
@@ -77,8 +82,8 @@ def angle(name: str, value) -> float:
 
 
 def positive(name: str, value) -> float:
-    """A finite real number > 0."""
-    value = real(name, value)
+    """A real number in (0, HALF_MAX]."""
+    value = real(name, value, high=HALF_MAX)
     if value <= 0:
         raise InvalidInputError(f"{name} must be > 0, got {value}")
     return value

@@ -46,10 +46,10 @@ class ChainConfig:
 
     Attributes:
         n_sites: number of sites N, an integer >= 2.
-        coupling: overall coupling scale J > 0.
-        field: transverse field strength B > 0.
+        coupling: overall coupling scale J in (0, HALF_MAX].
+        field: transverse field strength B in (0, HALF_MAX].
         alpha: interpolation weight between uniform (0) and engineered (1) bonds.
-        delta: half-width of the relative disorder window, >= 0.
+        delta: half-width of the relative disorder window, in [0, HALF_MAX].
     """
 
     n_sites: int
@@ -65,7 +65,7 @@ class ChainConfig:
                 ("coupling", _validate.positive("coupling", self.coupling)),
                 ("field", _validate.positive("field", self.field)),
                 ("alpha", _validate.real("alpha", self.alpha, 0.0, 1.0)),
-                ("delta", _validate.real("delta", self.delta, 0.0)),
+                ("delta", _validate.real("delta", self.delta, 0.0, _validate.HALF_MAX)),
             ):
                 object.__setattr__(self, name, value)
         except InvalidInputError as exc:  # a field's domain: a configuration error

@@ -41,14 +41,16 @@ calling thread: --threads is validated, must be an integer >= 1, and selects
 no code path.
 
 Exit codes: 0 success, 2 configuration error (bad file, unknown key or
-section, bad value or a count past 2^20, a --seed outside the generator's
-key range, a bad --threads, an --out that cannot be a directory, a data file
-or manifest that cannot be written, named in the message), 3 numerical
-failure (an internal accuracy contract was missed). Every configuration
-check, the seed included, runs before the output directory is made, so a
-configuration error leaves no directory behind. The directory is created
-right after that, before any cell runs, so a bad --out exits 2 at once; a
-run that then fails numerically leaves that directory created and empty.
+section, bad value, a chain longer than 2^13 sites, a count past 2^20, a
+coupling, field or delta past half the largest float, a --seed outside the
+generator's key range, a bad --threads, an --out that cannot be a directory,
+a data file or manifest that cannot be written, named in the message), 3
+numerical failure (an internal accuracy contract was missed, or a reflection
+time or phase overflowed). Every configuration check, the seed included,
+runs before the output directory is made, so a configuration error leaves
+no directory behind. The directory is created right after that, before any
+cell runs, so a bad --out exits 2 at once; a run that then fails
+numerically leaves that directory created and empty.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ _REQUIRED = None  # the default of a key that every config must set
 
 # A domain is a ``_validate`` rule and its bounds, called as
 # ``rule(name, value, *bounds)``.
-_SITES = (_validate.integer, 2)
+# The longest chain a config may ask for: a ``workdist`` solve of N sites holds
+# below 2.5 N^2 doubles, about 1.3 GB at this bound.
+_SITES = (_validate.integer, 2, 2**13)
 _UNIT = (_validate.real, 0.0, 1.0)
 _ANGLE = (_validate.angle,)
 _POSITIVE = (_validate.positive,)
@@ -159,7 +163,7 @@ _SCENARIOS: dict[str, _Scenario] = {
         keys={
             "sites": (list[int], _REQUIRED, _SITES),
             "alphas": (list[float], [1.0], _UNIT),
-            "deltas": (list[float], _REQUIRED, (_validate.real, 0.0)),
+            "deltas": (list[float], _REQUIRED, (_validate.real, 0.0, _validate.HALF_MAX)),
             "theta": (float, math.pi / 2, _ANGLE),
             "realizations": (int, 200, _COUNT),
         },
@@ -251,7 +255,7 @@ def _read_raw_config(path: Path) -> dict[str, dict[str, Any]]:
             raise InvalidConfigError(
                 f"config file {path} must be an object of section objects"
             )
-        return {str(k): dict(v) for k, v in loaded.items()}
+        return loaded
     # no section header can be empty, so [DEFAULT] is an ordinary (unknown) section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
@@ -277,7 +281,7 @@ def _resolve_value(name: str, raw: Any, parser: Callable, domain: tuple) -> Any:
     (item,) = get_args(parser)
     if isinstance(raw, _IniText):
         raw = [_IniText(part) for part in raw.split(",") if part.strip()]
-    elif not isinstance(raw, (list, tuple)):
+    elif not isinstance(raw, list):
         raise InvalidConfigError(f"{name}: expected a list, got {raw!r}")
     if not raw:
         raise InvalidConfigError(f"{name}: expected a nonempty list")

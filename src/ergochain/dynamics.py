@@ -123,6 +123,8 @@ def _end_fidelities(bonds: np.ndarray, time: float) -> np.ndarray:
     bit for bit, so a chain read in a stack and on its own give the same F.
     """
     sigma, amplitudes = _end_spectrum(bonds)
+    if not math.isfinite(float(sigma.max()) * time):  # before numpy's product overflows
+        raise NumericalFailureError(f"phase sigma t of f_N overflows at t = {time}")
     wave = np.sin if bonds.shape[1] % 2 else np.cos
     sums = (amplitudes * wave(sigma * time)).sum(axis=-1)
     return np.minimum(sums * sums, 1.0)
@@ -225,6 +227,8 @@ def _window_fidelities(bonds: np.ndarray, step: float, count: int) -> np.ndarray
     ``_end_fidelities``.
     """
     sigma, amplitudes = _end_spectrum(bonds[None])
+    if not math.isfinite(float(sigma.max()) * (count * step)):  # count step bounds the grid's times
+        raise NumericalFailureError(f"phase sigma t of f_N overflows at t = {count * step}")
     block = math.isqrt(count - 1) + 1
     far_times = np.arange(-(-count // block)) * (block * step)
     times = np.concatenate((np.arange(1, block + 1) * step, far_times))
@@ -350,7 +354,7 @@ class QubitState:
         p1 = _validate.real("excited_population", self.excited_population)
         p1 = _validate.unit_interval("excited_population", p1)
         c = _validate.complex_number("coherence", self.coherence)
-        if abs(c) ** 2 > p1 * (1.0 - p1) + self._POSITIVITY_SLACK:
+        if abs(c) * abs(c) > p1 * (1.0 - p1) + self._POSITIVITY_SLACK:  # ** 2 may overflow
             raise InvalidInputError(
                 f"coherence {abs(c):.6g} violates positivity for p1={p1:.6g}"
             )

@@ -31,7 +31,7 @@ import numpy as np
 from . import _validate
 from .chain import ChainConfig, gn_factor, interpolated_bonds
 from .dynamics import QubitState, _end_fidelities, _window_fidelities
-from .errors import InvalidInputError, UndefinedEfficiencyError
+from .errors import InvalidInputError, NumericalFailureError, UndefinedEfficiencyError
 
 __all__ = [
     "ErgotropyRecord",
@@ -81,13 +81,6 @@ def match_mixed_to_pure(theta: float) -> float:
     return 0.5 * (1.0 + math.sin(0.5 * theta) ** 2)
 
 
-def _positive_part(value):
-    """max(0.0, value), elementwise for an array; -0.0 and NaN give 0.0 both ways."""
-    if isinstance(value, np.ndarray):
-        return np.where(value > 0.0, value, 0.0)
-    return max(0.0, float(value))
-
-
 def erg_coherent(
     fidelity: float | np.ndarray, theta: float | np.ndarray, field: float
 ) -> float | np.ndarray:
@@ -96,16 +89,19 @@ def erg_coherent(
     erg = B [2 F s^2 - 1 + sqrt(1 + 4 s^4 F (F - 1))], s^2 = sin^2(theta/2).
     Nonnegative and nondecreasing in F on [0, 1]; the sqrt term is the
     transported coherence doing work the populations alone could not.
-    A scalar F and theta give a float. An array of F, of theta or of both
-    (broadcast together) gives an array, whose every entry has the bits of
-    the scalar call at its (F, theta): the terms of theta are taken once per
-    angle by the scalar expression (``_coherent_sines``), and every other step
-    (products, ``sqrt``, the division, the choice of branch) is one correctly
-    rounded operation per entry.
+    F and theta may each be a scalar or an array (broadcast together); one
+    numpy formula serves every shape, and a 0-d result is returned as a
+    Python float. The terms of theta, 2 sin^2(theta/2) and sin^2(theta),
+    are taken once per angle by scalar libm expressions: ``s ** 2`` is libm
+    ``pow``, which differs from numpy's ``x ** 2`` (``x * x``) in the last
+    bit of some angles. Every other step (products, ``sqrt``, the division,
+    the choice of branch) is one correctly rounded operation per entry, so
+    each entry of an array has the bits of the scalar call at its (F, theta).
 
     With a = 1 - 2 F s^2 and c = F sin^2(theta) the radicand is a^2 + c, and
     erg = B c / (r + a) for a > 0, B (r - a) otherwise, r = sqrt(a^2 + c):
-    both sums r + |a| are of nonnegative terms, so nothing cancels. The
+    both sums r + |a| are of nonnegative terms, so nothing cancels, and
+    r + |a| > 0 wherever a <= 0 (sin^2(math.pi) is 1.5e-32, not 0). The
     result is within 8 eps (1 + 1/(r + |a|)) of erg, relative (1.7 times
     eps (1 + 1/(r + |a|)) at most against 100-digit arithmetic on 25,000
     (theta, F), F down to 1e-12). r + |a| is at least
@@ -115,43 +111,31 @@ def erg_coherent(
     """
     fidelity = _validate.unit_interval("fidelity", fidelity)
     field = _validate.positive("field", field)
-    if isinstance(theta, np.ndarray):
-        theta = _validate.reals("theta", theta, 0.0, math.pi)
-        terms = [_coherent_sines(angle) for angle in theta.ravel().tolist()]
-        two_s2, sin2 = np.array(terms).T.reshape(2, *theta.shape)
-    else:
-        two_s2, sin2 = _coherent_sines(_validate.angle("theta", theta))
+    theta = _validate.reals("theta", theta, 0.0, math.pi)
+    terms = [(2.0 * math.sin(0.5 * t) ** 2, math.sin(t) ** 2) for t in theta.ravel().tolist()]
+    two_s2, sin2 = np.array(terms).T.reshape(2, *theta.shape)
     a = 1.0 - two_s2 * fidelity
     c = sin2 * fidelity
-    # math.sqrt keeps the scalar path free of numpy scalar overhead
-    if isinstance(a, np.ndarray):
-        span = np.sqrt(a * a + c) + np.abs(a)
-        return field * np.where(a > 0.0, c / span, span)
-    span = math.sqrt(a * a + c) + abs(a)
-    return field * (c / span if a > 0.0 else span)
-
-
-def _coherent_sines(theta: float) -> tuple[float, float]:
-    """(2 sin^2(theta/2), sin^2(theta)), the terms of theta in ``erg_coherent``.
-
-    Scalar expressions on purpose: ``s ** 2`` is libm ``pow``, which differs
-    from numpy's ``x ** 2`` (``x * x``) in the last bit of some angles.
-    """
-    return 2.0 * math.sin(0.5 * theta) ** 2, math.sin(theta) ** 2
+    span = np.sqrt(a * a + c) + np.abs(a)
+    erg = field * np.where(a > 0.0, c / span, span)
+    return float(erg) if erg.ndim == 0 else erg
 
 
 def erg_mixed(fidelity: float | np.ndarray, q: float, field: float) -> float | np.ndarray:
     """Receiver ergotropy for the mixed encoding: max(0, 2B(2qF - 1)).
 
     A scalar F gives a float; an array of F gives an array, each entry with
-    the bits of the scalar call. The map is symmetric in F and q to the bit
-    (doubling is exact, so (2q)F and (2F)q round the same product): an array
-    of q at one F is ``erg_mixed(qs, F, field)``.
+    the bits of the scalar call (one formula serves both). The map is
+    symmetric in F and q to the bit (doubling is exact, so (2q)F and (2F)q
+    round the same product): an array of q at one F is
+    ``erg_mixed(qs, F, field)``.
     """
     fidelity = _validate.unit_interval("fidelity", fidelity)
     q = _parameter("mixed", q)
     field = _validate.positive("field", field)
-    return _positive_part(2.0 * field * (2.0 * q * fidelity - 1.0))
+    x = 2.0 * field * (2.0 * q * fidelity - 1.0)
+    erg = np.where(x > 0.0, x, 0.0)
+    return float(erg) if erg.ndim == 0 else erg
 
 
 def _check_inputs(config: ChainConfig, encoding: str, parameter: float) -> float:
@@ -179,14 +163,18 @@ def reflection_time(n_sites: int, alpha: float, coupling: float) -> float:
     T = (N / J) [alpha^2 pi/(4 G_N) + (1 - alpha^2) pi/6]: the engineered
     chain refocuses at pi N/(4 J G_N), the uniform chain's wavefront (group
     velocity 2J, sharpened by dispersion) peaks near pi N/(6 J), and the
-    blend interpolates in alpha^2.
+    blend interpolates in alpha^2. A T that overflows (J below about
+    N / 1.8e308) raises NumericalFailureError.
     """
     n_sites = _validate.integer("n_sites", n_sites, 2)
     alpha = _validate.real("alpha", alpha, 0.0, 1.0)
     coupling = _validate.positive("coupling", coupling)
     gn = gn_factor(n_sites)
     a2 = alpha * alpha
-    return (n_sites / coupling) * (a2 * math.pi / (4.0 * gn) + (1.0 - a2) * math.pi / 6.0)
+    t = (n_sites / coupling) * (a2 * math.pi / (4.0 * gn) + (1.0 - a2) * math.pi / 6.0)
+    if not math.isfinite(t):
+        raise NumericalFailureError(f"reflection time {t} at N = {n_sites}, J = {coupling}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -212,11 +200,10 @@ class ErgotropyRecord:
 
 
 def _efficiency(erg_out, erg_in):
-    """erg_out / erg_in, or NaN where nothing extractable was sent; elementwise
-    for arrays, each entry with the bits of the scalar division."""
-    if isinstance(erg_out, np.ndarray):
-        return np.divide(erg_out, erg_in, out=np.full(erg_out.shape, math.nan), where=erg_in > 0)
-    return erg_out / erg_in if erg_in > 0 else math.nan
+    """erg_out / erg_in, or NaN where nothing extractable was sent: one division
+    for scalars and arrays, a 0-d result as a Python float."""
+    ratio = np.divide(erg_out, erg_in, out=np.full(np.shape(erg_out), math.nan), where=erg_in > 0)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def _record(
@@ -292,7 +279,7 @@ def erg_max_window(
     below its threshold), the first maximum is the first grid time, whatever
     F is there: ``erg_max_window(ChainConfig(128, 1, 1, 0), "mixed", 0.75,
     89.6, 0.01)`` returns t = 0.01 with F = 4.7e-37. Maximizing F itself is
-    item 2 of ROADMAP.md.
+    an open item of ROADMAP.md.
 
     The chain is solved once through ``spectral._end_spectrum``: its half
     spectrum (sigma_k, c_k) from one LAPACK ``dlasq1`` (dqds) call and end

@@ -477,6 +477,12 @@ class TestFailurePaths:
         assert captured.err.startswith(f"ergochain: configuration error: cannot write {out / name}:")
         assert (out / name).is_dir()
 
+    def test_a_reflection_time_that_overflows_exits_numerical(self, tmp_path, capsys):
+        code, out = _run(tmp_path, "transport-sweep", "[chain]\ncoupling = 1e-310\n\n" + _TRANSPORT)
+        assert code == 3
+        assert "reflection time inf" in capsys.readouterr().err
+        assert out.is_dir() and list(out.iterdir()) == []
+
     def test_numerical_failure_leaves_the_out_directory_empty(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "_lasq1", hooked_lasq1(report_failure))
         code, out = _run(tmp_path, "theta-sweep", SCENARIO_INIS["theta-sweep"])
@@ -503,7 +509,7 @@ _SEED_RANGE = "seed must be >= -9223372036854775808 and <= 18446744073709551615"
 # (scenario, config text, config suffix, extra arguments, the stderr line after the prefix)
 CONFIG_ERRORS = {
     "sites": ("transport-sweep", "[transport-sweep]\nsites = 1\nalphas = 0.5\n", ".ini", (),
-              "[transport-sweep] sites must be >= 2, got 1"),
+              "[transport-sweep] sites must be >= 2 and <= 8192, got 1"),
     "alphas": ("transport-sweep", "[transport-sweep]\nsites = 4\nalphas = 1.5\n", ".ini", (),
                "[transport-sweep] alphas must lie in [0.0, 1.0], got 1.5"),
     "alpha": ("theta-sweep", "[theta-sweep]\nsites = 4\nalpha = -0.1\n", ".ini", (),
@@ -513,16 +519,22 @@ CONFIG_ERRORS = {
     "theta_count": ("theta-sweep", "[theta-sweep]\nsites = 4\ntheta_count = 1\n", ".ini", (),
                     "[theta-sweep] theta_count must be >= 2 and <= 1048576, got 1"),
     "deltas": ("disorder", "[disorder]\nsites = 4\ndeltas = -0.1\n", ".ini", (),
-               "[disorder] deltas must lie in [0.0, inf], got -0.1"),
+               "[disorder] deltas must lie in [0.0, 8.988465674311579e+307], got -0.1"),
     "realizations": ("disorder", "[disorder]\nsites = 4\ndeltas = 0.1\nrealizations = 0\n",
                      ".ini", (), "[disorder] realizations must be >= 1 and <= 1048576, got 0"),
-    "n": ("workdist", "[workdist]\nn = 1\n", ".ini", (), "[workdist] n must be >= 2, got 1"),
+    "n": ("workdist", "[workdist]\nn = 1\n", ".ini", (),
+          "[workdist] n must be >= 2 and <= 8192, got 1"),
     "bins": ("workdist", "[workdist]\nn = 4\nbins = 0\n", ".ini", (),
              "[workdist] bins must be >= 1 and <= 1048576, got 0"),
     "coupling": ("transport-sweep", "[chain]\ncoupling = -1\n\n" + _TRANSPORT, ".ini", (),
                  "[chain] coupling must be > 0, got -1.0"),
     "field": ("transport-sweep", "[chain]\nfield = 0\n\n" + _TRANSPORT, ".ini", (),
               "[chain] field must be > 0, got 0.0"),
+    # past half the float range, where 2B overflows
+    "field-1e308": ("transport-sweep", "[chain]\nfield = 1e308\n\n" + _TRANSPORT, ".ini", (),
+                    "[chain] field must lie in [-inf, 8.988465674311579e+307], got 1e+308"),
+    "deltas-1e308": ("disorder", "[disorder]\nsites = 4\ndeltas = 1e308\n", ".ini", (),
+                     "[disorder] deltas must lie in [0.0, 8.988465674311579e+307], got 1e+308"),
     "json-true": ("transport-sweep", '{"transport-sweep": {"sites": [4], "alphas": [true]}}',
                   ".json", (), "[transport-sweep] alphas must be a real number, got True"),
     "json-inf": ("transport-sweep",
@@ -565,17 +577,19 @@ CONFIG_ERRORS = {
     "seed-disorder": ("disorder", DISORDER_INI, ".ini", ("--seed", str(-(2**63) - 1)),
                       f"{_SEED_RANGE}, got {-(2**63) - 1}"),
 }
-# each count one past its bound, and far past it (it cannot be allocated); no
-# count at the bound itself is run
+# each count and chain length one past its bound, and far past it (it cannot be
+# allocated); no value at the bound itself is run
 CONFIG_ERRORS.update(
-    (f"{key}-{count}", (scenario, f"{text}{key} = {count}\n", ".ini", (),
-                        f"[{scenario}] {key} must be >= {low} and <= 1048576, got {count}"))
-    for key, scenario, text, low in (
-        ("theta_count", "theta-sweep", "[theta-sweep]\nsites = 5\n", 2),
-        ("realizations", "disorder", "[disorder]\nsites = 4\ndeltas = 0.1\n", 1),
-        ("bins", "workdist", "[workdist]\nn = 4\nalphas = 0.5\n", 1),
+    (f"{key}-{value}", (scenario, f"{text}{key} = {value}\n", ".ini", (),
+                        f"[{scenario}] {key} must be >= {low} and <= {high}, got {value}"))
+    for key, scenario, text, low, high, far in (
+        ("theta_count", "theta-sweep", "[theta-sweep]\nsites = 5\n", 2, 2**20, 10**15),
+        ("realizations", "disorder", "[disorder]\nsites = 4\ndeltas = 0.1\n", 1, 2**20, 10**15),
+        ("bins", "workdist", "[workdist]\nn = 4\nalphas = 0.5\n", 1, 2**20, 10**15),
+        ("sites", "theta-sweep", "[theta-sweep]\n", 2, 2**13, 10**12),
+        ("n", "workdist", "[workdist]\n", 2, 2**13, 10**12),
     )
-    for count in (2**20 + 1, 10**15)
+    for value in (high + 1, far)
 )
 
 

@@ -421,11 +421,6 @@ class TestArrayMaps:
         with pytest.raises(InvalidInputError):
             erg_mixed(bad, 0.8, 1.0)
 
-    def test_positive_part_matches_scalar_max_at_signed_zero(self):
-        x = np.array([-0.0, 0.0, -1.0, 2.0, 5e-324])
-        expected = np.array([max(0.0, float(v)) for v in x])
-        assert ergotropy._positive_part(x).tobytes() == expected.tobytes()
-
 
 @pytest.mark.parametrize("call", [erg_at_reflection, erg_max_window])
 def test_bad_parameter_is_rejected_before_the_solve(monkeypatch, call):
@@ -447,6 +442,18 @@ def test_perfect_transfer_reads_within_the_certificate(n):
     beta = spectral._end_weights(interpolated_bonds(config).values[None])[2][0]
     assert 0.0 <= 1.0 - record.fidelity <= beta
     assert record.fidelity == reflection_fidelity(config)[1]
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 1000, 2000, 2500, 4999, 5000])
+def test_perfect_transfer_unclipped_reads_within_the_certificate(n):
+    # F = (sum_k c_k g(sigma_k T))^2 before the clip to 1; beta bounds the
+    # error of |f_N|, so F - 1 stays within 2 beta (to first order)
+    bonds = interpolated_bonds(ChainConfig(n_sites=n, coupling=1.0, field=1.0, alpha=1.0)).values
+    sigma, amplitudes = spectral._end_spectrum(bonds[None])
+    beta = spectral._end_weights(bonds[None])[2][0]
+    wave = np.cos if n % 2 else np.sin
+    f = float((amplitudes[0] * wave(sigma[0] * reflection_time(n, 1.0, 1.0))).sum())
+    assert abs(f * f - 1.0) <= 2 * beta
 
 
 class TestRecordsKeepTheValidatedParameter:

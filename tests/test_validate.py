@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +183,42 @@ def test_unit_interval_takes_a_scalar_or_an_array():
     for bad in (1.5, np.array([0.5, 1.5]), np.array([math.nan])):
         with pytest.raises(ec.InvalidInputError):
             _validate.unit_interval("F", bad)
+
+
+def test_positive_takes_values_up_to_half_the_float_range():
+    # so 2J, 2B and a draw's 2 delta stay finite
+    assert 2 * _validate.HALF_MAX == sys.float_info.max
+    assert _validate.positive("J", _validate.HALF_MAX) == _validate.HALF_MAX
+    with pytest.raises(ec.InvalidInputError, match=r"^J must lie in \[-inf, 8\.988465674311579e\+307\], got 8"):
+        _validate.positive("J", math.nextafter(_validate.HALF_MAX, math.inf))
+    with pytest.raises(ec.InvalidInputError, match=r"^J must be > 0, got 0\.0$"):
+        _validate.positive("J", 0.0)
+
+
+# magnitudes inside the float range whose results overflowed: each gave inf or
+# NaN, or a raw OverflowError, before the bound of ``positive`` and the overflow checks
+MAGNITUDE_CALLS = {
+    "reflection-time": (ec.NumericalFailureError,
+                        lambda: ec.reflection_fidelity(ec.ChainConfig(6, 1e-310, 1.0, 0.5))),
+    "ensemble-reflection-time": (
+        ec.NumericalFailureError,
+        lambda: ec.ensemble_fidelity(ec.ChainConfig(6, 1e-310, 1.0, 0.5, 0.1), 3, 0)),
+    "ensemble-phase": (ec.NumericalFailureError,
+                       lambda: ec.ensemble_fidelity(ec.ChainConfig(6, 1.0, 1.0, 0.5, 8e307), 3, 0)),
+    "window-phase": (
+        ec.NumericalFailureError,
+        lambda: ec.erg_max_window(ec.ChainConfig(6, 8e307, 1.0), "coherent", 1.0, 2.0, 0.1)),
+    "field": (ec.InvalidConfigError, lambda: ec.ChainConfig(6, 1.0, 1e308)),
+    "delta": (ec.InvalidConfigError, lambda: ec.ChainConfig(6, 1.0, 1.0, 0.5, 9e307)),
+    "coherence": (ec.InvalidInputError, lambda: ec.QubitState(0.5, 1e300)),
+}
+
+
+@pytest.mark.parametrize("case", MAGNITUDE_CALLS)
+def test_magnitudes_that_overflow_raise_an_ergochain_error(case):
+    error, call = MAGNITUDE_CALLS[case]
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "minus-huge"])
