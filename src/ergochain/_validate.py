@@ -43,6 +43,15 @@ UNIT_SLACK = 1e-12
 # as in 2J, 2B and a draw's 2 delta, stays finite.
 HALF_MAX = sys.float_info.max / 2
 
+# The longest chain ``sites`` takes: 2^53, the largest integer a float holds
+# exactly, so every N converts to a float exactly, and a float formula of N
+# (``gn_factor``, ``reflection_time``) cannot raise a raw OverflowError.
+MAX_SITES = 2**53
+
+# The largest count of realizations or bins (and of the CLI's angles), so a
+# count that cannot be allocated is an InvalidInputError, not a MemoryError.
+MAX_COUNT = 2**20
+
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 _REAL_KINDS = "iuf"  # numpy dtype kinds of integer and floating arrays
@@ -59,6 +68,11 @@ def integer(name: str, value, low: int, high: int | None = None) -> int:
         upper = "" if high is None else f" and <= {high}"
         raise InvalidInputError(f"{name} must be >= {low}{upper}, got {value}")
     return int(value)
+
+
+def sites(value) -> int:
+    """A chain length ``n_sites``: an integer in [2, MAX_SITES]."""
+    return integer("n_sites", value, 2, MAX_SITES)
 
 
 def real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:

@@ -45,7 +45,7 @@ class ChainConfig:
     """Validated physical parameters of one chain.
 
     Attributes:
-        n_sites: number of sites N, an integer >= 2.
+        n_sites: number of sites N, an integer in [2, 2^53].
         coupling: overall coupling scale J in (0, HALF_MAX].
         field: transverse field strength B in (0, HALF_MAX].
         alpha: interpolation weight between uniform (0) and engineered (1) bonds.
@@ -61,7 +61,7 @@ class ChainConfig:
     def __post_init__(self) -> None:
         try:
             for name, value in (
-                ("n_sites", _validate.integer("n_sites", self.n_sites, 2)),
+                ("n_sites", _validate.sites(self.n_sites)),
                 ("coupling", _validate.positive("coupling", self.coupling)),
                 ("field", _validate.positive("field", self.field)),
                 ("alpha", _validate.real("alpha", self.alpha, 0.0, 1.0)),
@@ -127,7 +127,7 @@ def gn_factor(n_sites: int) -> float:
     It rescales the engineered-coupling profile so that the single-excitation
     spectrum is exactly linear for both parities.
     """
-    n_sites = _validate.integer("n_sites", n_sites, 2)
+    n_sites = _validate.sites(n_sites)
     if n_sites % 2 == 0:
         return 1.0
     return 1.0 / math.sqrt(1.0 - 1.0 / n_sites**2)

@@ -25,9 +25,9 @@ Scenarios:
 
 The clean-chain scenarios (transport-sweep, theta-sweep) solve each chain
 once for its reflection fidelity F and compute each angle's inputs (the
-matched q and both erg_in) once per sweep; the coherent receiver map then
-runs once per sweep, over the chains' F and the array of angles, and the
-mixed one once per chain, over the array of q. A runner returns column
+matched q and both erg_in) once per sweep; each encoding's receiver map
+then runs once per sweep, over the chains' F and the array of its
+parameters (the angles, or their q). A runner returns column
 blocks: the cells every row of a block shares and one list per other
 column. The writers format each shared cell once per block and each list
 once per run, however many blocks share it, and write each file in one
@@ -63,7 +63,6 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, get_args, get_origin
 
@@ -73,8 +72,7 @@ from . import __version__, _validate
 from .chain import ChainConfig, _seed, pst_couplings
 from .disorder import ensemble_fidelity, ensemble_stats, gamma_metric
 from .dynamics import InitialSiteState, amplitude_bessel_limit
-from .ergotropy import _efficiency, erg_coherent, erg_input, erg_mixed, match_mixed_to_pure
-from .ergotropy import reflection_fidelity
+from .ergotropy import _efficiency, _erg_out, erg_input, match_mixed_to_pure, reflection_fidelity
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
@@ -105,10 +103,9 @@ _SITES = (_validate.integer, 2, 2**13)
 _UNIT = (_validate.real, 0.0, 1.0)
 _ANGLE = (_validate.angle,)
 _POSITIVE = (_validate.positive,)
-# The largest count a config may ask for (angles, realizations, bins), so a
-# count that cannot be allocated is a configuration error, not a MemoryError.
-_MAX_COUNT = 2**20
-_COUNT = (_validate.integer, 1, _MAX_COUNT)
+# A count (angles, realizations, bins) is bounded by the package's MAX_COUNT,
+# so a count that cannot be allocated is a configuration error.
+_COUNT = (_validate.integer, 1, _validate.MAX_COUNT)
 
 # Each config key is key -> (parser, default, domain). INI text is parsed by
 # ``int`` or ``float`` (``list[...]``: a comma-separated list); JSON values,
@@ -125,7 +122,8 @@ _CHAIN_SECTION = {
 class _Scenario:
     keys: dict[str, tuple[Callable, Any, tuple]]
     # output column -> JSON type; a tuple lists the allowed strings. The CSV
-    # and JSON columns follow this order.
+    # and JSON columns follow this order. Each column name and each allowed
+    # string is a plain ASCII identifier, which the writers write as it is.
     columns: dict[str, Any]
 
 
@@ -155,7 +153,7 @@ _SCENARIOS: dict[str, _Scenario] = {
         keys={
             "sites": (list[int], _REQUIRED, _SITES),
             "alpha": (float, 1.0, _UNIT),
-            "theta_count": (int, 25, (_validate.integer, 2, _MAX_COUNT)),
+            "theta_count": (int, 25, (_validate.integer, 2, _validate.MAX_COUNT)),
         },
         columns={**_CELL_COLUMNS, "kind": ("grid", "argmax"), **_RECORD_COLUMNS},
     ),
@@ -374,10 +372,9 @@ def _reflection_blocks(
 
     A row holds the fields of the ``ErgotropyRecord`` that ``erg_at_reflection``
     returns, plus theta; ``extra`` adds shared columns. The angle columns are
-    one list object that every chain's block shares. The coherent map runs
-    once, over the chains' F and the array of angles; the mixed map once per
-    chain, over the array of q, which takes F's place (``erg_mixed`` is
-    symmetric in F and q to the bit).
+    one list object that every chain's block shares. Each encoding's receiver
+    map runs once, through ``ergotropy._erg_out``, over the chains' F as a
+    column against the row of its parameters (the angles, or their q).
     """
     inputs = [row for theta in thetas for row in _angle_inputs(theta, field)]
     encodings, parameters, erg_in = map(list, zip(*inputs))
@@ -387,10 +384,9 @@ def _reflection_blocks(
     }
     solved = [reflection_fidelity(config) for config in configs]
     fidelities = np.array([fidelity for _, fidelity in solved])[:, None]
-    qs = np.array(parameters[1::2])
     erg_out = np.stack(
-        (erg_coherent(fidelities, np.array(thetas), field),
-         [erg_mixed(qs, fidelity, field) for _, fidelity in solved]), axis=2,
+        [_erg_out(encoding, fidelities, np.array(parameters[e::2]), field)
+         for e, encoding in enumerate(_validate.ENCODINGS)], axis=2,
     ).reshape(len(configs), -1)
     efficiency = _efficiency(erg_out, np.array(erg_in))
     return [
@@ -529,8 +525,9 @@ def _block_rows(
 
     A block's shared cells are written once, and each list column with one
     ``map``; a list object that several blocks share is written once per call.
-    ``row`` then joins the shared cells (``%`` doubled) and a ``%s`` per list
-    column into the block's template, which each row fills in.
+    ``row`` then joins the shared cells and a ``%s`` per list column into the
+    block's template, which each row fills in. No cell's text holds a ``%``
+    (the cell rule of ``write_rows_csv``), so none is doubled.
     """
     written: dict[int, list[str]] = {}  # id of a list column -> its cells
     rows: list[str] = []
@@ -538,7 +535,7 @@ def _block_rows(
         cells, filled = [], []
         for column in columns:
             if column in shared:
-                cells.append(text(shared[column]).replace("%", "%%"))
+                cells.append(text(shared[column]))
                 continue
             values = lists[column]
             if id(values) not in written:
@@ -553,22 +550,14 @@ def write_rows_csv(path: Path, scenario: str, blocks: list[Block]) -> None:
     """The rows as ``csv.writer`` writes them, each cell as ``_format_cell``
     writes it, in one write.
 
-    ``csv.writer`` (QUOTE_MINIMAL, lines ended by a newline) quotes a cell,
-    doubling its quotes, when it holds a comma, a quote or a newline. A
-    number's text never does, so the rule is applied to each distinct string.
+    The cell rule: every string cell is one of the scenario table's
+    enumerated names, and a number's text is ``%.17g`` (``nan``, ``inf``
+    included) or ``str`` of an int. No cell and no column name holds a
+    comma, a quote, a newline or a ``%``, so ``csv.writer`` (QUOTE_MINIMAL)
+    would quote none, and the cells are joined as they are.
     """
     columns = _SCENARIOS[scenario].columns
-    quoted: dict[str, str] = {}
-
-    def text(value: Any) -> str:
-        if not isinstance(value, str):
-            return _format_cell(value)
-        if value not in quoted:
-            special = "," in value or '"' in value or "\n" in value
-            quoted[value] = '"' + value.replace('"', '""') + '"' if special else str(value)
-        return quoted[value]
-
-    lines = [",".join(map(text, columns)), *_block_rows(blocks, columns, text, ",".join)]
+    lines = [",".join(columns), *_block_rows(blocks, columns, _format_cell, ",".join)]
     path.write_text("\n".join(lines) + "\n", newline="")
 
 
@@ -592,11 +581,13 @@ def write_rows_json(path: Path, scenario: str, blocks: list[Block]) -> None:
     """The rows as ``json.dumps(rows, indent=2)`` writes them, NaN as null.
 
     ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the rows
-    are joined here from the encoder's own pieces (``_json_value`` per cell,
-    ``encode_basestring_ascii`` once per key).
+    are joined here from the encoder's own pieces (``_json_value`` per cell).
+    A key is a column name, a plain ASCII identifier that JSON writes as it
+    is between quotes; by the cell rule of ``write_rows_csv``, no key or
+    cell holds a ``%``.
     """
     columns = _SCENARIOS[scenario].columns
-    keys = [f"    {encode_basestring_ascii(c)}: ".replace("%", "%%") for c in columns]
+    keys = [f'    "{c}": ' for c in columns]
 
     def row(cells: list[str]) -> str:
         return "  {\n" + ",\n".join([key + cell for key, cell in zip(keys, cells)]) + "\n  }"

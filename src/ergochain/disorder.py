@@ -115,7 +115,7 @@ def ensemble_fidelity(config: ChainConfig, n_realizations: int, seed: int) -> np
     falls back to ``dstevd``.
     """
     clean = interpolated_bonds(config).values  # checks config first
-    n_realizations = _validate.integer("n_realizations", n_realizations, 1)
+    n_realizations = _validate.integer("n_realizations", n_realizations, 1, _validate.MAX_COUNT)
     seed = _seed(seed)
     n = config.n_sites
     t = reflection_time(n, config.alpha, config.coupling)

@@ -193,12 +193,17 @@ def amplitude_profile(
     not depend on ``OPENBLAS_NUM_THREADS``. The phases are exponentiated in
     place, so the peak is 1.5 times the complex (T, N) matrix: the matrix and
     the real outer product it is made from (tracemalloc, N = 1000, T = 2000).
+    Where max|E| max|t| overflows, a phase would be NaN, so that raises
+    NumericalFailureError first.
     """
     _validate.instance("decomposition", decomposition, SpectralDecomposition)
     site = _validate.integer("site", site, 1, decomposition.n_sites)
     times = _validate.reals("times", times)
     if times.ndim != 1:
         raise InvalidInputError("times must be a 1-D array")
+    top = float(np.abs(times).max()) if times.size else 0.0  # checked before numpy's phases
+    if not math.isfinite(float(np.abs(decomposition.energies).max()) * top):
+        raise NumericalFailureError(f"phase E t of f_{site} overflows at |t| = {top}")
     weights = decomposition.vectors[0, :] * decomposition.vectors[site - 1, :]
     phases = np.empty((times.size, decomposition.n_sites), complex)
     np.multiply(np.outer(times, decomposition.energies), -1j, out=phases)
@@ -249,11 +254,15 @@ def amplitude_uniform_closed(
 
     f_n(t) = (-1)^(n-1) (2/(N+1)) sum_k sin(theta_k) sin(n theta_k)
              exp(2 i J t cos theta_k),  theta_k = k pi/(N+1).
+
+    A 2Jt that overflows (the phase would be NaN) raises NumericalFailureError.
     """
-    n_sites = _validate.integer("n_sites", n_sites, 2)
+    n_sites = _validate.sites(n_sites)
     coupling = _validate.positive("coupling", coupling)
     site = _validate.integer("site", site, 1, n_sites)
     time = _validate.real("time", time)
+    if not math.isfinite(2.0 * coupling * time):  # before numpy's phases
+        raise NumericalFailureError(f"closed-form uniform amplitude: phase 2Jt at t={time}")
     k = np.arange(1, n_sites + 1)
     theta = k * math.pi / (n_sites + 1)
     phases = np.exp(2j * coupling * time * np.cos(theta))
@@ -287,7 +296,7 @@ def amplitude_pst_closed(
     arithmetic it is within 7e-14 at N <= 5000 and 2e-13 at N = 20000
     (edge, middle and end sites, at their peaks and at random times).
     """
-    n = _validate.integer("n_sites", n_sites, 2)
+    n = _validate.sites(n_sites)
     coupling = _validate.positive("coupling", coupling)
     site = _validate.integer("site", site, 1, n)
     time = _validate.real("time", time)

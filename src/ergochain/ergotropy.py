@@ -121,17 +121,20 @@ def erg_coherent(
     return float(erg) if erg.ndim == 0 else erg
 
 
-def erg_mixed(fidelity: float | np.ndarray, q: float, field: float) -> float | np.ndarray:
+def erg_mixed(
+    fidelity: float | np.ndarray, q: float | np.ndarray, field: float
+) -> float | np.ndarray:
     """Receiver ergotropy for the mixed encoding: max(0, 2B(2qF - 1)).
 
-    A scalar F gives a float; an array of F gives an array, each entry with
-    the bits of the scalar call (one formula serves both). The map is
-    symmetric in F and q to the bit (doubling is exact, so (2q)F and (2F)q
-    round the same product): an array of q at one F is
-    ``erg_mixed(qs, F, field)``.
+    F and q may each be a scalar or an array (broadcast together), each
+    validated and clipped by ``unit_interval``; one formula serves every
+    shape, a 0-d result is returned as a Python float, and each entry of an
+    array has the bits of the scalar call at its (F, q). The map is
+    symmetric in F and q to the bit: doubling is exact, so (2q)F and (2F)q
+    round the same product.
     """
     fidelity = _validate.unit_interval("fidelity", fidelity)
-    q = _parameter("mixed", q)
+    q = _validate.unit_interval("q", q)
     field = _validate.positive("field", field)
     x = 2.0 * field * (2.0 * q * fidelity - 1.0)
     erg = np.where(x > 0.0, x, 0.0)
@@ -147,11 +150,13 @@ def _check_inputs(config: ChainConfig, encoding: str, parameter: float) -> float
     return _parameter(encoding, parameter)
 
 
-def _erg_out(encoding: str, fidelity: float | np.ndarray, parameter: float, field: float):
-    """Receiver ergotropy of ``encoding`` at a scalar or an array of F.
+def _erg_out(encoding: str, fidelity, parameter, field: float) -> float | np.ndarray:
+    """Receiver ergotropy of ``encoding`` at F and its parameter (theta or q),
+    each a scalar or an array, broadcast together.
 
-    The one place that picks ``erg_coherent`` or ``erg_mixed``. Both are read
-    from the module globals at call time, so a wrapper put there sees every call.
+    The one place in the package that picks ``erg_coherent`` or ``erg_mixed``.
+    Both are read from the module globals at call time, so a wrapper put
+    there sees every call.
     """
     erg = erg_coherent if encoding == "coherent" else erg_mixed
     return erg(fidelity, parameter, field)
@@ -166,7 +171,7 @@ def reflection_time(n_sites: int, alpha: float, coupling: float) -> float:
     blend interpolates in alpha^2. A T that overflows (J below about
     N / 1.8e308) raises NumericalFailureError.
     """
-    n_sites = _validate.integer("n_sites", n_sites, 2)
+    n_sites = _validate.sites(n_sites)
     alpha = _validate.real("alpha", alpha, 0.0, 1.0)
     coupling = _validate.positive("coupling", coupling)
     gn = gn_factor(n_sites)
@@ -328,11 +333,16 @@ def rescaled_efficiency(erg_out: float, erg_in: float, n_sites: int) -> float:
 
     The uniform chain's best windowed output thins like N^(-2/3), so this
     rescaling makes chains of different lengths comparable. Raises
-    UndefinedEfficiencyError when erg_in = 0.
+    UndefinedEfficiencyError when erg_in = 0, and NumericalFailureError when
+    the result overflows, as a tiny erg_in makes it do
+    (``rescaled_efficiency(1.0, 1e-310, 8)``).
     """
     erg_out = _validate.real("erg_out", erg_out, 0.0)
     erg_in = _validate.real("erg_in", erg_in, 0.0)
-    n_sites = _validate.integer("n_sites", n_sites, 2)
+    n_sites = _validate.sites(n_sites)
     if erg_in == 0:
         raise UndefinedEfficiencyError("efficiency undefined: input ergotropy is zero")
-    return erg_out / erg_in * float(n_sites) ** (2.0 / 3.0)
+    rescaled = erg_out / erg_in * float(n_sites) ** (2.0 / 3.0)
+    if not math.isfinite(rescaled):
+        raise NumericalFailureError(f"rescaled efficiency overflows at erg_in = {erg_in}")
+    return rescaled

@@ -586,7 +586,7 @@ def analytic_uniform_spectrum(
     arrays at a time (the angles, their sines, the scaled result); the peak
     is 2.00 N^2 doubles (tracemalloc, N = 1000).
     """
-    n = _validate.integer("n_sites", n_sites, 2)
+    n = _validate.sites(n_sites)
     coupling = _validate.positive("coupling", coupling)
     field = _validate.positive("field", field)
     k = np.arange(1, n + 1)
@@ -656,7 +656,7 @@ def analytic_pst_spectrum(
     past N ~ 2045, zero past 2149). Memory: the (N, N) result and O(N)
     beside it; the peak is 1.02 N^2 doubles (tracemalloc, N = 1000).
     """
-    n = _validate.integer("n_sites", n_sites, 2)
+    n = _validate.sites(n_sites)
     coupling = _validate.positive("coupling", coupling)
     field = _validate.positive("field", field)
     energies = _pst_ladder(n, coupling) - (n - 2) * field

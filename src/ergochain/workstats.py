@@ -31,7 +31,7 @@ import numpy as np
 from . import _validate
 from .chain import ChainConfig, build_hamiltonian, interpolated_bonds
 from .dynamics import InitialSiteState
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .spectral import _pst_ladder, _solve
 
 __all__ = [
@@ -168,7 +168,7 @@ def pst_closed_distribution(
     quotients, so this is the full list's band bit for bit, at half its work.
     """
     p_excited = _validate.instance("initial", initial, InitialSiteState).excited_population
-    n = _validate.integer("n_sites", n_sites, 2)
+    n = _validate.sites(n_sites)
     coupling = _validate.positive("coupling", coupling)
     work = _pst_ladder(n, coupling)
     binomials = [1]  # C(N-1, j), j <= (N-1)//2, by Pascal's multiplicative rule, exact
@@ -191,7 +191,7 @@ def uniform_closed_distribution(
     N the band's zero mode lands exactly on the vacuum atom and fuses with it.
     """
     p_excited = _validate.instance("initial", initial, InitialSiteState).excited_population
-    n = _validate.integer("n_sites", n_sites, 2)
+    n = _validate.sites(n_sites)
     coupling = _validate.positive("coupling", coupling)
     k = np.arange(1, n + 1)
     theta = k * math.pi / (n + 1)
@@ -243,7 +243,7 @@ def binned_histogram(
     centers of the outer bins.
     """
     _validate.instance("distribution", distribution, WorkDistribution)
-    n_bins = _validate.integer("n_bins", n_bins, 1)
+    n_bins = _validate.integer("n_bins", n_bins, 1, _validate.MAX_COUNT)
     v = distribution.values
     lo, hi = float(v[0]), float(v[-1])
     if lo == hi:
@@ -264,9 +264,24 @@ def gaussian_density(work: np.ndarray | float, variance: float) -> np.ndarray | 
 
 
 def semicircle_density(work: np.ndarray | float, coupling: float) -> np.ndarray | float:
-    """Radius-2J semicircle density sqrt(4J^2 - w^2)/(2 pi J^2), 0 outside."""
+    """Radius-2J semicircle density sqrt(4J^2 - w^2)/(2 pi J^2), 0 outside.
+
+    Evaluated at J's scale: with J = j 2^e (``math.frexp``, j in [1/2, 1)),
+    the density at (w, J) is 2^-e times the density at (w 2^-e, j), so J^2
+    neither overflows nor underflows, as it would at J = 1e155 or 1e-170. A
+    power of two commutes with every rounding of the formula in the normal
+    range, so there the bits are those of the unscaled formula. A |w| past
+    4J lies outside the support and is taken as 4J, which keeps the scaled
+    w^2 finite. A density past the float range (J below about 1/(pi 1.8e308))
+    raises NumericalFailureError.
+    """
     coupling = _validate.positive("coupling", coupling)
     w = _validate.reals("work", work)
-    radicand = np.clip(4.0 * coupling * coupling - w * w, 0.0, None)
-    out = np.sqrt(radicand) / (2.0 * math.pi * coupling * coupling)
+    j, e = math.frexp(coupling)
+    w = np.ldexp(np.minimum(np.abs(w), 4.0 * coupling), -e)
+    radicand = np.clip(4.0 * j * j - w * w, 0.0, None)
+    scaled = np.sqrt(radicand) / (2.0 * math.pi * j * j)
+    if scaled.size and math.frexp(float(scaled.max()))[1] - e > 1024:  # 2^1024 overflows
+        raise NumericalFailureError(f"semicircle density overflows at J = {coupling}")
+    out = np.ldexp(scaled, -e)
     return float(out) if np.isscalar(work) else out

@@ -57,7 +57,7 @@ class TestChainConfig:
         with pytest.raises(InvalidConfigError) as info:
             ChainConfig(n_sites=1, coupling=1.0, field=1.0)
         assert type(info.value) is InvalidConfigError
-        assert str(info.value) == "n_sites must be >= 2, got 1"
+        assert str(info.value) == "n_sites must be >= 2 and <= 9007199254740992, got 1"
 
 
 class TestGnFactor:

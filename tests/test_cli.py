@@ -183,6 +183,16 @@ class TestHappyPaths:
         assert kinds[0.5] == {"atom", "hist"}
         assert kinds[1.0] == {"atom", "density", "gaussian"}
 
+    def test_workdist_semicircle_far_from_unit_coupling(self, tmp_path):
+        # J J overflowed in the semicircle law: 8 rows of nan, exit 0
+        config = "[chain]\ncoupling = 1e155\n[workdist]\nn = 8\nalphas = 0.0\n"
+        code, out = _run(tmp_path, "workdist", config)
+        assert code == 0
+        with open(out / "workdist.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert sum(row["kind"] == "semicircle" for row in rows) == 8
+        assert all(math.isfinite(float(row["value"])) for row in rows)
+
     @pytest.mark.parametrize("theta", ["0", "1e-200"])  # sin^2(theta/2) is 0 at both
     def test_workdist_of_a_sender_that_sends_nothing_is_one_atom(self, tmp_path, theta):
         config = f"[workdist]\nn = 8\nalphas = 0.0, 0.5, 1.0\ntheta = {theta}\n"

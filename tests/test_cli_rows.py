@@ -201,12 +201,10 @@ def test_theta_sweep_computes_each_angle_once(monkeypatch, sites):
     assert len(block_rows(cli.run_theta_sweep(resolved))) == len(sites) * (2 * count + 2)
     assert len(calls["match_mixed_to_pure"]) == count
     assert len(calls["erg_input"]) == 2 * count
-    # the coherent map runs once, over the chains' F and the array of angles
-    ((fidelities, thetas, _),) = calls["erg_coherent"]
-    assert fidelities.shape == (len(sites), 1) and thetas.shape == (count,)
-    # the mixed map once per chain, over the array of q in F's place
-    assert len(calls["erg_mixed"]) == len(sites)
-    assert all(qs.shape == (count,) and type(f) is float for qs, f, _ in calls["erg_mixed"])
+    # each map runs once, over the chains' F as a column and the row of its parameters
+    for name in ("erg_coherent", "erg_mixed"):
+        ((fidelities, parameters, _),) = calls[name]
+        assert fidelities.shape == (len(sites), 1) and parameters.shape == (count,)
 
 
 def test_transport_sweep_computes_its_angle_once(monkeypatch):
@@ -219,7 +217,7 @@ def test_transport_sweep_computes_its_angle_once(monkeypatch):
     assert len(block_rows(cli.run_transport_sweep(resolved))) == 2 * 2 * 2
     assert len(calls["match_mixed_to_pure"]) == 1
     assert len(calls["erg_input"]) == 2
-    assert len(calls["erg_coherent"]) == 1 and len(calls["erg_mixed"]) == 2 * 2
+    assert len(calls["erg_coherent"]) == 1 and len(calls["erg_mixed"]) == 1
 
 
 def _written(path):
@@ -273,12 +271,11 @@ class TestReceiverMapOverAngles:
         assert ergotropy.erg_input("coherent", 0.0, 1.0) == 0.0
 
 
-# every kind of value a cell may hold, strings with the characters that need
-# quoting (or a template's "%") among them
+# every kind of number a cell may hold, and strings as the scenario table
+# enumerates them (plain ASCII identifiers: nothing to quote, escape or double)
 EDGE_VALUES = [
     0.0, -0.0, 1, True, 1.0, math.nan, math.inf, -math.inf, 1e-320, np.float64(2.5), 2**70,
-    None, "a,b", 'say "hi"', "two\nlines", "100%", "%s %d %%", "café → \U0001f600",
-    "", "cr\rhere", False, 0.1, -3, "coherent",
+    None, False, 0.1, -3, "coherent", "argmax",
 ]
 
 
@@ -299,7 +296,7 @@ def _edge_blocks(columns):
         lists = {c: [EDGE_VALUES[(i + j + k) % n] for k in range(n)]
                  for j, c in enumerate(columns[:-1]) if c not in shared}
         blocks.append((shared, {**lists, columns[-1]: common}))
-    blocks.append(({c: -0.0 for c in columns[:-1]}, {columns[-1]: ["100%"]}))
+    blocks.append(({c: -0.0 for c in columns[:-1]}, {columns[-1]: ["mixed"]}))
     return blocks
 
 
@@ -312,7 +309,7 @@ class TestBlockWriters:
         write_rows_csv(tmp_path / "rows.csv", scenario, blocks)
         text = _written(tmp_path / "rows.csv")
         assert text == _csv_per_cell(scenario, block_rows(blocks))
-        assert '"a,b"' in text and '"say ""hi"""' in text and "100%" in text
+        assert "nan" in text and "-inf" in text and "e-321" in text
 
     @pytest.mark.parametrize("scenario", ["disorder", "workdist"])
     def test_json_equals_the_per_cell_route(self, tmp_path, scenario):
@@ -321,6 +318,14 @@ class TestBlockWriters:
         text = _written(tmp_path / "rows.json")
         assert text == _json_per_cell(scenario, block_rows(blocks))
         assert "Infinity" in text and "NaN" not in text
+
+    def test_the_table_holds_only_plain_names(self):
+        """The cell rule's guard: the writers quote, escape and double nothing,
+        so every column name and enumerated string must be an ASCII identifier."""
+        for spec in _SCENARIOS.values():
+            for column, kind in spec.columns.items():
+                names = [column, *kind] if isinstance(kind, tuple) else [column]
+                assert all(name.isascii() and name.isidentifier() for name in names), names
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_run(self, tmp_path, fmt):
@@ -343,8 +348,8 @@ class TestBlockWriters:
     def test_each_shared_cell_and_list_is_written_once(self):
         common = [0.5, -0.0, "x"]
         blocks = [
-            ({"a": 1, "c": "%d"}, {"b": common, "d": [0.0, 1, 1.0]}),
-            ({"a": 2, "c": "%"}, {"b": common, "d": [-0.0, True, 1.0]}),
+            ({"a": 1, "c": "grid"}, {"b": common, "d": [0.0, 1, 1.0]}),
+            ({"a": 2, "c": "argmax"}, {"b": common, "d": [-0.0, True, 1.0]}),
         ]
         written = []
 
@@ -354,5 +359,5 @@ class TestBlockWriters:
 
         rows = cli._block_rows(blocks, "abcd", text, ",".join)
         assert rows == [",".join(repr(row[c]) for c in "abcd") for row in block_rows(blocks)]
-        assert rows[3] == "2,0.5,'%',-0.0"
+        assert rows[3] == "2,0.5,'argmax',-0.0"
         assert len(written) == 2 * 2 + len(common) + 2 * 3

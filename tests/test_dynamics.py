@@ -439,6 +439,24 @@ class TestClosedForms:
         with pytest.raises(NumericalFailureError):
             amplitude_pst_closed(4, 8e307, 2, 1e10)
 
+    def test_every_amplitude_raises_where_its_phase_overflows(self):
+        """Each gave nan+nanj: 2Jt, or max|E| max|t|, past the float range."""
+        decomposition = diagonalize(
+            build_hamiltonian(interpolated_bonds(ChainConfig(6, 1.0, 1.0)), 1.0)
+        )
+        calls = [
+            lambda: amplitude_uniform_closed(6, 1.0, 6, 1e308),
+            lambda: amplitude_uniform_closed(6, 1e200, 6, -1e200),
+            lambda: amplitude_spectral(decomposition, 6, 1e308),
+            lambda: amplitude_profile(decomposition, 6, np.array([0.0, 1.0, -1e308])),
+        ]
+        for call in calls:
+            with pytest.raises(NumericalFailureError, match="phase"):
+                call()
+        # just below: a finite phase gives a finite amplitude
+        assert cmath.isfinite(amplitude_uniform_closed(6, 1.0, 6, 8e307).value)
+        assert cmath.isfinite(amplitude_spectral(decomposition, 6, 1e307).value)
+
     @given(n=st.integers(2, 100_000), data=st.data(), t=st.floats(-1e4, 1e4))
     @settings(max_examples=200, deadline=None)
     def test_pst_closed_finite_and_bounded(self, n, data, t):

@@ -13,6 +13,7 @@ from ergochain import ergotropy, spectral
 from ergochain import (
     ChainConfig,
     InvalidInputError,
+    NumericalFailureError,
     QubitState,
     UndefinedEfficiencyError,
     amplitude_profile,
@@ -352,6 +353,12 @@ class TestRescaledEfficiency:
         with pytest.raises(UndefinedEfficiencyError):
             rescaled_efficiency(0.0, 0.0, 8)
 
+    def test_an_overflowing_ratio_raises(self):
+        # a tiny erg_in: the ratio gave inf
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            rescaled_efficiency(1.0, 1e-310, 8)
+        assert rescaled_efficiency(1.0, 1e-300, 8) == pytest.approx(4e300)
+
     def test_negative_rejected(self):
         with pytest.raises(InvalidInputError):
             rescaled_efficiency(-0.1, 1.0, 8)
@@ -395,13 +402,29 @@ class TestArrayMaps:
         assert values.tobytes() == np.array(want).tobytes()
         assert erg_coherent(0.75, thetas, 1.3).tobytes() == np.array(want[192]).tobytes()
 
+    def test_arrays_of_q_broadcast_against_fidelities(self):
+        """F as a column and q as a row, q clipped as a scalar q is: every entry
+        has the scalar bits."""
+        qs = np.concatenate([self.FIDELITIES, [math.nextafter(0.5, 1.0)],
+                             np.random.default_rng(5).uniform(0.5, 1.0, 200)])
+        values = erg_mixed(self.FIDELITIES[:, None], qs, 1.7)
+        assert values.shape == (self.FIDELITIES.size, qs.size)
+        want = [[erg_mixed(float(f), float(q), 1.7) for q in qs] for f in self.FIDELITIES]
+        assert values.tobytes() == np.array(want).tobytes()
+        assert erg_mixed(0.75, qs, 1.7).tobytes() == np.array(want[192]).tobytes()
+
+    @pytest.mark.parametrize("bad", [[0.5, 3.5, 1.5], [-0.1], [math.nan]])
+    def test_arrays_of_q_validated_elementwise(self, bad):
+        with pytest.raises(InvalidInputError, match="^q "):
+            erg_mixed(0.5, np.array(bad), 1.0)
+
     @pytest.mark.parametrize("bad", [[0.5, 3.5, 1.5], [-0.1], [math.nan]])
     def test_arrays_of_angles_validated_elementwise(self, bad):
         with pytest.raises(InvalidInputError, match="theta"):
             erg_coherent(0.5, np.array(bad), 1.0)
 
     def test_mixed_is_symmetric_in_fidelity_and_q_to_the_bit(self):
-        """What lets an array of q at one F go in F's place."""
+        """A property of the formula: doubling is exact, so (2q)F and (2F)q round alike."""
         qs = np.concatenate([self.FIDELITIES[self.FIDELITIES >= 0], [math.nextafter(0.5, 1.0)]])
         for fidelity in self.FIDELITIES[self.FIDELITIES >= 0].tolist():
             swapped = erg_mixed(qs, fidelity, 1.7)

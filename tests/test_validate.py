@@ -13,6 +13,7 @@ import functools
 import inspect
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ def test_numpy_scalars_act_like_python_ones(function, kwargs, name):
 
 @pytest.mark.parametrize("function, kwargs, name", PARAMETERS)
 def test_an_array_in_place_of_a_number_is_finite_or_an_ergochain_error(function, kwargs, name):
-    # ``unit_interval`` takes arrays (of F); a scalar q or p1 must not pass through it as one
+    # ``unit_interval`` takes arrays (of F, or of erg_mixed's q); erg_input's q and p1 are scalars
     for size in (1, 2):
         kind, result = outcome(function, kwargs, name, np.full(size, kwargs[name]))
         if kind == "ok":
@@ -164,10 +165,9 @@ def test_an_array_in_place_of_a_number_is_finite_or_an_ergochain_error(function,
 
 @pytest.mark.parametrize(
     "name, call",
-    [("q", lambda v: ec.erg_mixed(0.9, v, 1.0)),
-     ("q", lambda v: ec.erg_input("mixed", v, 1.0)),
+    [("q", lambda v: ec.erg_input("mixed", v, 1.0)),
      ("excited_population", lambda v: ec.QubitState(v, 0.0))],
-    ids=["erg_mixed", "erg_input", "QubitState"],
+    ids=["erg_input", "QubitState"],
 )
 def test_a_scalar_unit_parameter_rejects_an_array(name, call):
     for size in (1, 2):
@@ -219,6 +219,62 @@ def test_magnitudes_that_overflow_raise_an_ergochain_error(case):
     error, call = MAGNITUDE_CALLS[case]
     with pytest.raises(error):
         call()
+
+
+# every library entry that takes ``n_sites``, at the length given
+SITES_CALLS = {
+    "ChainConfig": lambda n: ec.ChainConfig(n, 1.0, 1.0),
+    "gn_factor": ec.gn_factor,
+    "analytic_uniform_spectrum": lambda n: ec.analytic_uniform_spectrum(n, 1.0, 1.0),
+    "analytic_pst_spectrum": lambda n: ec.analytic_pst_spectrum(n, 1.0, 1.0),
+    "amplitude_uniform_closed": lambda n: ec.amplitude_uniform_closed(n, 1.0, 1, 1.0),
+    "amplitude_pst_closed": lambda n: ec.amplitude_pst_closed(n, 1.0, 1, 1.0),
+    "pst_closed_distribution": lambda n: ec.pst_closed_distribution(n, 1.0, _STATE),
+    "uniform_closed_distribution": lambda n: ec.uniform_closed_distribution(n, 1.0, _STATE),
+    "reflection_time": lambda n: ec.reflection_time(n, 0.5, 1.0),
+    "rescaled_efficiency": lambda n: ec.rescaled_efficiency(1.0, 1.0, n),
+}
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**400, 10**400 + 1], ids=["2^53+1", "even", "odd"])
+@pytest.mark.parametrize("entry", SITES_CALLS)
+def test_a_length_past_2_to_the_53_raises_the_sites_rule(entry, n):
+    # 10**400 (+ 1) raised a raw OverflowError in reflection_time (gn_factor),
+    # and ChainConfig took it
+    error = ec.InvalidConfigError if entry == "ChainConfig" else ec.InvalidInputError
+    with pytest.raises(error, match=r"^n_sites must be >= 2 and <= 9007199254740992, got "):
+        SITES_CALLS[entry](n)
+
+
+def test_the_longest_length_is_taken():
+    assert _validate.MAX_SITES == 2**53 == float(2**53)
+    assert ec.ChainConfig(2**53, 1.0, 1.0).n_sites == 2**53
+    assert ec.gn_factor(2**53) == 1.0 and ec.gn_factor(2**53 - 1) == 1.0
+    assert math.isfinite(ec.reflection_time(2**53 - 1, 0.5, 1.0))
+    assert math.isfinite(ec.rescaled_efficiency(1.0, 1.0, 2**53))
+
+
+# every library entry that takes a count, at the count given
+COUNT_CALLS = {
+    "ensemble_fidelity": lambda k: ec.ensemble_fidelity(_CONFIG, k, 0),
+    "ensemble_erg": lambda k: ec.ensemble_erg(_CONFIG, "coherent", 1.0, k, 0),
+    "binned_histogram": lambda k: ec.binned_histogram(_DISTRIBUTION, k),
+}
+
+
+@pytest.mark.parametrize("count", [2**20 + 1, 10**13], ids=["bound+1", "1e13"])
+@pytest.mark.parametrize("entry", COUNT_CALLS)
+def test_a_count_past_the_bound_raises_before_allocating(entry, count):
+    # 10**13 raised a raw MemoryError ("Unable to allocate 72.8 TiB")
+    assert _validate.MAX_COUNT == 2**20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ec.InvalidInputError, match=rf"must be >= 1 and <= 1048576, got {count}$"):
+            COUNT_CALLS[entry](count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "minus-huge"])

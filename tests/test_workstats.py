@@ -289,6 +289,28 @@ class TestDensities:
         assert semicircle_density(2.0, 1.0) == 0.0
         assert semicircle_density(-3.0, 1.0) == 0.0
 
+    def test_semicircle_far_from_unit_coupling(self):
+        """J J overflowed at J = 1e155 and underflowed at 1e-170: both gave NaN."""
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        for w, coupling in ((0.5, 1e155), (0.0, 1e-170), (1.5e155, 1e155), (3e-171, 1e-170)):
+            value = semicircle_density(w, coupling)
+            with mpmath.workdps(40):
+                w_, j = mpmath.mpf(w), mpmath.mpf(coupling)
+                exact = float(mpmath.sqrt(4 * j * j - w_ * w_) / (2 * mpmath.pi * j * j))
+            assert value == pytest.approx(exact, rel=4 * eps, abs=0.0), (w, coupling)
+        assert semicircle_density(1e300, 1e-170) == 0.0  # w^2 past the float range, outside
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            semicircle_density(0.0, 1e-320)  # a peak 1/(pi J) past the float range
+
+    def test_semicircle_keeps_the_unscaled_bits_in_the_normal_range(self):
+        for k in range(-60, 61, 3):
+            for coupling in (2.0**k, 1.37 * 2.0**k):
+                w = np.concatenate([np.linspace(-2.2, 2.2, 201) * coupling, [0.0, 2.0 * coupling]])
+                radicand = np.clip(4.0 * coupling * coupling - w * w, 0.0, None)
+                unscaled = np.sqrt(radicand) / (2.0 * math.pi * coupling * coupling)
+                assert semicircle_density(w, coupling).tobytes() == unscaled.tobytes(), coupling
+
     def test_adaptive_density_integrates_to_one(self):
         dist = pst_closed_distribution(50, 1.0, FULL)
         _, density = adaptive_density(dist)
