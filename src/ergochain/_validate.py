@@ -10,15 +10,13 @@ the keys of a configuration file and the seed.
 
 Arrays follow the same rule entry by entry (``reals``). ``frozen`` is the one
 rule for the arrays a value type holds: a nonempty float array of finite
-reals, flagged read-only. It sets no flag on the caller's array and copies
-it, so no write to the array the caller passed, made writable again or not,
-reaches the value type. Only an array that ``sealed`` registered, one the
-package has just made, is taken without that copy. Neither rule guards the
-held array against whoever reads it out: numpy lets that reader set
-``flags.writeable = True`` again and write, and the write then reaches the
-value type and every array that shares it (``build_hamiltonian`` takes a
-``BondSet``'s values as its offdiagonal without a copy). Read-only is a
-guard against an accidental write, not a seal.
+reals, copied once into immutable memory. The copy is a read-only array over
+a ``bytes`` object, and numpy makes it writable again neither through the
+array, nor through its ``.base``, nor through ``as_strided``. So no write to
+the array the caller passed reaches the value type, and no reader of the
+held array can write to it, or to another value type that holds the same
+numbers. Every array a value type holds takes this one copy, the (N, N)
+eigenvectors of the package's own routes included.
 ``instance`` is the one check of an object's type.
 """
 
@@ -27,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-import weakref
 
 import numpy as np
 
@@ -55,9 +52,6 @@ MAX_COUNT = 2**20
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 _REAL_KINDS = "iuf"  # numpy dtype kinds of integer and floating arrays
-
-# The arrays ``sealed`` made read-only, by id; an entry goes with its array.
-_SEALED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def integer(name: str, value, low: int, high: int | None = None) -> int:
@@ -124,26 +118,18 @@ def reals(name: str, values, low: float = -math.inf, high: float = math.inf) -> 
 
 
 def frozen(name: str, values, ndim: int = 1) -> np.ndarray:
-    """A nonempty ``ndim``-D float array of finite reals (``reals``), read-only.
+    """A nonempty ``ndim``-D float array of finite reals (``reals``), copied once
+    into immutable memory.
 
-    An array that ``sealed`` registered is taken as it is. Any other, a
-    read-only one or a view included, is copied once and the copy sealed:
-    the caller's array keeps its flags, and a later write to it, after
-    making it writable again too, cannot reach the value type that holds
-    the copy.
+    The copy is C-ordered and read-only over a ``bytes`` object, which numpy
+    will not make writable again. The caller's array keeps its flags, and
+    no later write to it reaches the copy. The copy is one more array of
+    the input's size beside it (``array.tobytes()``).
     """
     array = reals(name, values)
     if array.ndim != ndim or array.size < 1:
         raise InvalidInputError(f"{name} must be a nonempty {ndim}-D array, got {array.shape}")
-    return array if _SEALED.get(id(array)) is array else sealed(array.copy())
-
-
-def sealed(array: np.ndarray) -> np.ndarray:
-    """``array`` made read-only in place and registered, for an array the package
-    has just made and hands to a value type, which then holds it without a copy."""
-    array.setflags(write=False)
-    _SEALED[id(array)] = array
-    return array
+    return np.frombuffer(array.tobytes(), dtype=float).reshape(array.shape)
 
 
 def instance(name: str, value, kind: type):

@@ -79,8 +79,8 @@ class BondSet:
     ``alpha`` records the interpolation weight the bonds were built from, or
     None for bonds that did not come from ``interpolated_bonds`` (e.g. after
     disorder is applied). ``delta`` records the disorder half-width (0 for a
-    clean chain). ``values`` is read-only: a copy of an array the caller can
-    still write, the given array otherwise (``_validate.frozen``).
+    clean chain). ``values`` is an immutable copy of the given array
+    (``_validate.frozen``).
     """
 
     values: np.ndarray
@@ -101,8 +101,7 @@ class SingleExcitationHamiltonian:
 
     ``diagonal`` has length N >= 2 (constant -(N-2)*B) and ``offdiagonal``
     length N-1 (the bond strengths); every entry is finite. Both are
-    read-only: copies of arrays the caller can still write, the given arrays
-    otherwise (``_validate.frozen``).
+    immutable copies of the given arrays (``_validate.frozen``).
     """
 
     diagonal: np.ndarray
@@ -154,7 +153,7 @@ def interpolated_bonds(config: ChainConfig) -> BondSet:
     _validate.instance("config", config, ChainConfig)
     engineered = pst_couplings(config.n_sites, config.coupling)
     values = (1.0 - config.alpha) * config.coupling + config.alpha * engineered
-    return BondSet(values=_validate.sealed(values), alpha=config.alpha, delta=0.0)
+    return BondSet(values=values, alpha=config.alpha, delta=0.0)
 
 
 def _seed(seed: int) -> int:
@@ -212,7 +211,7 @@ def disordered_bonds(config: ChainConfig, seed: int, realization_index: int) -> 
     seed = _seed(seed)
     realization_index = _validate.integer("realization_index", realization_index, 0, 2**64 - 1)
     factors = _noise_factors(_noise_generator(), config.delta, seed, realization_index, clean.size)
-    return BondSet(values=_validate.sealed(clean * factors), alpha=None, delta=config.delta)
+    return BondSet(values=clean * factors, alpha=None, delta=config.delta)
 
 
 def build_hamiltonian(bonds: BondSet, field: float) -> SingleExcitationHamiltonian:
@@ -224,5 +223,5 @@ def build_hamiltonian(bonds: BondSet, field: float) -> SingleExcitationHamiltoni
     _validate.instance("bonds", bonds, BondSet)
     field = _validate.positive("field", field)
     n = bonds.n_sites
-    diag = _validate.sealed(np.full(n, -(n - 2) * field))
+    diag = np.full(n, -(n - 2) * field)
     return SingleExcitationHamiltonian(diagonal=diag, offdiagonal=bonds.values)

@@ -81,6 +81,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .workstats import (
+    _unscaled,
     adaptive_density,
     binned_histogram,
     gaussian_density,
@@ -475,9 +476,11 @@ def run_workdist(resolved: dict[str, Any]) -> list[Block]:
             add(alpha, "density", works, densities)
             if alpha == 1.0:
                 # limit of the binomial ladder: centered Gaussian, variance
-                # equal to the squared first engineered bond
-                variance = float(pst_couplings(n, chain["coupling"])[0] ** 2)
-                add(alpha, "gaussian", works, gaussian_density(points, variance))
+                # equal to the squared first engineered bond, squared at the
+                # bond's scale 2^e so that it stays finite (exact in the normal range)
+                bond, e = math.frexp(pst_couplings(n, chain["coupling"])[0])
+                scaled = gaussian_density(np.ldexp(points, -e), bond * bond)
+                add(alpha, "gaussian", works, _unscaled(scaled, -e, "gaussian density"))
             else:
                 add(alpha, "semicircle", works, semicircle_density(points, chain["coupling"]))
         else:

@@ -51,8 +51,8 @@ class EnsembleStats:
     ``parameter`` is stored as validated, like ``ErgotropyRecord.parameter``.
 
     ``values[k]`` is realization k (the keyed stream makes the order
-    canonical); it is finite and read-only: a copy of an array the caller
-    can still write, the given array otherwise (``_validate.frozen``).
+    canonical); it is finite, an immutable copy of the given array
+    (``_validate.frozen``).
     ``stddev`` is the sample standard deviation (ddof=1), 0.0 for a single
     realization. It is taken about the first value, which leaves it
     unchanged but spares the rounding of the mean, so a sample of equal
@@ -153,7 +153,7 @@ def ensemble_stats(
         encoding=encoding,
         parameter=parameter,
         delta=config.delta,
-        values=_validate.sealed(values),
+        values=values,
         mean=mean,
         stddev=stddev,
     )

@@ -239,11 +239,11 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors (as columns).
 
     ``energies[k]`` pairs with column ``vectors[:, k]``; every entry is
-    finite. Both are read-only. An array the caller can still write is
-    copied (``_validate.frozen``); the routes that build one hand theirs over
-    read-only (``_validate.sealed``), so they add no (N, N) copy. The class
-    leaves column signs as given; the route that builds one sets them by the
-    gauge rule of the module docstring.
+    finite. Both are immutable copies of the given arrays
+    (``_validate.frozen``), so building one takes a second (N, N) array
+    beside the given vectors, whichever route builds it. The class leaves
+    column signs as given; the route that builds one sets them by the gauge
+    rule of the module docstring.
     """
 
     energies: np.ndarray
@@ -263,15 +263,17 @@ class SpectralDecomposition:
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip the columns into the gauge of ``diagonalize`` (the rule is in the module docstring).
+    """Flip the columns of ``vectors`` in place into the gauge of ``diagonalize``
+    (the rule is in the module docstring), and return it.
 
     Sign flips are exact, so the result does not depend on how it is computed.
     """
     magnitudes = np.abs(vectors)
     significant = magnitudes > 1e-12 * magnitudes.max(axis=0)
-    del magnitudes  # freed before the flipped copy, so the peak stays at two (N, N) arrays
+    del magnitudes  # freed before the caller's copy, so the peak stays at two (N, N) arrays
     leading = vectors[np.argmax(significant, axis=0), np.arange(vectors.shape[1])]
-    return vectors * np.where(leading < 0, -1.0, 1.0)
+    vectors *= np.where(leading < 0, -1.0, 1.0)
+    return vectors
 
 
 def _solve(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -566,14 +568,14 @@ def diagonalize(hamiltonian: SingleExcitationHamiltonian) -> SpectralDecompositi
     the worst per-column residual) if LAPACK reports failure or if
     max_k ||H v_k - E_k v_k|| exceeds RESIDUAL_RTOL times an infinity-norm
     bound on H. Memory: two (N, N) arrays at a time (the solver's
-    eigenvectors beside its workspace, the gauge's magnitudes or the flipped
-    result) and the gauge's boolean mask; the peak is 2.14 N^2 doubles
-    (tracemalloc, N = 1000).
+    eigenvectors beside its workspace, the gauge's magnitudes, or the
+    decomposition's immutable copy), and the gauge's boolean mask; the
+    gauge flips the solver's eigenvectors in place. The peak is 2.14 N^2
+    doubles (tracemalloc, N = 1000).
     """
     _validate.instance("hamiltonian", hamiltonian, SingleExcitationHamiltonian)
     energies, vectors = _solve(hamiltonian.diagonal, hamiltonian.offdiagonal)
-    vectors = _validate.sealed(_fix_column_signs(vectors.T))
-    return SpectralDecomposition(energies=_validate.sealed(energies), vectors=vectors)
+    return SpectralDecomposition(energies=energies, vectors=_fix_column_signs(vectors.T))
 
 
 def analytic_uniform_spectrum(
@@ -582,9 +584,10 @@ def analytic_uniform_spectrum(
     """Closed-form spectrum of the uniform chain.
 
     E_k = -2J cos(k pi/(N+1)) - (N-2) B for k = 1..N, with eigenvectors
-    v_k[n] = (-1)^(n-1) sqrt(2/(N+1)) sin(k pi n/(N+1)). Memory: two (N, N)
-    arrays at a time (the angles, their sines, the scaled result); the peak
-    is 2.00 N^2 doubles (tracemalloc, N = 1000).
+    v_k[n] = (-1)^(n-1) sqrt(2/(N+1)) sin(k pi n/(N+1)). Memory: the
+    angles become their sines and the vectors in place, and the
+    decomposition's immutable copy is the second (N, N) array; the peak is
+    2.00 N^2 doubles (tracemalloc, N = 1000).
     """
     n = _validate.sites(n_sites)
     coupling = _validate.positive("coupling", coupling)
@@ -593,9 +596,11 @@ def analytic_uniform_spectrum(
     theta = k * math.pi / (n + 1)
     energies = -2.0 * coupling * np.cos(theta) - (n - 2) * field
     sites = np.arange(1, n + 1)
-    vectors = math.sqrt(2.0 / (n + 1)) * np.sin(np.outer(sites, theta))
+    vectors = np.outer(sites, theta)
+    np.sin(vectors, out=vectors)
+    vectors *= math.sqrt(2.0 / (n + 1))
     vectors *= np.where(sites % 2 == 1, 1.0, -1.0)[:, None]  # alternating gauge
-    return SpectralDecomposition(_validate.sealed(energies), _validate.sealed(vectors))
+    return SpectralDecomposition(energies, vectors)
 
 
 def _pst_ladder(n: int, coupling: float) -> np.ndarray:
@@ -653,11 +658,13 @@ def analytic_pst_spectrum(
     (``_pst_vectors``): finite at any N, and within 1.5e-15 of the
     exact-integer route (measured at N = 2-256, 500 and 1000). Row 1 is
     positive until its smallest entry, 2^(-(N-1)/2), underflows (subnormal
-    past N ~ 2045, zero past 2149). Memory: the (N, N) result and O(N)
-    beside it; the peak is 1.02 N^2 doubles (tracemalloc, N = 1000).
+    past N ~ 2045, zero past 2149). Memory: the vectors are built in place,
+    and the decomposition's immutable copy of them is the second (N, N)
+    array; the peak is 2.00 N^2 doubles (tracemalloc, N = 1000), where
+    building in place alone held 1.02.
     """
     n = _validate.sites(n_sites)
     coupling = _validate.positive("coupling", coupling)
     field = _validate.positive("field", field)
     energies = _pst_ladder(n, coupling) - (n - 2) * field
-    return SpectralDecomposition(_validate.sealed(energies), _validate.sealed(_pst_vectors(n)))
+    return SpectralDecomposition(energies, _pst_vectors(n))

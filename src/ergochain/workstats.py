@@ -52,13 +52,15 @@ __all__ = [
 # with the vacuum atom rather than shadow it.
 MERGE_RTOL = 1e-12
 
+_LN2 = math.log(2.0)  # the exponent shift of ``gaussian_density``'s far tail
+
 
 @dataclass(frozen=True)
 class WorkDistribution:
     """Atomic work distribution: strictly increasing values, weights summing to 1.
 
-    Both arrays are finite and read-only: copies of arrays the caller can
-    still write, the given arrays otherwise (``_validate.frozen``).
+    Both arrays are finite, immutable copies of the given arrays
+    (``_validate.frozen``).
     """
 
     values: np.ndarray
@@ -135,7 +137,7 @@ def _merge_atoms(
         pieces.append([[v], [p]])
     values, probabilities = np.concatenate(pieces + [atoms[:, done:]], axis=1)
     keep = probabilities > 0
-    return WorkDistribution(_validate.sealed(values[keep]), _validate.sealed(probabilities[keep]))
+    return WorkDistribution(values[keep], probabilities[keep])
 
 
 def tpm_distribution(config: ChainConfig, initial: InitialSiteState) -> WorkDistribution:
@@ -204,13 +206,18 @@ def moments(distribution: WorkDistribution, max_order: int = 2) -> WorkMoments:
     """Raw moments <W^n> = sum_k p_k W_k^n up to max_order (2..6).
 
     mean and variance are always filled; orders 3..max_order land in
-    `higher` as raw (non-central) moments.
+    `higher` as raw (non-central) moments. A moment past the float range
+    raises NumericalFailureError.
     """
     _validate.instance("distribution", distribution, WorkDistribution)
     max_order = _validate.integer("max_order", max_order, 2, 6)
     p, v = distribution.probabilities, distribution.values
-    mean, second, *higher = (float(np.sum(p * v**n)) for n in range(1, max_order + 1))
-    return WorkMoments(mean=mean, variance=second - mean * mean, higher=tuple(higher) or None)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean, second, *higher = (float(np.sum(p * v**n)) for n in range(1, max_order + 1))
+    variance = second - mean * mean
+    if not all(map(math.isfinite, (mean, variance, *higher))):
+        raise NumericalFailureError(f"a work moment up to order {max_order} overflows")
+    return WorkMoments(mean=mean, variance=variance, higher=tuple(higher) or None)
 
 
 def adaptive_density(distribution: WorkDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -221,16 +228,18 @@ def adaptive_density(distribution: WorkDistribution) -> tuple[np.ndarray, np.nda
     outer edge sits as far from the atom as the inner one). This keeps the
     estimate honest for strongly nonuniform ladders, where fixed-width bins
     would lump many atoms together or strand empty bins between them.
-    Requires at least two atoms.
+    Requires at least two atoms. The cells are formed at the atoms' scale
+    (``_scale``), so no midpoint or edge overflows.
     """
     _validate.instance("distribution", distribution, WorkDistribution)
     v = distribution.values
     if v.size < 2:
         raise InvalidInputError("adaptive density needs at least two atoms")
-    inner = 0.5 * (v[1:] + v[:-1])
-    edges = np.concatenate([[2.0 * v[0] - inner[0]], inner, [2.0 * v[-1] - inner[-1]]])
-    widths = np.diff(edges)
-    return v.copy(), distribution.probabilities / widths
+    e, scaled = _scale(v)
+    inner = 0.5 * (scaled[1:] + scaled[:-1])
+    edges = np.concatenate([[2.0 * scaled[0] - inner[0]], inner, [2.0 * scaled[-1] - inner[-1]]])
+    density = _unscaled(distribution.probabilities / np.diff(edges), -e, "adaptive density")
+    return v.copy(), density
 
 
 def binned_histogram(
@@ -240,26 +249,63 @@ def binned_histogram(
 
     Useful for intermediate bond blends whose atoms follow no closed-form
     ladder. Bins span [min - w/2, max + w/2] so the extreme atoms sit at the
-    centers of the outer bins.
+    centers of the outer bins. The bins are formed at the atoms' scale
+    (``_scale``), so no span or edge overflows.
     """
     _validate.instance("distribution", distribution, WorkDistribution)
     n_bins = _validate.integer("n_bins", n_bins, 1, _validate.MAX_COUNT)
-    v = distribution.values
+    e, v = _scale(distribution.values)
     lo, hi = float(v[0]), float(v[-1])
     if lo == hi:
         raise InvalidInputError("histogram needs atoms at more than one position")
     width = (hi - lo) / max(n_bins - 1, 1)
     edges = np.linspace(lo - 0.5 * width, hi + 0.5 * width, n_bins + 1)
     weights, _ = np.histogram(v, bins=edges, weights=distribution.probabilities)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    return centers, weights / np.diff(edges)
+    centers = _unscaled(0.5 * (edges[1:] + edges[:-1]), e, "bin center")
+    return centers, _unscaled(weights / np.diff(edges), -e, "histogram density")
+
+
+def _scale(values: np.ndarray) -> tuple[int, np.ndarray]:
+    """(e, values 2^-e) with 2^e the scale of the largest |value| (``math.frexp``).
+
+    Every scaled value lies in (-1, 1), so a sum, span or edge of a few of
+    them stays finite. A power of two commutes with every rounding in the
+    normal range, so there a formula of the scaled values, unscaled by
+    ``_unscaled``, keeps the bits of the unscaled formula.
+    """
+    e = math.frexp(float(np.abs(values).max()))[1]
+    return e, np.ldexp(values, -e)
+
+
+def _unscaled(scaled: np.ndarray, e: int, what: str) -> np.ndarray:
+    """``scaled`` times 2^e; NumericalFailureError where that is past the float range."""
+    if scaled.size and math.frexp(float(np.abs(scaled).max()))[1] + e > 1024:  # 2^1024 overflows
+        raise NumericalFailureError(f"{what} overflows the float range")
+    return np.ldexp(scaled, e)
 
 
 def gaussian_density(work: np.ndarray | float, variance: float) -> np.ndarray | float:
-    """Centered Gaussian density with the given variance."""
+    """Centered Gaussian density exp(-w^2/(2v)) / sqrt(2 pi v) with variance v.
+
+    Evaluated at the variance's scale, as ``semicircle_density`` is at J's:
+    with v = s 4^k (``math.frexp``, s in [1/2, 2)), the density at (w, v) is
+    2^-k times the density at (w 2^-k, s), so neither w^2 nor 2 pi v leaves
+    the float range, and in the normal range the bits are those of the
+    unscaled formula. A |w 2^-k| past 128 is taken as 128, where the density
+    is 0 at every variance. An exponent x below -708, where exp(x) leaves
+    the normal range, is taken as 2^-m exp(x + m ln 2), m = floor(-x/ln 2),
+    so a density that 2^-k brings back into the normal range keeps its
+    digits (relative error about |x| eps). The density never overflows: at
+    the least variance, 5e-324, its peak is 1.8e161.
+    """
     variance = _validate.positive("variance", variance)
     w = _validate.reals("work", work)
-    out = np.exp(-0.5 * w * w / variance) / math.sqrt(2.0 * math.pi * variance)
+    k = math.frexp(variance)[1] // 2
+    s = math.ldexp(variance, -2 * k)
+    u = np.ldexp(np.minimum(np.abs(w), math.ldexp(128.0, k)), -k)
+    x = -0.5 * u * u / s
+    m = np.where(x < -708.0, np.floor(x / -_LN2), 0.0)
+    out = np.ldexp(np.exp(x + m * _LN2) / math.sqrt(2.0 * math.pi * s), (-k - m).astype(int))
     return float(out) if np.isscalar(work) else out
 
 
@@ -281,7 +327,5 @@ def semicircle_density(work: np.ndarray | float, coupling: float) -> np.ndarray 
     w = np.ldexp(np.minimum(np.abs(w), 4.0 * coupling), -e)
     radicand = np.clip(4.0 * j * j - w * w, 0.0, None)
     scaled = np.sqrt(radicand) / (2.0 * math.pi * j * j)
-    if scaled.size and math.frexp(float(scaled.max()))[1] - e > 1024:  # 2^1024 overflows
-        raise NumericalFailureError(f"semicircle density overflows at J = {coupling}")
-    out = np.ldexp(scaled, -e)
+    out = _unscaled(scaled, -e, f"semicircle density at J = {coupling}")
     return float(out) if np.isscalar(work) else out

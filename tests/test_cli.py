@@ -19,7 +19,7 @@ import pytest
 
 from lapack_hooks import hooked_lasq1, report_failure
 from oracles import block_rows, rows_block
-from ergochain import ChainConfig, InvalidConfigError, ensemble_erg, spectral
+from ergochain import ChainConfig, InvalidConfigError, ensemble_erg, pst_couplings, spectral
 from ergochain.cli import (
     _RUNNERS,
     _SCENARIOS,
@@ -192,6 +192,22 @@ class TestHappyPaths:
             rows = list(csv.DictReader(handle))
         assert sum(row["kind"] == "semicircle" for row in rows) == 8
         assert all(math.isfinite(float(row["value"])) for row in rows)
+
+    def test_workdist_gaussian_far_from_unit_coupling(self, tmp_path):
+        # the squared first bond overflowed: "variance must be finite", exit 2
+        config = "[chain]\ncoupling = 1e155\n[workdist]\nn = 8\nalphas = 1.0\n"
+        code, out = _run(tmp_path, "workdist", config)
+        assert code == 0
+        with open(out / "workdist.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        gaussian = [float(row["value"]) for row in rows if row["kind"] == "gaussian"]
+        assert len(gaussian) == 8
+        assert all(math.isfinite(float(row["value"])) for row in rows)
+        # the density of the atom nearest the centre, sigma = the first bond
+        sigma = float(pst_couplings(8, 1e155)[0])
+        w = float(rows[3]["work"])
+        exact = math.exp(-0.5 * (w / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+        assert gaussian[3] == pytest.approx(exact, rel=1e-14)
 
     @pytest.mark.parametrize("theta", ["0", "1e-200"])  # sin^2(theta/2) is 0 at both
     def test_workdist_of_a_sender_that_sends_nothing_is_one_atom(self, tmp_path, theta):

@@ -419,17 +419,15 @@ def test_value_type_is_out_of_reach_of_the_callers_array(kind, arrays, others):
 
 
 @pytest.mark.parametrize("kind, arrays, others", VALUE_TYPE_PARAMETERS)
-def test_value_type_takes_a_read_only_owner_as_it_is(kind, arrays, others):
-    given = {name: _validate.sealed(np.array(values)) for name, values in arrays.items()}
-    held = kind(**given, **others)
-    for name, array in given.items():
-        assert getattr(held, name) is array
-        # a read-only view of a writable array is copied: its owner can still change
-        owner = np.array(arrays[name], dtype=float)
+def test_a_read_only_view_of_a_writable_array_is_copied(kind, arrays, others):
+    # its owner can still change
+    given = {name: np.array(values, dtype=float) for name, values in arrays.items()}
+    for name, values in arrays.items():
+        owner = np.array(values, dtype=float)
         view = owner.view()
         view.setflags(write=False)
-        again = kind(**{**given, name: view}, **others)
-        assert not np.shares_memory(getattr(again, name), owner)
+        held = kind(**{**given, name: view}, **others)
+        assert not np.shares_memory(getattr(held, name), owner)
 
 
 @pytest.mark.parametrize("kind, arrays, others", VALUE_TYPE_PARAMETERS)
@@ -453,23 +451,67 @@ def test_a_decomposition_the_caller_spoils_stays_finite():
     assert cmath.isfinite(ec.amplitude_spectral(decomposition, 2, 1.0).value)
 
 
-def test_the_routes_hand_their_new_arrays_over_without_a_copy(monkeypatch):
-    taken = []
+# every package-root route that makes a value type, and each value type from caller arrays
+VALUE_ROUTES = {
+    "interpolated_bonds": lambda: ec.interpolated_bonds(_CONFIG),
+    "disordered_bonds": lambda: ec.disordered_bonds(_CONFIG, 1, 0),
+    "build_hamiltonian": lambda: ec.build_hamiltonian(_BONDS, 1.0),
+    "diagonalize": lambda: ec.diagonalize(_HAMILTONIAN),
+    "analytic_uniform_spectrum": lambda: ec.analytic_uniform_spectrum(5, 1.0, 1.0),
+    "analytic_pst_spectrum": lambda: ec.analytic_pst_spectrum(5, 1.0, 1.0),
+    "tpm_distribution": lambda: ec.tpm_distribution(_CONFIG, _STATE),
+    "pst_closed_distribution": lambda: ec.pst_closed_distribution(5, 1.0, _STATE),
+    "uniform_closed_distribution": lambda: ec.uniform_closed_distribution(5, 1.0, _STATE),
+    "ensemble_stats":
+        lambda: ec.ensemble_stats(_CONFIG, "coherent", 1.0, ec.ensemble_fidelity(_CONFIG, 3, 1)),
+    "ensemble_erg": lambda: ec.ensemble_erg(_CONFIG, "mixed", 0.75, 3, 1),
+    **{
+        f"{kind.__name__}-caller": functools.partial(
+            kind, **{name: np.array(values) for name, values in arrays.items()}, **others
+        )
+        for kind, arrays, others in VALUE_TYPES
+    },
+}
 
-    def spy(name, values, ndim=1, frozen=_validate.frozen):
-        held = frozen(name, values, ndim)
-        taken.append((name, held is values))
-        return held
 
-    monkeypatch.setattr(_validate, "frozen", spy)
-    ec.diagonalize(ec.build_hamiltonian(ec.disordered_bonds(_CONFIG, 1, 0), 1.0))
-    ec.analytic_uniform_spectrum(5, 1.0, 1.0)
-    ec.analytic_pst_spectrum(5, 1.0, 1.0)
-    ec.tpm_distribution(_CONFIG, _STATE)
-    ec.pst_closed_distribution(5, 1.0, _STATE)
-    fidelities = _validate.sealed(ec.ensemble_fidelity(_CONFIG, 3, 1))
-    ec.ensemble_stats(_CONFIG, "coherent", 1.0, fidelities)
-    assert len(taken) > 15 and all(held for _, held in taken), taken
+def test_route_table_covers_the_package_root():
+    kinds = {kind.__name__ for kind, _, _ in VALUE_TYPES}
+    makers = {
+        name
+        for name in ec.__all__
+        if inspect.isfunction(getattr(ec, name))
+        and inspect.signature(getattr(ec, name)).return_annotation in kinds
+    }
+    assert makers == {name for name in VALUE_ROUTES if not name.endswith("-caller")}
+    assert {type(make()).__name__ for make in VALUE_ROUTES.values()} == kinds
+
+
+@pytest.mark.parametrize("make", list(VALUE_ROUTES.values()), ids=list(VALUE_ROUTES))
+def test_no_reader_can_make_a_held_array_writable(make):
+    from numpy.lib.stride_tricks import as_strided
+
+    held = [value for value in vars(make()).values() if isinstance(value, np.ndarray)]
+    assert held
+    for array in held:
+        for reader in (array, array.base):
+            with pytest.raises(ValueError):
+                reader.flags.writeable = True
+            with pytest.raises(ValueError):
+                reader.setflags(write=True)
+        with pytest.raises(ValueError):
+            as_strided(array, writeable=True).flat[0] = 99.0
+        with pytest.raises(ValueError):
+            array.flat[0] = 99.0
+
+
+def test_a_write_to_the_bonds_cannot_reach_the_hamiltonian():
+    bonds = ec.interpolated_bonds(ec.ChainConfig(6, 1.0, 1.0, 0.5))
+    hamiltonian = ec.build_hamiltonian(bonds, 1.0)
+    before = hamiltonian.offdiagonal.tobytes()
+    with pytest.raises(ValueError):
+        bonds.values.flags.writeable = True
+        bonds.values[0] = 99.0
+    assert hamiltonian.offdiagonal.tobytes() == before
 
 
 @pytest.mark.parametrize("spoil", ["nan", "inf", "bool"])

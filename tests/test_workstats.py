@@ -27,6 +27,7 @@ from ergochain import (
     uniform_closed_distribution,
 )
 from ergochain import spectral
+from ergochain._validate import HALF_MAX
 from ergochain.workstats import MERGE_RTOL, _merge_atoms
 
 FULL = InitialSiteState(theta=math.pi)
@@ -198,6 +199,16 @@ class TestMoments:
             assert abs(m.higher[0]) < 1e-12  # <W^3>
             assert abs(m.higher[2]) < 1e-11  # <W^5>
 
+    def test_a_moment_past_the_float_range_raises(self):
+        # <W^4> and <W^6> overflowed to inf, <W^3> and <W^5> to NaN (inf - inf)
+        for coupling, max_order in ((1e150, 6), (1e100, 4), (1e155, 2)):
+            distribution = pst_closed_distribution(8, coupling, FULL)
+            with pytest.raises(NumericalFailureError, match="overflows"):
+                moments(distribution, max_order=max_order)
+        # below the edge every moment is finite: <W^6> ~ 1e300
+        m = moments(pst_closed_distribution(8, 1e50, FULL), max_order=6)
+        assert all(map(math.isfinite, (m.mean, m.variance, *m.higher)))
+
     def test_bad_max_order_rejected(self):
         dist = uniform_closed_distribution(4, 1.0, FULL)
         for bad in (1, 7, 2.5, True):
@@ -310,6 +321,73 @@ class TestDensities:
                 radicand = np.clip(4.0 * coupling * coupling - w * w, 0.0, None)
                 unscaled = np.sqrt(radicand) / (2.0 * math.pi * coupling * coupling)
                 assert semicircle_density(w, coupling).tobytes() == unscaled.tobytes(), coupling
+
+    def test_gaussian_far_from_unit_variance(self):
+        """w w overflowed at w = 1e200, and 2 pi v at v = 8e307 (a density of 0.0)."""
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        assert gaussian_density(1e200, 1.0) == 0.0
+        assert gaussian_density(0.0, 8e307) == pytest.approx(4.460310290381928e-155, rel=4 * eps)
+        for k in range(-1000, 1001, 125):
+            for variance in (2.0**k, 1.37 * 2.0**k):
+                sigma = math.sqrt(variance)
+                # past 37.7 sigma exp(-z^2/2) leaves the normal range
+                for z in (0.0, 0.5, 3.0, 30.0, 38.0, 45.0):
+                    value = gaussian_density(z * sigma, variance)
+                    with mpmath.workdps(40):
+                        w, v = mpmath.mpf(z * sigma), mpmath.mpf(variance)
+                        exact = float(mpmath.exp(-w * w / (2 * v)) / mpmath.sqrt(2 * mpmath.pi * v))
+                    rel = 8 * eps * (1.0 + z * z / 2)  # the exponent's own rounding
+                    assert abs(value - exact) <= rel * exact + 2.0**-1074, (k, variance, z)
+                    if exact > 1e-300:
+                        assert value > 0.0
+
+    def test_gaussian_keeps_the_unscaled_bits_in_the_normal_range(self):
+        for k in range(-60, 61, 3):
+            for variance in (2.0**k, 1.37 * 2.0**k):
+                w = np.concatenate([np.linspace(-8.0, 8.0, 201) * math.sqrt(variance), [0.0]])
+                unscaled = np.exp(-0.5 * w * w / variance) / math.sqrt(2.0 * math.pi * variance)
+                assert gaussian_density(w, variance).tobytes() == unscaled.tobytes(), variance
+
+    def test_densities_at_the_edge_of_the_float_range(self):
+        """Midpoints overflowed to NaN at both edge atoms, and the histogram's span."""
+        big = pst_closed_distribution(8, HALF_MAX, FULL)
+        small = pst_closed_distribution(8, HALF_MAX / 16, FULL)  # the same atoms, 2^-4 apart
+        assert big.values.tobytes() == np.ldexp(small.values, 4).tobytes()
+        points, density = adaptive_density(big)
+        assert points.tobytes() == big.values.tobytes()
+        # subnormal densities: both round at most half their last place
+        assert density == pytest.approx(np.ldexp(adaptive_density(small)[1], -4), rel=1e-12)
+        centers, heights = binned_histogram(big, 5)
+        small_centers, small_heights = binned_histogram(small, 5)
+        assert centers.tobytes() == np.ldexp(small_centers, 4).tobytes()
+        assert heights == pytest.approx(np.ldexp(small_heights, -4), rel=1e-12)
+        assert np.all(heights > 0.0) and np.all(density > 0.0)
+        # a density past the float range raises: atoms one subnormal step apart
+        tiny = WorkDistribution(values=np.array([0.0, 5e-324]), probabilities=np.array([0.5, 0.5]))
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            adaptive_density(tiny)
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            binned_histogram(tiny, 5)
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 5, 101])
+    def test_densities_keep_the_unscaled_bits_in_the_normal_range(self, n_bins):
+        for distribution in (
+            tpm_distribution(_config(13, 0.5), FULL),
+            pst_closed_distribution(50, 1.0, FULL),
+            uniform_closed_distribution(9, 1e-30, InitialSiteState(theta=1.0)),
+            pst_closed_distribution(7, 1e250, FULL),
+        ):
+            v, p = distribution.values, distribution.probabilities
+            inner = 0.5 * (v[1:] + v[:-1])
+            edges = np.concatenate([[2.0 * v[0] - inner[0]], inner, [2.0 * v[-1] - inner[-1]]])
+            assert adaptive_density(distribution)[1].tobytes() == (p / np.diff(edges)).tobytes()
+            width = (v[-1] - v[0]) / max(n_bins - 1, 1)
+            edges = np.linspace(v[0] - 0.5 * width, v[-1] + 0.5 * width, n_bins + 1)
+            weights, _ = np.histogram(v, bins=edges, weights=p)
+            centers, heights = binned_histogram(distribution, n_bins)
+            assert centers.tobytes() == (0.5 * (edges[1:] + edges[:-1])).tobytes()
+            assert heights.tobytes() == (weights / np.diff(edges)).tobytes()
 
     def test_adaptive_density_integrates_to_one(self):
         dist = pst_closed_distribution(50, 1.0, FULL)
