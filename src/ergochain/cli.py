@@ -24,14 +24,15 @@ Scenarios:
   chain against its bulk Bessel-function limit.
 
 The clean-chain scenarios (transport-sweep, theta-sweep) solve each chain
-once for its reflection fidelity F and compute each angle's inputs (the
-matched q and both erg_in) once per sweep; each encoding's receiver map
-then runs once per sweep, over the chains' F and the array of its
-parameters (the angles, or their q). A runner returns column
-blocks: the cells every row of a block shares and one list per other
-column. The writers format each shared cell once per block and each list
-once per run, however many blocks share it, and write each file in one
-call.
+once for its reflection fidelity F and compute the angles' inputs (the
+matched q and both erg_in) by one call each per sweep, over the array of
+angles; each encoding's receiver map then runs once per sweep, over the
+chains' F and the array of its parameters (the angles, or their q). A
+runner returns column blocks: the cells every row of a block shares and one
+numpy array (or list) per other column. The writers format each shared cell
+once per block and each column once per run, however many blocks share it,
+and write each file block by block: a run holds its arrays, the text of the
+columns that several blocks share, and one piece of one block's text.
 
 Every run writes `<scenario>.csv` (or `.json`) plus `<scenario>.manifest.json`
 into the output directory. Data files are byte-identical across repeated runs
@@ -61,10 +62,11 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, get_args, get_origin
+from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -347,54 +349,52 @@ def config_hash(resolved: dict[str, Any]) -> str:
 # A runner returns its rows as column blocks (shared, lists) in row order.
 # ``shared`` maps a column to the cell of every row of the block; ``lists``
 # maps each other column, at least one, to the block's values in row order,
-# all of one length. A list object may serve several blocks.
+# all of one length: a numpy array, or a list (the sweeps' ``encoding``
+# column, and the rows of ``disorder`` and ``bessel-compare``). One array or
+# list object may serve several blocks.
 Block = tuple[dict[str, Any], dict[str, Sequence]]
 
 
-def _angle_inputs(theta: float, field: float) -> tuple[tuple[str, float, float], ...]:
-    """(encoding, parameter, erg_in) of the angle theta and of its input-matched q.
-
-    The one place the CLI pairs theta with its q. Computed once per angle and
-    shared by every chain of a run. The CLI's theta lies in [0, pi] and q in
-    [1/2, 1], so each parameter is already the one ``erg_input`` validates.
-    """
-    q = match_mixed_to_pure(theta)
-    return (
-        ("coherent", theta, erg_input("coherent", theta, field)),
-        ("mixed", q, erg_input("mixed", q, field)),
-    )
+def _alternate(per_encoding: list[np.ndarray]) -> np.ndarray:
+    """One array per encoding, in ``ENCODINGS`` order, interleaved along the
+    last axis: the row order of a sweep, a coherent row, then a mixed row."""
+    stacked = np.stack(per_encoding, axis=-1)
+    return stacked.reshape(*stacked.shape[:-2], -1)
 
 
 def _reflection_blocks(
-    configs: list[ChainConfig], thetas: list[float], field: float, **extra: Any
+    configs: list[ChainConfig], thetas: Sequence[float], field: float, **extra: Any
 ) -> list[Block]:
     """One block per chain: a coherent row, then its input-matched mixed row,
     at each angle, from the chain's one reflection fidelity.
 
     A row holds the fields of the ``ErgotropyRecord`` that ``erg_at_reflection``
-    returns, plus theta; ``extra`` adds shared columns. The angle columns are
-    one list object that every chain's block shares. Each encoding's receiver
-    map runs once, through ``ergotropy._erg_out``, over the chains' F as a
-    column against the row of its parameters (the angles, or their q).
+    returns, plus theta; ``extra`` adds shared columns. The angle columns
+    (theta, encoding, parameter, erg_in) are one object each that every
+    chain's block shares: the matched q comes from one ``match_mixed_to_pure``
+    call over the angles, and each encoding's erg_in from one ``erg_input``
+    call over its parameters. Each encoding's receiver map runs once, through
+    ``ergotropy._erg_out``, over the chains' F as a column against the row of
+    its parameters (the angles, or their q).
     """
-    inputs = [row for theta in thetas for row in _angle_inputs(theta, field)]
-    encodings, parameters, erg_in = map(list, zip(*inputs))
+    thetas = np.asarray(thetas, dtype=float)
+    parameters = [thetas, match_mixed_to_pure(thetas)]  # in ENCODINGS order
+    erg_in = _alternate([erg_input(e, p, field) for e, p in zip(_validate.ENCODINGS, parameters)])
     lists = {
-        "theta": [theta for theta in thetas for _ in _validate.ENCODINGS],
-        "encoding": encodings, "parameter": parameters, "erg_in": erg_in,
+        "theta": np.repeat(thetas, 2),
+        "encoding": list(_validate.ENCODINGS) * thetas.size,
+        "parameter": _alternate(parameters), "erg_in": erg_in,
     }
     solved = [reflection_fidelity(config) for config in configs]
     fidelities = np.array([fidelity for _, fidelity in solved])[:, None]
-    erg_out = np.stack(
-        [_erg_out(encoding, fidelities, np.array(parameters[e::2]), field)
-         for e, encoding in enumerate(_validate.ENCODINGS)], axis=2,
-    ).reshape(len(configs), -1)
-    efficiency = _efficiency(erg_out, np.array(erg_in))
+    erg_out = _alternate(
+        [_erg_out(e, fidelities, p, field) for e, p in zip(_validate.ENCODINGS, parameters)]
+    )
+    efficiency = _efficiency(erg_out, erg_in)
     return [
         ({"n_sites": config.n_sites, "alpha": config.alpha, "time": time, "fidelity": fidelity,
           **extra}, {**lists, "erg_out": out, "efficiency": ratio})
-        for config, (time, fidelity), out, ratio
-        in zip(configs, solved, erg_out.tolist(), efficiency.tolist())
+        for config, (time, fidelity), out, ratio in zip(configs, solved, erg_out, efficiency)
     ]
 
 
@@ -411,13 +411,14 @@ def run_theta_sweep(resolved: dict[str, Any]) -> list[Block]:
     chain = resolved["chain"]
     params = resolved["params"]
     configs = [ChainConfig(n, **chain, alpha=params["alpha"]) for n in params["sites"]]
-    thetas = np.linspace(0.0, math.pi, params["theta_count"]).tolist()
+    thetas = np.linspace(0.0, math.pi, params["theta_count"])
     blocks: list[Block] = []
     for shared, lists in _reflection_blocks(configs, thetas, chain["field"], kind="grid"):
-        erg_out = lists["erg_out"]
-        # max keeps the first of equal rows, scanned from the end: ties go to the largest theta
-        best = [max(reversed(range(e, len(erg_out), 2)), key=erg_out.__getitem__) for e in (0, 1)]
-        argmax = {column: [values[i] for i in best] for column, values in lists.items()}
+        # per encoding, the last row of largest erg_out: ties go to the largest theta
+        erg_out = lists["erg_out"].reshape(-1, 2)[::-1]
+        best = 2 * (len(erg_out) - 1 - np.argmax(erg_out, axis=0)) + np.arange(2)
+        argmax = {column: values[best] for column, values in lists.items() if column != "encoding"}
+        argmax["encoding"] = list(_validate.ENCODINGS)
         blocks += [(shared, lists), ({**shared, "kind": "argmax"}, argmax)]
     return blocks
 
@@ -434,14 +435,15 @@ def _one_block(scenario: str, rows: list[tuple]) -> list[Block]:
 def run_disorder(resolved: dict[str, Any]) -> list[Block]:
     chain = resolved["chain"]
     params = resolved["params"]
-    inputs = _angle_inputs(params["theta"], chain["field"])
+    theta = params["theta"]
+    parameters = {"coherent": theta, "mixed": match_mixed_to_pure(theta)}  # once per run
     rows: list[tuple] = []
     for n in params["sites"]:
         for alpha in params["alphas"]:
             for delta in params["deltas"]:
                 config = ChainConfig(n, **chain, alpha=alpha, delta=delta)
                 fidelities = ensemble_fidelity(config, params["realizations"], resolved["seed"])
-                pair = [ensemble_stats(config, e, p, fidelities) for e, p, _ in inputs]
+                pair = [ensemble_stats(config, e, p, fidelities) for e, p in parameters.items()]
                 try:
                     gamma = gamma_metric(*pair)
                 except UndefinedMetricError:
@@ -461,31 +463,30 @@ def run_workdist(resolved: dict[str, Any]) -> list[Block]:
     initial = InitialSiteState(theta=theta)
     blocks: list[Block] = []
 
-    def add(alpha: float, kind: str, works: list[float], values: np.ndarray) -> None:
+    def add(alpha: float, kind: str, works: np.ndarray, values: np.ndarray) -> None:
         shared = {"n_sites": n, "alpha": alpha, "theta": theta, "kind": kind}
-        blocks.append((shared, {"work": works, "value": values.tolist()}))
+        blocks.append((shared, {"work": works, "value": values}))
 
     for alpha in params["alphas"]:
         distribution = tpm_distribution(ChainConfig(n, **chain, alpha=alpha), initial)
-        add(alpha, "atom", distribution.values.tolist(), distribution.probabilities)
+        add(alpha, "atom", distribution.values, distribution.probabilities)
         if distribution.values.size == 1:
             continue  # a sender that sends nothing: the atom W = 0, p = 1 is the whole law
         if alpha == 1.0 or alpha == 0.0:
+            # the density and its limit share one array of points, written once
             points, densities = adaptive_density(distribution)
-            works = points.tolist()  # one list for the three laws on these points
-            add(alpha, "density", works, densities)
+            add(alpha, "density", points, densities)
             if alpha == 1.0:
                 # limit of the binomial ladder: centered Gaussian, variance
                 # equal to the squared first engineered bond, squared at the
                 # bond's scale 2^e so that it stays finite (exact in the normal range)
                 bond, e = math.frexp(pst_couplings(n, chain["coupling"])[0])
                 scaled = gaussian_density(np.ldexp(points, -e), bond * bond)
-                add(alpha, "gaussian", works, _unscaled(scaled, -e, "gaussian density"))
+                add(alpha, "gaussian", points, _unscaled(scaled, -e, "gaussian density"))
             else:
-                add(alpha, "semicircle", works, semicircle_density(points, chain["coupling"]))
+                add(alpha, "semicircle", points, semicircle_density(points, chain["coupling"]))
         else:
-            centers, heights = binned_histogram(distribution, params["bins"])
-            add(alpha, "hist", centers.tolist(), heights)
+            add(alpha, "hist", *binned_histogram(distribution, params["bins"]))
     return blocks
 
 
@@ -519,39 +520,68 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
+# The most rows of one piece of text that ``_block_rows`` yields, so a writer
+# holds one piece, not a whole block, however many rows the block has.
+_PIECE_ROWS = 2**12
+
+
+def _items(values: Sequence) -> list:
+    """A column's values as Python objects: ``tolist`` of an array, a list as it is."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
 def _block_rows(
     blocks: list[Block], columns: Iterable[str], text: Callable[[Any], str],
-    row: Callable[[list[str]], str],
-) -> list[str]:
-    """Each row of ``blocks`` as text: its cells in column order, each written by
-    ``text`` and joined by ``row``.
+    row: Callable[[list[str]], str], sep: str,
+) -> Iterator[str]:
+    """The rows of ``blocks`` as text, block by block, in pieces of at most
+    ``_PIECE_ROWS`` rows: a row's cells in column order, each written by
+    ``text`` and joined by ``row``, and a piece's rows joined by ``sep``.
 
-    A block's shared cells are written once, and each list column with one
-    ``map``; a list object that several blocks share is written once per call.
-    ``row`` then joins the shared cells and a ``%s`` per list column into the
+    A block's shared cells are written once. Every other cell is written
+    once per call: a column object that several blocks share (a sweep's
+    angle columns) is written whole at its first block, and its cells are
+    dropped after its last; any other column is written piece by piece. An
+    array column becomes Python numbers (``tolist``) as it is written.
+    ``row`` joins the shared cells and a ``%s`` per list column into the
     block's template, which each row fills in. No cell's text holds a ``%``
     (the cell rule of ``write_rows_csv``), so none is doubled.
     """
-    written: dict[int, list[str]] = {}  # id of a list column -> its cells
-    rows: list[str] = []
+    uses = Counter(id(values) for _, lists in blocks for values in lists.values())
+    held: dict[int, list[str]] = {}  # id of a column that several blocks share -> its cells
     for shared, lists in blocks:
-        cells, filled = [], []
-        for column in columns:
-            if column in shared:
-                cells.append(text(shared[column]))
-                continue
-            values = lists[column]
-            if id(values) not in written:
-                written[id(values)] = list(map(text, values))
-            cells.append("%s")
-            filled.append(written[id(values)])
-        rows += map(row(cells).__mod__, zip(*filled))
-    return rows
+        template = row([text(shared[c]) if c in shared else "%s" for c in columns]).__mod__
+        listed = [lists[column] for column in columns if column not in shared]
+        for values in listed:
+            if uses[id(values)] > 1 and id(values) not in held:
+                held[id(values)] = list(map(text, _items(values)))
+        for start in range(0, len(listed[0]), _PIECE_ROWS):
+            piece = slice(start, start + _PIECE_ROWS)
+            cells = [held[id(v)][piece] if id(v) in held else map(text, _items(v[piece]))
+                     for v in listed]
+            yield sep.join(map(template, zip(*cells)))
+        for values in lists.values():
+            uses[id(values)] -= 1
+            if not uses[id(values)]:
+                held.pop(id(values), None)
+
+
+def _write_pieces(path: Path, pieces: Iterable[str], head: str, sep: str, tail: str,
+                  empty: str) -> None:
+    """``head``, the ``pieces`` joined by ``sep``, then ``tail``, each piece
+    written as it is made; ``empty`` alone when no piece comes."""
+    with open(path, "w", newline="") as handle:
+        before, after = head, empty
+        for piece in pieces:
+            handle.write(before)
+            handle.write(piece)
+            before, after = sep, tail
+        handle.write(after)
 
 
 def write_rows_csv(path: Path, scenario: str, blocks: list[Block]) -> None:
     """The rows as ``csv.writer`` writes them, each cell as ``_format_cell``
-    writes it, in one write.
+    writes it, block by block.
 
     The cell rule: every string cell is one of the scenario table's
     enumerated names, and a number's text is ``%.17g`` (``nan``, ``inf``
@@ -560,8 +590,9 @@ def write_rows_csv(path: Path, scenario: str, blocks: list[Block]) -> None:
     would quote none, and the cells are joined as they are.
     """
     columns = _SCENARIOS[scenario].columns
-    lines = [",".join(columns), *_block_rows(blocks, columns, _format_cell, ",".join)]
-    path.write_text("\n".join(lines) + "\n", newline="")
+    header = ",".join(columns) + "\n"
+    pieces = _block_rows(blocks, columns, _format_cell, ",".join, "\n")
+    _write_pieces(path, pieces, header, "\n", "\n", header)
 
 
 # the text ``float.__repr__`` gives a non-finite float -> its JSON, NaN as null
@@ -581,7 +612,8 @@ def _json_value(value: Any) -> str:
 
 
 def write_rows_json(path: Path, scenario: str, blocks: list[Block]) -> None:
-    """The rows as ``json.dumps(rows, indent=2)`` writes them, NaN as null.
+    """The rows as ``json.dumps(rows, indent=2)`` writes them, NaN as null,
+    block by block.
 
     ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the rows
     are joined here from the encoder's own pieces (``_json_value`` per cell).
@@ -595,8 +627,8 @@ def write_rows_json(path: Path, scenario: str, blocks: list[Block]) -> None:
     def row(cells: list[str]) -> str:
         return "  {\n" + ",\n".join([key + cell for key, cell in zip(keys, cells)]) + "\n  }"
 
-    items = _block_rows(blocks, columns, _json_value, row)
-    path.write_text("[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n")
+    pieces = _block_rows(blocks, columns, _json_value, row, ",\n")
+    _write_pieces(path, pieces, "[\n", ",\n", "\n]\n", "[]\n")
 
 
 # --format value -> data file writer; the value is also the data file's suffix

@@ -56,29 +56,40 @@ def qubit_ergotropy(state: QubitState, field: float) -> float:
     return field * (2.0 * p1 - 1.0) + 2.0 * field * r
 
 
-def _parameter(encoding: str, parameter: float) -> float:
-    """The encoding's parameter as validated: theta in [0, pi], or q clipped onto [0, 1].
+def _sin_squared(theta: np.ndarray, scale: float) -> np.ndarray:
+    """sin(scale * t) ** 2 at each entry t of ``theta``, by the scalar libm
+    expression: ``s ** 2`` is libm ``pow``, which differs from numpy's
+    ``x ** 2`` (``x * x``) in the last bit of some angles."""
+    return np.array([math.sin(scale * t) ** 2 for t in theta.ravel().tolist()]).reshape(theta.shape)
 
-    Either is a scalar: ``real`` rejects the array that ``unit_interval`` takes.
+
+def erg_input(
+    encoding: str, parameter: float | np.ndarray, field: float
+) -> float | np.ndarray:
+    """Sender-side ergotropy: 2B sin^2(theta/2) or max(0, 2B(2q-1)).
+
+    The parameter may be a scalar or an array: theta in [0, pi], or q
+    clipped onto [0, 1] by ``unit_interval``. A 0-d result is returned as a
+    Python float, and each entry of an array has the bits of the scalar call
+    (``_sin_squared`` takes sin^2(theta/2) by the scalar expression).
     """
-    if _validate.encoding(encoding) == "coherent":
-        return _validate.angle("theta", parameter)
-    return _validate.unit_interval("q", _validate.real("q", parameter))
-
-
-def erg_input(encoding: str, parameter: float, field: float) -> float:
-    """Sender-side ergotropy: 2B sin^2(theta/2) or max(0, 2B(2q-1))."""
     field = _validate.positive("field", field)
-    parameter = _parameter(encoding, parameter)
-    if encoding == "coherent":
-        return 2.0 * field * math.sin(0.5 * parameter) ** 2
-    return max(0.0, 2.0 * field * (2.0 * parameter - 1.0))
+    if _validate.encoding(encoding) == "coherent":
+        erg = 2.0 * field * _sin_squared(_validate.reals("theta", parameter, 0.0, math.pi), 0.5)
+    else:
+        x = 2.0 * field * (2.0 * _validate.unit_interval("q", parameter) - 1.0)
+        erg = np.where(x > 0.0, x, 0.0)
+    return float(erg) if erg.ndim == 0 else erg
 
 
-def match_mixed_to_pure(theta: float) -> float:
-    """Excited weight q = (1 + sin^2(theta/2))/2 equalizing the two inputs."""
-    theta = _validate.angle("theta", theta)
-    return 0.5 * (1.0 + math.sin(0.5 * theta) ** 2)
+def match_mixed_to_pure(theta: float | np.ndarray) -> float | np.ndarray:
+    """Excited weight q = (1 + sin^2(theta/2))/2 equalizing the two inputs.
+
+    theta may be a scalar or an array, as in ``erg_input``; each entry has
+    the bits of the scalar call.
+    """
+    q = 0.5 * (1.0 + _sin_squared(_validate.reals("theta", theta, 0.0, math.pi), 0.5))
+    return float(q) if q.ndim == 0 else q
 
 
 def erg_coherent(
@@ -91,10 +102,9 @@ def erg_coherent(
     transported coherence doing work the populations alone could not.
     F and theta may each be a scalar or an array (broadcast together); one
     numpy formula serves every shape, and a 0-d result is returned as a
-    Python float. The terms of theta, 2 sin^2(theta/2) and sin^2(theta),
-    are taken once per angle by scalar libm expressions: ``s ** 2`` is libm
-    ``pow``, which differs from numpy's ``x ** 2`` (``x * x``) in the last
-    bit of some angles. Every other step (products, ``sqrt``, the division,
+    Python float. The terms of theta, sin^2(theta/2) and sin^2(theta), are
+    taken once per angle by scalar libm expressions (``_sin_squared``).
+    Every other step (products, ``sqrt``, the division,
     the choice of branch) is one correctly rounded operation per entry, so
     each entry of an array has the bits of the scalar call at its (F, theta).
 
@@ -112,10 +122,8 @@ def erg_coherent(
     fidelity = _validate.unit_interval("fidelity", fidelity)
     field = _validate.positive("field", field)
     theta = _validate.reals("theta", theta, 0.0, math.pi)
-    terms = [(2.0 * math.sin(0.5 * t) ** 2, math.sin(t) ** 2) for t in theta.ravel().tolist()]
-    two_s2, sin2 = np.array(terms).T.reshape(2, *theta.shape)
-    a = 1.0 - two_s2 * fidelity
-    c = sin2 * fidelity
+    a = 1.0 - 2.0 * _sin_squared(theta, 0.5) * fidelity
+    c = _sin_squared(theta, 1.0) * fidelity
     span = np.sqrt(a * a + c) + np.abs(a)
     erg = field * np.where(a > 0.0, c / span, span)
     return float(erg) if erg.ndim == 0 else erg
@@ -144,10 +152,14 @@ def erg_mixed(
 def _check_inputs(config: ChainConfig, encoding: str, parameter: float) -> float:
     """Check the config, then the encoding and its parameter, before any solve.
 
-    Returns the parameter as validated, the one its ergotropies are computed at.
+    Returns the parameter as validated, the one its ergotropies are computed
+    at: theta in [0, pi], or q clipped onto [0, 1]. Either is a scalar:
+    ``real`` rejects the array that ``unit_interval`` takes.
     """
     _validate.instance("config", config, ChainConfig)
-    return _parameter(encoding, parameter)
+    if _validate.encoding(encoding) == "coherent":
+        return _validate.angle("theta", parameter)
+    return _validate.unit_interval("q", _validate.real("q", parameter))
 
 
 def _erg_out(encoding: str, fidelity, parameter, field: float) -> float | np.ndarray:

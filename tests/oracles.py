@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def krawtchouk(k: int, x: int, m: int) -> int:
     """Binary Krawtchouk polynomial K_k(x) on {0..m}, exact integer value.
@@ -55,11 +57,13 @@ def block_rows(blocks):
     """The CLI's column blocks as one dict per row, in row order.
 
     Each row holds the block's shared cells and its own entry of every list
-    column, the very objects the block holds.
+    column: the very objects a list holds, and an array's entries as the
+    Python numbers of its ``tolist``.
     """
     rows = []
     for shared, lists in blocks:
-        rows += [{**shared, **dict(zip(lists, values))} for values in zip(*lists.values())]
+        columns = {c: v.tolist() if isinstance(v, np.ndarray) else v for c, v in lists.items()}
+        rows += [{**shared, **dict(zip(columns, values))} for values in zip(*columns.values())]
     return rows
 
 

@@ -6,7 +6,8 @@ with each encoding's receiver map run once over the array of angles. The
 oracle below is the record route they replaced: one ``ErgotropyRecord`` per
 (chain, angle, encoding), turned into a dict, with theta and kind merged in.
 The writers format each shared cell once per block and each list column once
-per call; the oracles there format every cell of every row.
+per call; the oracles there format every cell of every row. The writers write
+block by block, one piece of text at a time, and their memory peaks are pinned.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,8 +201,12 @@ def test_theta_sweep_computes_each_angle_once(monkeypatch, sites):
         "params": {"sites": sites, "alpha": 0.5, "theta_count": count},
     }
     assert len(block_rows(cli.run_theta_sweep(resolved))) == len(sites) * (2 * count + 2)
-    assert len(calls["match_mixed_to_pure"]) == count
-    assert len(calls["erg_input"]) == 2 * count
+    # q comes from one call over the angles, and each encoding's erg_in from one call
+    ((thetas,),) = calls["match_mixed_to_pure"]
+    assert thetas.shape == (count,)
+    assert [(encoding, parameters.shape) for encoding, parameters, _ in calls["erg_input"]] == [
+        ("coherent", (count,)), ("mixed", (count,))
+    ]
     # each map runs once, over the chains' F as a column and the row of its parameters
     for name in ("erg_coherent", "erg_mixed"):
         ((fidelities, parameters, _),) = calls[name]
@@ -216,7 +222,7 @@ def test_transport_sweep_computes_its_angle_once(monkeypatch):
     }
     assert len(block_rows(cli.run_transport_sweep(resolved))) == 2 * 2 * 2
     assert len(calls["match_mixed_to_pure"]) == 1
-    assert len(calls["erg_input"]) == 2
+    assert [encoding for encoding, _, _ in calls["erg_input"]] == ["coherent", "mixed"]
     assert len(calls["erg_coherent"]) == 1 and len(calls["erg_mixed"]) == 1
 
 
@@ -319,6 +325,24 @@ class TestBlockWriters:
         assert text == _json_per_cell(scenario, block_rows(blocks))
         assert "Infinity" in text and "NaN" not in text
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pieces_move_no_byte(self, tmp_path, monkeypatch, fmt):
+        """Pieces of 3 rows split every block, a list that several blocks
+        share included, and the file is the same."""
+        blocks = _edge_blocks(list(_SCENARIOS["workdist"].columns))
+        resolved = _resolved(tmp_path, "theta-half-blend")
+        sweep = cli._RUNNERS[resolved["scenario"]](resolved)
+        written = []
+        for piece_rows in (cli._PIECE_ROWS, 3):
+            monkeypatch.setattr(cli, "_PIECE_ROWS", piece_rows)
+            cli._WRITERS[fmt](tmp_path / "edges", "workdist", blocks)
+            cli._WRITERS[fmt](tmp_path / "sweep", "theta-sweep", sweep)
+            written.append((_written(tmp_path / "edges"), _written(tmp_path / "sweep")))
+        assert written[0] == written[1]
+        columns = _SCENARIOS["workdist"].columns
+        pieces = list(cli._block_rows(blocks, columns, repr, ",".join, "\n"))
+        assert [piece.count("\n") + 1 for piece in pieces] == [3, 3, 3, 3, 3, 2] * 4 + [1]
+
     def test_the_table_holds_only_plain_names(self):
         """The cell rule's guard: the writers quote, escape and double nothing,
         so every column name and enumerated string must be an ASCII identifier."""
@@ -357,7 +381,57 @@ class TestBlockWriters:
             written.append(value)
             return repr(value)
 
-        rows = cli._block_rows(blocks, "abcd", text, ",".join)
+        pieces = list(cli._block_rows(blocks, "abcd", text, ",".join, "\n"))
+        rows = [row for piece in pieces for row in piece.split("\n")]
+        assert len(pieces) == 2
         assert rows == [",".join(repr(row[c]) for c in "abcd") for row in block_rows(blocks)]
         assert rows[3] == "2,0.5,'argmax',-0.0"
         assert len(written) == 2 * 2 + len(common) + 2 * 3
+
+
+def _traced_peak(call, *args):
+    """``tracemalloc`` peak, in bytes, of one call: what it allocates beyond
+    what was held before it."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestWriterMemory:
+    """A writer holds one piece of one block at a time, never the file: its
+    peak above the blocks it was handed stays far below the file's size."""
+
+    @pytest.fixture(scope="class")
+    def quench_blocks(self):
+        """The blocks of the ``quench-json`` workload of bench/workloads.py."""
+        params = {"n": 1000, "alphas": [0.0, 0.25, 0.5, 0.75, 1.0], "theta": math.pi, "bins": 101}
+        return cli.run_workdist({"chain": {"coupling": 1.0, "field": 1.0}, "params": params})
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_quench_blocks(self, quench_blocks, tmp_path, fmt):
+        path = tmp_path / f"rows.{fmt}"
+        peak = _traced_peak(cli._WRITERS[fmt], path, "workdist", quench_blocks)
+        assert path.stat().st_size > 600_000
+        assert peak < 1.5e6, f"{fmt} writer peak {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_large_block(self, tmp_path, fmt):
+        """40,000 grid rows in one block: the writer's peak is below twice the
+        block's own text."""
+        params = {"sites": [6], "alpha": 1.0, "theta_count": 20_000}
+        blocks = cli.run_theta_sweep({"chain": {"coupling": 1.0, "field": 1.0}, "params": params})
+        path = tmp_path / f"rows.{fmt}"
+        write = cli._WRITERS[fmt]
+        write(path, "theta-sweep", [])
+        empty = path.stat().st_size
+        texts = []
+        for block in blocks:  # each block's text: its file less the empty file
+            write(path, "theta-sweep", [block])
+            texts.append(path.stat().st_size - empty)
+        peak = _traced_peak(write, path, "theta-sweep", blocks)
+        assert max(texts) > 5e6
+        assert peak < 2 * max(texts), f"{fmt} writer peak {peak / 1e6:.2f} MB"

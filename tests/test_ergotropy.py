@@ -111,6 +111,35 @@ class TestEncodings:
         with pytest.raises(InvalidInputError):
             erg_input("thermal", 0.5, 1.0)
 
+    @pytest.mark.parametrize("field", [1.0, 1.9, 3e-300])
+    def test_arrays_have_the_bits_of_the_scalar_calls(self, field):
+        """Every entry of an array call is the scalar call's float, shape kept."""
+        rng = np.random.default_rng(11)
+        thetas = np.array([0.0, math.pi, *rng.uniform(0.0, math.pi, 2000)])
+        qs = np.array([-1e-13, 0.0, 0.5, 1.0, 1.0 + 1e-13, *rng.uniform(0.0, 1.0, 2001)])
+        cases = [
+            (match_mixed_to_pure, thetas, lambda t: match_mixed_to_pure(t)),
+            (lambda t: erg_input("coherent", t, field), thetas,
+             lambda t: erg_input("coherent", t, field)),
+            (lambda q: erg_input("mixed", q, field), qs, lambda q: erg_input("mixed", q, field)),
+        ]
+        for call, values, scalar in cases:
+            got = call(values.reshape(2, -1))
+            want = [scalar(value) for value in values.tolist()]
+            assert type(want[0]) is float and got.dtype == float and got.ndim == 2
+            assert got.ravel().view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+            assert type(scalar(np.float64(values[3]))) is float
+
+    def test_an_array_entry_outside_the_domain_raises(self):
+        for bad in (np.array([0.5, math.pi + 1e-9]), np.array([math.nan]), np.array([-1.0])):
+            with pytest.raises(InvalidInputError):
+                match_mixed_to_pure(bad)
+            with pytest.raises(InvalidInputError):
+                erg_input("coherent", bad, 1.0)
+        for bad in (np.array([0.5, 1.0 + 1e-9]), np.array([math.inf])):
+            with pytest.raises(InvalidInputError):
+                erg_input("mixed", bad, 1.0)
+
 
 class TestClosedFormsAgainstFirstPrinciples:
     @given(

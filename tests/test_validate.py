@@ -156,7 +156,7 @@ def test_numpy_scalars_act_like_python_ones(function, kwargs, name):
 
 @pytest.mark.parametrize("function, kwargs, name", PARAMETERS)
 def test_an_array_in_place_of_a_number_is_finite_or_an_ergochain_error(function, kwargs, name):
-    # ``unit_interval`` takes arrays (of F, or of erg_mixed's q); erg_input's q and p1 are scalars
+    # ``unit_interval`` takes arrays (of F, or of erg_mixed's and erg_input's q); p1 is a scalar
     for size in (1, 2):
         kind, result = outcome(function, kwargs, name, np.full(size, kwargs[name]))
         if kind == "ok":
@@ -165,9 +165,8 @@ def test_an_array_in_place_of_a_number_is_finite_or_an_ergochain_error(function,
 
 @pytest.mark.parametrize(
     "name, call",
-    [("q", lambda v: ec.erg_input("mixed", v, 1.0)),
-     ("excited_population", lambda v: ec.QubitState(v, 0.0))],
-    ids=["erg_input", "QubitState"],
+    [("excited_population", lambda v: ec.QubitState(v, 0.0))],
+    ids=["QubitState"],
 )
 def test_a_scalar_unit_parameter_rejects_an_array(name, call):
     for size in (1, 2):

@@ -1,4 +1,4 @@
-"""Print the median wall time of each stage of the benchmark's CLI runs.
+"""Print the median wall time and the memory peak of each stage of the benchmark's CLI runs.
 
 Usage:
 
@@ -10,7 +10,9 @@ config at SEED (default 0) and runs, in process, the stages of
 ``ergochain.cli.main`` REPEATS times (default 10): ``resolve_config``, the
 scenario runner, the data file writer and ``write_manifest``. It prints one
 line per workload with the median milliseconds of each stage, so the cost of
-serialization has its own number.
+serialization has its own number, and beside it the stage's ``tracemalloc``
+peak in MB above what the run held when the stage began. The peaks come from
+one more run, traced on its own, so the timed runs stay untraced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 STAGES = ("resolve", "runner", "writer", "manifest")
 
@@ -34,26 +38,53 @@ def output_digests():
     return module
 
 
-def stage_medians(workload, seed: int, repeats: int, work: Path) -> dict[str, float]:
-    """Median ms of each stage over ``repeats`` runs of one CLI workload."""
+def run_stages(workload, seed: int, work: Path, mark: Callable[[], object]) -> list:
+    """One CLI run of ``workload``, stage by stage: ``mark()`` before the first
+    stage and after each, the marks returned in order."""
     from ergochain import cli
 
-    workload.write_inputs(seed, work)
     data = work / f"{workload.scenario}.{workload.fmt}"
+    marks = [mark()]
+    resolved = cli.resolve_config(work / "config.json", workload.scenario, seed, workload.fmt)
+    marks.append(mark())
+    blocks = cli._RUNNERS[workload.scenario](resolved)
+    marks.append(mark())
+    cli._WRITERS[workload.fmt](data, workload.scenario, blocks)
+    marks.append(mark())
+    cli.write_manifest(work / "manifest.json", resolved, cli._row_count(blocks))
+    marks.append(mark())
+    return marks
+
+
+def stage_medians(workload, seed: int, repeats: int, work: Path) -> dict[str, float]:
+    """Median ms of each stage over ``repeats`` runs of one CLI workload."""
+    workload.write_inputs(seed, work)
     times: dict[str, list[float]] = {stage: [] for stage in STAGES}
     for _ in range(repeats):
-        start = time.perf_counter()
-        resolved = cli.resolve_config(work / "config.json", workload.scenario, seed, workload.fmt)
-        resolved_at = time.perf_counter()
-        blocks = cli._RUNNERS[workload.scenario](resolved)
-        ran_at = time.perf_counter()
-        cli._WRITERS[workload.fmt](data, workload.scenario, blocks)
-        written_at = time.perf_counter()
-        cli.write_manifest(work / "manifest.json", resolved, cli._row_count(blocks))
-        ends = (resolved_at, ran_at, written_at, time.perf_counter())
-        for stage, begin, end in zip(STAGES, (start, *ends), ends):
+        marks = run_stages(workload, seed, work, time.perf_counter)
+        for stage, begin, end in zip(STAGES, marks, marks[1:]):
             times[stage].append(end - begin)
     return {stage: 1e3 * statistics.median(values) for stage, values in times.items()}
+
+
+def _memory_mark() -> tuple[int, int]:
+    """(traced bytes now, their peak since the last mark); the peak restarts here."""
+    current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    return current, peak
+
+
+def stage_peaks(workload, seed: int, work: Path) -> dict[str, float]:
+    """MB of each stage's ``tracemalloc`` peak above what was traced when it
+    began, from one traced run of one CLI workload."""
+    workload.write_inputs(seed, work)
+    tracemalloc.start()
+    try:
+        marks = run_stages(workload, seed, work, _memory_mark)
+    finally:
+        tracemalloc.stop()
+    return {stage: 1e-6 * (end[1] - begin[0])
+            for stage, begin, end in zip(STAGES, marks, marks[1:])}
 
 
 def main(argv: list[str]) -> int:
@@ -65,8 +96,12 @@ def main(argv: list[str]) -> int:
         for workload in tool.load_workloads().WORKLOADS.values():
             if workload.entry_module == "ergochain.cli":
                 (Path(tmp) / workload.name).mkdir()
-                medians = stage_medians(workload, seed, repeats, Path(tmp) / workload.name)
-                cells = "".join(f"  {stage} {medians[stage]:8.3f} ms" for stage in STAGES)
+                work = Path(tmp) / workload.name
+                medians = stage_medians(workload, seed, repeats, work)
+                peaks = stage_peaks(workload, seed, work)
+                cells = "".join(
+                    f"  {stage} {medians[stage]:8.3f} ms {peaks[stage]:7.2f} MB" for stage in STAGES
+                )
                 print(f"{workload.name:<18}{cells}")
     return 0
 
